@@ -224,10 +224,12 @@ def cmd_estimate(args) -> int:
         report_lines.append("selected_spans = "
                             + ",".join(str(s) for s in smoothing.selected_spans))
     elif config.method == "var":
-        order = args.order if args.order is not None else \
-            select_var_order(series, config.max_order).order
-        estimate = var_spectrum(fit_var(series, order),
-                                FrequencyGrid(series.n_samples, series.sampling_rate))
+        if args.order is not None:
+            order, model = args.order, fit_var(series, args.order)
+        else:
+            selection = select_var_order(series, config.max_order)
+            order, model = selection.order, selection.model
+        estimate = var_spectrum(model, FrequencyGrid(series.n_samples, series.sampling_rate))
         report_lines.append(f"var_order = {order}")
     else:  # multitaper
         if args.tapers is not None:

@@ -135,10 +135,12 @@ def select_taper_count(series: MultiTrialSeries,
     chosen = []
     for n in range(series.n_trials):
         pilot = pgrams.leave_one_out_mean(n)
-        d = _tapered_dfts(series.values[n], bank, grid)
-        inner = np.einsum("apj,bpj->abj", np.conj(d), d)
-        gram = np.cumsum(np.cumsum((inner.real**2 + inner.imag**2).sum(axis=-1), axis=0), axis=1)
-        quad = np.cumsum(np.einsum("apj,jpq,aqj->a", np.conj(d), pilot, d, optimize=True).real)
+        d = np.ascontiguousarray(_tapered_dfts(series.values[n], bank, grid).transpose(2, 0, 1))
+        inner = np.conj(d) @ d.transpose(0, 2, 1)  # (n_freq, m, m) taper inner products
+        flat = inner.view(float).reshape(grid.n_frequencies, -1)
+        inner_sq = np.einsum("ji,ji->i", flat, flat).reshape(bank.n_tapers, bank.n_tapers, 2).sum(axis=-1)
+        gram = np.cumsum(np.cumsum(inner_sq, axis=0), axis=1)
+        quad = np.cumsum((np.conj(d) * (d @ pilot.transpose(0, 2, 1))).sum(axis=(0, 2)).real)
         pilot_sq = float(np.sum(pilot.real**2 + pilot.imag**2))
         dist = (pilot_sq
                 - quad[counts - 1] / (np.pi * counts)

@@ -262,10 +262,10 @@ def shrinkage_pipeline(series: MultiTrialSeries,
     pgrams: PeriodogramSet = stage("periodogram", lambda: compute_periodograms(series))
     if opts.var_order is not None:
         order = opts.var_order
+        model = stage("var_fit", lambda: fit_var(series, order))
     else:
-        order = stage("order_selection",
-                      lambda: select_var_order(series, opts.max_order)).order
-    model = stage("var_fit", lambda: fit_var(series, order))
+        selection = stage("order_selection", lambda: select_var_order(series, opts.max_order))
+        order, model = selection.order, selection.model
     parametric = stage("var_spectrum", lambda: var_spectrum(model, pgrams.grid))
     nonparametric, smoothing = stage("smoothing", lambda: smoothed_estimator(
         series, SmoothingConfig(span_grid=opts.span_grid, fixed_span=opts.fixed_span),

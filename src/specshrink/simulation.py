@@ -26,7 +26,7 @@ from .periodogram import compute_periodograms
 from .shrinkage import shrinkage_diagnostics, combine_estimates
 from .smoothing import SmoothingConfig, smoothed_estimator
 from .timeseries import MultiTrialSeries
-from .var import VarModel, fit_var, select_var_order, var_spectrum
+from .var import VarModel, select_var_order, var_spectrum
 
 HARNESS_ESTIMATORS = ("raw_mean", "smoothed", "var", "multitaper", "shrinkage", "truth")
 
@@ -308,8 +308,7 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
             if "raw_mean" in names:
                 produced["raw_mean"] = pgrams.mean
             if need_var:
-                order = select_var_order(sim, max_order).order
-                var_est = var_spectrum(fit_var(sim, order), grid)
+                var_est = var_spectrum(select_var_order(sim, max_order).model, grid)
                 if "var" in names:
                     produced["var"] = var_est
             if need_smoothed:

@@ -11,13 +11,32 @@ periodograms.
 Smoothing operates on the full frequency circle implied by conjugate
 symmetry, so windows near 0 and pi wrap onto reflected, conjugated
 values instead of being truncated or zero-padded.
+
+Span risks are computed in closed form.  Smoothing is a circular
+convolution, so with ``F`` the frequency-axis FFT over the full circle and
+``K_s`` the (real) transfer of the symmetric span-``s`` kernel, Parseval's
+theorem gives the full-circle sum of squared distances for every span at
+once:
+
+    sum_j ||pilot_j - smoothed_j||^2
+        = (1/T) sum_k (|F pilot|^2 - 2 K_s Re<F pilot, F own> + K_s^2 |F own|^2)_k,
+
+with each term summed over the matrix entries.  This is the lag-window
+duality of Blackman and Tukey: ``F`` of a full-circle periodogram is a
+circular sample cross-covariance, and smoothing tapers it by ``K_s``.
+Both the pilot and the smoothed trial are conjugate symmetric, so the
+full circle counts every half-grid frequency twice except omega = 0 and,
+for even T, omega = pi.  The half-grid risk therefore adds those endpoint
+terms, each a kernel-weighted sum over at most ``span`` neighbours, to the
+full-circle sum and halves it.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .core import SpectralEstimate, extend_full_circle, hs_norm_sq, symmetrize
+from .core import SpectralEstimate, extend_full_circle, symmetrize
 from .errors import DimensionError, DomainError, InsufficientDataError
 from .periodogram import PeriodogramSet, compute_periodograms
 from .timeseries import MultiTrialSeries
@@ -104,13 +123,6 @@ def _kernel_transfer(span: int, n_samples: int) -> np.ndarray:
     return np.fft.fft(kernel)
 
 
-def _smooth_from_spectrum(fft_full: np.ndarray, span: int, n_samples: int) -> np.ndarray:
-    """Half-grid result of circular convolution, given ``fft(full_circle, axis=0)``."""
-    transfer = _kernel_transfer(span, n_samples)
-    smoothed = np.fft.ifft(fft_full * transfer[:, None, None], axis=0)
-    return symmetrize(smoothed[: n_samples // 2 + 1])
-
-
 def smooth_periodogram(matrices: np.ndarray, span: int, n_samples: int) -> np.ndarray:
     """Smooth half-grid spectral matrices across frequency with a Hann kernel.
 
@@ -133,7 +145,30 @@ def smooth_periodogram(matrices: np.ndarray, span: int, n_samples: int) -> np.nd
     full = extend_full_circle(matrices, n_samples)
     if span == 1:
         return np.array(matrices, dtype=complex)
-    return _smooth_from_spectrum(np.fft.fft(full, axis=0), span, n_samples)
+    transfer = _kernel_transfer(span, n_samples)
+    smoothed = np.fft.ifft(np.fft.fft(full, axis=0) * transfer[:, None, None], axis=0)
+    return symmetrize(smoothed[: n_samples // 2 + 1])
+
+
+@lru_cache(maxsize=16)
+def _span_kernels(grid: tuple[int, ...], n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real transfers ``(n_spans, T)`` and centred weights ``(n_spans, 2h+1)`` for a grid.
+
+    ``h`` is the half-width of the widest span; narrower kernels are padded
+    with zeros.  Span 1 is the identity: transfer 1 and a unit centre
+    weight.  The arrays are cached, so they are returned read-only.
+    """
+    half = (grid[-1] - 1) // 2
+    transfers = np.ones((len(grid), n_samples))
+    weights = np.zeros((len(grid), 2 * half + 1))
+    for i, span in enumerate(grid):
+        if span > 1:
+            transfers[i] = _kernel_transfer(span, n_samples).real
+        h = (span - 1) // 2
+        weights[i, half - h:half + h + 1] = hann_weights(span)
+    transfers.flags.writeable = False
+    weights.flags.writeable = False
+    return transfers, weights
 
 
 def span_risks(periodograms: PeriodogramSet, trial: int, span_grid) -> np.ndarray:
@@ -142,19 +177,36 @@ def span_risks(periodograms: PeriodogramSet, trial: int, span_grid) -> np.ndarra
     The risk of a span is ``(2*pi/T) * sum_j ||pilot(w_j) - smoothed(w_j)||^2``
     over the half grid, where the pilot is the mean periodogram of all other
     trials and the smoothed term is this trial's periodogram smoothed with
-    that span.
+    that span.  All spans are scored from one FFT of the trial and of its
+    pilot (see the module docstring).
     """
     grid = validate_span_grid(span_grid)
     n_samples = periodograms.grid.n_samples
+    transfers, weights = _span_kernels(grid, n_samples)
     pilot = periodograms.leave_one_out_mean(trial)
     own = periodograms.per_trial[trial]
-    fft_full = np.fft.fft(extend_full_circle(own, n_samples), axis=0)
-    scale = 2.0 * np.pi / n_samples
-    risks = np.empty(len(grid))
-    for i, span in enumerate(grid):
-        smoothed = own if span == 1 else _smooth_from_spectrum(fft_full, span, n_samples)
-        risks[i] = scale * float(np.sum(hs_norm_sq(pilot - smoothed)))
-    return risks
+    n_channels = own.shape[-1]
+    own_full = extend_full_circle(own, n_samples)
+    pilot_full = extend_full_circle(pilot, n_samples)
+    f_own = np.fft.fft(own_full, axis=0).reshape(n_samples, -1)
+    f_pilot = np.fft.fft(pilot_full, axis=0).reshape(n_samples, -1)
+    pilot_sq = np.sum(f_pilot.real ** 2 + f_pilot.imag ** 2)
+    cross = np.sum(f_pilot.real * f_own.real + f_pilot.imag * f_own.imag, axis=1)
+    own_sq = np.sum(f_own.real ** 2 + f_own.imag ** 2, axis=1)
+    # Cancellation can round this sum of squares just below zero.
+    full_circle = np.maximum(
+        (pilot_sq - 2.0 * (transfers @ cross) + (transfers ** 2) @ own_sq) / n_samples, 0.0)
+
+    # The full circle holds every half-grid frequency twice except omega = 0
+    # and, for even T, omega = pi; add those once more and halve.
+    half = (weights.shape[1] - 1) // 2
+    offsets = np.arange(-half, half + 1)
+    endpoints = [0, n_samples // 2] if n_samples % 2 == 0 else [0]
+    for j in endpoints:
+        window = own_full[(j + offsets) % n_samples].reshape(len(offsets), -1)
+        diff = pilot_full[j].reshape(1, -1) - weights @ window
+        full_circle += np.sum(diff.real ** 2 + diff.imag ** 2, axis=1)
+    return (np.pi / n_samples) * full_circle / n_channels
 
 
 def select_span(periodograms: PeriodogramSet, trial: int, span_grid) -> int:
@@ -201,7 +253,13 @@ def smoothed_estimator(series: MultiTrialSeries,
                 "set fixed_span to smooth a single trial")
         grid = config.span_grid if config.span_grid is not None else default_span_grid(n_samples)
         spans = [select_span(pgrams, n, grid) for n in range(series.n_trials)]
-    smoothed = [smooth_periodogram(pgrams.per_trial[n], spans[n], n_samples)
-                for n in range(series.n_trials)]
-    estimate = SpectralEstimate(pgrams.grid, np.mean(smoothed, axis=0), tag="smoothed")
+    # Smoothing is linear: smooth each group of trials sharing a span once.
+    total = np.zeros(pgrams.per_trial.shape[1:], dtype=complex)
+    for span in sorted(set(spans)):
+        group = np.zeros_like(total)
+        for n in range(series.n_trials):
+            if spans[n] == span:
+                group += pgrams.per_trial[n]
+        total += smooth_periodogram(group, span, n_samples)
+    estimate = SpectralEstimate(pgrams.grid, total / series.n_trials, tag="smoothed")
     return estimate, replace(config, selected_spans=tuple(spans))

@@ -139,7 +139,12 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
             f"need n_trials*(T-order) > P*order; got {n_trials}*{eff} <= {n_params}")
 
     blocks = [_regression_blocks(series.values[n], order) for n in range(n_trials)]
-    gram = exact_sum(np.stack([regs @ regs.T for _, regs in blocks]))
+    # ``regs @ regs.T`` is computed as a symmetric rank-k update, so each
+    # per-trial Gram is exactly symmetric: sum its upper triangle and mirror.
+    upper = np.triu_indices(n_params)
+    gram = np.empty((n_params, n_params))
+    gram[upper] = exact_sum(np.stack([(regs @ regs.T)[upper] for _, regs in blocks]))
+    gram.T[upper] = gram[upper]
     cross = exact_sum(np.stack([resp @ regs.T for resp, regs in blocks]))
 
     cond = np.linalg.cond(gram)
@@ -165,10 +170,12 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
 
 @dataclass(frozen=True)
 class OrderSelection:
-    """Chosen VAR order plus the information-criterion value per candidate."""
+    """Chosen VAR order, the information-criterion value per candidate, and
+    the model fitted at the chosen order."""
 
     order: int
     criterion: tuple[float, ...]
+    model: VarModel
 
 
 def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection:
@@ -176,20 +183,22 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
 
     The criterion for order ``k`` is
     ``log det(noise_cov(k)) + log(N*T)/(N*T) * k * P**2``; ties break toward
-    the smaller order.
+    the smaller order.  The selection carries the model fitted at the
+    chosen order, so callers need not refit it.
     """
     if not isinstance(max_order, (int, np.integer)) or max_order < 1:
         raise DomainError(f"max_order must be a positive integer, got {max_order!r}")
     n_trials, n_channels, n_samples = series.values.shape
     total = n_trials * n_samples
     penalty_unit = np.log(total) / total * n_channels ** 2
-    values = []
+    models, values = [], []
     for k in range(1, max_order + 1):
         model = fit_var(series, k)
         sign, logdet = np.linalg.slogdet(model.noise_cov)
+        models.append(model)
         values.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
     order = 1 + int(np.argmin(values))
-    return OrderSelection(order=order, criterion=tuple(values))
+    return OrderSelection(order=order, criterion=tuple(values), model=models[order - 1])
 
 
 def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:

@@ -1,5 +1,7 @@
 """Hann-kernel smoothing and leave-one-out span selection."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -131,16 +133,43 @@ def test_select_span_is_exhaustive_argmin():
         assert np.all(risks >= 0)
 
 
+def direct_span_risks(pgrams, trial, span_grid):
+    """Test-only reference: smooth the trial once per span and sum the half grid."""
+    n_samples = pgrams.grid.n_samples
+    pilot = pgrams.leave_one_out_mean(trial)
+    own = pgrams.per_trial[trial]
+    return np.array([
+        (2 * np.pi / n_samples)
+        * float(np.sum(hs_norm_sq(pilot - smooth_periodogram(own, span, n_samples))))
+        for span in span_grid])
+
+
 def test_span_risk_matches_direct_computation():
-    rng = np.random.default_rng(5)
-    series = MultiTrialSeries(rng.standard_normal((3, 2, 32)))
-    pgrams = compute_periodograms(series)
-    pilot = pgrams.leave_one_out_mean(0)
-    risks = span_risks(pgrams, 0, (3, 7))
-    for i, span in enumerate((3, 7)):
-        sm = smooth_periodogram(pgrams.per_trial[0], span, 32)
-        direct = (2 * np.pi / 32) * np.sum(hs_norm_sq(pilot - sm))
-        assert risks[i] == pytest.approx(direct, rel=1e-12)
+    # even and odd T, P in {1, 3}, N in {2, 4}; grids with span 1 and the
+    # largest odd span below T
+    for n_samples, n_channels, n_trials in itertools.product((32, 33), (1, 3), (2, 4)):
+        rng = np.random.default_rng((5, n_samples, n_channels, n_trials))
+        pgrams = compute_periodograms(
+            MultiTrialSeries(rng.standard_normal((n_trials, n_channels, n_samples))))
+        largest = n_samples - 1 if n_samples % 2 == 0 else n_samples - 2
+        for grid in [(1, 3, 7), (3, 5, 9, 15), tuple(range(1, largest + 1, 2))]:
+            for trial in range(n_trials):
+                case = f"T={n_samples} P={n_channels} N={n_trials} grid={grid} trial={trial}"
+                risks = span_risks(pgrams, trial, grid)
+                direct = direct_span_risks(pgrams, trial, grid)
+                np.testing.assert_allclose(risks, direct, rtol=1e-12, atol=0, err_msg=case)
+                assert np.argmin(risks) == np.argmin(direct), case
+
+
+def test_span_risk_rejects_span_that_fills_the_circle():
+    rng = np.random.default_rng(9)
+    pgrams = compute_periodograms(MultiTrialSeries(rng.standard_normal((3, 2, 32))))
+    with pytest.raises(DomainError):
+        span_risks(pgrams, 0, (3, 33))
+    with pytest.raises(DomainError):
+        span_risks(pgrams, 0, (1, 5, 35))
+    with pytest.raises(DomainError):
+        select_span(pgrams, 1, (33,))
 
 
 def test_white_noise_selects_wider_spans_than_peaked_ar2():

@@ -13,6 +13,7 @@ from specshrink import (
     NearSingularError,
     RankDeficiencyError,
     VarModel,
+    exact_sum,
     fit_var,
     select_var_order,
     simulate_var,
@@ -94,6 +95,42 @@ def test_pooled_fit_is_trial_permutation_invariant():
         other = fit_var(shuffled, 2)
         np.testing.assert_array_equal(other.coefs, model.coefs)
         np.testing.assert_array_equal(other.noise_cov, model.noise_cov)
+
+
+def reference_fit_var(series, order):
+    """Test-only reference: the pooled fit with full-matrix exact sums."""
+    n_trials, n_channels, n_samples = series.values.shape
+    blocks = []
+    for x in series.values:
+        regs = np.concatenate([x[:, order - k:n_samples - k] for k in range(1, order + 1)])
+        blocks.append((x[:, order:], regs))
+    gram = exact_sum(np.stack([regs @ regs.T for _, regs in blocks]))
+    cross = exact_sum(np.stack([resp @ regs.T for resp, regs in blocks]))
+    coef_flat = sla.cho_solve(sla.cho_factor(gram), cross.T).T
+    resid_ssp = exact_sum(np.stack([
+        (resp - coef_flat @ regs) @ (resp - coef_flat @ regs).T for resp, regs in blocks]))
+    noise = resid_ssp / (n_trials * (n_samples - order) - n_channels * order)
+    coefs = coef_flat.reshape(n_channels, order, n_channels).transpose(1, 0, 2)
+    return coefs, 0.5 * (noise + noise.T)
+
+
+def test_fit_matches_full_matrix_reference_bit_for_bit():
+    coefs = np.stack([0.5 * np.eye(3), -0.4 * np.eye(3)])
+    for n_trials, n_samples, order in ((6, 128, 1), (6, 128, 3), (2, 33, 4)):
+        series = make_var_trials(coefs, n_trials, n_samples, seed=(11, n_samples, order))
+        model = fit_var(series, order)
+        ref_coefs, ref_noise = reference_fit_var(series, order)
+        np.testing.assert_array_equal(model.coefs, ref_coefs)
+        np.testing.assert_array_equal(model.noise_cov, ref_noise)
+
+
+def test_order_selection_carries_the_chosen_fit():
+    series = make_var_trials(np.stack([0.5 * np.eye(2), -0.4 * np.eye(2)]), 8, 128, seed=12)
+    selection = select_var_order(series, 4)
+    refit = fit_var(series, selection.order)
+    assert selection.model.order == selection.order
+    np.testing.assert_array_equal(selection.model.coefs, refit.coefs)
+    np.testing.assert_array_equal(selection.model.noise_cov, refit.noise_cov)
 
 
 def test_residuals_orthogonal_to_regressors():
