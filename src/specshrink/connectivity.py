@@ -16,7 +16,8 @@ from scipy import stats
 
 from .core import FrequencyGrid, SpectralEstimate, exact_sum, symmetrize
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
-                     EmptyBandError, InsufficientDataError, NearSingularError)
+                     EmptyBandError, InsufficientDataError, NearSingularError,
+                     PipelineError, SpecshrinkError)
 from .shrinkage import PipelineOptions, shrinkage_pipeline
 from .timeseries import MultiTrialSeries
 
@@ -188,18 +189,22 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
     transformed; the function returns the replicate mean and the jackknife
     standard error ``sqrt((n-1)/n * sum((z_i - mean)**2))`` per channel
     pair.  Replicates are reduced with exactly rounded sums, so the result
-    does not depend on trial order.
+    does not depend on trial order.  A replicate that fails raises
+    :class:`PipelineError` whose stage names the left-out trial.
     """
     n = series.n_trials
     if n < 2:
         raise InsufficientDataError("jackknife needs at least two trials")
     replicates = []
     for leave_out in range(n):
-        result = shrinkage_pipeline(series.drop_trial(leave_out), options)
-        banded = band_average(partial_coherence(result.estimate), band)
-        vals = banded.values.copy()
-        np.fill_diagonal(vals, 0.0)
-        replicates.append(fisher_z(vals))
+        try:
+            result = shrinkage_pipeline(series.drop_trial(leave_out), options)
+            banded = band_average(partial_coherence(result.estimate), band)
+            vals = banded.values.copy()
+            np.fill_diagonal(vals, 0.0)
+            replicates.append(fisher_z(vals))
+        except SpecshrinkError as err:
+            raise PipelineError(f"jackknife without trial {leave_out}", str(err)) from err
     stack = np.stack(replicates)
     mean_z = exact_sum(stack) / n
     se = np.sqrt((n - 1) / n * exact_sum((stack - mean_z) ** 2))

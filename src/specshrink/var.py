@@ -161,8 +161,10 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
         raise RankDeficiencyError(f"regressor Gram matrix is singular: {err}") from err
     coef_flat = sla.cho_solve(factor, cross.T).T  # (P, P*order)
 
-    resid_ssp = exact_sum(np.stack([
-        (resp - coef_flat @ regs) @ (resp - coef_flat @ regs).T for resp, regs in blocks]))
+    resids = (resp - coef_flat @ regs for resp, regs in blocks)
+    # ``.copy()`` keeps this a general matrix product; ``r @ r.T`` would switch
+    # to a symmetric rank-k update and change the low bits of ``noise_cov``.
+    resid_ssp = exact_sum(np.stack([r @ r.copy().T for r in resids]))
     noise = resid_ssp / (n_trials * eff - n_params)
     coefs = coef_flat.reshape(n_channels, order, n_channels).transpose(1, 0, 2)
     return VarModel(coefs=coefs, noise_cov=0.5 * (noise + noise.T))

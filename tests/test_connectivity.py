@@ -13,6 +13,7 @@ from specshrink import (
     FrequencyGrid,
     MultiTrialSeries,
     NearSingularError,
+    PipelineError,
     PipelineOptions,
     SpectralEstimate,
     apply_fdr,
@@ -197,6 +198,18 @@ def test_jackknife_matches_manual_replicates():
     np.testing.assert_array_equal(stats.se, se)
     np.testing.assert_array_equal(stats.mean_z, stats.mean_z.T)
     np.testing.assert_array_equal(np.diag(stats.mean_z), 0.0)
+
+
+@pytest.mark.parametrize("live_trial", [0, 3])
+def test_jackknife_failure_names_the_left_out_trial(live_trial):
+    # channel 2 varies only in one trial, so only the replicate without it fails
+    vals = np.random.default_rng(4).standard_normal((5, 3, 64))
+    vals[np.arange(5) != live_trial, 2] = 0.0
+    series = MultiTrialSeries(vals, sampling_rate=64.0)
+    with pytest.raises(PipelineError) as info:
+        jackknife_band_stats(series, (8.0, 12.0), PipelineOptions(var_order=1, fixed_span=7))
+    assert info.value.stage == f"jackknife without trial {live_trial}"
+    assert "var_fit" in str(info.value)
 
 
 def test_jackknife_se_hand_example():
