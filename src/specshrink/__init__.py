@@ -22,7 +22,7 @@ from .smoothing import (SmoothingConfig, default_span_grid, hann_weights, select
 from .var import OrderSelection, VarModel, fit_var, select_var_order, var_spectrum
 from .multitaper import (TaperBank, TaperSelection, multitaper_estimator,
                          select_taper_count, sine_tapers)
-from .shrinkage import (PipelineOptions, PipelineResult, ShrinkageDiagnostics,
+from .shrinkage import (ESTIMATORS, PipelineOptions, PipelineResult, ShrinkageDiagnostics,
                         combine_estimates, estimator_separation, risk_vs_pilot,
                         shrinkage_diagnostics, shrinkage_pipeline, shrinkage_weight)
 from .connectivity import (BandStats, ConnectivityResult, PairTest, apply_fdr,

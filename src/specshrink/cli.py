@@ -11,22 +11,13 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import io as sio
 from .connectivity import (apply_fdr, band_average, jackknife_band_stats,
                            pairwise_tests, partial_coherence)
-from .core import FrequencyGrid
 from .errors import DomainError, SpecshrinkError
-from .multitaper import multitaper_estimator, select_taper_count
-from .periodogram import mean_periodogram
-from .shrinkage import PipelineOptions, shrinkage_pipeline
+from .shrinkage import ESTIMATORS, PipelineOptions, shrinkage_pipeline
 from .simulation import SimulationConfig, monte_carlo_compare, simulate_mixture
-from .smoothing import SmoothingConfig, smoothed_estimator
 from .timeseries import detrend, standardize
-from .var import fit_var, select_var_order, var_spectrum
-
-METHODS = ("raw_mean", "smoothed", "var", "multitaper", "shrinkage")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "weights.csv plus fit_report.txt.")
     _common_analysis_flags(est)
     est.add_argument("input", help="trial-data file (.mts binary or tidy .csv)")
-    est.add_argument("--method", choices=METHODS, default=None,
+    est.add_argument("--method", choices=tuple(ESTIMATORS), default=None,
                      help="estimator (default shrinkage)")
     est.add_argument("--tapers", type=int, default=None,
                      help="taper count for --method multitaper (default: risk-selected)")
@@ -133,14 +124,10 @@ def _common_analysis_flags(sub):
 def _load_config(args) -> sio.RunConfig:
     config = sio.read_config(args.config) if args.config else sio.RunConfig()
     overrides = {}
-    for attr, key in (("window", "window"), ("max_order", "max_order"),
-                      ("out_dir", "out_dir"), ("span_min", "span_min"),
-                      ("span_max", "span_max"), ("seed", "seed")):
-        value = getattr(args, attr, None)
+    for key in ("method", "window", "max_order", "out_dir", "span_min", "span_max", "seed"):
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if getattr(args, "method", None) is not None:
-        overrides["method"] = args.method
     if getattr(args, "q", None) is not None:
         overrides["fdr_q"] = args.q
     if getattr(args, "band", None):
@@ -167,7 +154,9 @@ def _pipeline_options(config: sio.RunConfig, args) -> PipelineOptions:
         max_order=config.max_order,
         span_grid=config.span_grid(),
         fixed_span=getattr(args, "fixed_span", None),
-        fixed_weight=args.weight if getattr(args, "fixed", False) else None)
+        fixed_weight=args.weight if getattr(args, "fixed", False) else None,
+        n_tapers=getattr(args, "tapers", None),
+        taper_grid=config.taper_grid())
 
 
 def _out_path(config: sio.RunConfig, name: str) -> str:
@@ -203,57 +192,37 @@ def _cross_rows(estimate, labels):
                 yield hertz[j], labels[p], labels[q], cell.real, cell.imag
 
 
-def cmd_estimate(args) -> int:
-    config = _load_config(args)
-    series = _load_series(args.input, args)
-    if args.weight is not None and not args.fixed:
-        raise DomainError("--weight requires --fixed")
-    report_lines = []
-    if config.method == "shrinkage":
-        result = shrinkage_pipeline(series, _pipeline_options(config, args))
-        estimate = result.estimate
-        report_lines.append(f"var_order = {result.order}")
-        report_lines.append("selected_spans = "
-                            + ",".join(str(s) for s in result.smoothing.selected_spans))
-        report_lines.append(f"window = {result.diagnostics.window}")
-    elif config.method == "raw_mean":
-        estimate = mean_periodogram(series)
-    elif config.method == "smoothed":
-        estimate, smoothing = smoothed_estimator(series, SmoothingConfig(
-            span_grid=config.span_grid(), fixed_span=args.fixed_span))
-        report_lines.append("selected_spans = "
-                            + ",".join(str(s) for s in smoothing.selected_spans))
-    elif config.method == "var":
-        if args.order is not None:
-            order, model = args.order, fit_var(series, args.order)
-        else:
-            selection = select_var_order(series, config.max_order)
-            order, model = selection.order, selection.model
-        estimate = var_spectrum(model, FrequencyGrid(series.n_samples, series.sampling_rate))
-        report_lines.append(f"var_order = {order}")
-    else:  # multitaper
-        if args.tapers is not None:
-            n_tapers = args.tapers
-        else:
-            grid = None if config.taper_max is None else tuple(range(1, config.taper_max + 1))
-            n_tapers = select_taper_count(series, grid).median
-        estimate = multitaper_estimator(series, n_tapers)
-        report_lines.append(f"tapers = {n_tapers}")
-
-    labels = series.channel_labels
+def _write_estimate(config: sio.RunConfig, labels, estimate, record):
+    """Write an estimate's CSVs, its weight curves if it has them, and its fit report."""
     sio.write_csv(_out_path(config, "spectra.csv"),
                   ("frequency_hz", "channel", "value"), _spectra_rows(estimate, labels))
     sio.write_csv(_out_path(config, "cross_spectra.csv"),
                   ("frequency_hz", "channel_a", "channel_b", "real", "imag"),
                   _cross_rows(estimate, labels))
-    if config.method == "shrinkage":
-        diag = result.diagnostics
+    choices = dict(record)
+    diag = choices.pop("weights", None)
+    if diag is not None:
         rows = zip(estimate.grid.hertz, diag.param_risk, diag.nonparam_risk,
                    diag.separation, diag.weight_raw, diag.weight)
         sio.write_csv(_out_path(config, "weights.csv"),
                       ("frequency_hz", "alpha2", "beta2", "delta2", "w_raw", "w"), rows)
-    if report_lines:
-        sio.write_text(_out_path(config, "fit_report.txt"), "\n".join(report_lines) + "\n")
+    if choices:
+        lines = [f"{key} = " + (",".join(str(v) for v in value)
+                                if isinstance(value, tuple) else str(value))
+                 for key, value in choices.items()]
+        sio.write_text(_out_path(config, "fit_report.txt"), "\n".join(lines) + "\n")
+
+
+def cmd_estimate(args) -> int:
+    config = _load_config(args)
+    if config.method not in ESTIMATORS:
+        raise DomainError(f"unknown method {config.method!r}; expected one of "
+                          f"{', '.join(ESTIMATORS)}")
+    if args.weight is not None and not args.fixed:
+        raise DomainError("--weight requires --fixed")
+    series = _load_series(args.input, args)
+    estimate, record = ESTIMATORS[config.method](series, _pipeline_options(config, args))
+    _write_estimate(config, series.channel_labels, estimate, record)
     print(f"estimated {config.method} spectra for {series.n_channels} channels "
           f"at {estimate.grid.n_frequencies} frequencies -> {config.out_dir}")
     return 0
@@ -278,10 +247,8 @@ def cmd_connectivity(args) -> int:
     options = _pipeline_options(config, args)
     suffixes = ("left", "right")
 
-    per_condition = []
-    for series in conditions:
-        result = shrinkage_pipeline(series, options)
-        per_condition.append(partial_coherence(result.estimate))
+    per_condition = [partial_coherence(shrinkage_pipeline(series, options).estimate)
+                     for series in conditions]
     for name, lo, hi in config.bands:
         for pcoh, suffix in zip(per_condition, suffixes):
             banded = band_average(pcoh, (lo, hi))
@@ -324,7 +291,7 @@ def cmd_compare(args) -> int:
         config=sim_config, estimators=estimators, reps=args.reps,
         seed=config.seed, windows=windows,
         max_order=args.max_order if args.max_order is not None else 8,
-        span_grid=config.span_grid())
+        span_grid=config.span_grid(), taper_grid=config.taper_grid())
 
     hertz = result.grid.hertz
     names = result.estimator_names

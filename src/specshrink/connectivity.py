@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .core import FrequencyGrid, SpectralEstimate, exact_sum, symmetrize
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
@@ -91,8 +91,7 @@ def coherence(estimate: SpectralEstimate) -> ConnectivityResult:
     return ConnectivityResult(kind="coherence", values=vals, grid=estimate.grid)
 
 
-def partial_coherence(estimate: SpectralEstimate,
-                      cond_limit: float = INVERSION_COND_LIMIT) -> ConnectivityResult:
+def partial_coherence(estimate: SpectralEstimate) -> ConnectivityResult:
     """Partial coherence from the inverse spectral matrix, per frequency.
 
     With ``g = f**-1`` (symmetrized), the partial coherence of channels p
@@ -104,17 +103,17 @@ def partial_coherence(estimate: SpectralEstimate,
     ------
     NearSingularError
         If some frequency's matrix is singular or has condition number
-        above ``cond_limit``.  No regularization is applied; a failure
-        here should be addressed by a better-conditioned estimator.
+        above :data:`INVERSION_COND_LIMIT`.  No regularization is applied;
+        a failure here should be addressed by a better-conditioned estimator.
     """
     mats = symmetrize(estimate.matrices)
     conds = np.linalg.cond(mats)
     worst = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
-    if not np.all(np.isfinite(conds)) or conds[worst] > cond_limit:
+    if not np.all(np.isfinite(conds)) or conds[worst] > INVERSION_COND_LIMIT:
         raise NearSingularError(
             f"spectral matrix at frequency index {worst} "
             f"(omega = {estimate.grid.omegas[worst]:.6g} rad/sample) has condition number "
-            f"{conds[worst]:.3g}, above the inversion guard {cond_limit:.0e}")
+            f"{conds[worst]:.3g}, above the inversion guard {INVERSION_COND_LIMIT:.0e}")
     inv = symmetrize(np.linalg.inv(mats))
     diag = _real_diagonal(inv)
     if np.any(diag <= 0.0):
@@ -234,7 +233,7 @@ def welch_t(stats_a, stats_b):
     t = (mean_a - mean_b) / math.hypot(se_a, se_b)
     va, vb = se_a ** 2, se_b ** 2
     df = (va + vb) ** 2 / (va ** 2 / (n_a - 1) + vb ** 2 / (n_b - 1))
-    p = 2.0 * float(stats.t.sf(abs(t), df))
+    p = 2.0 * float(stdtr(df, -abs(t)))
     return float(t), float(df), p
 
 

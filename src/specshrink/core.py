@@ -18,9 +18,9 @@ from .errors import DimensionError, DomainError
 #: Tags a spectral estimate may carry, identifying how it was produced.
 ESTIMATOR_TAGS = ("raw_mean", "smoothed", "var", "multitaper", "shrinkage", "truth")
 
-#: Default relative tolerance for Hermitian-deviation checks.
+#: Relative tolerance for Hermitian-deviation checks.
 HERMITIAN_RTOL = 1e-10
-#: Default relative tolerance (against the trace) for eigenvalue positivity checks.
+#: Relative tolerance (against the trace) for eigenvalue positivity checks.
 PSD_RTOL = 1e-8
 
 
@@ -112,42 +112,36 @@ class ValidationReport:
     """Numerical health of one or more spectral matrices.
 
     ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian part
-    ``(A + A^*)/2``, minimised over the batch.  Tolerances are relative:
-    Hermitian deviation is compared against the largest matrix entry, the
-    eigenvalue floor against the largest trace.
+    ``(A + A^*)/2``, minimised over the batch.  Hermitian deviation is held to
+    :data:`HERMITIAN_RTOL` times the largest entry, the eigenvalue floor to
+    :data:`PSD_RTOL` times the largest trace.
     """
 
     hermitian_deviation: float
     min_eigenvalue: float
     scale: float
     max_trace: float
-    hermitian_rtol: float = HERMITIAN_RTOL
-    psd_rtol: float = PSD_RTOL
 
     @property
     def hermitian_ok(self) -> bool:
-        return self.hermitian_deviation <= self.hermitian_rtol * max(self.scale, 1e-300)
+        return self.hermitian_deviation <= HERMITIAN_RTOL * max(self.scale, 1e-300)
 
     @property
     def psd_ok(self) -> bool:
-        return self.min_eigenvalue >= -self.psd_rtol * max(self.max_trace, 1e-300)
+        return self.min_eigenvalue >= -PSD_RTOL * max(self.max_trace, 1e-300)
 
     @property
     def ok(self) -> bool:
         return self.hermitian_ok and self.psd_ok
 
 
-def validate_spectral(matrices: np.ndarray,
-                      hermitian_rtol: float = HERMITIAN_RTOL,
-                      psd_rtol: float = PSD_RTOL) -> ValidationReport:
+def validate_spectral(matrices: np.ndarray) -> ValidationReport:
     """Check Hermitian symmetry and positive semidefiniteness.
 
     Parameters
     ----------
     matrices : array_like
         A single ``(P, P)`` matrix or a batch ``(..., P, P)``.
-    hermitian_rtol, psd_rtol : float
-        Relative tolerances recorded in the report.
 
     Returns
     -------
@@ -165,8 +159,7 @@ def validate_spectral(matrices: np.ndarray,
     min_eig = float(np.min(eigs))
     max_trace = float(np.max(np.abs(np.trace(herm, axis1=-2, axis2=-1).real)))
     return ValidationReport(hermitian_deviation=deviation, min_eigenvalue=min_eig,
-                            scale=scale, max_trace=max_trace,
-                            hermitian_rtol=hermitian_rtol, psd_rtol=psd_rtol)
+                            scale=scale, max_trace=max_trace)
 
 
 @dataclass(frozen=True)
@@ -204,10 +197,9 @@ class SpectralEstimate:
     def n_channels(self) -> int:
         return self.matrices.shape[1]
 
-    def validate(self, hermitian_rtol: float = HERMITIAN_RTOL,
-                 psd_rtol: float = PSD_RTOL) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Worst-case Hermitian/PSD report over all frequencies."""
-        return validate_spectral(self.matrices, hermitian_rtol, psd_rtol)
+        return validate_spectral(self.matrices)
 
     def full_circle(self) -> np.ndarray:
         """Matrices on all ``n_samples`` Fourier frequencies via conjugate symmetry."""

@@ -205,6 +205,10 @@ class RunConfig:
             raise DomainError(f"empty span grid from bounds [{self.span_min}, {self.span_max}]")
         return grid
 
+    def taper_grid(self) -> tuple[int, ...] | None:
+        """Taper counts ``1 .. taper_max``, or None for the automatic default."""
+        return None if self.taper_max is None else tuple(range(1, self.taper_max + 1))
+
 
 _CONFIG_PARSERS = {
     "method": str,

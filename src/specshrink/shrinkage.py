@@ -20,14 +20,15 @@ separation)) / separation``, truncated to [0, 1]; a zero separation
 nonparametric estimator, though the combination is then invariant anyway.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import FrequencyGrid, SpectralEstimate, hs_norm_sq
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      SpecshrinkError, PipelineError)
-from .periodogram import PeriodogramSet, compute_periodograms
+from .multitaper import multitaper_estimator, select_taper_count
+from .periodogram import compute_periodograms
 from .smoothing import SmoothingConfig, smoothed_estimator
 from .timeseries import MultiTrialSeries
 from .var import VarModel, fit_var, select_var_order, var_spectrum
@@ -164,8 +165,6 @@ def shrinkage_diagnostics(parametric: SpectralEstimate, nonparametric: SpectralE
                           pilot: SpectralEstimate, window: int = DEFAULT_WINDOW,
                           ) -> ShrinkageDiagnostics:
     """Compute all risk curves and weights for a pair of estimators."""
-    _same_grid(parametric, nonparametric)
-    _same_grid(parametric, pilot)
     param_risk = risk_vs_pilot(parametric, pilot, window)
     nonparam_risk = risk_vs_pilot(nonparametric, pilot, window)
     separation = estimator_separation(parametric, nonparametric, window)
@@ -199,11 +198,12 @@ def combine_estimates(parametric: SpectralEstimate, nonparametric: SpectralEstim
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """Tuning knobs for :func:`shrinkage_pipeline`.
+    """Tuning knobs for :func:`shrinkage_pipeline` and the :data:`ESTIMATORS`.
 
     ``var_order=None`` selects the order by BIC up to ``max_order``;
     ``fixed_span`` bypasses per-trial span selection; ``fixed_weight``
-    bypasses risk estimation entirely and combines with a constant weight.
+    bypasses risk estimation entirely and combines with a constant weight;
+    ``n_tapers=None`` selects the multitaper count from ``taper_grid``.
     """
 
     window: int = DEFAULT_WINDOW
@@ -212,6 +212,8 @@ class PipelineOptions:
     span_grid: tuple[int, ...] | None = None
     fixed_span: int | None = None
     fixed_weight: float | None = None
+    n_tapers: int | None = None
+    taper_grid: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.fixed_weight is not None and not 0.0 <= self.fixed_weight <= 1.0:
@@ -239,6 +241,49 @@ class PipelineResult:
     smoothing: SmoothingConfig
 
 
+def _stage(name, func):
+    """Run ``func()``; a package error in it becomes a :class:`PipelineError` naming ``name``."""
+    try:
+        return func()
+    except SpecshrinkError as err:
+        raise PipelineError(name, str(err)) from err
+
+
+def _var_step(series: MultiTrialSeries, options: PipelineOptions):
+    """The VAR order (given or selected by BIC), its fitted model and its spectrum."""
+    if options.var_order is not None:
+        order = options.var_order
+        model = _stage("var_fit", lambda: fit_var(series, order))
+    else:
+        selection = _stage("order_selection", lambda: select_var_order(series, options.max_order))
+        order, model = selection.order, selection.model
+    grid = FrequencyGrid(series.n_samples, series.sampling_rate)
+    return order, model, _stage("var_spectrum", lambda: var_spectrum(model, grid))
+
+
+def _smoothing_step(series: MultiTrialSeries, options: PipelineOptions, periodograms):
+    """The smoothed periodogram and its smoothing record (per-trial spans)."""
+    return _stage("smoothing", lambda: smoothed_estimator(
+        series, SmoothingConfig(span_grid=options.span_grid, fixed_span=options.fixed_span),
+        periodograms=periodograms))
+
+
+def shrink(parametric: SpectralEstimate, nonparametric: SpectralEstimate,
+           pilot: SpectralEstimate, window: int, fixed_weight: float | None = None):
+    """Weight two estimates by their windowed risks; returns ``(combined, diagnostics)``.
+
+    A ``fixed_weight`` replaces the estimated weight, raw and truncated alike.
+    """
+    diagnostics = _stage("weights", lambda: shrinkage_diagnostics(
+        parametric, nonparametric, pilot, window))
+    if fixed_weight is not None:
+        const = np.full(parametric.grid.n_frequencies, fixed_weight)
+        diagnostics = replace(diagnostics, weight_raw=const, weight=np.clip(const, 0.0, 1.0))
+    estimate = _stage("combine", lambda: combine_estimates(
+        parametric, nonparametric, diagnostics.weight))
+    return estimate, diagnostics
+
+
 def shrinkage_pipeline(series: MultiTrialSeries,
                        options: PipelineOptions | None = None) -> PipelineResult:
     """Run the whole estimation chain on multi-trial data.
@@ -252,35 +297,51 @@ def shrinkage_pipeline(series: MultiTrialSeries,
     if series.n_trials < 2:
         raise InsufficientDataError(
             f"the shrinkage pipeline needs at least two trials, got {series.n_trials}")
-
-    def stage(name, func):
-        try:
-            return func()
-        except SpecshrinkError as err:
-            raise PipelineError(name, str(err)) from err
-
-    pgrams: PeriodogramSet = stage("periodogram", lambda: compute_periodograms(series))
-    if opts.var_order is not None:
-        order = opts.var_order
-        model = stage("var_fit", lambda: fit_var(series, order))
-    else:
-        selection = stage("order_selection", lambda: select_var_order(series, opts.max_order))
-        order, model = selection.order, selection.model
-    parametric = stage("var_spectrum", lambda: var_spectrum(model, pgrams.grid))
-    nonparametric, smoothing = stage("smoothing", lambda: smoothed_estimator(
-        series, SmoothingConfig(span_grid=opts.span_grid, fixed_span=opts.fixed_span),
-        periodograms=pgrams))
-    diagnostics = stage("weights", lambda: shrinkage_diagnostics(
-        parametric, nonparametric, pgrams.mean, opts.window))
-    if opts.fixed_weight is not None:
-        const = np.full(pgrams.grid.n_frequencies, opts.fixed_weight)
-        diagnostics = ShrinkageDiagnostics(
-            grid=diagnostics.grid, window=diagnostics.window,
-            param_risk=diagnostics.param_risk, nonparam_risk=diagnostics.nonparam_risk,
-            separation=diagnostics.separation, weight_raw=const,
-            weight=np.clip(const, 0.0, 1.0))
-    estimate = stage("combine", lambda: combine_estimates(
-        parametric, nonparametric, diagnostics.weight))
+    pgrams = _stage("periodogram", lambda: compute_periodograms(series))
+    order, model, parametric = _var_step(series, opts)
+    nonparametric, smoothing = _smoothing_step(series, opts, pgrams)
+    estimate, diagnostics = shrink(parametric, nonparametric, pgrams.mean, opts.window,
+                                   opts.fixed_weight)
     return PipelineResult(estimate=estimate, diagnostics=diagnostics, model=model,
                           order=order, parametric=parametric, nonparametric=nonparametric,
                           pilot=pgrams.mean, smoothing=smoothing)
+
+
+def _raw_mean(series, options, periodograms=None):
+    pgrams = periodograms if periodograms is not None else compute_periodograms(series)
+    return pgrams.mean, {}
+
+
+def _smoothed(series, options, periodograms=None):
+    estimate, smoothing = _smoothing_step(series, options, periodograms)
+    return estimate, {"selected_spans": smoothing.selected_spans}
+
+
+def _var(series, options, periodograms=None):
+    order, _, estimate = _var_step(series, options)
+    return estimate, {"var_order": order}
+
+
+def _multitaper(series, options, periodograms=None):
+    n_tapers = options.n_tapers
+    if n_tapers is None:
+        n_tapers = _stage("taper_selection", lambda: select_taper_count(
+            series, options.taper_grid, periodograms=periodograms)).median
+    return (_stage("multitaper", lambda: multitaper_estimator(series, n_tapers)),
+            {"tapers": n_tapers})
+
+
+def _shrinkage(series, options, periodograms=None):
+    result = shrinkage_pipeline(series, options)
+    return result.estimate, {"var_order": result.order,
+                             "selected_spans": result.smoothing.selected_spans,
+                             "window": result.diagnostics.window,
+                             "weights": result.diagnostics}
+
+
+#: Every estimator by its tag: ``ESTIMATORS[name](series, options, periodograms=None)``
+#: returns ``(estimate, record)``, ``record`` being the choices made (``var_order``,
+#: ``selected_spans``, ``window``, ``tapers``) in report order, plus the shrinkage
+#: :class:`ShrinkageDiagnostics` under ``weights``.
+ESTIMATORS = {"raw_mean": _raw_mean, "smoothed": _smoothed, "var": _var,
+              "multitaper": _multitaper, "shrinkage": _shrinkage}

@@ -21,14 +21,10 @@ from .connectivity import partial_coherence
 from .core import FrequencyGrid, SpectralEstimate, hs_norm_sq, symmetrize
 from .errors import (DimensionError, DomainError, PipelineError, SpecshrinkError,
                      UnstableModelError)
-from .multitaper import multitaper_estimator, select_taper_count
 from .periodogram import compute_periodograms
-from .shrinkage import shrinkage_diagnostics, combine_estimates
-from .smoothing import SmoothingConfig, smoothed_estimator
+from .shrinkage import ESTIMATORS, PipelineOptions, shrink
 from .timeseries import MultiTrialSeries
-from .var import VarModel, select_var_order, var_spectrum
-
-HARNESS_ESTIMATORS = ("raw_mean", "smoothed", "var", "multitaper", "shrinkage", "truth")
+from .var import VarModel, var_spectrum
 
 
 def _entropy(seed) -> tuple[int, ...]:
@@ -100,20 +96,16 @@ def simulate_vma(ma_coef, noise_cov, n_samples: int, seed=0) -> np.ndarray:
     return x.T.copy()
 
 
-def _block(rows) -> np.ndarray:
-    return np.array(rows, dtype=float)
-
-
 def benchmark_ma_coef() -> np.ndarray:
     """The 12x12 moving-average coefficient: two copies of a 6x6 block."""
-    block = _block([
+    block = np.array([
         [0.00,  0.20,  0.15,  0.15,  0.00, -0.15],
         [0.20,  0.00, -0.20,  0.00,  0.00,  0.00],
         [-0.15, 0.20,  0.00,  0.00,  0.00,  0.00],
         [0.00,  0.00,  0.00,  0.00,  0.20,  0.15],
         [0.00,  0.00,  0.00,  0.20,  0.00, -0.20],
         [0.00,  0.00,  0.00, -0.15,  0.20,  0.00],
-    ])
+    ], dtype=float)
     out = np.zeros((12, 12))
     out[:6, :6] = block
     out[6:, 6:] = block
@@ -275,9 +267,10 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
     if reps < 1:
         raise DomainError(f"need reps >= 1, got {reps}")
     names = tuple(estimators)
+    known = (*ESTIMATORS, "truth")
     for name in names:
-        if name not in HARNESS_ESTIMATORS:
-            raise DomainError(f"unknown estimator {name!r}; expected one of {HARNESS_ESTIMATORS}")
+        if name not in known:
+            raise DomainError(f"unknown estimator {name!r}; expected one of {known}")
     windows = tuple(int(w) for w in windows)
     if not windows:
         raise DomainError("need at least one shrinkage window")
@@ -297,39 +290,26 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
     weight_acc = {_shrinkage_name(w, windows[0]): np.zeros(grid.n_frequencies)
                   for w in windows} if "shrinkage" in names else {}
 
-    need_var = "var" in names or "shrinkage" in names
-    need_smoothed = "smoothed" in names or "shrinkage" in names
+    # Shrinkage combines each replicate's VAR and smoothed estimates.
+    components = set(names) | ({"var", "smoothed"} if "shrinkage" in names else set())
+    options = PipelineOptions(max_order=max_order, span_grid=span_grid, taper_grid=taper_grid)
 
     for rep in range(reps):
         try:
             sim = simulate_mixture(replace(cfg, seed=(seed, rep)))
             pgrams = compute_periodograms(sim)
-            produced = {}
-            if "raw_mean" in names:
-                produced["raw_mean"] = pgrams.mean
-            if need_var:
-                var_est = var_spectrum(select_var_order(sim, max_order).model, grid)
-                if "var" in names:
-                    produced["var"] = var_est
-            if need_smoothed:
-                smoothed_est, _ = smoothed_estimator(
-                    sim, SmoothingConfig(span_grid=span_grid), periodograms=pgrams)
-                if "smoothed" in names:
-                    produced["smoothed"] = smoothed_est
-            if "multitaper" in names:
-                selection = select_taper_count(sim, taper_grid, periodograms=pgrams)
-                produced["multitaper"] = multitaper_estimator(sim, selection.median)
+            produced = {name: run(sim, options, pgrams)[0] for name, run in ESTIMATORS.items()
+                        if name in components and name != "shrinkage"}
+            produced["truth"] = truth
             if "shrinkage" in names:
                 for w in windows:
-                    diag = shrinkage_diagnostics(var_est, smoothed_est, pgrams.mean, w)
                     key = _shrinkage_name(w, windows[0])
-                    produced[key] = combine_estimates(var_est, smoothed_est, diag.weight)
+                    produced[key], diag = shrink(produced["var"], produced["smoothed"],
+                                                 pgrams.mean, w)
                     weight_acc[key] += diag.weight
-            if "truth" in names:
-                produced["truth"] = truth
-            for key, est in produced.items():
-                spec_acc[key] += hs_norm_sq(est.matrices - truth.matrices)
-                pcoh_acc[key] += hs_norm_sq(partial_coherence(est).values - truth_pcoh)
+            for key in spec_acc:
+                spec_acc[key] += hs_norm_sq(produced[key].matrices - truth.matrices)
+                pcoh_acc[key] += hs_norm_sq(partial_coherence(produced[key]).values - truth_pcoh)
         except SpecshrinkError as err:
             raise PipelineError(f"replicate {rep}", str(err)) from err
 

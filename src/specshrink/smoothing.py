@@ -55,14 +55,11 @@ class SmoothingConfig:
     ``selected_spans`` records the span used for each trial.
     """
 
-    kernel: str = "hann"
     span_grid: tuple[int, ...] | None = None
     fixed_span: int | None = None
     selected_spans: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kernel != "hann":
-            raise DomainError(f"unsupported kernel {self.kernel!r}; only 'hann' is implemented")
         if self.span_grid is not None:
             validate_span_grid(self.span_grid)
         if self.fixed_span is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .core import FrequencyGrid, SpectralEstimate, exact_sum, symmetrize
+from .core import FrequencyGrid, SpectralEstimate, exact_sum, symmetrize, validate_spectral
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      NearSingularError, RankDeficiencyError)
 from .timeseries import MultiTrialSeries
@@ -56,11 +56,10 @@ class VarModel:
             raise DimensionError(f"noise_cov must be ({p}, {p}), got {noise.shape}")
         if not (np.all(np.isfinite(coefs)) and np.all(np.isfinite(noise))):
             raise DomainError("model parameters contain non-finite entries")
-        scale = max(float(np.max(np.abs(noise))), 1e-300)
-        if float(np.max(np.abs(noise - noise.T))) > 1e-10 * scale:
+        health = validate_spectral(noise)
+        if not health.hermitian_ok:
             raise DomainError("noise_cov is not symmetric")
-        trace = max(float(np.trace(noise)), 1e-300)
-        if float(np.min(np.linalg.eigvalsh(0.5 * (noise + noise.T)))) < -1e-8 * trace:
+        if not health.psd_ok:
             raise DomainError("noise_cov is not positive semidefinite")
         object.__setattr__(self, "coefs", coefs)
         object.__setattr__(self, "noise_cov", noise)

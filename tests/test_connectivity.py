@@ -247,6 +247,17 @@ def test_welch_t_antisymmetry_and_edges():
         welch_t((0.0, 1.0, 1), (0.0, 1.0, 5))
 
 
+def test_welch_t_p_value_matches_the_student_t_survival_function():
+    from scipy import stats
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        mean_a, mean_b = rng.normal(0.0, 3.0, 2)
+        se_a, se_b = rng.uniform(0.01, 2.0, 2)
+        n_a, n_b = rng.integers(2, 200, 2)
+        t, df, p = welch_t((mean_a, se_a, n_a), (mean_b, se_b, n_b))
+        assert p == 2.0 * float(stats.t.sf(abs(t), df))
+
+
 def test_bh_fdr_hand_example():
     flags = bh_fdr(np.array([0.01, 0.02, 0.04, 0.5]), q=0.05)
     np.testing.assert_array_equal(flags, [True, True, False, False])

@@ -7,6 +7,8 @@ from specshrink import (
     DataFormatError,
     DomainError,
     MultiTrialSeries,
+    SimulationConfig,
+    monte_carlo_compare,
     read_config,
     read_trials,
     read_trials_csv,
@@ -262,6 +264,23 @@ def test_cli_error_path_is_clean(tmp_path, capsys):
         run_cli("estimate", data, "--method", "banana")
 
 
+def test_cli_rejects_an_unknown_method_from_the_config_file(tmp_path, capsys):
+    data = tmp_path / "t.mts"
+    write_trials(data, make_series())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = bogus\n")
+    out = tmp_path / "out"
+    assert run_cli("estimate", data, "--config", cfg, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown method 'bogus'")
+    assert "raw_mean, smoothed, var, multitaper, shrinkage" in err
+    assert not out.exists()
+    # the method is checked before the input is read
+    assert run_cli("estimate", tmp_path / "missing.mts", "--config", cfg,
+                   "--out-dir", out) == 1
+    assert capsys.readouterr().err.startswith("error: unknown method")
+
+
 def test_cli_config_file_and_flag_precedence(tmp_path):
     data = tmp_path / "t.mts"
     write_trials(data, make_series())
@@ -332,3 +351,32 @@ def test_cli_compare_writes_mse_tables(tmp_path):
     weight = (out / "mean_weight.csv").read_text().splitlines()
     assert weight[0] == "frequency_hz,shrinkage,shrinkage_w3"
     assert len(weight) == 1 + 33
+
+
+def test_cli_compare_uses_the_configured_taper_grid(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("taper_max = 1\n")
+    out = tmp_path / "out"
+    assert run_cli("compare", "--reps", "1", "--trials", "24", "--samples", "64",
+                   "--estimators", "multitaper", "--max-order", "1", "--config", cfg,
+                   "--out-dir", out) == 0
+    sim = SimulationConfig(n_trials=24, n_samples=64)
+    kwargs = dict(estimators=("multitaper",), reps=1, seed=0, max_order=1)
+    one_taper = monte_carlo_compare(sim, taper_grid=(1,), **kwargs)
+    default = monte_carlo_compare(sim, **kwargs)
+    for name, field in (("mse_spectral.csv", "spectral_mse"), ("mse_pcoh.csv", "pcoh_mse")):
+        column = [line.split(",")[1] for line in (out / name).read_text().splitlines()[1:]]
+        assert column == [format_value(v) for v in getattr(one_taper, field)["multitaper"]]
+        assert column != [format_value(v) for v in getattr(default, field)["multitaper"]]
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    import os
+    import subprocess
+    import sys
+
+    import specshrink
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specshrink.__file__)))
+    code = "import sys, specshrink.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from specshrink import (
+    ESTIMATOR_TAGS,
+    ESTIMATORS,
     DimensionError,
     DomainError,
     FrequencyGrid,
@@ -264,3 +266,23 @@ def test_pipeline_errors_name_their_stage():
         PipelineOptions(fixed_weight=1.2)
     with pytest.raises(DomainError):
         PipelineOptions(var_order=0)
+
+
+def test_estimator_table_names_every_tag_but_truth():
+    assert list(ESTIMATORS) == ["raw_mean", "smoothed", "var", "multitaper", "shrinkage"]
+    assert set(ESTIMATOR_TAGS) == set(ESTIMATORS) | {"truth"}
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+@pytest.mark.parametrize("n_samples", [32, 33])
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("n_trials", [2, 5])
+def test_every_estimator_returns_a_valid_estimate_with_its_tag(name, n_samples, n_channels,
+                                                               n_trials):
+    rng = np.random.default_rng([n_samples, n_channels, n_trials])
+    series = MultiTrialSeries(rng.standard_normal((n_trials, n_channels, n_samples)))
+    estimate, record = ESTIMATORS[name](series, PipelineOptions(max_order=2, window=5))
+    assert estimate.tag == name
+    assert estimate.matrices.shape == (n_samples // 2 + 1, n_channels, n_channels)
+    assert estimate.validate().ok
+    assert set(record) <= {"var_order", "selected_spans", "window", "tapers", "weights"}

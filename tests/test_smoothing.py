@@ -222,8 +222,6 @@ def test_smoothed_estimator_single_trial_needs_fixed_span():
 
 def test_smoothing_config_validation():
     with pytest.raises(DomainError):
-        SmoothingConfig(kernel="boxcar")
-    with pytest.raises(DomainError):
         SmoothingConfig(fixed_span=6)
     with pytest.raises(DomainError):
         smooth_periodogram(np.zeros((9, 1, 1), dtype=complex), 17, 16)
