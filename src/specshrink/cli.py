@@ -16,7 +16,8 @@ from .connectivity import (apply_fdr, band_average, jackknife_band_stats,
                            pairwise_tests, partial_coherence)
 from .errors import DomainError, SpecshrinkError
 from .shrinkage import ESTIMATORS, PipelineOptions, shrinkage_pipeline
-from .simulation import SimulationConfig, monte_carlo_compare, simulate_mixture
+from .simulation import (HARNESS_MAX_ORDER, SimulationConfig, monte_carlo_compare,
+                         simulate_mixture)
 from .timeseries import detrend, standardize
 
 
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated odd risk-window widths (default: the "
                            "configured window, 15 unless overridden)")
     comp.add_argument("--max-order", type=int, default=None,
-                      help="largest candidate VAR order (default 8 for the harness)")
+                      help=f"largest candidate VAR order (default {HARNESS_MAX_ORDER})")
     comp.add_argument("--config", default=None, help="key = value configuration file")
     comp.add_argument("--out-dir", default=None, help="output directory (default .)")
     return parser
@@ -121,9 +122,9 @@ def _common_analysis_flags(sub):
                      help="sampling rate for CSV inputs, which carry none (default 1)")
 
 
-def _load_config(args) -> sio.RunConfig:
-    config = sio.read_config(args.config) if args.config else sio.RunConfig()
-    overrides = {}
+def _load_config(args, defaults: sio.RunConfig) -> sio.RunConfig:
+    """The command's ``defaults``, then the ``--config`` file's entries, then explicit flags."""
+    overrides = sio._config_entries(args.config) if args.config else {}
     for key in ("method", "window", "max_order", "out_dir", "span_min", "span_max", "seed"):
         value = getattr(args, key, None)
         if value is not None:
@@ -132,7 +133,7 @@ def _load_config(args) -> sio.RunConfig:
         overrides["fdr_q"] = args.q
     if getattr(args, "band", None):
         overrides["bands"] = sio.parse_bands(",".join(args.band))
-    return replace(config, **overrides)
+    return replace(defaults, **overrides)
 
 
 def _load_series(path, args):
@@ -148,13 +149,19 @@ def _load_series(path, args):
 
 
 def _pipeline_options(config: sio.RunConfig, args) -> PipelineOptions:
+    """The one place a command's settings become :class:`PipelineOptions`."""
+    fixed, weight = getattr(args, "fixed", False), getattr(args, "weight", None)
+    if weight is not None and not fixed:
+        raise DomainError("--weight requires --fixed")
+    if fixed and weight is None:
+        raise DomainError("--fixed requires --weight")
     return PipelineOptions(
         window=config.window,
         var_order=getattr(args, "order", None),
         max_order=config.max_order,
         span_grid=config.span_grid(),
         fixed_span=getattr(args, "fixed_span", None),
-        fixed_weight=args.weight if getattr(args, "fixed", False) else None,
+        fixed_weight=weight,
         n_tapers=getattr(args, "tapers", None),
         taper_grid=config.taper_grid())
 
@@ -214,14 +221,13 @@ def _write_estimate(config: sio.RunConfig, labels, estimate, record):
 
 
 def cmd_estimate(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, sio.RunConfig())
     if config.method not in ESTIMATORS:
         raise DomainError(f"unknown method {config.method!r}; expected one of "
                           f"{', '.join(ESTIMATORS)}")
-    if args.weight is not None and not args.fixed:
-        raise DomainError("--weight requires --fixed")
+    options = _pipeline_options(config, args)
     series = _load_series(args.input, args)
-    estimate, record = ESTIMATORS[config.method](series, _pipeline_options(config, args))
+    estimate, record = ESTIMATORS[config.method](series, options)
     _write_estimate(config, series.channel_labels, estimate, record)
     print(f"estimated {config.method} spectra for {series.n_channels} channels "
           f"at {estimate.grid.n_frequencies} frequencies -> {config.out_dir}")
@@ -235,16 +241,16 @@ def _matrix_rows(matrix, labels):
 
 
 def cmd_connectivity(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, sio.RunConfig())
     if len(args.inputs) not in (1, 2):
         raise DomainError(f"expected one or two input files, got {len(args.inputs)}")
+    options = _pipeline_options(config, args)
     conditions = [_load_series(path, args) for path in args.inputs]
     labels = conditions[0].channel_labels
     if len(conditions) == 2 and conditions[1].n_channels != conditions[0].n_channels:
         raise DomainError(
             f"conditions have different channel counts: {conditions[0].n_channels} "
             f"vs {conditions[1].n_channels}")
-    options = _pipeline_options(config, args)
     suffixes = ("left", "right")
 
     per_condition = [partial_coherence(shrinkage_pipeline(series, options).estimate)
@@ -280,18 +286,13 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, sio.RunConfig(max_order=HARNESS_MAX_ORDER))
+    options = _pipeline_options(config, args)
     estimators = tuple(s.strip() for s in args.estimators.split(",") if s.strip())
-    if args.windows is not None:
-        windows = tuple(int(w) for w in args.windows.split(","))
-    else:
-        windows = (config.window,)
+    windows = None if args.windows is None else tuple(int(w) for w in args.windows.split(","))
     sim_config = SimulationConfig(n_trials=args.trials, n_samples=args.samples)
-    result = monte_carlo_compare(
-        config=sim_config, estimators=estimators, reps=args.reps,
-        seed=config.seed, windows=windows,
-        max_order=args.max_order if args.max_order is not None else 8,
-        span_grid=config.span_grid(), taper_grid=config.taper_grid())
+    result = monte_carlo_compare(config=sim_config, estimators=estimators, reps=args.reps,
+                                 seed=config.seed, windows=windows, options=options)
 
     hertz = result.grid.hertz
     names = result.estimator_names

@@ -16,6 +16,7 @@ error.  All writers are atomic (temp file in the target directory, then
 rename), so a failed run never leaves a partial output file.
 """
 
+import math
 import os
 import struct
 import tempfile
@@ -111,17 +112,26 @@ def read_trials(path) -> MultiTrialSeries:
                             channel_labels=tuple(labels))
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that do not decode raise :class:`DataFormatError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return [line.rstrip("\n") for line in handle]
+    except UnicodeDecodeError as err:
+        raise DataFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
 def read_trials_csv(path, sampling_rate: float = 1.0) -> MultiTrialSeries:
     """Import trials from a tidy CSV with columns ``trial,channel,time,value``.
 
-    Indices are 0-based integers and every (trial, channel, time) cell must
-    appear exactly once; dimensions are inferred from the largest indices.
+    Indices are 0-based integers, values are finite, and every (trial,
+    channel, time) cell must appear exactly once; dimensions are inferred
+    from the largest indices, and each trial needs at least 2 samples.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
+    lines = _text_lines(path)
     if not lines or lines[0].strip() != "trial,channel,time,value":
         raise DataFormatError(f"{path}: expected header 'trial,channel,time,value' (line 1)")
-    records = []
+    cells, values = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -129,29 +139,41 @@ def read_trials_csv(path, sampling_rate: float = 1.0) -> MultiTrialSeries:
         if len(parts) != 4:
             raise DataFormatError(f"{path}: expected 4 columns (line {lineno})")
         try:
-            records.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])))
+            cells.append((int(parts[0]), int(parts[1]), int(parts[2])))
+            values.append(float(parts[3]))
         except ValueError as err:
             raise DataFormatError(f"{path}: {err} (line {lineno})") from None
-    if not records:
+        if not math.isfinite(values[-1]):
+            raise DataFormatError(f"{path}: non-finite value (line {lineno})")
+    if not cells:
         raise DataFormatError(f"{path}: no data rows")
-    arr = np.array(records)
-    idx = arr[:, :3].astype(int)
-    if idx.min() < 0:
+    if min(min(cell) for cell in cells) < 0:
         raise DataFormatError(f"{path}: negative trial/channel/time index")
-    n_trials, n_channels, n_samples = idx.max(axis=0) + 1
-    values = np.full((n_trials, n_channels, n_samples), np.nan)
-    seen = np.zeros((n_trials, n_channels, n_samples), dtype=bool)
-    for (trial, channel, time), value in zip(idx, arr[:, 3]):
-        if seen[trial, channel, time]:
+    seen = set()
+    for cell in cells:
+        if cell in seen:
             raise DataFormatError(
-                f"{path}: duplicate cell trial={trial} channel={channel} time={time}")
-        seen[trial, channel, time] = True
-        values[trial, channel, time] = value
-    if not seen.all():
-        trial, channel, time = np.argwhere(~seen)[0]
-        raise DataFormatError(
-            f"{path}: missing cell trial={trial} channel={channel} time={time}")
-    return MultiTrialSeries(values=values, sampling_rate=sampling_rate)
+                "{}: duplicate cell trial={} channel={} time={}".format(path, *cell))
+        seen.add(cell)
+    n_trials, n_channels, n_samples = (max(axis) + 1 for axis in zip(*cells))
+    if len(seen) != n_trials * n_channels * n_samples:
+        # Sorted cells follow the grid in C order up to the first one missing;
+        # the grid is never allocated, so huge indices cost nothing.
+        position = next((k for k, cell in enumerate(sorted(seen))
+                         if cell != _grid_cell(k, n_channels, n_samples)), len(seen))
+        raise DataFormatError("{}: missing cell trial={} channel={} time={}".format(
+            path, *_grid_cell(position, n_channels, n_samples)))
+    if n_samples < 2:
+        raise DataFormatError(f"{path}: need at least 2 samples per trial, got {n_samples}")
+    grid = np.empty((n_trials, n_channels, n_samples))
+    grid[tuple(np.array(cells).T)] = values
+    return MultiTrialSeries(values=grid, sampling_rate=sampling_rate)
+
+
+def _grid_cell(position: int, n_channels: int, n_samples: int) -> tuple[int, int, int]:
+    """The (trial, channel, time) cell at a C-order position of the grid."""
+    trial, rest = divmod(position, n_channels * n_samples)
+    return (trial, *divmod(rest, n_samples))
 
 
 def format_value(value) -> str:
@@ -196,8 +218,13 @@ class RunConfig:
     out_dir: str = "."
 
     def span_grid(self) -> tuple[int, ...] | None:
-        """Explicit span grid from the bounds, or None for the automatic default."""
+        """Explicit span grid from the bounds, or None for the automatic default.
+
+        The automatic grid starts at 3, so another ``span_min`` needs a ``span_max``.
+        """
         if self.span_max is None:
+            if self.span_min != 3:
+                raise DomainError(f"span_min {self.span_min} needs span_max")
             return None
         start = self.span_min if self.span_min % 2 == 1 else self.span_min + 1
         grid = tuple(range(start, self.span_max + 1, 2))
@@ -240,27 +267,31 @@ def parse_bands(text: str) -> tuple:
     return tuple(bands)
 
 
+def _config_entries(path) -> dict:
+    """The parsed ``key = value`` entries of a configuration file, by key."""
+    updates = {}
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}: expected key = value (line {lineno})")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_PARSERS:
+            raise DataFormatError(
+                f"{path}: unknown key {key!r} (line {lineno}); valid keys: "
+                f"{', '.join(sorted(_CONFIG_PARSERS))}")
+        try:
+            updates[key] = _CONFIG_PARSERS[key](value)
+        except DataFormatError:
+            raise
+        except ValueError as err:
+            raise DataFormatError(f"{path}: bad value for {key!r} (line {lineno}): {err}") \
+                from None
+    return updates
+
+
 def read_config(path) -> RunConfig:
     """Parse a ``key = value`` configuration file into a :class:`RunConfig`."""
-    updates = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}: expected key = value (line {lineno})")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_PARSERS:
-                raise DataFormatError(
-                    f"{path}: unknown key {key!r} (line {lineno}); valid keys: "
-                    f"{', '.join(sorted(_CONFIG_PARSERS))}")
-            try:
-                updates[key] = _CONFIG_PARSERS[key](value)
-            except DataFormatError:
-                raise
-            except ValueError as err:
-                raise DataFormatError(f"{path}: bad value for {key!r} (line {lineno}): {err}") \
-                    from None
-    return replace(RunConfig(), **updates)
+    return replace(RunConfig(), **_config_entries(path))

@@ -228,6 +228,10 @@ class ComparisonResult:
     integrated_pcoh: dict
 
 
+#: The harness's largest candidate VAR order when no options are given.
+HARNESS_MAX_ORDER = 8
+
+
 def _shrinkage_name(window: int, primary: int) -> str:
     return "shrinkage" if window == primary else f"shrinkage_w{window}"
 
@@ -236,10 +240,8 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
                         estimators=("var", "smoothed", "multitaper", "shrinkage"),
                         reps: int = 20,
                         seed: int = 0,
-                        windows=(15,),
-                        max_order: int = 8,
-                        span_grid=None,
-                        taper_grid=None) -> ComparisonResult:
+                        windows=None,
+                        options: PipelineOptions | None = None) -> ComparisonResult:
     """Compare estimators against the exact mixture spectrum over replicates.
 
     Parameters
@@ -252,10 +254,12 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
         Subset of ``raw_mean, smoothed, var, multitaper, shrinkage, truth``.
     reps : int
         Number of Monte Carlo replicates (>= 1).
-    windows : sequence of int
-        Risk-window widths for the shrinkage estimator; the first is
-        reported under the name ``"shrinkage"``, the others as
+    windows : sequence of int, optional
+        Risk-window widths for the shrinkage estimator, ``(options.window,)``
+        by default; the first is reported as ``"shrinkage"``, the others as
         ``"shrinkage_w{width}"``.  Extra windows reuse all shared work.
+    options : PipelineOptions, optional
+        Settings for every estimator (default ``max_order=HARNESS_MAX_ORDER``).
 
     Returns
     -------
@@ -264,6 +268,7 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
         coherence, their frequency-summed totals, and mean weight curves.
     """
     cfg = config if config is not None else SimulationConfig()
+    options = options if options is not None else PipelineOptions(max_order=HARNESS_MAX_ORDER)
     if reps < 1:
         raise DomainError(f"need reps >= 1, got {reps}")
     names = tuple(estimators)
@@ -271,9 +276,13 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
     for name in names:
         if name not in known:
             raise DomainError(f"unknown estimator {name!r}; expected one of {known}")
-    windows = tuple(int(w) for w in windows)
+    windows = (options.window,) if windows is None else tuple(int(w) for w in windows)
     if not windows:
         raise DomainError("need at least one shrinkage window")
+    for kind, values in (("estimator", names), ("window", windows)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise DomainError(f"repeated {kind} {repeated!r}; each may appear once")
 
     grid = FrequencyGrid(cfg.n_samples, cfg.sampling_rate)
     truth = true_mixture_spectrum(cfg, grid)
@@ -292,7 +301,6 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
 
     # Shrinkage combines each replicate's VAR and smoothed estimates.
     components = set(names) | ({"var", "smoothed"} if "shrinkage" in names else set())
-    options = PipelineOptions(max_order=max_order, span_grid=span_grid, taper_grid=taper_grid)
 
     for rep in range(reps):
         try:
@@ -305,7 +313,7 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
                 for w in windows:
                     key = _shrinkage_name(w, windows[0])
                     produced[key], diag = shrink(produced["var"], produced["smoothed"],
-                                                 pgrams.mean, w)
+                                                 pgrams.mean, w, options.fixed_weight)
                     weight_acc[key] += diag.weight
             for key in spec_acc:
                 spec_acc[key] += hs_norm_sq(produced[key].matrices - truth.matrices)

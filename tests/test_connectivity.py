@@ -22,6 +22,7 @@ from specshrink import (
     coherence,
     exact_sum,
     fisher_z,
+    fit_var,
     jackknife_band_stats,
     pairwise_tests,
     partial_coherence,
@@ -198,6 +199,23 @@ def test_jackknife_matches_manual_replicates():
     np.testing.assert_array_equal(stats.se, se)
     np.testing.assert_array_equal(stats.mean_z, stats.mean_z.T)
     np.testing.assert_array_equal(np.diag(stats.mean_z), 0.0)
+
+
+def test_jackknife_under_a_trial_permutation():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((6, 12, 64))
+    series = MultiTrialSeries(values, sampling_rate=64.0)
+    permuted = MultiTrialSeries(values[rng.permutation(6)], sampling_rate=64.0)
+    for order in (1, 2):
+        a, b = fit_var(series, order), fit_var(permuted, order)
+        np.testing.assert_array_equal(a.coefs, b.coefs)
+        np.testing.assert_array_equal(a.noise_cov, b.noise_cov)
+    # the periodogram mean and the span groups still sum in trial order
+    opts = PipelineOptions(max_order=2)
+    a = jackknife_band_stats(series, (8.0, 12.0), opts)
+    b = jackknife_band_stats(permuted, (8.0, 12.0), opts)
+    np.testing.assert_allclose(a.mean_z, b.mean_z, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(a.se, b.se, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("live_trial", [0, 3])

@@ -1,12 +1,18 @@
 """Binary/CSV file formats, run configuration, and the command-line interface."""
 
+import struct
+import time
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specshrink import (
     DataFormatError,
     DomainError,
     MultiTrialSeries,
+    PipelineOptions,
     SimulationConfig,
     monte_carlo_compare,
     read_config,
@@ -93,6 +99,71 @@ def test_csv_import_rejects_malformed_files(tmp_path):
     expect(header + "0,0,0,1.0\n0,0,0,2.0\n", "duplicate cell trial=0 channel=0 time=0")
     expect(header + "0,0,0,1.0\n0,0,2,2.0\n", "missing cell trial=0 channel=0 time=1")
     expect(header + "-1,0,0,1.0\n", "negative")
+
+
+def test_csv_import_reports_bad_values_and_short_trials_as_format_errors(tmp_path):
+    path = tmp_path / "bad.csv"
+    header = "trial,channel,time,value\n"
+    for text, fragment in ((header + "0,0,0,1.0\n0,0,1,nan\n", r"non-finite value \(line 3\)"),
+                           (header + "0,0,0,inf\n0,0,1,1.0\n", r"non-finite value \(line 2\)"),
+                           (header + "0,0,0,1.0\n1,0,0,2.0\n", "at least 2 samples per trial"),
+                           (b"trial,channel,time,value\n0,0,0,\xff\n", "not UTF-8 text")):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(DataFormatError, match=fragment):
+            read_trials_csv(path)
+    path.write_bytes(b"window = \xff7\n")
+    with pytest.raises(DataFormatError, match="not UTF-8 text"):
+        read_config(path)
+
+
+def test_csv_import_checks_the_implied_grid_before_allocating_it(tmp_path):
+    # 10**12 samples would be an 8 TB grid: the reader must find the gap from
+    # the rows it has instead of building the grid
+    path = tmp_path / "sparse.csv"
+    path.write_text("trial,channel,time,value\n0,0,0,1.0\n0,0,1000000000000,2.0\n")
+    start = time.perf_counter()
+    with pytest.raises(DataFormatError, match="missing cell trial=0 channel=0 time=1$"):
+        read_trials_csv(path)
+    assert time.perf_counter() - start < 0.5
+
+
+def _valid_reader_inputs():
+    series = MultiTrialSeries(values=np.arange(16.0).reshape(2, 2, 4) ** 1.5,
+                              sampling_rate=32.0, channel_labels=("Fz", "Oz"))
+    header = struct.pack("<4sHIIId", b"MTS1", 1, 2, 2, 4, 32.0)
+    labels = b"".join(struct.pack("<H", 2) + label.encode() for label in series.channel_labels)
+    binary = header + labels + series.values.astype("<f8").tobytes()
+    rows = [f"{n},{p},{t},{float(series.values[n, p, t])!r}"
+            for n in range(2) for p in range(2) for t in range(4)]
+    tidy = "\n".join(["trial,channel,time,value", *rows]).encode() + b"\n"
+    config = ("method = var\nwindow = 7  # odd\nspan_min = 3\nspan_max = 21\nmax_order = 4\n"
+              "taper_max = 8\nbands = a:1:2,b:3:4\nfdr_q = 0.1\nseed = 2\nout_dir = x\n").encode()
+    return {"binary": (read_trials, binary), "csv": (read_trials_csv, tidy),
+            "config": (read_config, config)}
+
+
+READER_INPUTS = _valid_reader_inputs()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), reader=st.sampled_from(sorted(READER_INPUTS)))
+def test_readers_raise_only_format_errors_on_damaged_bytes(tmp_path, data, reader):
+    read, blob = READER_INPUTS[reader]
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        damaged = bytearray(blob)
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(0, 255)), min_size=1, max_size=4))
+        for offset, byte in edits:
+            damaged[offset] = byte
+    path = tmp_path / f"damaged.{reader}"
+    path.write_bytes(bytes(damaged))
+    try:
+        read(path)
+    except DataFormatError:
+        pass
 
 
 def test_csv_formatting(tmp_path):
@@ -361,9 +432,10 @@ def test_cli_compare_uses_the_configured_taper_grid(tmp_path):
                    "--estimators", "multitaper", "--max-order", "1", "--config", cfg,
                    "--out-dir", out) == 0
     sim = SimulationConfig(n_trials=24, n_samples=64)
-    kwargs = dict(estimators=("multitaper",), reps=1, seed=0, max_order=1)
-    one_taper = monte_carlo_compare(sim, taper_grid=(1,), **kwargs)
-    default = monte_carlo_compare(sim, **kwargs)
+    kwargs = dict(estimators=("multitaper",), reps=1, seed=0)
+    one_taper = monte_carlo_compare(sim, options=PipelineOptions(max_order=1, taper_grid=(1,)),
+                                    **kwargs)
+    default = monte_carlo_compare(sim, options=PipelineOptions(max_order=1), **kwargs)
     for name, field in (("mse_spectral.csv", "spectral_mse"), ("mse_pcoh.csv", "pcoh_mse")):
         column = [line.split(",")[1] for line in (out / name).read_text().splitlines()[1:]]
         assert column == [format_value(v) for v in getattr(one_taper, field)["multitaper"]]
@@ -380,3 +452,89 @@ def test_importing_the_cli_does_not_load_scipy_stats():
     code = "import sys, specshrink.cli; sys.exit('scipy.stats' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_compare_takes_max_order_from_the_harness_then_the_file_then_the_flag(
+        tmp_path, monkeypatch):
+    import specshrink.shrinkage as shrinkage
+    seen = []
+    select = shrinkage.select_var_order
+
+    def recording_select(series, max_order):
+        seen.append(max_order)
+        return select(series, max_order)
+
+    monkeypatch.setattr(shrinkage, "select_var_order", recording_select)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_order = 1\n")
+    base = ("compare", "--reps", "1", "--trials", "24", "--samples", "64",
+            "--estimators", "var")
+    for extra, expected in (((), 8), (("--config", cfg), 1),
+                            (("--config", cfg, "--max-order", "2"), 2)):
+        seen.clear()
+        assert run_cli(*base, *extra, "--out-dir", tmp_path / "out") == 0
+        assert seen == [expected]
+
+
+@pytest.mark.parametrize("command, flags, config, message", [
+    ("estimate", ("--fixed", "--order", "1"), "", "--fixed requires --weight"),
+    ("estimate", ("--span-min", "9"), "", "span_min 9 needs span_max"),
+    ("estimate", (), "span_min = 9\n", "span_min 9 needs span_max"),
+    ("connectivity", ("--span-min", "5"), "", "span_min 5 needs span_max"),
+    ("compare", ("--reps", "1", "--trials", "24", "--samples", "64"), "span_min = 9\n",
+     "span_min 9 needs span_max"),
+])
+def test_cli_rejects_dropped_settings_before_reading_input(tmp_path, capsys, command, flags,
+                                                            config, message):
+    data = tmp_path / "t.mts"
+    write_trials(data, make_series())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    inputs = () if command == "compare" else (data,)
+    missing = () if command == "compare" else (tmp_path / "missing.mts",)
+    for paths in (inputs, missing):
+        assert run_cli(command, *paths, *flags, "--config", cfg, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_harness_rejects_repeated_windows_and_estimators_before_simulating(tmp_path,
+                                                                            monkeypatch):
+    import specshrink.simulation as simulation
+
+    def no_simulation(config):
+        raise AssertionError("simulated before checking its arguments")
+
+    monkeypatch.setattr(simulation, "simulate_mixture", no_simulation)
+    sim = SimulationConfig(n_trials=8, n_samples=64)
+    with pytest.raises(DomainError, match="repeated window 5"):
+        monte_carlo_compare(sim, estimators=("shrinkage",), windows=(5, 3, 5))
+    with pytest.raises(DomainError, match="repeated estimator 'var'"):
+        monte_carlo_compare(sim, estimators=("var", "smoothed", "var"))
+    base = ("compare", "--reps", "1", "--trials", "8", "--samples", "64")
+    for flags in (("--windows", "5,5"), ("--estimators", "var,var")):
+        out = tmp_path / flags[0].strip("-")
+        assert run_cli(*base, *flags, "--out-dir", out) == 1
+        assert not (out / "mse_spectral.csv").exists()
+
+
+def test_cli_reports_a_config_file_that_is_not_utf8_in_one_line(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import specshrink
+    data = tmp_path / "t.mts"
+    write_trials(data, make_series())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"window = 7\nmethod = \xff\xfe\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specshrink.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "specshrink.cli", "estimate", str(data),
+                           "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1

@@ -8,6 +8,7 @@ from specshrink import (
     DomainError,
     FrequencyGrid,
     PipelineError,
+    PipelineOptions,
     SimulationConfig,
     UnstableModelError,
     VarModel,
@@ -189,7 +190,7 @@ def small_config(seed=0):
 
 def test_harness_truth_estimator_has_zero_error():
     res = monte_carlo_compare(small_config(), estimators=("raw_mean", "truth"),
-                              reps=2, seed=0, max_order=2)
+                              reps=2, seed=0, options=PipelineOptions(max_order=2))
     np.testing.assert_array_equal(res.spectral_mse["truth"], 0.0)
     np.testing.assert_array_equal(res.pcoh_mse["truth"], 0.0)
     assert res.integrated_spectral["truth"] == 0.0
@@ -198,8 +199,8 @@ def test_harness_truth_estimator_has_zero_error():
 
 
 def test_harness_is_deterministic():
-    kwargs = dict(estimators=("var", "shrinkage"), reps=2, seed=3, max_order=2,
-                  windows=(5,))
+    kwargs = dict(estimators=("var", "shrinkage"), reps=2, seed=3,
+                  options=PipelineOptions(max_order=2), windows=(5,))
     a = monte_carlo_compare(small_config(), **kwargs)
     b = monte_carlo_compare(small_config(), **kwargs)
     assert a.integrated_spectral == b.integrated_spectral
@@ -209,7 +210,7 @@ def test_harness_is_deterministic():
 
 def test_harness_window_variants_share_names():
     res = monte_carlo_compare(small_config(), estimators=("shrinkage",), reps=1,
-                              seed=1, max_order=2, windows=(5, 3))
+                              seed=1, options=PipelineOptions(max_order=2), windows=(5, 3))
     assert res.estimator_names == ("shrinkage", "shrinkage_w3")
     assert set(res.mean_weight) == {"shrinkage", "shrinkage_w3"}
     for curve in res.mean_weight.values():
@@ -230,5 +231,6 @@ def test_harness_validation_and_replicate_errors():
                             ar_coefs=0.5 * np.eye(2)[None], noise_cov=np.eye(2),
                             sampling_rate=8.0)
     with pytest.raises(PipelineError) as info:
-        monte_carlo_compare(tiny, estimators=("var",), reps=1, max_order=6)
+        monte_carlo_compare(tiny, estimators=("var",), reps=1,
+                            options=PipelineOptions(max_order=6))
     assert info.value.stage == "replicate 0"
