@@ -122,9 +122,20 @@ def _common_analysis_flags(sub):
                      help="sampling rate for CSV inputs, which carry none (default 1)")
 
 
+#: The config-file keys each analysis command reads; any other key is an error.
+_CONFIG_KEYS = {
+    "estimate": {"method", "window", "span_min", "span_max", "max_order", "taper_max", "out_dir"},
+    "connectivity": {"window", "span_min", "span_max", "max_order", "bands", "fdr_q", "out_dir"},
+    "compare": {"window", "span_min", "span_max", "max_order", "taper_max", "seed", "out_dir"},
+}
+
+
 def _load_config(args, defaults: sio.RunConfig) -> sio.RunConfig:
     """The command's ``defaults``, then the ``--config`` file's entries, then explicit flags."""
     overrides = sio._config_entries(args.config) if args.config else {}
+    unused = next((key for key in overrides if key not in _CONFIG_KEYS[args.command]), None)
+    if unused is not None:
+        raise DomainError(f"{args.command} does not use config key {unused!r}")
     for key in ("method", "window", "max_order", "out_dir", "span_min", "span_max", "seed"):
         value = getattr(args, key, None)
         if value is not None:

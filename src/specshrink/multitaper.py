@@ -70,8 +70,8 @@ def multitaper_estimator(series: MultiTrialSeries, n_tapers: int) -> SpectralEst
     bank = sine_tapers(series.n_samples, n_tapers)
     acc = np.zeros((grid.n_frequencies, series.n_channels, series.n_channels), dtype=complex)
     for n in range(series.n_trials):
-        d = _tapered_dfts(series.values[n], bank, grid)
-        acc += np.einsum("apj,aqj->jpq", d, np.conj(d))
+        d = np.ascontiguousarray(_tapered_dfts(series.values[n], bank, grid).transpose(2, 1, 0))
+        acc += d @ np.conj(d).transpose(0, 2, 1)  # (n_freq, P, m) @ (n_freq, m, P)
     acc /= 2.0 * np.pi * n_tapers * series.n_trials
     return SpectralEstimate(grid, acc, tag="multitaper")
 

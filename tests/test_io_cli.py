@@ -483,6 +483,19 @@ def test_cli_compare_takes_max_order_from_the_harness_then_the_file_then_the_fla
     ("connectivity", ("--span-min", "5"), "", "span_min 5 needs span_max"),
     ("compare", ("--reps", "1", "--trials", "24", "--samples", "64"), "span_min = 9\n",
      "span_min 9 needs span_max"),
+    ("estimate", (), "bands = a:1:2\n", "estimate does not use config key 'bands'"),
+    ("estimate", (), "fdr_q = 0.1\n", "estimate does not use config key 'fdr_q'"),
+    ("estimate", (), "seed = 9\n", "estimate does not use config key 'seed'"),
+    ("connectivity", (), "method = var\n", "connectivity does not use config key 'method'"),
+    ("connectivity", (), "taper_max = 4\n",
+     "connectivity does not use config key 'taper_max'"),
+    ("connectivity", (), "seed = 9\n", "connectivity does not use config key 'seed'"),
+    ("compare", ("--reps", "1", "--trials", "8", "--samples", "64"), "bands = a:1:2\n",
+     "compare does not use config key 'bands'"),
+    ("compare", ("--reps", "1", "--trials", "8", "--samples", "64"), "fdr_q = 0.1\n",
+     "compare does not use config key 'fdr_q'"),
+    ("compare", ("--reps", "1", "--trials", "8", "--samples", "64"), "method = var\n",
+     "compare does not use config key 'method'"),
 ])
 def test_cli_rejects_dropped_settings_before_reading_input(tmp_path, capsys, command, flags,
                                                             config, message):
@@ -498,6 +511,27 @@ def test_cli_rejects_dropped_settings_before_reading_input(tmp_path, capsys, com
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_cli_rejects_negative_seeds_before_simulating(tmp_path, capsys, monkeypatch):
+    import specshrink.simulation as simulation
+
+    def no_simulation(config):
+        raise AssertionError("simulated before checking the seed")
+
+    monkeypatch.setattr(simulation, "simulate_mixture", no_simulation)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    mts, out = tmp_path / "x.mts", tmp_path / "out"
+    base = ("compare", "--reps", "1", "--trials", "8", "--samples", "64", "--out-dir", out)
+    for argv in (("simulate", "--seed", "-1", "--out", mts),
+                 (*base, "--seed", "-3"),
+                 (*base, "--config", cfg)):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative int")
+        assert err.count("\n") == 1
+        assert not mts.exists() and not out.exists()
 
 
 def test_harness_rejects_repeated_windows_and_estimators_before_simulating(tmp_path,

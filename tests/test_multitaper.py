@@ -59,6 +59,29 @@ def test_single_taper_single_trial_matches_direct_formula():
                                    atol=1e-10)
 
 
+def _einsum_multitaper(series, n_tapers):
+    """The direct per-trial einsum, kept as the oracle for the batched estimator."""
+    grid = FrequencyGrid(series.n_samples, series.sampling_rate)
+    tapers = sine_tapers(series.n_samples, n_tapers).tapers
+    acc = np.zeros((grid.n_frequencies, series.n_channels, series.n_channels), dtype=complex)
+    for x in series.values:
+        d = np.fft.rfft(tapers[:, None, :] * x[None, :, :], axis=-1) * np.exp(-1j * grid.omegas)
+        acc += np.einsum("apj,aqj->jpq", d, np.conj(d))
+    return acc / (2.0 * np.pi * n_tapers * series.n_trials)
+
+
+@pytest.mark.parametrize("n_samples", [32, 33])
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("n_tapers", [1, 5])
+def test_multitaper_matches_the_einsum_oracle(n_samples, n_channels, n_tapers):
+    rng = np.random.default_rng(n_samples + 10 * n_channels + 100 * n_tapers)
+    series = MultiTrialSeries(rng.standard_normal((4, n_channels, n_samples)))
+    est = multitaper_estimator(series, n_tapers)
+    want = _einsum_multitaper(series, n_tapers)
+    assert np.max(np.abs(est.matrices - want)) <= 1e-13 * np.max(np.abs(want))
+    assert est.validate().ok
+
+
 def test_white_noise_level_and_psd():
     rng = np.random.default_rng(1)
     series = MultiTrialSeries(rng.standard_normal((30, 2, 128)))

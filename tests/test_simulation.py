@@ -57,6 +57,58 @@ def test_simulate_var_rejects_unstable_model():
         simulate_var(np.array([[[0.5]]]), np.eye(1), 16, burn_in=-1)
 
 
+def _loop_simulate_var(coefs, noise_cov, n_samples, burn_in, seed):
+    """The direct per-trial recursion, kept as the oracle for the batched simulator."""
+    coefs = np.asarray(coefs, dtype=float)
+    chol = np.linalg.cholesky(noise_cov)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    total = burn_in + n_samples
+    x = rng.standard_normal((total, coefs.shape[1])) @ chol.T
+    for t in range(total):
+        for k in range(1, min(len(coefs), t) + 1):
+            x[t] += coefs[k - 1] @ x[t - k]
+    return x[burn_in:].T.copy()
+
+
+def test_batched_simulation_matches_the_per_trial_loop():
+    cfg = SimulationConfig(n_trials=3, n_samples=64, seed=4)
+    series = simulate_mixture(cfg)
+    for n in range(cfg.n_trials):
+        ma = simulate_vma(cfg.ma_coef, cfg.noise_cov, cfg.n_samples, seed=(4, n, 0))
+        ar = _loop_simulate_var(cfg.ar_coefs, cfg.noise_cov, cfg.n_samples, cfg.burn_in,
+                                (4, n, 1))
+        np.testing.assert_array_equal(series.values[n],
+                                      cfg.ma_weight * ma + cfg.ar_weight * ar)
+
+    rng = np.random.default_rng(11)
+    coefs = 0.15 * rng.standard_normal((3, 4, 4))
+    mix = rng.standard_normal((4, 4))
+    noise = mix @ mix.T + np.eye(4)
+    assert VarModel(coefs=coefs, noise_cov=noise).spectral_radius() < 1.0
+    for seed in (0, (1, 2)):
+        got = simulate_var(coefs, noise, 64, burn_in=50, seed=seed)
+        want = _loop_simulate_var(coefs, noise, 64, 50, seed)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", [-1, (1, -2), "ab"])
+def test_seeds_numpy_rejects_are_domain_errors(seed, monkeypatch):
+    import specshrink.simulation as simulation
+
+    def no_simulation(config):
+        raise AssertionError("simulated before checking the seed")
+
+    with pytest.raises(DomainError, match="seed must be a non-negative int"):
+        simulate_var(np.array([[[0.5]]]), np.eye(1), 16, seed=seed)
+    with pytest.raises(DomainError, match="seed must be a non-negative int"):
+        simulate_vma(np.array([[0.5]]), np.eye(1), 16, seed=seed)
+    with pytest.raises(DomainError, match="seed must be a non-negative int"):
+        SimulationConfig(seed=seed)
+    monkeypatch.setattr(simulation, "simulate_mixture", no_simulation)
+    with pytest.raises(DomainError, match="seed must be a non-negative int"):
+        monte_carlo_compare(SimulationConfig(n_trials=8, n_samples=64), seed=seed)
+
+
 def test_simulate_vma_autocorrelations():
     theta = 0.4
     x = simulate_vma(np.array([[theta]]), np.eye(1), 100_000, seed=2)[0]
