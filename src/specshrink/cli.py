@@ -296,11 +296,18 @@ def cmd_connectivity(args) -> int:
     return 0
 
 
+def _parse_windows(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(w) for w in text.split(","))
+    except ValueError:
+        raise DomainError(f"--windows takes comma-separated integers, got {text!r}") from None
+
+
 def cmd_compare(args) -> int:
     config = _load_config(args, sio.RunConfig(max_order=HARNESS_MAX_ORDER))
     options = _pipeline_options(config, args)
     estimators = tuple(s.strip() for s in args.estimators.split(",") if s.strip())
-    windows = None if args.windows is None else tuple(int(w) for w in args.windows.split(","))
+    windows = None if args.windows is None else _parse_windows(args.windows)
     sim_config = SimulationConfig(n_trials=args.trials, n_samples=args.samples)
     result = monte_carlo_compare(config=sim_config, estimators=estimators, reps=args.reps,
                                  seed=config.seed, windows=windows, options=options)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import stdtr
 
-from .core import FrequencyGrid, SpectralEstimate, exact_sum, symmetrize
+from .core import FrequencyGrid, SpectralEstimate, exact_sum, hermitian_cond, symmetrize
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
                      EmptyBandError, InsufficientDataError, NearSingularError,
                      PipelineError, SpecshrinkError)
@@ -107,7 +107,7 @@ def partial_coherence(estimate: SpectralEstimate) -> ConnectivityResult:
         a failure here should be addressed by a better-conditioned estimator.
     """
     mats = symmetrize(estimate.matrices)
-    conds = np.linalg.cond(mats)
+    conds = hermitian_cond(mats)
     worst = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
     if not np.all(np.isfinite(conds)) or conds[worst] > INVERSION_COND_LIMIT:
         raise NearSingularError(

@@ -107,6 +107,35 @@ def hs_norm_sq(matrices: np.ndarray) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def hermitian_cond(matrices: np.ndarray) -> np.ndarray | float:
+    """2-norm condition number of Hermitian matrices, from their eigenvalues.
+
+    The singular values of a Hermitian matrix are the moduli of its
+    eigenvalues, so ``max|lambda| / min|lambda|`` from
+    :func:`numpy.linalg.eigvalsh` equals ``np.linalg.cond`` up to rounding,
+    without the SVD.  Only the lower triangle is read.  A singular matrix
+    (the zero matrix included) gives ``inf``, without a warning.
+
+    Parameters
+    ----------
+    matrices : array_like
+        One Hermitian matrix ``(P, P)`` or a batch ``(..., P, P)``.
+
+    Returns
+    -------
+    float or ndarray
+        A scalar for a single matrix, an array of the batch shape otherwise.
+    """
+    matrices = np.asarray(matrices)
+    if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {matrices.shape}")
+    mags = np.abs(np.linalg.eigvalsh(matrices))
+    top, bottom = mags.max(axis=-1), mags.min(axis=-1)
+    out = np.full(bottom.shape, np.inf)
+    np.divide(top, bottom, out=out, where=bottom > 0)
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Numerical health of one or more spectral matrices.

@@ -83,10 +83,15 @@ def default_taper_grid(n_samples: int) -> tuple[int, ...]:
 
 
 def validate_taper_grid(taper_grid, n_samples: int) -> tuple[int, ...]:
-    """Check a taper-count grid: nonempty, strictly increasing, inside ``1..T-1``."""
-    grid = tuple(int(m) for m in taper_grid)
+    """Check a taper-count grid: nonempty integers, strictly increasing, inside ``1..T-1``."""
+    grid = tuple(taper_grid)
     if not grid:
         raise DomainError("taper grid is empty")
+    bad = next((m for m in grid
+                if not isinstance(m, (int, np.integer)) or isinstance(m, bool)), None)
+    if bad is not None:
+        raise DomainError(f"taper counts must be integers, got {bad!r}")
+    grid = tuple(int(m) for m in grid)
     if any(m < 1 or m >= n_samples for m in grid):
         raise DomainError(f"taper counts must satisfy 1 <= m < {n_samples}, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):

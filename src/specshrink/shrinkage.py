@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FrequencyGrid, SpectralEstimate, hs_norm_sq
+from .core import FrequencyGrid, SpectralEstimate
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      SpecshrinkError, PipelineError)
 from .multitaper import multitaper_estimator, select_taper_count
@@ -37,10 +37,12 @@ from .var import VarModel, fit_var, select_var_order, var_spectrum
 DEFAULT_WINDOW = 15
 
 
-def _validate_window(window: int, n_samples: int):
-    if not isinstance(window, (int, np.integer)) or window < 1 or window % 2 == 0:
+def _validate_window(window: int, n_samples: int | None = None):
+    """Check a risk window: an odd integer >= 1, and below ``n_samples`` when given."""
+    if (not isinstance(window, (int, np.integer)) or isinstance(window, bool)
+            or window < 1 or window % 2 == 0):
         raise DomainError(f"risk window must be an odd integer >= 1, got {window!r}")
-    if window >= n_samples:
+    if n_samples is not None and window >= n_samples:
         raise DomainError(
             f"risk window {window} does not fit a full circle of {n_samples} frequencies")
 
@@ -60,8 +62,25 @@ def _window_indices(window: int, grid: FrequencyGrid) -> np.ndarray:
 
 
 def _windowed_distance(point: np.ndarray, other_full: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Mean over the window of ``||point(w) - other(w + w_k)||^2`` per frequency."""
-    return hs_norm_sq(point[:, None, :, :] - other_full[idx]).mean(axis=1)
+    """Mean over the window of ``||point(w) - other(w + w_k)||^2`` per frequency.
+
+    One window offset at a time, into ``(n_freq, P, P)`` buffers, so memory
+    does not grow with the window.  The squared norms fill an
+    ``(n_freq, window)`` array whose row means are bit-identical to
+    ``hs_norm_sq(point[:, None] - other_full[idx]).mean(axis=1)``.
+    """
+    n_freq, window = idx.shape
+    diff = np.empty_like(point)
+    mag = np.empty(point.shape)
+    dist = np.empty((n_freq, window))
+    for k in range(window):
+        np.take(other_full, idx[:, k], axis=0, out=diff, mode="wrap")
+        np.subtract(point, diff, out=diff)
+        np.abs(diff, out=mag)
+        np.square(mag, out=mag)
+        dist[:, k] = mag.sum(axis=(1, 2))
+    dist /= point.shape[-1]
+    return dist.mean(axis=1)
 
 
 def risk_vs_pilot(estimate: SpectralEstimate, pilot: SpectralEstimate, window: int) -> np.ndarray:
@@ -216,6 +235,10 @@ class PipelineOptions:
     taper_grid: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        _validate_window(self.window)
+        if (not isinstance(self.max_order, (int, np.integer)) or isinstance(self.max_order, bool)
+                or self.max_order < 1):
+            raise DomainError(f"max_order must be a positive integer, got {self.max_order!r}")
         if self.fixed_weight is not None and not 0.0 <= self.fixed_weight <= 1.0:
             raise DomainError(f"fixed_weight must lie in [0, 1], got {self.fixed_weight}")
         if self.var_order is not None and self.var_order < 1:

@@ -22,7 +22,7 @@ from .core import FrequencyGrid, SpectralEstimate, hs_norm_sq, symmetrize
 from .errors import (DimensionError, DomainError, PipelineError, SpecshrinkError,
                      UnstableModelError)
 from .periodogram import compute_periodograms
-from .shrinkage import ESTIMATORS, PipelineOptions, shrink
+from .shrinkage import ESTIMATORS, PipelineOptions, _validate_window, shrink
 from .timeseries import MultiTrialSeries
 from .var import VarModel, var_spectrum
 
@@ -288,13 +288,15 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
     for name in names:
         if name not in known:
             raise DomainError(f"unknown estimator {name!r}; expected one of {known}")
-    windows = (options.window,) if windows is None else tuple(int(w) for w in windows)
+    windows = (options.window,) if windows is None else tuple(windows)
     if not windows:
         raise DomainError("need at least one shrinkage window")
     for kind, values in (("estimator", names), ("window", windows)):
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise DomainError(f"repeated {kind} {repeated!r}; each may appear once")
+    for w in windows:  # only the shrinkage estimator needs its windows to fit the record
+        _validate_window(w, cfg.n_samples if "shrinkage" in names else None)
 
     grid = FrequencyGrid(cfg.n_samples, cfg.sampling_rate)
     truth = true_mixture_spectrum(cfg, grid)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .core import FrequencyGrid, SpectralEstimate, exact_sum, symmetrize, validate_spectral
+from .core import (FrequencyGrid, SpectralEstimate, exact_sum, hermitian_cond, symmetrize,
+                   validate_spectral)
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      NearSingularError, RankDeficiencyError)
 from .timeseries import MultiTrialSeries
@@ -146,7 +147,7 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     gram.T[upper] = gram[upper]
     cross = exact_sum(np.stack([resp @ regs.T for resp, regs in blocks]))
 
-    cond = np.linalg.cond(gram)
+    cond = hermitian_cond(gram)
     if not np.isfinite(cond) or cond > GRAM_COND_FAIL:
         raise RankDeficiencyError(
             f"regressor Gram matrix condition number {cond:.3g} exceeds {GRAM_COND_FAIL:.0e}; "

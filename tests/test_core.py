@@ -15,6 +15,7 @@ from specshrink import (
     SpectralEstimate,
     exact_sum,
     extend_full_circle,
+    hermitian_cond,
     hs_norm_sq,
     symmetrize,
     validate_spectral,
@@ -97,6 +98,32 @@ def test_symmetrize():
     assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
     herm = symmetrize(rng.standard_normal((3, 3)))
     np.testing.assert_array_equal(symmetrize(herm), herm)
+
+
+def test_hermitian_cond_matches_the_svd_condition_number():
+    rng = np.random.default_rng(11)
+    for p in (1, 2, 3, 6):
+        x = rng.standard_normal((40, p, p + 2)) + 1j * rng.standard_normal((40, p, p + 2))
+        spd = x @ np.conj(np.swapaxes(x, -1, -2))
+        herm = symmetrize(rng.standard_normal((40, p, p)) + 1j * rng.standard_normal((40, p, p)))
+        real_spd = spd.real @ spd.real.swapaxes(-1, -2)
+        for batch in (spd, herm, real_spd):
+            np.testing.assert_allclose(hermitian_cond(batch), np.linalg.cond(batch), rtol=1e-12)
+    assert isinstance(hermitian_cond(np.eye(3)), float)
+    assert hermitian_cond(np.diag([4.0, -2.0])) == 2.0
+    with pytest.raises(DimensionError):
+        hermitian_cond(np.ones((2, 3)))
+
+
+def test_hermitian_cond_of_a_singular_matrix_is_inf_without_a_warning():
+    import warnings
+
+    singular = np.array([np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0]), np.eye(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conds = hermitian_cond(singular)
+        assert hermitian_cond(np.zeros((2, 2))) == np.inf
+    np.testing.assert_array_equal(conds, [np.inf, np.inf, 1.0])
 
 
 def test_validate_spectral_reports():

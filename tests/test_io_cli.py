@@ -496,6 +496,14 @@ def test_cli_compare_takes_max_order_from_the_harness_then_the_file_then_the_fla
      "compare does not use config key 'fdr_q'"),
     ("compare", ("--reps", "1", "--trials", "8", "--samples", "64"), "method = var\n",
      "compare does not use config key 'method'"),
+    ("estimate", ("--window", "4"), "", "risk window must be an odd integer >= 1, got 4"),
+    ("estimate", ("--window", "0"), "", "risk window must be an odd integer >= 1, got 0"),
+    ("estimate", ("--max-order", "0"), "", "max_order must be a positive integer, got 0"),
+    ("connectivity", (), "window = -3\n", "risk window must be an odd integer >= 1, got -3"),
+    ("connectivity", ("--max-order", "-1"), "",
+     "max_order must be a positive integer, got -1"),
+    ("compare", ("--reps", "1", "--trials", "8", "--samples", "64"), "window = 6\n",
+     "risk window must be an odd integer >= 1, got 6"),
 ])
 def test_cli_rejects_dropped_settings_before_reading_input(tmp_path, capsys, command, flags,
                                                             config, message):
@@ -552,6 +560,31 @@ def test_harness_rejects_repeated_windows_and_estimators_before_simulating(tmp_p
         out = tmp_path / flags[0].strip("-")
         assert run_cli(*base, *flags, "--out-dir", out) == 1
         assert not (out / "mse_spectral.csv").exists()
+
+
+def test_harness_checks_every_window_before_simulating(tmp_path, capsys, monkeypatch):
+    import specshrink.simulation as simulation
+
+    def no_simulation(config):
+        raise AssertionError("simulated before checking the windows")
+
+    monkeypatch.setattr(simulation, "simulate_mixture", no_simulation)
+    sim = SimulationConfig(n_trials=8, n_samples=64)
+    for windows, message in (((15, 4), "odd integer >= 1, got 4"),
+                             ((15, 4.5), "odd integer >= 1, got 4.5"),
+                             ((5, True), "odd integer >= 1, got True"),
+                             ((5, 65), "risk window 65 does not fit")):
+        with pytest.raises(DomainError, match=message):
+            monte_carlo_compare(sim, estimators=("shrinkage",), windows=windows)
+    base = ("compare", "--reps", "1", "--trials", "8", "--samples", "64")
+    for windows, message in (("15,4", "risk window must be an odd integer >= 1, got 4"),
+                             ("15,4.5", "--windows takes comma-separated integers, got '15,4.5'"),
+                             ("5,65", "risk window 65 does not fit a full circle of 64 "
+                                      "frequencies")):
+        out = tmp_path / "out"
+        assert run_cli(*base, "--windows", windows, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_cli_reports_a_config_file_that_is_not_utf8_in_one_line(tmp_path):

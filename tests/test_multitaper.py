@@ -121,6 +121,23 @@ def test_validate_taper_grid():
         validate_taper_grid((3, 2), 8)
 
 
+@pytest.mark.parametrize("grid", [(2.5, 4), (1.0, 2), (True, 3), (1, np.bool_(True)), ("2",)])
+def test_validate_taper_grid_rejects_entries_that_are_not_integers(grid):
+    with pytest.raises(DomainError, match="taper counts must be integers"):
+        validate_taper_grid(grid, 8)
+
+
+def test_validate_taper_grid_takes_numpy_integers_as_ints():
+    grid = validate_taper_grid(np.arange(1, 4), 8)
+    assert grid == (1, 2, 3) and all(type(m) is int for m in grid)
+
+
+def test_taper_selection_rejects_a_fractional_count():
+    series = MultiTrialSeries(np.random.default_rng(4).standard_normal((3, 2, 32)))
+    with pytest.raises(DomainError):
+        select_taper_count(series, (2.5, 4))
+
+
 def test_taper_selection_is_exhaustive_argmin():
     rng = np.random.default_rng(3)
     series = MultiTrialSeries(rng.standard_normal((4, 2, 48)))

@@ -24,6 +24,7 @@ from specshrink import (
     shrinkage_pipeline,
     shrinkage_weight,
 )
+from specshrink.shrinkage import _window_indices, _windowed_distance
 
 
 def scalar_estimate(values, n_samples, tag="var"):
@@ -69,6 +70,46 @@ def test_windowed_risk_brute_force():
             terms = [hs_norm_sq(est.matrices[j] - full[(j + k) % n_samples])
                      for k in range(-half, half + 1)]
             assert risk[j] == pytest.approx(np.mean(terms), rel=1e-12)
+
+
+def _four_d_windowed_distance(point, other_full, idx):
+    """The (n_freq, window, P, P) one-liner the per-offset loop replaced."""
+    return hs_norm_sq(point[:, None, :, :] - other_full[idx]).mean(axis=1)
+
+
+@pytest.mark.parametrize("n_samples", [64, 255, 256])
+@pytest.mark.parametrize("p", [1, 3])
+def test_windowed_distance_matches_the_four_d_oracle_bit_for_bit(n_samples, p):
+    rng = np.random.default_rng([n_samples, p])
+    point = random_estimate(rng, n_samples, p)
+    other = random_estimate(rng, n_samples, p, tag="raw_mean")
+    full = other.full_circle()
+    largest = n_samples - 1 if n_samples % 2 == 0 else n_samples - 2
+    for window in (1, 7, 15, 31, largest):
+        idx = _window_indices(window, point.grid)
+        np.testing.assert_array_equal(
+            _windowed_distance(point.matrices, full, idx),
+            _four_d_windowed_distance(point.matrices, full, idx))
+
+
+def test_risk_curve_memory_does_not_grow_with_the_window():
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    param = random_estimate(rng, 256, 8)
+    nonparam = random_estimate(rng, 256, 8, tag="smoothed")
+    pilot = random_estimate(rng, 256, 8, tag="raw_mean")
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for window in (3, 31):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            shrinkage_diagnostics(param, nonparam, pilot, window)
+            peaks[window] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks[31] <= 1.5 * peaks[3], peaks
 
 
 def test_separation_is_symmetric_and_vanishes_on_agreement():
@@ -266,6 +307,15 @@ def test_pipeline_errors_name_their_stage():
         PipelineOptions(fixed_weight=1.2)
     with pytest.raises(DomainError):
         PipelineOptions(var_order=0)
+
+
+@pytest.mark.parametrize("settings", [
+    {"window": 4}, {"window": 0}, {"window": -3}, {"window": 15.0}, {"window": True},
+    {"max_order": 0}, {"max_order": -1}, {"max_order": 2.0}, {"max_order": True},
+])
+def test_pipeline_options_reject_bad_windows_and_orders(settings):
+    with pytest.raises(DomainError):
+        PipelineOptions(**settings)
 
 
 def test_estimator_table_names_every_tag_but_truth():
