@@ -20,8 +20,7 @@ from .periodogram import PeriodogramSet, compute_periodograms, mean_periodogram,
 from .smoothing import (SmoothingConfig, default_span_grid, hann_weights, select_span,
                         smooth_periodogram, smoothed_estimator, span_risks)
 from .var import OrderSelection, VarModel, fit_var, select_var_order, var_spectrum
-from .multitaper import (TaperBank, TaperSelection, multitaper_estimator,
-                         select_taper_count, sine_tapers)
+from .multitaper import TaperSelection, multitaper_estimator, select_taper_count, sine_tapers
 from .shrinkage import (ESTIMATORS, PipelineOptions, PipelineResult, ShrinkageDiagnostics,
                         combine_estimates, estimator_separation, risk_vs_pilot,
                         shrinkage_diagnostics, shrinkage_pipeline, shrinkage_weight)

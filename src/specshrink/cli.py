@@ -12,8 +12,8 @@ import sys
 from dataclasses import replace
 
 from . import io as sio
-from .connectivity import (apply_fdr, band_average, jackknife_band_stats,
-                           pairwise_tests, partial_coherence)
+from .connectivity import (apply_fdr, band_average, check_band, check_fdr_level,
+                           jackknife_band_stats, pairwise_tests, partial_coherence)
 from .errors import DomainError, SpecshrinkError
 from .shrinkage import ESTIMATORS, PipelineOptions, shrinkage_pipeline
 from .simulation import (HARNESS_MAX_ORDER, SimulationConfig, monte_carlo_compare,
@@ -256,6 +256,11 @@ def cmd_connectivity(args) -> int:
     if len(args.inputs) not in (1, 2):
         raise DomainError(f"expected one or two input files, got {len(args.inputs)}")
     options = _pipeline_options(config, args)
+    check_fdr_level(config.fdr_q)
+    for i, (name, lo, hi) in enumerate(config.bands):
+        check_band((lo, hi))
+        if name in [band[0] for band in config.bands[:i]]:
+            raise DomainError(f"repeated band {name!r}; each may appear once")
     conditions = [_load_series(path, args) for path in args.inputs]
     labels = conditions[0].channel_labels
     if len(conditions) == 2 and conditions[1].n_channels != conditions[0].n_channels:

@@ -127,6 +127,14 @@ def partial_coherence(estimate: SpectralEstimate) -> ConnectivityResult:
     return ConnectivityResult(kind="partial_coherence", values=vals, grid=estimate.grid)
 
 
+def check_band(band) -> tuple[float, float]:
+    """A band's ``(lo, hi)`` edges in Hz as floats; they must be finite with ``lo <= hi``."""
+    lo, hi = float(band[0]), float(band[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise DomainError(f"invalid band [{lo}, {hi}]")
+    return lo, hi
+
+
 def band_average(result: ConnectivityResult, band: tuple[float, float],
                  sampling_rate: float | None = None) -> ConnectivityResult:
     """Average a per-frequency result over a Hz band (endpoints inclusive).
@@ -137,9 +145,7 @@ def band_average(result: ConnectivityResult, band: tuple[float, float],
     """
     if result.grid is None:
         raise DimensionError("result is already band-averaged")
-    lo, hi = float(band[0]), float(band[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise DomainError(f"invalid band [{lo}, {hi}]")
+    lo, hi = check_band(band)
     fs = sampling_rate if sampling_rate is not None else result.grid.sampling_rate
     if fs is None:
         raise DomainError("no sampling rate available to map the band to grid frequencies")
@@ -239,6 +245,12 @@ def welch_t(stats_a, stats_b):
     return float(t), float(df), p
 
 
+def check_fdr_level(q: float):
+    """Raise :class:`DomainError` unless the FDR level ``q`` lies in (0, 1)."""
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"q must lie in (0, 1), got {q}")
+
+
 def bh_fdr(pvalues, q: float = 0.05) -> np.ndarray:
     """Benjamini-Hochberg step-up rejection flags at FDR level ``q``.
 
@@ -251,8 +263,7 @@ def bh_fdr(pvalues, q: float = 0.05) -> np.ndarray:
         raise DimensionError(f"pvalues must be one-dimensional, got shape {p.shape}")
     if p.size and (not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0)):
         raise DomainError("p-values must lie in [0, 1]")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    check_fdr_level(q)
     m = p.size
     rejected = np.zeros(m, dtype=bool)
     if m == 0:

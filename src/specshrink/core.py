@@ -73,11 +73,35 @@ class FrequencyGrid:
         return self.n_frequencies
 
 
-def symmetrize(matrices: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part ``(A + A^*) / 2``, batched over leading axes."""
-    matrices = np.asarray(matrices)
+def check_count(value, name: str, *, odd: bool = False) -> int:
+    """``value`` as an ``int`` if it is a count: an ``int`` or ``np.integer``, not a ``bool``,
+    at least 1, and odd when ``odd`` is set.  Else :class:`DomainError` naming ``name``."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < 1 or (odd and value % 2 == 0)):
+        rule = "an odd integer >= 1" if odd else "a positive integer"
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
+def check_grid(values, name: str, *, odd: bool = False) -> tuple[int, ...]:
+    """A nonempty, strictly increasing grid of counts as ints; ``name`` is the plural."""
+    grid = tuple(check_count(value, name, odd=odd) for value in values)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError(f"{name} must be nonempty and strictly increasing, got {grid}")
+    return grid
+
+
+def _square_matrices(matrices, dtype=None) -> np.ndarray:
+    """``matrices`` as an array, which must be one square matrix or a batch of them."""
+    matrices = np.asarray(matrices, dtype=dtype)
     if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
         raise DimensionError(f"expected square matrices, got shape {matrices.shape}")
+    return matrices
+
+
+def symmetrize(matrices: np.ndarray) -> np.ndarray:
+    """Return the Hermitian part ``(A + A^*) / 2``, batched over leading axes."""
+    matrices = _square_matrices(matrices)
     return 0.5 * (matrices + np.conj(np.swapaxes(matrices, -1, -2)))
 
 
@@ -99,9 +123,7 @@ def hs_norm_sq(matrices: np.ndarray) -> np.ndarray | float:
         Nonnegative real norm(s); a scalar for a single matrix, an array of
         the leading batch shape otherwise.
     """
-    matrices = np.asarray(matrices)
-    if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
-        raise DimensionError(f"expected square matrices, got shape {matrices.shape}")
+    matrices = _square_matrices(matrices)
     p = matrices.shape[-1]
     out = np.sum(np.abs(matrices) ** 2, axis=(-2, -1)) / p
     return float(out) if out.ndim == 0 else out
@@ -126,9 +148,7 @@ def hermitian_cond(matrices: np.ndarray) -> np.ndarray | float:
     float or ndarray
         A scalar for a single matrix, an array of the batch shape otherwise.
     """
-    matrices = np.asarray(matrices)
-    if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
-        raise DimensionError(f"expected square matrices, got shape {matrices.shape}")
+    matrices = _square_matrices(matrices)
     mags = np.abs(np.linalg.eigvalsh(matrices))
     top, bottom = mags.max(axis=-1), mags.min(axis=-1)
     out = np.full(bottom.shape, np.inf)
@@ -177,9 +197,7 @@ def validate_spectral(matrices: np.ndarray) -> ValidationReport:
     ValidationReport
         Worst-case deviations over the batch plus pass/fail flags.
     """
-    matrices = np.asarray(matrices, dtype=complex)
-    if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
-        raise DimensionError(f"expected square matrices, got shape {matrices.shape}")
+    matrices = _square_matrices(matrices, complex)
     conj_t = np.conj(np.swapaxes(matrices, -1, -2))
     deviation = float(np.max(np.abs(matrices - conj_t))) if matrices.size else 0.0
     scale = float(np.max(np.abs(matrices))) if matrices.size else 0.0

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyGrid, SpectralEstimate
-from .errors import DimensionError, DomainError, InsufficientDataError
-from .periodogram import PeriodogramSet, compute_periodograms
+from .core import FrequencyGrid, SpectralEstimate, check_count, check_grid
+from .errors import DomainError, InsufficientDataError
+from .periodogram import PeriodogramSet, periodograms_for
 from .timeseries import MultiTrialSeries
 
 #: Largest taper count tried by the default selection grid.  Mirrors the
@@ -23,39 +23,22 @@ from .timeseries import MultiTrialSeries
 MAX_AUTO_TAPERS = 63
 
 
-@dataclass(frozen=True)
-class TaperBank:
-    """A family of orthonormal tapers, shape ``(n_tapers, n_samples)``."""
-
-    n_samples: int
-    n_tapers: int
-    tapers: np.ndarray
-
-    def __post_init__(self):
-        tapers = np.ascontiguousarray(self.tapers, dtype=float)
-        if tapers.shape != (self.n_tapers, self.n_samples):
-            raise DimensionError(
-                f"tapers must have shape ({self.n_tapers}, {self.n_samples}), got {tapers.shape}")
-        object.__setattr__(self, "tapers", tapers)
-
-
-def sine_tapers(n_samples: int, n_tapers: int) -> TaperBank:
-    """The first ``n_tapers`` sine tapers of length ``n_samples``.
+def sine_tapers(n_samples: int, n_tapers: int) -> np.ndarray:
+    """The first ``n_tapers`` sine tapers of length ``n_samples``, shape ``(n_tapers, n_samples)``.
 
     Taper ``a`` is ``sqrt(2/(T+1)) * sin(pi*a*t/(T+1))`` for ``t = 1..T``;
     the family is orthonormal in closed form.
     """
-    if not 1 <= n_tapers < n_samples:
+    if check_count(n_tapers, "n_tapers") >= n_samples:
         raise DomainError(f"need 1 <= n_tapers < n_samples, got {n_tapers} for T={n_samples}")
     t = np.arange(1, n_samples + 1)
     a = np.arange(1, n_tapers + 1)
-    tapers = np.sqrt(2.0 / (n_samples + 1)) * np.sin(np.pi * np.outer(a, t) / (n_samples + 1))
-    return TaperBank(n_samples=n_samples, n_tapers=n_tapers, tapers=tapers)
+    return np.sqrt(2.0 / (n_samples + 1)) * np.sin(np.pi * np.outer(a, t) / (n_samples + 1))
 
 
-def _tapered_dfts(values: np.ndarray, bank: TaperBank, grid: FrequencyGrid) -> np.ndarray:
+def _tapered_dfts(values: np.ndarray, tapers: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """Half-grid DFTs of one trial under every taper, shape ``(m, P, n_freq)``."""
-    tapered = bank.tapers[:, None, :] * values[None, :, :]
+    tapered = tapers[:, None, :] * values[None, :, :]
     return np.fft.rfft(tapered, axis=-1) * np.exp(-1j * grid.omegas)
 
 
@@ -67,10 +50,10 @@ def multitaper_estimator(series: MultiTrialSeries, n_tapers: int) -> SpectralEst
     then averaged.  Hermitian PSD by construction.
     """
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
-    bank = sine_tapers(series.n_samples, n_tapers)
+    tapers = sine_tapers(series.n_samples, n_tapers)
     acc = np.zeros((grid.n_frequencies, series.n_channels, series.n_channels), dtype=complex)
     for n in range(series.n_trials):
-        d = np.ascontiguousarray(_tapered_dfts(series.values[n], bank, grid).transpose(2, 1, 0))
+        d = np.ascontiguousarray(_tapered_dfts(series.values[n], tapers, grid).transpose(2, 1, 0))
         acc += d @ np.conj(d).transpose(0, 2, 1)  # (n_freq, P, m) @ (n_freq, m, P)
     acc /= 2.0 * np.pi * n_tapers * series.n_trials
     return SpectralEstimate(grid, acc, tag="multitaper")
@@ -83,19 +66,10 @@ def default_taper_grid(n_samples: int) -> tuple[int, ...]:
 
 
 def validate_taper_grid(taper_grid, n_samples: int) -> tuple[int, ...]:
-    """Check a taper-count grid: nonempty integers, strictly increasing, inside ``1..T-1``."""
-    grid = tuple(taper_grid)
-    if not grid:
-        raise DomainError("taper grid is empty")
-    bad = next((m for m in grid
-                if not isinstance(m, (int, np.integer)) or isinstance(m, bool)), None)
-    if bad is not None:
-        raise DomainError(f"taper counts must be integers, got {bad!r}")
-    grid = tuple(int(m) for m in grid)
-    if any(m < 1 or m >= n_samples for m in grid):
+    """Check a taper-count grid: nonempty counts, strictly increasing, below ``n_samples``."""
+    grid = check_grid(taper_grid, "taper counts")
+    if grid[-1] >= n_samples:
         raise DomainError(f"taper counts must satisfy 1 <= m < {n_samples}, got {grid}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"taper grid must be strictly increasing, got {grid}")
     return grid
 
 
@@ -124,11 +98,9 @@ def select_taper_count(series: MultiTrialSeries,
     grid_counts = validate_taper_grid(
         taper_grid if taper_grid is not None else default_taper_grid(series.n_samples),
         series.n_samples)
-    pgrams = periodograms if periodograms is not None else compute_periodograms(series)
-    if pgrams.n_trials != series.n_trials or pgrams.grid.n_samples != series.n_samples:
-        raise DimensionError("periodograms do not match the series dimensions")
+    pgrams = periodograms_for(series, periodograms)
     grid = pgrams.grid
-    bank = sine_tapers(series.n_samples, max(grid_counts))
+    tapers = sine_tapers(series.n_samples, grid_counts[-1])
     scale = 2.0 * np.pi / series.n_samples
     counts = np.asarray(grid_counts)
 
@@ -140,10 +112,10 @@ def select_taper_count(series: MultiTrialSeries,
     chosen = []
     for n in range(series.n_trials):
         pilot = pgrams.leave_one_out_mean(n)
-        d = np.ascontiguousarray(_tapered_dfts(series.values[n], bank, grid).transpose(2, 0, 1))
+        d = np.ascontiguousarray(_tapered_dfts(series.values[n], tapers, grid).transpose(2, 0, 1))
         inner = np.conj(d) @ d.transpose(0, 2, 1)  # (n_freq, m, m) taper inner products
         flat = inner.view(float).reshape(grid.n_frequencies, -1)
-        inner_sq = np.einsum("ji,ji->i", flat, flat).reshape(bank.n_tapers, bank.n_tapers, 2).sum(axis=-1)
+        inner_sq = np.einsum("ji,ji->i", flat, flat).reshape(len(tapers), len(tapers), 2).sum(axis=-1)
         gram = np.cumsum(np.cumsum(inner_sq, axis=0), axis=1)
         quad = np.cumsum((np.conj(d) * (d @ pilot.transpose(0, 2, 1))).sum(axis=(0, 2)).real)
         pilot_sq = float(np.sum(pilot.real**2 + pilot.imag**2))

@@ -92,6 +92,14 @@ def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:
     return PeriodogramSet(grid=grid, per_trial=per_trial, mean=mean)
 
 
+def periodograms_for(series: MultiTrialSeries, periodograms: PeriodogramSet | None = None):
+    """The periodograms of ``series``: ``periodograms`` if given and matching, else computed."""
+    pgrams = periodograms if periodograms is not None else compute_periodograms(series)
+    if pgrams.n_trials != series.n_trials or pgrams.grid.n_samples != series.n_samples:
+        raise DimensionError("periodograms do not match the series dimensions")
+    return pgrams
+
+
 def mean_periodogram(series: MultiTrialSeries) -> SpectralEstimate:
     """Across-trial mean periodogram of ``series``."""
     return compute_periodograms(series).mean

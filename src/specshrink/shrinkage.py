@@ -24,11 +24,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FrequencyGrid, SpectralEstimate
+from .core import FrequencyGrid, SpectralEstimate, check_count, check_grid
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      SpecshrinkError, PipelineError)
 from .multitaper import multitaper_estimator, select_taper_count
-from .periodogram import compute_periodograms
+from .periodogram import compute_periodograms, periodograms_for
 from .smoothing import SmoothingConfig, smoothed_estimator
 from .timeseries import MultiTrialSeries
 from .var import VarModel, fit_var, select_var_order, var_spectrum
@@ -38,10 +38,8 @@ DEFAULT_WINDOW = 15
 
 
 def _validate_window(window: int, n_samples: int | None = None):
-    """Check a risk window: an odd integer >= 1, and below ``n_samples`` when given."""
-    if (not isinstance(window, (int, np.integer)) or isinstance(window, bool)
-            or window < 1 or window % 2 == 0):
-        raise DomainError(f"risk window must be an odd integer >= 1, got {window!r}")
+    """Check a risk window: an odd count, and below ``n_samples`` when given."""
+    check_count(window, "risk window", odd=True)
     if n_samples is not None and window >= n_samples:
         raise DomainError(
             f"risk window {window} does not fit a full circle of {n_samples} frequencies")
@@ -235,14 +233,19 @@ class PipelineOptions:
     taper_grid: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        _validate_window(self.window)
-        if (not isinstance(self.max_order, (int, np.integer)) or isinstance(self.max_order, bool)
-                or self.max_order < 1):
-            raise DomainError(f"max_order must be a positive integer, got {self.max_order!r}")
+        checked = {"window": check_count(self.window, "risk window", odd=True),
+                   "max_order": check_count(self.max_order, "max_order")}
+        for name, odd in (("var_order", False), ("fixed_span", True), ("n_tapers", False)):
+            if getattr(self, name) is not None:
+                checked[name] = check_count(getattr(self, name), name, odd=odd)
+        for name, entries, odd in (("span_grid", "smoothing spans", True),
+                                   ("taper_grid", "taper counts", False)):
+            if getattr(self, name) is not None:
+                checked[name] = check_grid(getattr(self, name), entries, odd=odd)
         if self.fixed_weight is not None and not 0.0 <= self.fixed_weight <= 1.0:
             raise DomainError(f"fixed_weight must lie in [0, 1], got {self.fixed_weight}")
-        if self.var_order is not None and self.var_order < 1:
-            raise DomainError(f"var_order must be >= 1, got {self.var_order}")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -331,8 +334,7 @@ def shrinkage_pipeline(series: MultiTrialSeries,
 
 
 def _raw_mean(series, options, periodograms=None):
-    pgrams = periodograms if periodograms is not None else compute_periodograms(series)
-    return pgrams.mean, {}
+    return periodograms_for(series, periodograms).mean, {}
 
 
 def _smoothed(series, options, periodograms=None):

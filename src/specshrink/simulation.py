@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .connectivity import partial_coherence
-from .core import FrequencyGrid, SpectralEstimate, hs_norm_sq, symmetrize
+from .core import FrequencyGrid, SpectralEstimate, check_count, hs_norm_sq, symmetrize
 from .errors import (DimensionError, DomainError, PipelineError, SpecshrinkError,
                      UnstableModelError)
 from .periodogram import compute_periodograms
@@ -280,8 +280,7 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
     """
     cfg = config if config is not None else SimulationConfig()
     options = options if options is not None else PipelineOptions(max_order=HARNESS_MAX_ORDER)
-    if reps < 1:
-        raise DomainError(f"need reps >= 1, got {reps}")
+    reps = check_count(reps, "reps")
     base = _entropy(seed)
     names = tuple(estimators)
     known = (*ESTIMATORS, "truth")

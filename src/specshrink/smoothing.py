@@ -36,9 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import SpectralEstimate, extend_full_circle, symmetrize
-from .errors import DimensionError, DomainError, InsufficientDataError
-from .periodogram import PeriodogramSet, compute_periodograms
+from .core import SpectralEstimate, check_count, check_grid, extend_full_circle, symmetrize
+from .errors import DomainError, InsufficientDataError
+from .periodogram import PeriodogramSet, periodograms_for
 from .timeseries import MultiTrialSeries
 
 #: Largest span ever chosen automatically.
@@ -61,26 +61,15 @@ class SmoothingConfig:
 
     def __post_init__(self):
         if self.span_grid is not None:
-            validate_span_grid(self.span_grid)
+            object.__setattr__(self, "span_grid", validate_span_grid(self.span_grid))
         if self.fixed_span is not None:
-            _validate_span(self.fixed_span)
+            object.__setattr__(self, "fixed_span",
+                               check_count(self.fixed_span, "fixed_span", odd=True))
 
 
-def _validate_span(span: int):
-    if not isinstance(span, (int, np.integer)) or span < 1 or span % 2 == 0:
-        raise DomainError(f"smoothing span must be an odd integer >= 1, got {span!r}")
-
-
-def validate_span_grid(span_grid):
-    """Check a candidate span grid: nonempty, odd entries, strictly increasing."""
-    grid = tuple(span_grid)
-    if not grid:
-        raise DomainError("span grid is empty")
-    for span in grid:
-        _validate_span(span)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"span grid must be strictly increasing, got {grid}")
-    return grid
+def validate_span_grid(span_grid) -> tuple[int, ...]:
+    """Check a candidate span grid: nonempty, odd counts, strictly increasing."""
+    return check_grid(span_grid, "smoothing spans", odd=True)
 
 
 def default_span_grid(n_samples: int) -> tuple[int, ...]:
@@ -101,7 +90,7 @@ def hann_weights(span: int) -> np.ndarray:
     Weights are proportional to ``cos(pi*m/(span+1))**2``, strictly positive,
     symmetric, and normalized to sum to 1.  Span 1 degenerates to ``[1.0]``.
     """
-    _validate_span(span)
+    check_count(span, "smoothing span", odd=True)
     half = (span - 1) // 2
     offsets = np.arange(-half, half + 1)
     w = np.cos(np.pi * offsets / (span + 1)) ** 2
@@ -138,7 +127,7 @@ def smooth_periodogram(matrices: np.ndarray, span: int, n_samples: int) -> np.nd
         Smoothed matrices on the same half grid, Hermitian at every
         frequency (the result is symmetrized to remove FFT round-off).
     """
-    _validate_span(span)
+    check_count(span, "smoothing span", odd=True)
     full = extend_full_circle(matrices, n_samples)
     if span == 1:
         return np.array(matrices, dtype=complex)
@@ -237,9 +226,7 @@ def smoothed_estimator(series: MultiTrialSeries,
         ``selected_spans`` recording the span used for each trial.
     """
     config = config if config is not None else SmoothingConfig()
-    pgrams = periodograms if periodograms is not None else compute_periodograms(series)
-    if pgrams.n_trials != series.n_trials or pgrams.grid.n_samples != series.n_samples:
-        raise DimensionError("periodograms do not match the series dimensions")
+    pgrams = periodograms_for(series, periodograms)
     n_samples = pgrams.grid.n_samples
     if config.fixed_span is not None:
         spans = [config.fixed_span] * series.n_trials

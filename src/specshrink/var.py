@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .core import (FrequencyGrid, SpectralEstimate, exact_sum, hermitian_cond, symmetrize,
-                   validate_spectral)
+from .core import (FrequencyGrid, SpectralEstimate, check_count, exact_sum, hermitian_cond,
+                   symmetrize, validate_spectral)
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      NearSingularError, RankDeficiencyError)
 from .timeseries import MultiTrialSeries
@@ -127,8 +127,7 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     Per-trial moment matrices are reduced with exactly rounded summation,
     so permuting trial order leaves the fit bit-identical.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise DomainError(f"VAR order must be a positive integer, got {order!r}")
+    order = check_count(order, "VAR order")
     n_trials, n_channels, n_samples = series.values.shape
     eff = n_samples - order
     if eff < 1:
@@ -188,8 +187,7 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     the smaller order.  The selection carries the model fitted at the
     chosen order, so callers need not refit it.
     """
-    if not isinstance(max_order, (int, np.integer)) or max_order < 1:
-        raise DomainError(f"max_order must be a positive integer, got {max_order!r}")
+    check_count(max_order, "max_order")
     n_trials, n_channels, n_samples = series.values.shape
     total = n_trials * n_samples
     penalty_unit = np.log(total) / total * n_channels ** 2

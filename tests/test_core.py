@@ -12,14 +12,27 @@ from specshrink import (
     DimensionError,
     DomainError,
     FrequencyGrid,
+    MultiTrialSeries,
+    PipelineOptions,
+    SimulationConfig,
+    SmoothingConfig,
     SpectralEstimate,
     exact_sum,
     extend_full_circle,
+    fit_var,
+    hann_weights,
     hermitian_cond,
     hs_norm_sq,
+    monte_carlo_compare,
+    multitaper_estimator,
+    select_var_order,
+    sine_tapers,
     symmetrize,
     validate_spectral,
 )
+from specshrink.core import check_count, check_grid
+from specshrink.multitaper import validate_taper_grid
+from specshrink.smoothing import validate_span_grid
 
 
 def test_grid_shapes_and_values():
@@ -336,3 +349,64 @@ def test_exact_sum_matches_fsum_on_special_values(column):
 def test_exact_sum_matches_fsum_with_infinities_and_nans(data, rows, cols):
     pool = st.one_of(FINITE, st.sampled_from([np.inf, -np.inf, np.nan]))
     assert_matches_fsum(filled(data, rows, cols, pool))
+
+
+_COUNT_SERIES = MultiTrialSeries(np.random.default_rng(11).standard_normal((4, 2, 32)))
+
+
+def _multitaper_with(n_tapers):
+    multitaper_estimator(_COUNT_SERIES, n_tapers)  # the estimate keeps no count to report
+
+#: Every place a count-valued setting enters, as ``(odd, call)``; ``call(value)``
+#: returns the count the entry point kept, or None where it keeps none.
+COUNT_ENTRY_POINTS = {
+    "options.window": (True, lambda v: PipelineOptions(window=v).window),
+    "options.max_order": (False, lambda v: PipelineOptions(max_order=v).max_order),
+    "options.var_order": (False, lambda v: PipelineOptions(var_order=v).var_order),
+    "options.fixed_span": (True, lambda v: PipelineOptions(fixed_span=v).fixed_span),
+    "options.n_tapers": (False, lambda v: PipelineOptions(n_tapers=v).n_tapers),
+    "options.span_grid": (True, lambda v: PipelineOptions(span_grid=(1, v)).span_grid[1]),
+    "options.taper_grid": (False, lambda v: PipelineOptions(taper_grid=(v,)).taper_grid[0]),
+    "smoothing.fixed_span": (True, lambda v: SmoothingConfig(fixed_span=v).fixed_span),
+    "smoothing.span_grid": (True, lambda v: SmoothingConfig(span_grid=(v,)).span_grid[0]),
+    "validate_span_grid": (True, lambda v: validate_span_grid((v,))[0]),
+    "hann_weights": (True, lambda v: len(hann_weights(v))),
+    "validate_taper_grid": (False, lambda v: validate_taper_grid((v,), 32)[0]),
+    "fit_var": (False, lambda v: fit_var(_COUNT_SERIES, v).order),
+    "select_var_order": (False, lambda v: len(select_var_order(_COUNT_SERIES, v).criterion)),
+    "sine_tapers": (False, lambda v: len(sine_tapers(32, v))),
+    "multitaper_estimator": (False, _multitaper_with),
+    "monte_carlo_compare.reps": (False, lambda v: monte_carlo_compare(
+        SimulationConfig(n_trials=2, n_samples=32), estimators=("truth",), reps=v).n_reps),
+}
+
+NOT_COUNTS = [True, np.bool_(True), 2.5, 2.0, "3", 0, -1]
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (odd, _) in COUNT_ENTRY_POINTS.items() for value in NOT_COUNTS + [4] * odd])
+def test_every_count_setting_follows_one_rule(entry, value):
+    with pytest.raises(DomainError, match=re.escape(f"got {value!r}")):
+        COUNT_ENTRY_POINTS[entry][1](value)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_numpy_integer_counts_come_back_as_int(entry):
+    kept = COUNT_ENTRY_POINTS[entry][1](np.int64(3))
+    assert kept is None or (kept == 3 and type(kept) is int)
+
+
+def test_check_count_and_check_grid():
+    assert check_count(np.int32(5), "span", odd=True) == 5
+    with pytest.raises(DomainError, match="span must be an odd integer >= 1, got 4"):
+        check_count(4, "span", odd=True)
+    assert check_grid(np.arange(1, 4), "taper counts") == (1, 2, 3)
+    for grid in ((), (3, 3)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"taper counts must be nonempty and strictly increasing, got {grid}")):
+            check_grid(grid, "taper counts")
+    with pytest.raises(DomainError, match="smoothing spans must be nonempty"):
+        PipelineOptions(span_grid=[])
+    with pytest.raises(DomainError, match="strictly increasing"):
+        PipelineOptions(taper_grid=(4, 2))

@@ -504,6 +504,17 @@ def test_cli_compare_takes_max_order_from_the_harness_then_the_file_then_the_fla
      "max_order must be a positive integer, got -1"),
     ("compare", ("--reps", "1", "--trials", "8", "--samples", "64"), "window = 6\n",
      "risk window must be an odd integer >= 1, got 6"),
+    ("estimate", ("--fixed-span", "4"), "", "fixed_span must be an odd integer >= 1, got 4"),
+    ("estimate", ("--method", "multitaper", "--tapers", "0"), "",
+     "n_tapers must be a positive integer, got 0"),
+    ("estimate", (), "taper_max = 0\n",
+     "taper counts must be nonempty and strictly increasing, got ()"),
+    ("connectivity", ("--q", "1.5"), "", "q must lie in (0, 1), got 1.5"),
+    ("connectivity", (), "fdr_q = 1\n", "q must lie in (0, 1), got 1.0"),
+    ("connectivity", ("--band", "a:12:8"), "", "invalid band [12.0, 8.0]"),
+    ("connectivity", ("--band", "a:nan:4"), "", "invalid band [nan, 4.0]"),
+    ("connectivity", ("--band", "a:8:12", "--band", "a:20:30"), "",
+     "repeated band 'a'; each may appear once"),
 ])
 def test_cli_rejects_dropped_settings_before_reading_input(tmp_path, capsys, command, flags,
                                                             config, message):

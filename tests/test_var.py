@@ -239,3 +239,12 @@ def test_spectrum_is_hermitian_psd():
     spec = var_spectrum(VarModel(coefs, np.eye(3)), FrequencyGrid(64))
     report = spec.validate()
     assert report.ok
+
+
+def test_nearly_collinear_channels_warn_that_the_gram_is_ill_conditioned():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 1, 64))
+    near = np.concatenate([x, x + 1e-6 * rng.standard_normal((4, 1, 64))], axis=1)
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        model = fit_var(MultiTrialSeries(near), 1)
+    assert model.order == 1
