@@ -12,8 +12,9 @@ import sys
 from dataclasses import replace
 
 from . import io as sio
-from .connectivity import (apply_fdr, band_average, check_band, check_fdr_level,
+from .connectivity import (apply_fdr, band_average, band_mask, check_band, check_fdr_level,
                            jackknife_band_stats, pairwise_tests, partial_coherence)
+from .core import FrequencyGrid
 from .errors import DomainError, SpecshrinkError
 from .shrinkage import ESTIMATORS, PipelineOptions, shrinkage_pipeline
 from .simulation import (HARNESS_MAX_ORDER, SimulationConfig, monte_carlo_compare,
@@ -58,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--tapers", type=int, default=None,
                      help="taper count for --method multitaper (default: risk-selected)")
     est.add_argument("--weight", type=float, default=None,
-                     help="with --fixed: constant shrinkage weight in [0, 1]")
-    est.add_argument("--fixed", action="store_true",
-                     help="use the constant --weight instead of estimated weights")
+                     help="constant shrinkage weight in [0, 1] (default: estimated per "
+                          "frequency)")
 
     conn = sub.add_parser(
         "connectivity", help="band partial coherence and two-condition tests",
@@ -70,9 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "across all bands and pairs (tests.csv).")
     _common_analysis_flags(conn)
     conn.add_argument("inputs", nargs="+", help="one or two trial-data files")
-    conn.add_argument("--band", action="append", default=None, metavar="NAME:LO:HI",
+    conn.add_argument("--band", dest="bands", action=_BandsAction, default=None,
+                      metavar="NAME:LO:HI",
                       help="analysis band in Hz, repeatable (default alpha:8:12, beta:18:30)")
-    conn.add_argument("--q", type=float, default=None,
+    conn.add_argument("--q", dest="fdr_q", type=float, default=None, metavar="Q",
                       help="FDR level for tests.csv (default 0.05)")
 
     comp = sub.add_parser(
@@ -97,6 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--config", default=None, help="key = value configuration file")
     comp.add_argument("--out-dir", default=None, help="output directory (default .)")
     return parser
+
+
+class _BandsAction(argparse.Action):
+    """Append each ``--band``'s bands as it is read; a malformed one raises
+    :class:`DataFormatError` (one ``error:`` line), not an argparse usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        bands = getattr(namespace, self.dest) or ()
+        setattr(namespace, self.dest, bands + sio.parse_bands(values))
 
 
 def _common_analysis_flags(sub):
@@ -130,20 +140,25 @@ _CONFIG_KEYS = {
 }
 
 
+#: The estimator flags each estimator reads, by argparse destination.
+_VAR_FLAGS, _SPAN_FLAGS = {"order", "max_order"}, {"fixed_span", "span_min", "span_max"}
+_READS = {"raw_mean": set(), "smoothed": _SPAN_FLAGS, "var": _VAR_FLAGS, "multitaper": {"tapers"},
+          "shrinkage": _VAR_FLAGS | _SPAN_FLAGS | {"window", "windows", "weight"},
+          "truth": set()}
+#: Flags that another flag leaves unread: ``--order`` fixes the VAR order and
+#: ``--fixed-span`` the smoothing span.
+_OVERRIDDEN_BY = {"--max-order": "--order", "--span-min": "--fixed-span",
+                  "--span-max": "--fixed-span"}
+
+
 def _load_config(args, defaults: sio.RunConfig) -> sio.RunConfig:
     """The command's ``defaults``, then the ``--config`` file's entries, then explicit flags."""
     overrides = sio._config_entries(args.config) if args.config else {}
     unused = next((key for key in overrides if key not in _CONFIG_KEYS[args.command]), None)
     if unused is not None:
         raise DomainError(f"{args.command} does not use config key {unused!r}")
-    for key in ("method", "window", "max_order", "out_dir", "span_min", "span_max", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "q", None) is not None:
-        overrides["fdr_q"] = args.q
-    if getattr(args, "band", None):
-        overrides["bands"] = sio.parse_bands(",".join(args.band))
+    overrides.update({key: getattr(args, key) for key in _CONFIG_KEYS[args.command]
+                      if getattr(args, key, None) is not None})
     return replace(defaults, **overrides)
 
 
@@ -159,20 +174,27 @@ def _load_series(path, args):
     return series
 
 
-def _pipeline_options(config: sio.RunConfig, args) -> PipelineOptions:
-    """The one place a command's settings become :class:`PipelineOptions`."""
-    fixed, weight = getattr(args, "fixed", False), getattr(args, "weight", None)
-    if weight is not None and not fixed:
-        raise DomainError("--weight requires --fixed")
-    if fixed and weight is None:
-        raise DomainError("--fixed requires --weight")
+def _pipeline_options(config: sio.RunConfig, args, methods) -> PipelineOptions:
+    """The one place a command's settings become :class:`PipelineOptions` for ``methods``;
+    an estimator flag that none of them reads, or that another flag leaves unread, is an error."""
+    if not methods:
+        raise DomainError("need at least one estimator")
+    given = {"--" + dest.replace("_", "-"): dest for dest in set().union(*_READS.values())
+             if getattr(args, dest, None) is not None}
+    # an unknown name reads every flag here, so the harness names it as unknown
+    read = set().union(*(_READS.get(method, given.values()) for method in methods))
+    for flag, dest in sorted(given.items()):
+        if dest not in read:
+            raise DomainError(f"{flag} is not read by {', '.join(methods)}")
+        if _OVERRIDDEN_BY.get(flag) in given:
+            raise DomainError(f"{flag} is not read with {_OVERRIDDEN_BY[flag]}")
     return PipelineOptions(
         window=config.window,
         var_order=getattr(args, "order", None),
         max_order=config.max_order,
         span_grid=config.span_grid(),
         fixed_span=getattr(args, "fixed_span", None),
-        fixed_weight=weight,
+        fixed_weight=getattr(args, "weight", None),
         n_tapers=getattr(args, "tapers", None),
         taper_grid=config.taper_grid())
 
@@ -236,7 +258,7 @@ def cmd_estimate(args) -> int:
     if config.method not in ESTIMATORS:
         raise DomainError(f"unknown method {config.method!r}; expected one of "
                           f"{', '.join(ESTIMATORS)}")
-    options = _pipeline_options(config, args)
+    options = _pipeline_options(config, args, (config.method,))
     series = _load_series(args.input, args)
     estimate, record = ESTIMATORS[config.method](series, options)
     _write_estimate(config, series.channel_labels, estimate, record)
@@ -255,7 +277,7 @@ def cmd_connectivity(args) -> int:
     config = _load_config(args, sio.RunConfig())
     if len(args.inputs) not in (1, 2):
         raise DomainError(f"expected one or two input files, got {len(args.inputs)}")
-    options = _pipeline_options(config, args)
+    options = _pipeline_options(config, args, ("shrinkage",))
     check_fdr_level(config.fdr_q)
     for i, (name, lo, hi) in enumerate(config.bands):
         check_band((lo, hi))
@@ -267,6 +289,9 @@ def cmd_connectivity(args) -> int:
         raise DomainError(
             f"conditions have different channel counts: {conditions[0].n_channels} "
             f"vs {conditions[1].n_channels}")
+    for series in conditions:  # an empty band fails here, before any pipeline runs
+        for _, lo, hi in config.bands:
+            band_mask(FrequencyGrid(series.n_samples, series.sampling_rate), (lo, hi))
     suffixes = ("left", "right")
 
     per_condition = [partial_coherence(shrinkage_pipeline(series, options).estimate)
@@ -310,8 +335,8 @@ def _parse_windows(text: str) -> tuple[int, ...]:
 
 def cmd_compare(args) -> int:
     config = _load_config(args, sio.RunConfig(max_order=HARNESS_MAX_ORDER))
-    options = _pipeline_options(config, args)
     estimators = tuple(s.strip() for s in args.estimators.split(",") if s.strip())
+    options = _pipeline_options(config, args, estimators)
     windows = None if args.windows is None else _parse_windows(args.windows)
     sim_config = SimulationConfig(n_trials=args.trials, n_samples=args.samples)
     result = monte_carlo_compare(config=sim_config, estimators=estimators, reps=args.reps,
@@ -343,8 +368,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (SpecshrinkError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

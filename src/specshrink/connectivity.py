@@ -135,27 +135,25 @@ def check_band(band) -> tuple[float, float]:
     return lo, hi
 
 
-def band_average(result: ConnectivityResult, band: tuple[float, float],
-                 sampling_rate: float | None = None) -> ConnectivityResult:
-    """Average a per-frequency result over a Hz band (endpoints inclusive).
-
-    Grid frequencies are mapped to Hz through ``sampling_rate`` (taken from
-    the grid metadata when not given).  Raises :class:`EmptyBandError` if no
-    grid frequency falls inside the band.
-    """
-    if result.grid is None:
-        raise DimensionError("result is already band-averaged")
+def band_mask(grid: FrequencyGrid, band) -> np.ndarray:
+    """Which grid frequencies lie inside a Hz band (endpoints inclusive); :class:`DomainError`
+    if the grid has no sampling rate, :class:`EmptyBandError` if no frequency lies inside."""
     lo, hi = check_band(band)
-    fs = sampling_rate if sampling_rate is not None else result.grid.sampling_rate
-    if fs is None:
-        raise DomainError("no sampling rate available to map the band to grid frequencies")
-    hertz = result.grid.omegas * fs / (2.0 * np.pi)
+    hertz = grid.hertz
     mask = (hertz >= lo) & (hertz <= hi)
     if not np.any(mask):
-        raise EmptyBandError(
-            f"no Fourier frequencies inside [{lo}, {hi}] Hz at sampling rate {fs}")
-    vals = result.values[mask].mean(axis=0)
-    return ConnectivityResult(kind=result.kind, values=vals, grid=None, band=(lo, hi))
+        raise EmptyBandError(f"no Fourier frequencies inside [{lo}, {hi}] Hz "
+                             f"at sampling rate {grid.sampling_rate}")
+    return mask
+
+
+def band_average(result: ConnectivityResult, band: tuple[float, float]) -> ConnectivityResult:
+    """Average a per-frequency result over the grid frequencies of :func:`band_mask`."""
+    if result.grid is None:
+        raise DimensionError("result is already band-averaged")
+    band = check_band(band)
+    vals = result.values[band_mask(result.grid, band)].mean(axis=0)
+    return ConnectivityResult(kind=result.kind, values=vals, grid=None, band=band)
 
 
 def fisher_z(rho):

@@ -73,12 +73,13 @@ class FrequencyGrid:
         return self.n_frequencies
 
 
-def check_count(value, name: str, *, odd: bool = False) -> int:
+def check_count(value, name: str, *, odd: bool = False, low: int = 1) -> int:
     """``value`` as an ``int`` if it is a count: an ``int`` or ``np.integer``, not a ``bool``,
-    at least 1, and odd when ``odd`` is set.  Else :class:`DomainError` naming ``name``."""
+    at least ``low``, and odd when ``odd`` is set.  Else :class:`DomainError` naming ``name``."""
     if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or value < 1 or (odd and value % 2 == 0)):
-        rule = "an odd integer >= 1" if odd else "a positive integer"
+            or value < low or (odd and value % 2 == 0)):
+        rule = (f"an odd integer >= {low}" if odd else "a positive integer" if low == 1
+                else f"an integer >= {low}")
         raise DomainError(f"{name} must be {rule}, got {value!r}")
     return int(value)
 

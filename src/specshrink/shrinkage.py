@@ -151,8 +151,8 @@ def shrinkage_weight(param_risk, nonparam_risk, separation):
 class ShrinkageDiagnostics:
     """Per-frequency risk terms and weights behind a combined estimate.
 
-    ``weight`` is exactly ``clip(weight_raw, 0, 1)``; the raw curve is kept
-    so truncation can be inspected.
+    The raw weight curve is kept so truncation can be inspected; ``weight``
+    derives the truncated curve from it.
     """
 
     grid: FrequencyGrid
@@ -161,11 +161,10 @@ class ShrinkageDiagnostics:
     nonparam_risk: np.ndarray
     separation: np.ndarray
     weight_raw: np.ndarray
-    weight: np.ndarray
 
     def __post_init__(self):
         n = self.grid.n_frequencies
-        for name in ("param_risk", "nonparam_risk", "separation", "weight_raw", "weight"):
+        for name in ("param_risk", "nonparam_risk", "separation", "weight_raw"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise DimensionError(f"{name} must have shape ({n},), got {arr.shape}")
@@ -174,8 +173,11 @@ class ShrinkageDiagnostics:
         for name in ("param_risk", "nonparam_risk", "separation"):
             if np.any(getattr(self, name) < 0):
                 raise DomainError(f"{name} must be nonnegative")
-        if not np.array_equal(self.weight, np.clip(self.weight_raw, 0.0, 1.0)):
-            raise DomainError("weight must equal weight_raw truncated to [0, 1]")
+
+    @property
+    def weight(self) -> np.ndarray:
+        """The weight on the parametric estimate, ``clip(weight_raw, 0, 1)``."""
+        return np.clip(self.weight_raw, 0.0, 1.0)
 
 
 def shrinkage_diagnostics(parametric: SpectralEstimate, nonparametric: SpectralEstimate,
@@ -185,10 +187,10 @@ def shrinkage_diagnostics(parametric: SpectralEstimate, nonparametric: SpectralE
     param_risk = risk_vs_pilot(parametric, pilot, window)
     nonparam_risk = risk_vs_pilot(nonparametric, pilot, window)
     separation = estimator_separation(parametric, nonparametric, window)
-    raw, weight = shrinkage_weight(param_risk, nonparam_risk, separation)
+    raw, _ = shrinkage_weight(param_risk, nonparam_risk, separation)
     return ShrinkageDiagnostics(grid=parametric.grid, window=window,
                                 param_risk=param_risk, nonparam_risk=nonparam_risk,
-                                separation=separation, weight_raw=raw, weight=weight)
+                                separation=separation, weight_raw=raw)
 
 
 def combine_estimates(parametric: SpectralEstimate, nonparametric: SpectralEstimate,
@@ -219,8 +221,9 @@ class PipelineOptions:
 
     ``var_order=None`` selects the order by BIC up to ``max_order``;
     ``fixed_span`` bypasses per-trial span selection; ``fixed_weight``
-    bypasses risk estimation entirely and combines with a constant weight;
-    ``n_tapers=None`` selects the multitaper count from ``taper_grid``.
+    combines with a constant weight in place of the estimated one (the risk
+    curves are still computed and reported); ``n_tapers=None`` selects the
+    multitaper count from ``taper_grid``.
     """
 
     window: int = DEFAULT_WINDOW
@@ -276,22 +279,20 @@ def _stage(name, func):
 
 
 def _var_step(series: MultiTrialSeries, options: PipelineOptions):
-    """The VAR order (given or selected by BIC), its fitted model and its spectrum."""
+    """The VAR model fitted at the given order or the one BIC selects, and its spectrum."""
     if options.var_order is not None:
-        order = options.var_order
-        model = _stage("var_fit", lambda: fit_var(series, order))
+        model = _stage("var_fit", lambda: fit_var(series, options.var_order))
     else:
-        selection = _stage("order_selection", lambda: select_var_order(series, options.max_order))
-        order, model = selection.order, selection.model
+        model = _stage("order_selection",
+                       lambda: select_var_order(series, options.max_order)).model
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
-    return order, model, _stage("var_spectrum", lambda: var_spectrum(model, grid))
+    return model, _stage("var_spectrum", lambda: var_spectrum(model, grid))
 
 
 def _smoothing_step(series: MultiTrialSeries, options: PipelineOptions, periodograms):
     """The smoothed periodogram and its smoothing record (per-trial spans)."""
     return _stage("smoothing", lambda: smoothed_estimator(
-        series, SmoothingConfig(span_grid=options.span_grid, fixed_span=options.fixed_span),
-        periodograms=periodograms))
+        series, options.span_grid, options.fixed_span, periodograms=periodograms))
 
 
 def shrink(parametric: SpectralEstimate, nonparametric: SpectralEstimate,
@@ -303,8 +304,8 @@ def shrink(parametric: SpectralEstimate, nonparametric: SpectralEstimate,
     diagnostics = _stage("weights", lambda: shrinkage_diagnostics(
         parametric, nonparametric, pilot, window))
     if fixed_weight is not None:
-        const = np.full(parametric.grid.n_frequencies, fixed_weight)
-        diagnostics = replace(diagnostics, weight_raw=const, weight=np.clip(const, 0.0, 1.0))
+        diagnostics = replace(diagnostics, weight_raw=np.full(parametric.grid.n_frequencies,
+                                                              fixed_weight))
     estimate = _stage("combine", lambda: combine_estimates(
         parametric, nonparametric, diagnostics.weight))
     return estimate, diagnostics
@@ -324,12 +325,12 @@ def shrinkage_pipeline(series: MultiTrialSeries,
         raise InsufficientDataError(
             f"the shrinkage pipeline needs at least two trials, got {series.n_trials}")
     pgrams = _stage("periodogram", lambda: compute_periodograms(series))
-    order, model, parametric = _var_step(series, opts)
+    model, parametric = _var_step(series, opts)
     nonparametric, smoothing = _smoothing_step(series, opts, pgrams)
     estimate, diagnostics = shrink(parametric, nonparametric, pgrams.mean, opts.window,
                                    opts.fixed_weight)
     return PipelineResult(estimate=estimate, diagnostics=diagnostics, model=model,
-                          order=order, parametric=parametric, nonparametric=nonparametric,
+                          order=model.order, parametric=parametric, nonparametric=nonparametric,
                           pilot=pgrams.mean, smoothing=smoothing)
 
 
@@ -343,8 +344,8 @@ def _smoothed(series, options, periodograms=None):
 
 
 def _var(series, options, periodograms=None):
-    order, _, estimate = _var_step(series, options)
-    return estimate, {"var_order": order}
+    model, estimate = _var_step(series, options)
+    return estimate, {"var_order": model.order}
 
 
 def _multitaper(series, options, periodograms=None):

@@ -64,8 +64,8 @@ def _simulate_var_trials(coefs, noise_cov, n_samples: int, burn_in: int, seeds) 
     if radius >= 1.0:
         raise UnstableModelError(
             f"cannot simulate: companion spectral radius {radius:.6f} >= 1")
-    if burn_in < 0 or n_samples < 1:
-        raise DomainError(f"need burn_in >= 0 and n_samples >= 1, got {burn_in}, {n_samples}")
+    n_samples = check_count(n_samples, "n_samples")
+    burn_in = check_count(burn_in, "burn_in", low=0)
     order, p = model.order, model.n_channels
     chol = _noise_factor(model.noise_cov)
     total = burn_in + n_samples
@@ -97,8 +97,7 @@ def simulate_vma(ma_coef, noise_cov, n_samples: int, seed=0) -> np.ndarray:
     theta = np.asarray(ma_coef, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
         raise DimensionError(f"ma_coef must be square, got shape {theta.shape}")
-    if n_samples < 1:
-        raise DomainError(f"need n_samples >= 1, got {n_samples}")
+    n_samples = check_count(n_samples, "n_samples")
     chol = _noise_factor(noise_cov)
     if chol.shape[0] != theta.shape[0]:
         raise DimensionError("ma_coef and noise covariance dimensions differ")
@@ -162,8 +161,8 @@ class SimulationConfig:
             raise DimensionError(f"ar_coefs must be (order, {p}, {p}), got {ar.shape}")
         if noise.shape != (p, p):
             raise DimensionError(f"noise_cov must be ({p}, {p}), got {noise.shape}")
-        if self.n_trials < 1 or self.n_samples < 2 or self.burn_in < 0:
-            raise DomainError("need n_trials >= 1, n_samples >= 2, burn_in >= 0")
+        for name, low in (("n_trials", 1), ("n_samples", 2), ("burn_in", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low=low))
         if not (np.isfinite(self.ma_weight) and np.isfinite(self.ar_weight)):
             raise DomainError("mixture weights must be finite")
         _entropy(self.seed)
@@ -288,9 +287,9 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
         if name not in known:
             raise DomainError(f"unknown estimator {name!r}; expected one of {known}")
     windows = (options.window,) if windows is None else tuple(windows)
-    if not windows:
-        raise DomainError("need at least one shrinkage window")
     for kind, values in (("estimator", names), ("window", windows)):
+        if not values:
+            raise DomainError(f"need at least one {kind}")
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise DomainError(f"repeated {kind} {repeated!r}; each may appear once")

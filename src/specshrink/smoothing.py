@@ -31,7 +31,7 @@ terms, each a kernel-weighted sum over at most ``span`` neighbours, to the
 full-circle sum and halves it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,24 +47,12 @@ MAX_AUTO_SPAN = 63
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """How the nonparametric estimator smooths.
+    """The record of :func:`smoothed_estimator`: its checked ``span_grid`` and ``fixed_span``
+    (``None`` when not given) and ``selected_spans``, the span used for each trial."""
 
-    ``fixed_span`` bypasses selection and applies one span to every trial.
-    Otherwise spans are selected per trial from ``span_grid`` (or from
-    :func:`default_span_grid` when that is ``None``).  After a run,
-    ``selected_spans`` records the span used for each trial.
-    """
-
-    span_grid: tuple[int, ...] | None = None
-    fixed_span: int | None = None
-    selected_spans: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.span_grid is not None:
-            object.__setattr__(self, "span_grid", validate_span_grid(self.span_grid))
-        if self.fixed_span is not None:
-            object.__setattr__(self, "fixed_span",
-                               check_count(self.fixed_span, "fixed_span", odd=True))
+    span_grid: tuple[int, ...] | None
+    fixed_span: int | None
+    selected_spans: tuple[int, ...]
 
 
 def validate_span_grid(span_grid) -> tuple[int, ...]:
@@ -202,8 +190,7 @@ def select_span(periodograms: PeriodogramSet, trial: int, span_grid) -> int:
     return int(grid[int(np.argmin(risks))])
 
 
-def smoothed_estimator(series: MultiTrialSeries,
-                       config: SmoothingConfig | None = None,
+def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int | None = None,
                        periodograms: PeriodogramSet | None = None,
                        ) -> tuple[SpectralEstimate, SmoothingConfig]:
     """Trial-averaged smoothed periodogram with per-trial span selection.
@@ -211,10 +198,10 @@ def smoothed_estimator(series: MultiTrialSeries,
     Parameters
     ----------
     series : MultiTrialSeries
-        The data; at least two trials unless ``config.fixed_span`` is set.
-    config : SmoothingConfig, optional
-        Span grid or fixed span; defaults select per trial from
-        :func:`default_span_grid`.
+        The data; at least two trials unless ``fixed_span`` is set.
+    span_grid, fixed_span : optional
+        Candidate spans to select from per trial (:func:`default_span_grid`
+        when omitted), or one odd span for every trial, bypassing selection.
     periodograms : PeriodogramSet, optional
         Precomputed periodograms of ``series`` (to share work with other
         estimators); computed on the fly when omitted.
@@ -222,20 +209,21 @@ def smoothed_estimator(series: MultiTrialSeries,
     Returns
     -------
     (SpectralEstimate, SmoothingConfig)
-        The estimate (tag ``"smoothed"``) and a copy of the config with
-        ``selected_spans`` recording the span used for each trial.
+        The estimate (tag ``"smoothed"``) and the record of the checked
+        settings with ``selected_spans``, the span used for each trial.
     """
-    config = config if config is not None else SmoothingConfig()
+    span_grid = None if span_grid is None else validate_span_grid(span_grid)
+    fixed_span = None if fixed_span is None else check_count(fixed_span, "fixed_span", odd=True)
     pgrams = periodograms_for(series, periodograms)
     n_samples = pgrams.grid.n_samples
-    if config.fixed_span is not None:
-        spans = [config.fixed_span] * series.n_trials
+    if fixed_span is not None:
+        spans = [fixed_span] * series.n_trials
     else:
         if series.n_trials < 2:
             raise InsufficientDataError(
                 "span selection needs at least two trials for its leave-one-out pilot; "
                 "set fixed_span to smooth a single trial")
-        grid = config.span_grid if config.span_grid is not None else default_span_grid(n_samples)
+        grid = span_grid if span_grid is not None else default_span_grid(n_samples)
         spans = [select_span(pgrams, n, grid) for n in range(series.n_trials)]
     # Smoothing is linear: smooth each group of trials sharing a span once.
     total = np.zeros(pgrams.per_trial.shape[1:], dtype=complex)
@@ -246,4 +234,4 @@ def smoothed_estimator(series: MultiTrialSeries,
                 group += pgrams.per_trial[n]
         total += smooth_periodogram(group, span, n_samples)
     estimate = SpectralEstimate(pgrams.grid, total / series.n_trials, tag="smoothed")
-    return estimate, replace(config, selected_spans=tuple(spans))
+    return estimate, SmoothingConfig(span_grid, fixed_span, tuple(spans))

@@ -15,7 +15,6 @@ from specshrink import (
     MultiTrialSeries,
     PipelineOptions,
     SimulationConfig,
-    SmoothingConfig,
     SpectralEstimate,
     exact_sum,
     extend_full_circle,
@@ -27,6 +26,7 @@ from specshrink import (
     multitaper_estimator,
     select_var_order,
     sine_tapers,
+    smoothed_estimator,
     symmetrize,
     validate_spectral,
 )
@@ -367,8 +367,10 @@ COUNT_ENTRY_POINTS = {
     "options.n_tapers": (False, lambda v: PipelineOptions(n_tapers=v).n_tapers),
     "options.span_grid": (True, lambda v: PipelineOptions(span_grid=(1, v)).span_grid[1]),
     "options.taper_grid": (False, lambda v: PipelineOptions(taper_grid=(v,)).taper_grid[0]),
-    "smoothing.fixed_span": (True, lambda v: SmoothingConfig(fixed_span=v).fixed_span),
-    "smoothing.span_grid": (True, lambda v: SmoothingConfig(span_grid=(v,)).span_grid[0]),
+    "smoothing.fixed_span": (True, lambda v: smoothed_estimator(
+        _COUNT_SERIES, fixed_span=v)[1].fixed_span),
+    "smoothing.span_grid": (True, lambda v: smoothed_estimator(
+        _COUNT_SERIES, span_grid=(v,))[1].span_grid[0]),
     "validate_span_grid": (True, lambda v: validate_span_grid((v,))[0]),
     "hann_weights": (True, lambda v: len(hann_weights(v))),
     "validate_taper_grid": (False, lambda v: validate_taper_grid((v,), 32)[0]),

@@ -291,7 +291,7 @@ def test_cli_fixed_weight_one_matches_var(tmp_path):
     write_trials(data, make_series())
     fixed, var = tmp_path / "fixed", tmp_path / "var"
     assert run_cli("estimate", data, "--out-dir", fixed, "--order", "1",
-                   "--weight", "1.0", "--fixed") == 0
+                   "--weight", "1.0") == 0
     assert run_cli("estimate", data, "--method", "var", "--out-dir", var,
                    "--order", "1") == 0
     assert (fixed / "spectra.csv").read_bytes() == (var / "spectra.csv").read_bytes()
@@ -321,8 +321,8 @@ def test_cli_error_path_is_clean(tmp_path, capsys):
     data = tmp_path / "t.mts"
     write_trials(data, make_series())
     out = tmp_path / "out"
-    # --weight without --fixed is rejected before any file is written
-    assert run_cli("estimate", data, "--out-dir", out, "--weight", "0.5") == 1
+    # a flag the method does not read is rejected before any file is written
+    assert run_cli("estimate", data, "--out-dir", out, "--tapers", "3") == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.err.strip().count("\n") == 0
@@ -429,8 +429,7 @@ def test_cli_compare_uses_the_configured_taper_grid(tmp_path):
     cfg.write_text("taper_max = 1\n")
     out = tmp_path / "out"
     assert run_cli("compare", "--reps", "1", "--trials", "24", "--samples", "64",
-                   "--estimators", "multitaper", "--max-order", "1", "--config", cfg,
-                   "--out-dir", out) == 0
+                   "--estimators", "multitaper", "--config", cfg, "--out-dir", out) == 0
     sim = SimulationConfig(n_trials=24, n_samples=64)
     kwargs = dict(estimators=("multitaper",), reps=1, seed=0)
     one_taper = monte_carlo_compare(sim, options=PipelineOptions(max_order=1, taper_grid=(1,)),
@@ -477,7 +476,7 @@ def test_cli_compare_takes_max_order_from_the_harness_then_the_file_then_the_fla
 
 
 @pytest.mark.parametrize("command, flags, config, message", [
-    ("estimate", ("--fixed", "--order", "1"), "", "--fixed requires --weight"),
+    ("estimate", ("--max-order", "3", "--order", "1"), "", "--max-order is not read with --order"),
     ("estimate", ("--span-min", "9"), "", "span_min 9 needs span_max"),
     ("estimate", (), "span_min = 9\n", "span_min 9 needs span_max"),
     ("connectivity", ("--span-min", "5"), "", "span_min 5 needs span_max"),
@@ -616,3 +615,74 @@ def test_cli_reports_a_config_file_that_is_not_utf8_in_one_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("estimate", ("--tapers", "16"), "--tapers is not read by shrinkage"),
+    ("estimate", ("--method", "var", "--weight", "0.3"), "--weight is not read by var"),
+    ("estimate", ("--method", "smoothed", "--max-order", "3"),
+     "--max-order is not read by smoothed"),
+    ("estimate", ("--method", "var", "--fixed-span", "5"), "--fixed-span is not read by var"),
+    ("estimate", ("--method", "raw_mean", "--window", "5"), "--window is not read by raw_mean"),
+    ("estimate", ("--method", "multitaper", "--order", "2"),
+     "--order is not read by multitaper"),
+    ("estimate", ("--order", "2", "--max-order", "5"), "--max-order is not read with --order"),
+    ("estimate", ("--method", "smoothed", "--fixed-span", "7", "--span-max", "9"),
+     "--span-max is not read with --fixed-span"),
+    ("connectivity", ("--fixed-span", "7", "--span-min", "5"),
+     "--span-min is not read with --fixed-span"),
+    ("connectivity", ("--band", "a:1"), "band 'a:1' is not name:lo:hi"),
+    ("compare", ("--estimators", "var", "--windows", "5,7"), "--windows is not read by var"),
+    ("compare", ("--estimators", "multitaper,truth", "--max-order", "2"),
+     "--max-order is not read by multitaper, truth"),
+    ("compare", ("--estimators", ","), "need at least one estimator"),
+    ("compare", ("--estimators", "banana", "--windows", "5"), "unknown estimator 'banana'; "
+     "expected one of ('raw_mean', 'smoothed', 'var', 'multitaper', 'shrinkage', 'truth')"),
+])
+def test_cli_rejects_flags_the_estimators_do_not_read(tmp_path, capsys, monkeypatch, command,
+                                                      flags, message):
+    import specshrink.simulation as simulation
+
+    def no_simulation(config):
+        raise AssertionError("simulated before checking the flags")
+
+    monkeypatch.setattr(simulation, "simulate_mixture", no_simulation)
+    data = tmp_path / "t.mts"
+    write_trials(data, make_series())
+    out = tmp_path / "out"
+    inputs = ((),) if command == "compare" else ((data,), (tmp_path / "missing.mts",))
+    for paths in inputs:
+        assert run_cli(command, *paths, *flags, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_cli_config_keys_keep_the_per_command_rule(tmp_path):
+    data = tmp_path / "t.mts"
+    write_trials(data, make_series())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 7\nspan_max = 9\nmax_order = 2\n")
+    out = tmp_path / "out"
+    assert run_cli("estimate", data, "--method", "var", "--order", "1", "--config", cfg,
+                   "--out-dir", out) == 0
+    assert (out / "fit_report.txt").read_text() == "var_order = 1\n"
+
+
+def test_cli_connectivity_checks_bands_before_any_pipeline(tmp_path, capsys, monkeypatch):
+    import specshrink.cli as cli
+
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("ran a pipeline before checking the bands")
+
+    monkeypatch.setattr(cli, "shrinkage_pipeline", no_pipeline)
+    monkeypatch.setattr(cli, "jackknife_band_stats", no_pipeline)
+    left, right = tmp_path / "l.mts", tmp_path / "r.mts"
+    write_trials(left, make_series(n_trials=6))
+    write_trials(right, make_series(n_trials=5))
+    out = tmp_path / "out"
+    for inputs in ((left,), (left, right)):
+        assert run_cli("connectivity", *inputs, "--band", "a:8:12", "--band", "b:200:300",
+                       "--out-dir", out) == 1
+        assert capsys.readouterr().err == ("error: no Fourier frequencies inside "
+                                           "[200.0, 300.0] Hz at sampling rate 64.0\n")
+        assert not out.exists()

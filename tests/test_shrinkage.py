@@ -235,9 +235,9 @@ def test_diagnostics_bundle_consistency():
     np.testing.assert_allclose(diag.separation,
                                estimator_separation(param, nonparam, 5), atol=1e-14)
     with pytest.raises(DomainError):
-        ShrinkageDiagnostics(grid=diag.grid, window=5, param_risk=diag.param_risk,
+        ShrinkageDiagnostics(grid=diag.grid, window=5, param_risk=-diag.param_risk,
                              nonparam_risk=diag.nonparam_risk, separation=diag.separation,
-                             weight_raw=diag.weight_raw, weight=diag.weight_raw + 2.0)
+                             weight_raw=diag.weight_raw)
 
 
 def white_series(seed, n_trials=8, p=2, n_samples=64):

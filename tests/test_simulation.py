@@ -286,3 +286,29 @@ def test_harness_validation_and_replicate_errors():
         monte_carlo_compare(tiny, estimators=("var",), reps=1,
                             options=PipelineOptions(max_order=6))
     assert info.value.stage == "replicate 0"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_trials", True), ("n_trials", 2.0), ("n_trials", 0), ("n_samples", 64.5),
+    ("n_samples", 1), ("n_samples", np.True_), ("burn_in", 2.5), ("burn_in", -1),
+    ("burn_in", True)])
+def test_simulation_counts_follow_the_count_rule(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be .*, got {value!r}"):
+        SimulationConfig(**{field: value})
+
+
+def test_simulation_counts_keep_numpy_integers_as_int_and_allow_no_burn_in():
+    cfg = SimulationConfig(n_trials=np.int64(2), n_samples=np.int32(16), burn_in=np.int8(0))
+    assert all(type(v) is int for v in (cfg.n_trials, cfg.n_samples, cfg.burn_in))
+    assert simulate_mixture(cfg).values.shape == (2, 12, 16)
+    for call, name in ((lambda: simulate_vma(np.zeros((1, 1)), np.eye(1), 0), "n_samples"),
+                       (lambda: simulate_var(np.zeros((1, 1, 1)), np.eye(1), 8.0), "n_samples"),
+                       (lambda: simulate_var(np.zeros((1, 1, 1)), np.eye(1), 8, burn_in=0.5),
+                        "burn_in")):
+        with pytest.raises(DomainError, match=f"{name} must be"):
+            call()
+
+
+def test_harness_rejects_an_empty_estimator_list():
+    with pytest.raises(DomainError, match="need at least one estimator"):
+        monte_carlo_compare(SimulationConfig(n_trials=2, n_samples=32), estimators=())

@@ -21,7 +21,7 @@ from specshrink import (
     smoothed_estimator,
     span_risks,
 )
-from specshrink.smoothing import SmoothingConfig, validate_span_grid
+from specshrink.smoothing import validate_span_grid
 
 
 def test_hann_weights_span3():
@@ -193,7 +193,7 @@ def test_white_noise_selects_wider_spans_than_peaked_ar2():
 def test_smoothed_estimator_averages_trials():
     rng = np.random.default_rng(6)
     series = MultiTrialSeries(rng.standard_normal((3, 2, 64)))
-    estimate, config = smoothed_estimator(series, SmoothingConfig(fixed_span=5))
+    estimate, config = smoothed_estimator(series, fixed_span=5)
     assert estimate.tag == "smoothed"
     assert config.selected_spans == (5, 5, 5)
     pgrams = compute_periodograms(series)
@@ -205,7 +205,7 @@ def test_smoothed_estimator_selected_spans_match_select_span():
     rng = np.random.default_rng(7)
     series = MultiTrialSeries(rng.standard_normal((4, 1, 64)))
     grid = (3, 7, 13)
-    estimate, config = smoothed_estimator(series, SmoothingConfig(span_grid=grid))
+    estimate, config = smoothed_estimator(series, span_grid=grid)
     pgrams = compute_periodograms(series)
     expected = tuple(select_span(pgrams, n, grid) for n in range(4))
     assert config.selected_spans == expected
@@ -216,12 +216,12 @@ def test_smoothed_estimator_single_trial_needs_fixed_span():
     series = MultiTrialSeries(np.random.default_rng(8).standard_normal((1, 1, 64)))
     with pytest.raises(InsufficientDataError):
         smoothed_estimator(series)
-    estimate, _ = smoothed_estimator(series, SmoothingConfig(fixed_span=7))
+    estimate, _ = smoothed_estimator(series, fixed_span=7)
     assert estimate.matrices.shape == (33, 1, 1)
 
 
 def test_smoothing_config_validation():
     with pytest.raises(DomainError):
-        SmoothingConfig(fixed_span=6)
+        smoothed_estimator(MultiTrialSeries(np.zeros((1, 1, 16))), fixed_span=6)
     with pytest.raises(DomainError):
         smooth_periodogram(np.zeros((9, 1, 1), dtype=complex), 17, 16)
