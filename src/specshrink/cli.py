@@ -32,19 +32,24 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser(
         "simulate", help="generate the benchmark mixture dataset",
         description="Simulate the built-in 12-channel benchmark mixture process "
-                    "(defaults: 120 trials of 256 samples at weights 0.65/0.35) "
+                    f"(defaults: {SimulationConfig.n_trials} trials of "
+                    f"{SimulationConfig.n_samples} samples at weights "
+                    f"{SimulationConfig.ma_weight}/{SimulationConfig.ar_weight}) "
                     "and write it as a binary trial-data file.")
-    sim.add_argument("--trials", type=int, default=120, help="number of trials (default 120)")
-    sim.add_argument("--samples", type=int, default=256, help="samples per trial (default 256)")
-    sim.add_argument("--ma-weight", type=float, default=0.65,
-                     help="weight of the moving-average part (default 0.65)")
-    sim.add_argument("--ar-weight", type=float, default=0.35,
-                     help="weight of the autoregressive part (default 0.35)")
-    sim.add_argument("--burn-in", type=int, default=500,
-                     help="discarded autoregressive start-up samples (default 500)")
-    sim.add_argument("--sampling-rate", type=float, default=256.0,
-                     help="sampling rate metadata in Hz (default 256)")
-    sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    sim.add_argument("--trials", type=int, default=SimulationConfig.n_trials,
+                     help="number of trials (default %(default)s)")
+    sim.add_argument("--samples", type=int, default=SimulationConfig.n_samples,
+                     help="samples per trial (default %(default)s)")
+    sim.add_argument("--ma-weight", type=float, default=SimulationConfig.ma_weight,
+                     help="weight of the moving-average part (default %(default)s)")
+    sim.add_argument("--ar-weight", type=float, default=SimulationConfig.ar_weight,
+                     help="weight of the autoregressive part (default %(default)s)")
+    sim.add_argument("--burn-in", type=int, default=SimulationConfig.burn_in,
+                     help="discarded autoregressive start-up samples (default %(default)s)")
+    sim.add_argument("--sampling-rate", type=float, default=SimulationConfig.sampling_rate,
+                     help="sampling rate metadata in Hz (default %(default)s)")
+    sim.add_argument("--seed", type=int, default=SimulationConfig.seed,
+                     help="master seed (default %(default)s)")
     sim.add_argument("--out", required=True, help="output trial-data file")
 
     est = sub.add_parser(
@@ -84,15 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "weight curve (mean_weight.csv).")
     comp.add_argument("--reps", type=int, default=20, help="Monte Carlo replicates (default 20)")
     comp.add_argument("--seed", type=int, default=None, help="harness master seed (default 0)")
-    comp.add_argument("--trials", type=int, default=120, help="trials per replicate (default 120)")
-    comp.add_argument("--samples", type=int, default=256,
-                      help="samples per trial (default 256)")
+    comp.add_argument("--trials", type=int, default=SimulationConfig.n_trials,
+                      help="trials per replicate (default %(default)s)")
+    comp.add_argument("--samples", type=int, default=SimulationConfig.n_samples,
+                      help="samples per trial (default %(default)s)")
     comp.add_argument("--estimators", default="var,smoothed,multitaper,shrinkage",
                       help="comma-separated estimator list "
                            "(default var,smoothed,multitaper,shrinkage)")
     comp.add_argument("--windows", default=None,
                       help="comma-separated odd risk-window widths (default: the "
-                           "configured window, 15 unless overridden)")
+                           f"configured window, {sio.RunConfig.window} unless overridden)")
     comp.add_argument("--max-order", type=int, default=None,
                       help=f"largest candidate VAR order (default {HARNESS_MAX_ORDER})")
     comp.add_argument("--config", default=None, help="key = value configuration file")
@@ -113,11 +119,13 @@ def _common_analysis_flags(sub):
     sub.add_argument("--config", default=None, help="key = value configuration file")
     sub.add_argument("--out-dir", default=None, help="output directory (default .)")
     sub.add_argument("--window", type=int, default=None,
-                     help="odd risk-window width in Fourier bins (default 15)")
+                     help="odd risk-window width in Fourier bins "
+                          f"(default {sio.RunConfig.window})")
     sub.add_argument("--order", type=int, default=None,
                      help="fixed VAR order (default: selected by BIC)")
     sub.add_argument("--max-order", type=int, default=None,
-                     help="largest candidate VAR order for BIC (default 10)")
+                     help="largest candidate VAR order for BIC "
+                          f"(default {sio.RunConfig.max_order})")
     sub.add_argument("--fixed-span", type=int, default=None,
                      help="fixed smoothing span (default: per-trial risk selection)")
     sub.add_argument("--span-min", type=int, default=None,

@@ -191,15 +191,18 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
     remaining trials, partial coherence is band-averaged and Fisher-z
     transformed; the function returns the replicate mean and the jackknife
     standard error ``sqrt((n-1)/n * sum((z_i - mean)**2))`` per channel
-    pair.  Replicates are reduced with exactly rounded sums, and the VAR fit
-    inside each replicate does not depend on trial order; the periodogram
-    mean and the smoothing still sum trials in order, so permuting the trials
-    can move the result in its last bits.  A replicate that fails raises
+    pair.  Replicates are reduced with exactly rounded sums, and inside each
+    replicate neither the VAR order selection nor the VAR fit depends on
+    trial order; the periodogram mean and the smoothing still sum trials in
+    order, so permuting the trials can move the result in its last bits.  A
+    band that holds no Fourier frequency raises :class:`EmptyBandError`
+    before any replicate runs; a replicate that fails raises
     :class:`PipelineError` whose stage names the left-out trial.
     """
     n = series.n_trials
     if n < 2:
         raise InsufficientDataError("jackknife needs at least two trials")
+    band_mask(FrequencyGrid(series.n_samples, series.sampling_rate), band)
     replicates = []
     for leave_out in range(n):
         try:

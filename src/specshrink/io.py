@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataFormatError, DomainError
+from .shrinkage import DEFAULT_WINDOW, PipelineOptions
 from .timeseries import MultiTrialSeries
 
 MAGIC = b"MTS1"
@@ -207,10 +208,10 @@ class RunConfig:
     """
 
     method: str = "shrinkage"
-    window: int = 15
+    window: int = DEFAULT_WINDOW
     span_min: int = 3
     span_max: int | None = None
-    max_order: int = 10
+    max_order: int = PipelineOptions.max_order
     taper_max: int | None = None
     bands: tuple = DEFAULT_BANDS
     fdr_q: float = 0.05

@@ -8,7 +8,11 @@ Fitting conditions on the first K observations of each trial (the
 regression runs over t = K+1..T, effective length T' = T-K) and pools the
 normal equations across trials.  The innovation covariance uses the
 degrees-of-freedom divisor ``N*T' - P*K``.  Order selection minimizes a
-Bayesian information criterion over candidate orders.
+Bayesian information criterion over candidate orders.  It scores every
+candidate from one pass over the trials: each order's normal equations are
+a leading block of the moments of the stacked lags, and the criterion needs
+only the log-determinant of the residual covariance, a Schur complement of
+that block.  Only the chosen order is then fitted by :func:`fit_var`.
 """
 
 import warnings
@@ -106,6 +110,40 @@ def _regression_blocks(values: np.ndarray, order: int):
     return response, regressors
 
 
+def _sample_shortfall(shape: tuple[int, int, int], order: int) -> str | None:
+    """Why a VAR of ``order`` has too few regression samples for data of
+    ``shape`` ``(N, P, T)``, or None if it has enough."""
+    n_trials, n_channels, n_samples = shape
+    eff = n_samples - order
+    if eff < 1:
+        return f"order {order} leaves no regression samples at T={n_samples}"
+    n_params = n_channels * order
+    if n_trials * eff <= n_params:
+        return f"need n_trials*(T-order) > P*order; got {n_trials}*{eff} <= {n_params}"
+    return None
+
+
+def _factor_gram(gram: np.ndarray):
+    """``(cho_factor(gram), cond)`` for a regressor Gram matrix; :class:`RankDeficiencyError`
+    if its condition number exceeds :data:`GRAM_COND_FAIL`."""
+    cond = hermitian_cond(gram)
+    if not np.isfinite(cond) or cond > GRAM_COND_FAIL:
+        raise RankDeficiencyError(
+            f"regressor Gram matrix condition number {cond:.3g} exceeds {GRAM_COND_FAIL:.0e}; "
+            "check for constant or duplicated channels")
+    try:
+        return sla.cho_factor(gram), cond
+    except np.linalg.LinAlgError as err:  # pragma: no cover - guarded by cond check
+        raise RankDeficiencyError(f"regressor Gram matrix is singular: {err}") from err
+
+
+def _warn_if_ill_conditioned(cond: float):
+    """Warn, at the caller of the public function, above :data:`GRAM_COND_WARN`."""
+    if cond > GRAM_COND_WARN:
+        warnings.warn(f"regressor Gram matrix is ill-conditioned (cond {cond:.3g})",
+                      RuntimeWarning, stacklevel=3)
+
+
 def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     """Pooled least-squares VAR fit across all trials.
 
@@ -128,14 +166,11 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     so permuting trial order leaves the fit bit-identical.
     """
     order = check_count(order, "VAR order")
+    if (shortfall := _sample_shortfall(series.values.shape, order)) is not None:
+        raise InsufficientDataError(shortfall)
     n_trials, n_channels, n_samples = series.values.shape
     eff = n_samples - order
-    if eff < 1:
-        raise InsufficientDataError(f"order {order} leaves no regression samples at T={n_samples}")
     n_params = n_channels * order
-    if n_trials * eff <= n_params:
-        raise InsufficientDataError(
-            f"need n_trials*(T-order) > P*order; got {n_trials}*{eff} <= {n_params}")
 
     blocks = [_regression_blocks(series.values[n], order) for n in range(n_trials)]
     # ``regs @ regs.T`` is computed as a symmetric rank-k update, so each
@@ -146,18 +181,8 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     gram.T[upper] = gram[upper]
     cross = exact_sum(np.stack([resp @ regs.T for resp, regs in blocks]))
 
-    cond = hermitian_cond(gram)
-    if not np.isfinite(cond) or cond > GRAM_COND_FAIL:
-        raise RankDeficiencyError(
-            f"regressor Gram matrix condition number {cond:.3g} exceeds {GRAM_COND_FAIL:.0e}; "
-            "check for constant or duplicated channels")
-    if cond > GRAM_COND_WARN:
-        warnings.warn(f"regressor Gram matrix is ill-conditioned (cond {cond:.3g})",
-                      RuntimeWarning, stacklevel=2)
-    try:
-        factor = sla.cho_factor(gram)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - guarded by cond check
-        raise RankDeficiencyError(f"regressor Gram matrix is singular: {err}") from err
+    factor, cond = _factor_gram(gram)
+    _warn_if_ill_conditioned(cond)
     coef_flat = sla.cho_solve(factor, cross.T).T  # (P, P*order)
 
     resids = (resp - coef_flat @ regs for resp, regs in blocks)
@@ -179,26 +204,84 @@ class OrderSelection:
     model: VarModel
 
 
+def _lag_moments(values: np.ndarray, top: int):
+    """Yield ``(k, moment)`` for ``k = 1..top``: the trial sum of the moments of the stacked
+    lags ``z_k(t) = (X(t), X(t-1), ..., X(t-k))`` over ``t = k..T-1``, ``(P*(k+1), P*(k+1))``.
+
+    One pass over the trials forms the products of ``z_top(t)`` for ``t >= top``.  Their
+    upper triangle is kept in column-major order, so order ``k``'s leading block is a prefix
+    of it; order ``k`` then adds its ``top - k`` head samples ``t = k..top-1``.  Each order is
+    reduced over trials with :func:`exact_sum`, so no moment depends on the trial order.
+    """
+    n_trials, n_channels, n_samples = values.shape
+    dim = n_channels * (top + 1)
+    cols = np.repeat(np.arange(dim), np.arange(1, dim + 1))
+    rows = np.arange(cols.size) - cols * (cols + 1) // 2
+    main, triangle = np.empty((n_trials, cols.size)), rows * dim + cols
+    for n, x in enumerate(values):
+        lagged = np.concatenate([x[:, top - j:n_samples - j] for j in range(top + 1)])
+        main[n] = (lagged @ lagged.T).ravel()[triangle]
+    # row t of a trial's head is z_top(t) for t < top, zero before the trial starts
+    heads = np.zeros((n_trials, top, dim))
+    for j in range(top):
+        heads[:, j:, j * n_channels:(j + 1) * n_channels] = values[:, :, :top - j].swapaxes(1, 2)
+    for k in range(1, top + 1):
+        size = n_channels * (k + 1)
+        count = size * (size + 1) // 2
+        upper = rows[:count], cols[:count]
+        per_trial = main[:, :count]
+        if k < top:
+            per_trial = per_trial.copy()
+            flat = upper[0] * size + upper[1]
+            for n, head in enumerate(heads[:, k:, :size]):
+                per_trial[n] += (head.T @ head).ravel()[flat]
+        moment = np.empty((size, size))
+        moment[upper] = moment.T[upper] = exact_sum(per_trial)
+        yield k, moment
+
+
 def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection:
     """Pick the VAR order in ``1..max_order`` minimizing the BIC.
 
     The criterion for order ``k`` is
     ``log det(noise_cov(k)) + log(N*T)/(N*T) * k * P**2``; ties break toward
-    the smaller order.  The selection carries the model fitted at the
-    chosen order, so callers need not refit it.
+    the smaller order, and a covariance whose determinant is not positive
+    scores ``inf``.  Every order is scored from one pass over the trials
+    (:func:`_lag_moments`): ``noise_cov(k)`` is the Schur complement
+    ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment, taken
+    through a Cholesky factor of the regressor Gram ``G``.  Each order keeps
+    :func:`fit_var`'s sample-size and Gram-condition checks, and the moments
+    are exact trial sums, so the scan does not depend on trial order.  Only
+    the chosen order is then fitted by :func:`fit_var`, and the selection
+    carries that model, so callers need not refit it.  The criterion values
+    agree with scoring each :func:`fit_var` model to within rounding.
     """
-    check_count(max_order, "max_order")
+    max_order = check_count(max_order, "max_order")
     n_trials, n_channels, n_samples = series.values.shape
     total = n_trials * n_samples
     penalty_unit = np.log(total) / total * n_channels ** 2
-    models, values = [], []
-    for k in range(1, max_order + 1):
-        model = fit_var(series, k)
-        sign, logdet = np.linalg.slogdet(model.noise_cov)
-        models.append(model)
-        values.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
-    order = 1 + int(np.argmin(values))
-    return OrderSelection(order=order, criterion=tuple(values), model=models[order - 1])
+    top = 0
+    while top < max_order and _sample_shortfall(series.values.shape, top + 1) is None:
+        top += 1
+    criterion, conds, order = [], [], None
+    try:
+        for k, moment in _lag_moments(series.values, top):
+            (factor, lower), cond = _factor_gram(moment[n_channels:, n_channels:])
+            conds.append(cond)
+            whitened = sla.solve_triangular(factor, moment[:n_channels, n_channels:].T,
+                                            trans="T", lower=lower)
+            noise = (moment[:n_channels, :n_channels] - whitened.T @ whitened) / (
+                n_trials * (n_samples - k) - n_channels * k)
+            sign, logdet = np.linalg.slogdet(0.5 * (noise + noise.T))
+            criterion.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
+        if top < max_order:
+            raise InsufficientDataError(_sample_shortfall(series.values.shape, top + 1))
+        order = 1 + int(np.argmin(criterion))
+    finally:  # warn as fitting every order would, also when the scan raises
+        for k, cond in enumerate(conds, 1):
+            if k != order:  # fit_var warns for the chosen order
+                _warn_if_ill_conditioned(cond)
+    return OrderSelection(order=order, criterion=tuple(criterion), model=fit_var(series, order))
 
 
 def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:

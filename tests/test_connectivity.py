@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specshrink import connectivity
 from specshrink import (
     BandStats,
     ConnectivityResult,
@@ -226,6 +227,18 @@ def test_jackknife_failure_names_the_left_out_trial(live_trial):
         jackknife_band_stats(series, (8.0, 12.0), PipelineOptions(var_order=1, fixed_span=7))
     assert info.value.stage == f"jackknife without trial {live_trial}"
     assert "var_fit" in str(info.value)
+
+
+def test_jackknife_rejects_an_empty_band_before_any_replicate(monkeypatch):
+    calls = []
+    pipeline = connectivity.shrinkage_pipeline
+    monkeypatch.setattr(connectivity, "shrinkage_pipeline",
+                        lambda *args: calls.append(args) or pipeline(*args))
+    series = MultiTrialSeries(np.random.default_rng(6).standard_normal((10, 2, 64)),
+                              sampling_rate=64.0)
+    with pytest.raises(EmptyBandError, match=r"no Fourier frequencies inside \[200.0, 300.0\]"):
+        jackknife_band_stats(series, (200.0, 300.0), PipelineOptions(var_order=1, fixed_span=7))
+    assert calls == []
 
 
 def test_jackknife_se_hand_example():

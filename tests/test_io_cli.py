@@ -20,7 +20,7 @@ from specshrink import (
     read_trials_csv,
     write_trials,
 )
-from specshrink.cli import main
+from specshrink.cli import build_parser, main
 from specshrink.io import RunConfig, format_value, parse_bands, write_csv
 
 rng = np.random.default_rng(42)
@@ -241,6 +241,20 @@ def test_cli_simulate_is_deterministic(tmp_path, capsys):
     series = read_trials(a)
     assert (series.n_trials, series.n_channels, series.n_samples) == (2, 12, 32)
     assert "wrote" in capsys.readouterr().out
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    parser, sim = build_parser(), SimulationConfig()
+    simulate = parser.parse_args(["simulate", "--out", "x.mts"])
+    for dest, field in (("trials", "n_trials"), ("samples", "n_samples"),
+                        ("ma_weight", "ma_weight"), ("ar_weight", "ar_weight"),
+                        ("burn_in", "burn_in"), ("sampling_rate", "sampling_rate"),
+                        ("seed", "seed")):
+        assert getattr(simulate, dest) == getattr(sim, field), dest
+    compare = parser.parse_args(["compare"])
+    assert (compare.trials, compare.samples) == (sim.n_trials, sim.n_samples)
+    options = PipelineOptions()
+    assert (RunConfig().window, RunConfig().max_order) == (options.window, options.max_order)
 
 
 def test_cli_estimate_shrinkage_outputs(tmp_path):

@@ -1,5 +1,8 @@
 """Least-squares VAR fitting, BIC order selection, and the VAR spectrum."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
@@ -12,13 +15,18 @@ from specshrink import (
     MultiTrialSeries,
     NearSingularError,
     RankDeficiencyError,
+    SimulationConfig,
     VarModel,
+    detrend,
     exact_sum,
     fit_var,
     select_var_order,
+    simulate_mixture,
     simulate_var,
+    standardize,
     var_spectrum,
 )
+from specshrink import var
 
 
 def make_var_trials(coefs, n_trials, n_samples, seed=0, noise=None):
@@ -131,6 +139,109 @@ def test_order_selection_carries_the_chosen_fit():
     assert selection.model.order == selection.order
     np.testing.assert_array_equal(selection.model.coefs, refit.coefs)
     np.testing.assert_array_equal(selection.model.noise_cov, refit.noise_cov)
+
+
+def reference_select_var_order(series, max_order):
+    """Test-only reference: fit every order with ``fit_var`` and score each model's BIC."""
+    n_trials, n_channels, n_samples = series.values.shape
+    total = n_trials * n_samples
+    penalty_unit = np.log(total) / total * n_channels ** 2
+    models, values = [], []
+    for k in range(1, max_order + 1):
+        model = fit_var(series, k)
+        sign, logdet = np.linalg.slogdet(model.noise_cov)
+        models.append(model)
+        values.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
+    order = 1 + int(np.argmin(values))
+    return order, tuple(values), models[order - 1]
+
+
+def _scan_cases():
+    var2 = np.stack([0.5 * np.eye(3), -0.4 * np.eye(3)])
+    noise = np.random.default_rng(13).standard_normal
+    mixture = simulate_mixture(SimulationConfig(n_trials=6, n_samples=128, seed=13))
+    return {
+        "var2": (make_var_trials(var2, 8, 128, seed=14), 6),
+        # N*(T-k) > P*k holds up to k = 8 for 3 trials, 4 channels and 20 samples
+        "three trials at the order limit": (MultiTrialSeries(noise((3, 4, 20))), 8),
+        "one trial": (make_var_trials(var2, 1, 90, seed=15), 5),
+        "standardized mixture": (standardize(detrend(mixture, order=1)), 10),
+    }
+
+
+@pytest.mark.parametrize("case", list(_scan_cases()))
+def test_order_scan_matches_fitting_every_order(case):
+    series, max_order = _scan_cases()[case]
+    selection = select_var_order(series, max_order)
+    order, criterion, model = reference_select_var_order(series, max_order)
+    assert selection.order == order
+    np.testing.assert_allclose(selection.criterion, criterion, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(selection.model.coefs, model.coefs)
+    np.testing.assert_array_equal(selection.model.noise_cov, model.noise_cov)
+
+
+def test_order_scan_is_bit_identical_under_a_trial_permutation():
+    series = make_var_trials(np.stack([0.5 * np.eye(3), -0.4 * np.eye(3)]), 9, 96, seed=16)
+    selection = select_var_order(series, 5)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(9)
+        other = select_var_order(MultiTrialSeries(series.values[perm]), 5)
+        assert other.criterion == selection.criterion
+        np.testing.assert_array_equal(other.model.coefs, selection.model.coefs)
+        np.testing.assert_array_equal(other.model.noise_cov, selection.model.noise_cov)
+
+
+def test_order_scan_raises_what_fitting_every_order_raises():
+    series = make_var_trials(np.array([[[0.5]]]), 2, 32, seed=7)
+    dup = MultiTrialSeries(np.repeat(series.values[:, :1], 2, axis=1))
+    short = MultiTrialSeries(np.random.default_rng(17).standard_normal((40, 1, 8)))
+    for data, max_order, error in ((series, 32, InsufficientDataError),
+                                   (short, 8, InsufficientDataError),
+                                   (dup, 3, RankDeficiencyError)):
+        with pytest.raises(error) as expected:
+            reference_select_var_order(data, max_order)
+        with pytest.raises(error) as scanned:
+            select_var_order(data, max_order)
+        assert str(scanned.value) == str(expected.value)
+
+
+def test_order_scan_warns_once_per_ill_conditioned_order():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 1, 64))
+    near = MultiTrialSeries(
+        np.concatenate([x, x + 1e-6 * rng.standard_normal((4, 1, 64))], axis=1))
+    counts = []
+    for select in (reference_select_var_order, select_var_order):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            select(near, 3)
+        assert all("ill-conditioned" in str(w.message) for w in caught)
+        counts.append(len(caught))
+    assert counts == [3, 3]
+
+
+def test_order_selection_fits_only_the_chosen_order(monkeypatch):
+    orders = []
+    fit = var.fit_var
+    monkeypatch.setattr(var, "fit_var", lambda series, order: orders.append(order) or fit(
+        series, order))
+    series = make_var_trials(np.stack([0.5 * np.eye(2), -0.4 * np.eye(2)]), 8, 128, seed=12)
+    selection = select_var_order(series, 6)
+    assert orders == [selection.order]
+
+
+def test_order_selection_memory_stays_below_the_per_order_fits():
+    # fitting orders 1..10 one by one peaked at 42.6 MB on this input; the one-pass scan
+    # and the fit of the chosen order peak near 18 MB
+    series = standardize(detrend(simulate_mixture(SimulationConfig(seed=3)), order=1))
+    select_var_order(series, 2)
+    tracemalloc.start()
+    try:
+        select_var_order(series, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_residuals_orthogonal_to_regressors():
