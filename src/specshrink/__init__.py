@@ -17,8 +17,8 @@ from .errors import (DataFormatError, DegenerateChannelError, DimensionError,
                      SpecshrinkError, UnstableModelError)
 from .timeseries import MultiTrialSeries, detrend, standardize
 from .periodogram import PeriodogramSet, compute_periodograms, mean_periodogram, raw_periodogram
-from .smoothing import (SmoothingConfig, default_span_grid, hann_weights, select_span,
-                        smooth_periodogram, smoothed_estimator, span_risks)
+from .smoothing import (SmoothingConfig, default_span_grid, hann_weights, smooth_periodogram,
+                        smoothed_estimator, span_risks)
 from .var import OrderSelection, VarModel, fit_var, select_var_order, var_spectrum
 from .multitaper import TaperSelection, multitaper_estimator, select_taper_count, sine_tapers
 from .shrinkage import (ESTIMATORS, PipelineOptions, PipelineResult, ShrinkageDiagnostics,

@@ -7,6 +7,7 @@ files are written atomically, so failures never leave partial files.
 """
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import replace
@@ -87,15 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "requested estimators, and write per-frequency mean squared error "
                     "curves (mse_spectral.csv, mse_pcoh.csv) and the mean shrinkage "
                     "weight curve (mean_weight.csv).")
-    comp.add_argument("--reps", type=int, default=20, help="Monte Carlo replicates (default 20)")
+    harness = inspect.signature(monte_carlo_compare).parameters
+    comp.add_argument("--reps", type=int, default=harness["reps"].default,
+                      help="Monte Carlo replicates (default %(default)s)")
     comp.add_argument("--seed", type=int, default=None, help="harness master seed (default 0)")
     comp.add_argument("--trials", type=int, default=SimulationConfig.n_trials,
                       help="trials per replicate (default %(default)s)")
     comp.add_argument("--samples", type=int, default=SimulationConfig.n_samples,
                       help="samples per trial (default %(default)s)")
-    comp.add_argument("--estimators", default="var,smoothed,multitaper,shrinkage",
-                      help="comma-separated estimator list "
-                           "(default var,smoothed,multitaper,shrinkage)")
+    comp.add_argument("--estimators", default=",".join(harness["estimators"].default),
+                      help="comma-separated estimator list (default %(default)s)")
     comp.add_argument("--windows", default=None,
                       help="comma-separated odd risk-window widths (default: the "
                            f"configured window, {sio.RunConfig.window} unless overridden)")
@@ -129,7 +131,7 @@ def _common_analysis_flags(sub):
     sub.add_argument("--fixed-span", type=int, default=None,
                      help="fixed smoothing span (default: per-trial risk selection)")
     sub.add_argument("--span-min", type=int, default=None,
-                     help="smallest candidate smoothing span (default 3)")
+                     help=f"smallest candidate smoothing span (default {sio.RunConfig.span_min})")
     sub.add_argument("--span-max", type=int, default=None,
                      help="largest candidate smoothing span (default: automatic)")
     sub.add_argument("--detrend", choices=("none", "linear", "quadratic"), default="linear",

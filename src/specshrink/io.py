@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DataFormatError, DomainError
 from .shrinkage import DEFAULT_WINDOW, PipelineOptions
+from .smoothing import MIN_AUTO_SPAN
 from .timeseries import MultiTrialSeries
 
 MAGIC = b"MTS1"
@@ -209,7 +210,7 @@ class RunConfig:
 
     method: str = "shrinkage"
     window: int = DEFAULT_WINDOW
-    span_min: int = 3
+    span_min: int = MIN_AUTO_SPAN
     span_max: int | None = None
     max_order: int = PipelineOptions.max_order
     taper_max: int | None = None
@@ -221,10 +222,11 @@ class RunConfig:
     def span_grid(self) -> tuple[int, ...] | None:
         """Explicit span grid from the bounds, or None for the automatic default.
 
-        The automatic grid starts at 3, so another ``span_min`` needs a ``span_max``.
+        The automatic grid starts at ``MIN_AUTO_SPAN``, so another ``span_min``
+        needs a ``span_max``.
         """
         if self.span_max is None:
-            if self.span_min != 3:
+            if self.span_min != MIN_AUTO_SPAN:
                 raise DomainError(f"span_min {self.span_min} needs span_max")
             return None
         start = self.span_min if self.span_min % 2 == 1 else self.span_min + 1

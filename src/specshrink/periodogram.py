@@ -86,8 +86,10 @@ class PeriodogramSet:
 def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:
     """Periodogram matrices for every trial of ``series``, plus their mean."""
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
-    per_trial = np.stack([raw_periodogram(series.values[n], grid)
-                          for n in range(series.n_trials)])
+    per_trial = np.empty((series.n_trials, grid.n_frequencies, series.n_channels,
+                          series.n_channels), dtype=complex)
+    for n in range(series.n_trials):
+        per_trial[n] = raw_periodogram(series.values[n], grid)
     mean = SpectralEstimate(grid, per_trial.mean(axis=0), tag="raw_mean")
     return PeriodogramSet(grid=grid, per_trial=per_trial, mean=mean)
 

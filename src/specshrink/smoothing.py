@@ -12,23 +12,32 @@ Smoothing operates on the full frequency circle implied by conjugate
 symmetry, so windows near 0 and pi wrap onto reflected, conjugated
 values instead of being truncated or zero-padded.
 
-Span risks are computed in closed form.  Smoothing is a circular
-convolution, so with ``F`` the frequency-axis FFT over the full circle and
-``K_s`` the (real) transfer of the symmetric span-``s`` kernel, Parseval's
-theorem gives the full-circle sum of squared distances for every span at
-once:
+Span risks are computed in closed form, in the lag domain.  A full-circle
+periodogram is entrywise conjugate symmetric, so its frequency-axis DFT
+``F`` is real: ``F = hfft(half grid)``, a circular sample cross-covariance
+read straight off the half grid.  Smoothing is a circular convolution, so
+with ``K_s`` the (real, even) transfer of the symmetric span-``s`` kernel,
+Parseval's theorem gives the full-circle sum of squared distances for
+every span at once:
 
     sum_j ||pilot_j - smoothed_j||^2
-        = (1/T) sum_k (|F pilot|^2 - 2 K_s Re<F pilot, F own> + K_s^2 |F own|^2)_k,
+        = (1/T) sum_k (<F pilot, F pilot> - 2 K_s <F pilot, F own> + K_s^2 <F own, F own>)_k,
 
-with each term summed over the matrix entries.  This is the lag-window
-duality of Blackman and Tukey: ``F`` of a full-circle periodogram is a
-circular sample cross-covariance, and smoothing tapers it by ``K_s``.
+with each inner product taken over the matrix entries at lag ``k``.  This
+is the lag-window duality of Blackman and Tukey: smoothing tapers the
+cross-covariance by ``K_s``.  The transform is linear, so with ``F_total``
+the transform of the trial sum the pilot's transform is
+``(F_total - F own) / (N - 1)``: one transform per trial and one of the
+sum give every term from the per-lag products ``<F_total, F own>`` and
+``<F own, F own>``.  Entry ``(q, p)`` of ``F`` is entry ``(p, q)``
+reversed in lag and ``K_s`` is even, so the sums over entries run over the
+upper triangle with off-diagonal entries counted twice.
+
 Both the pilot and the smoothed trial are conjugate symmetric, so the
 full circle counts every half-grid frequency twice except omega = 0 and,
 for even T, omega = pi.  The half-grid risk therefore adds those endpoint
-terms, each a kernel-weighted sum over at most ``span`` neighbours, to the
-full-circle sum and halves it.
+terms, each a kernel-weighted sum over at most ``span`` neighbours read
+from the half grid by reflection, to the full-circle sum and halves it.
 """
 
 from dataclasses import dataclass
@@ -41,7 +50,8 @@ from .errors import DomainError, InsufficientDataError
 from .periodogram import PeriodogramSet, periodograms_for
 from .timeseries import MultiTrialSeries
 
-#: Largest span ever chosen automatically.
+#: Smallest and largest spans ever chosen automatically.
+MIN_AUTO_SPAN = 3
 MAX_AUTO_SPAN = 63
 
 
@@ -61,15 +71,16 @@ def validate_span_grid(span_grid) -> tuple[int, ...]:
 
 
 def default_span_grid(n_samples: int) -> tuple[int, ...]:
-    """Odd spans 3, 5, ... up to ``min(n_samples/4 rounded down to odd, 63)``."""
+    """Odd spans from ``MIN_AUTO_SPAN`` up to ``min(n_samples/4 rounded down to odd,
+    MAX_AUTO_SPAN)``."""
     top = min(n_samples // 4, MAX_AUTO_SPAN)
     if top % 2 == 0:
         top -= 1
-    if top < 3:
+    if top < MIN_AUTO_SPAN:
         raise InsufficientDataError(
             f"record length {n_samples} is too short for automatic span selection; "
             "pass an explicit span_grid or fixed_span")
-    return tuple(range(3, top + 1, 2))
+    return tuple(range(MIN_AUTO_SPAN, top + 1, 2))
 
 
 def hann_weights(span: int) -> np.ndarray:
@@ -145,49 +156,68 @@ def _span_kernels(grid: tuple[int, ...], n_samples: int) -> tuple[np.ndarray, np
     return transfers, weights
 
 
-def span_risks(periodograms: PeriodogramSet, trial: int, span_grid) -> np.ndarray:
-    """Unbiased-risk curve for one trial over the candidate spans.
+def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
+    """Unbiased-risk curves of every trial over the candidate spans, ``(n_trials, n_spans)``.
 
-    The risk of a span is ``(2*pi/T) * sum_j ||pilot(w_j) - smoothed(w_j)||^2``
-    over the half grid, where the pilot is the mean periodogram of all other
-    trials and the smoothed term is this trial's periodogram smoothed with
-    that span.  All spans are scored from one FFT of the trial and of its
-    pilot (see the module docstring).
+    The risk of a span for trial ``n`` is
+    ``(2*pi/T) * sum_j ||pilot_n(w_j) - smoothed_n(w_j)||^2`` over the half
+    grid, where the pilot is the mean periodogram of all other trials and
+    the smoothed term is trial ``n``'s periodogram smoothed with that span.
+    One lag-domain transform per trial, plus one of the trial sum, scores
+    every span of every trial (see the module docstring); trials are
+    streamed one at a time.
     """
     grid = validate_span_grid(span_grid)
+    n_trials = periodograms.n_trials
+    if n_trials < 2:
+        raise InsufficientDataError(
+            "span selection needs at least two trials for its leave-one-out pilot; "
+            "set fixed_span to smooth a single trial")
     n_samples = periodograms.grid.n_samples
+    n_half, n_channels = periodograms.per_trial.shape[1], periodograms.per_trial.shape[-1]
     transfers, weights = _span_kernels(grid, n_samples)
-    pilot = periodograms.leave_one_out_mean(trial)
-    own = periodograms.per_trial[trial]
-    n_channels = own.shape[-1]
-    own_full = extend_full_circle(own, n_samples)
-    pilot_full = extend_full_circle(pilot, n_samples)
-    f_own = np.fft.fft(own_full, axis=0).reshape(n_samples, -1)
-    f_pilot = np.fft.fft(pilot_full, axis=0).reshape(n_samples, -1)
-    pilot_sq = np.sum(f_pilot.real ** 2 + f_pilot.imag ** 2)
-    cross = np.sum(f_pilot.real * f_own.real + f_pilot.imag * f_own.imag, axis=1)
-    own_sq = np.sum(f_own.real ** 2 + f_own.imag ** 2, axis=1)
-    # Cancellation can round this sum of squares just below zero.
-    full_circle = np.maximum(
-        (pilot_sq - 2.0 * (transfers @ cross) + (transfers ** 2) @ own_sq) / n_samples, 0.0)
+    transfers_sq = transfers ** 2
+
+    # Entry (q, p) of a lagged covariance is entry (p, q) reversed in lag and
+    # every transfer is even in lag, so the upper triangle, with off-diagonal
+    # entries scaled by sqrt(2), gives every sum over entries.
+    rows, cols = np.triu_indices(n_channels)
+    upper = rows * n_channels + cols
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+
+    def lagged(matrices):
+        return np.fft.hfft(matrices.reshape(n_half, -1)[:, upper] * scale, n=n_samples, axis=0)
+
+    total = periodograms.mean.matrices * n_trials
+    f_total = lagged(total)
+    total_sq = np.einsum("ke,ke->", f_total, f_total)
 
     # The full circle holds every half-grid frequency twice except omega = 0
-    # and, for even T, omega = pi; add those once more and halve.
+    # and, for even T, omega = pi; add those once more.  There the pilot and
+    # the smoothed trial are real (the kernel is symmetric and each reflected
+    # entry is a conjugate), so the windows read only the real half grid.
     half = (weights.shape[1] - 1) // 2
-    offsets = np.arange(-half, half + 1)
-    endpoints = [0, n_samples // 2] if n_samples % 2 == 0 else [0]
-    for j in endpoints:
-        window = own_full[(j + offsets) % n_samples].reshape(len(offsets), -1)
-        diff = pilot_full[j].reshape(1, -1) - weights @ window
-        full_circle += np.sum(diff.real ** 2 + diff.imag ** 2, axis=1)
-    return (np.pi / n_samples) * full_circle / n_channels
+    endpoints = np.array([0, n_samples // 2] if n_samples % 2 == 0 else [0])
+    circle = (endpoints[:, None] + np.arange(-half, half + 1)) % n_samples
+    window_rows = np.minimum(circle, n_samples - circle)
 
-
-def select_span(periodograms: PeriodogramSet, trial: int, span_grid) -> int:
-    """The risk-minimizing span for one trial; ties go to the smaller span."""
-    grid = validate_span_grid(span_grid)
-    risks = span_risks(periodograms, trial, grid)
-    return int(grid[int(np.argmin(risks))])
+    risks = np.empty((n_trials, len(grid)))
+    for n in range(n_trials):
+        own = periodograms.per_trial[n]
+        f_own = lagged(own)
+        own_total = np.einsum("ke,ke->k", f_own, f_total)
+        own_sq = np.einsum("ke,ke->k", f_own, f_own)
+        # The pilot's transform is (f_total - f_own) / (N - 1).
+        cross = (own_total - own_sq) / (n_trials - 1)
+        pilot_sq = (total_sq - 2.0 * own_total.sum() + own_sq.sum()) / (n_trials - 1) ** 2
+        # Cancellation can round this sum of squares just below zero.
+        risks[n] = np.maximum(
+            (pilot_sq - 2.0 * (transfers @ cross) + transfers_sq @ own_sq) / n_samples, 0.0)
+        window = own.real[window_rows].reshape(*window_rows.shape, -1)
+        pilot = (total.real[endpoints] - own.real[endpoints]) / (n_trials - 1)
+        diff = pilot.reshape(len(endpoints), 1, -1) - weights @ window
+        risks[n] += np.einsum("ise,ise->s", diff, diff)
+    return (np.pi / n_samples) * risks / n_channels
 
 
 def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int | None = None,
@@ -219,12 +249,9 @@ def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int
     if fixed_span is not None:
         spans = [fixed_span] * series.n_trials
     else:
-        if series.n_trials < 2:
-            raise InsufficientDataError(
-                "span selection needs at least two trials for its leave-one-out pilot; "
-                "set fixed_span to smooth a single trial")
         grid = span_grid if span_grid is not None else default_span_grid(n_samples)
-        spans = [select_span(pgrams, n, grid) for n in range(series.n_trials)]
+        # argmin takes the first minimum, so ties go to the smaller span.
+        spans = [grid[i] for i in np.argmin(span_risks(pgrams, grid), axis=1)]
     # Smoothing is linear: smooth each group of trials sharing a span once.
     total = np.zeros(pgrams.per_trial.shape[1:], dtype=complex)
     for span in sorted(set(spans)):

@@ -31,7 +31,6 @@ from specshrink import (
     multitaper_estimator,
     partial_coherence,
     read_trials,
-    select_span,
     select_taper_count,
     select_var_order,
     shrinkage_pipeline,
@@ -256,9 +255,10 @@ def test_criterion_6_risk_selection_behavior(acceptance_log):
                                   sampling_rate=1.0)
         pgrams = compute_periodograms(series)
         grid = (3, 5, 7, 9, 11, 13, 15)
+        _, smoothing = smoothed_estimator(series, span_grid=grid, periodograms=pgrams)
         for trial in range(series.n_trials):
-            risks = span_risks(pgrams, trial, grid)
-            argmin_ok &= select_span(pgrams, trial, grid) == grid[int(np.argmin(risks))]
+            risks = span_risks(pgrams, grid)[trial]
+            argmin_ok &= smoothing.selected_spans[trial] == grid[int(np.argmin(risks))]
         tapers = select_taper_count(series)
         for trial in range(series.n_trials):
             chosen = tapers.per_trial[trial]

@@ -1,5 +1,6 @@
 """Binary/CSV file formats, run configuration, and the command-line interface."""
 
+import inspect
 import struct
 import time
 
@@ -14,6 +15,7 @@ from specshrink import (
     MultiTrialSeries,
     PipelineOptions,
     SimulationConfig,
+    default_span_grid,
     monte_carlo_compare,
     read_config,
     read_trials,
@@ -253,8 +255,12 @@ def test_parser_defaults_are_the_dataclass_defaults():
         assert getattr(simulate, dest) == getattr(sim, field), dest
     compare = parser.parse_args(["compare"])
     assert (compare.trials, compare.samples) == (sim.n_trials, sim.n_samples)
+    harness = inspect.signature(monte_carlo_compare).parameters
+    assert compare.reps == harness["reps"].default
+    assert tuple(compare.estimators.split(",")) == harness["estimators"].default
     options = PipelineOptions()
     assert (RunConfig().window, RunConfig().max_order) == (options.window, options.max_order)
+    assert RunConfig().span_min == default_span_grid(sim.n_samples)[0]
 
 
 def test_cli_estimate_shrinkage_outputs(tmp_path):

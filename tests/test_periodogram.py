@@ -1,5 +1,7 @@
 """Periodogram conventions: scaling, symmetry, and trial averaging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,21 @@ def test_mean_and_leave_one_out():
     single = compute_periodograms(MultiTrialSeries(series.values[:1]))
     with pytest.raises(DimensionError):
         single.leave_one_out_mean(0)
+
+
+def test_periodograms_fill_one_array_trial_by_trial():
+    rng = np.random.default_rng(6)
+    series = MultiTrialSeries(rng.standard_normal((40, 6, 128)))
+    tracemalloc.start()
+    try:
+        pgrams = compute_periodograms(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pgrams.per_trial.nbytes, (peak, pgrams.per_trial.nbytes)
+    for n in range(series.n_trials):
+        np.testing.assert_array_equal(pgrams.per_trial[n],
+                                      raw_periodogram(series.values[n], pgrams.grid))
 
 
 def test_trial_dft_shape_check():

@@ -1,6 +1,7 @@
 """Hann-kernel smoothing and leave-one-out span selection."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,12 @@ from specshrink import (
     extend_full_circle,
     hann_weights,
     hs_norm_sq,
-    select_span,
     simulate_var,
     smooth_periodogram,
     smoothed_estimator,
     span_risks,
 )
-from specshrink.smoothing import validate_span_grid
+from specshrink.smoothing import _span_kernels, validate_span_grid
 
 
 def test_hann_weights_span3():
@@ -126,11 +126,46 @@ def test_select_span_is_exhaustive_argmin():
     series = MultiTrialSeries(rng.standard_normal((4, 2, 64)))
     pgrams = compute_periodograms(series)
     grid = (3, 5, 9, 15)
+    _, config = smoothed_estimator(series, span_grid=grid, periodograms=pgrams)
+    every = span_risks(pgrams, grid)
     for trial in range(4):
-        risks = span_risks(pgrams, trial, grid)
-        assert select_span(pgrams, trial, grid) == grid[int(np.argmin(risks))]
+        risks = every[trial]
+        assert config.selected_spans[trial] == grid[int(np.argmin(risks))]
         assert risks.shape == (4,)
         assert np.all(risks >= 0)
+
+
+def per_trial_span_risks(pgrams, trial, span_grid):
+    """Test-only reference: one trial's risks from full-circle FFTs of it and its pilot."""
+    grid = validate_span_grid(span_grid)
+    n_samples = pgrams.grid.n_samples
+    transfers, weights = _span_kernels(grid, n_samples)
+    pilot = pgrams.leave_one_out_mean(trial)
+    own = pgrams.per_trial[trial]
+    n_channels = own.shape[-1]
+    own_full = extend_full_circle(own, n_samples)
+    pilot_full = extend_full_circle(pilot, n_samples)
+    f_own = np.fft.fft(own_full, axis=0).reshape(n_samples, -1)
+    f_pilot = np.fft.fft(pilot_full, axis=0).reshape(n_samples, -1)
+    pilot_sq = np.sum(f_pilot.real ** 2 + f_pilot.imag ** 2)
+    cross = np.sum(f_pilot.real * f_own.real + f_pilot.imag * f_own.imag, axis=1)
+    own_sq = np.sum(f_own.real ** 2 + f_own.imag ** 2, axis=1)
+    full_circle = np.maximum(
+        (pilot_sq - 2.0 * (transfers @ cross) + (transfers ** 2) @ own_sq) / n_samples, 0.0)
+    half = (weights.shape[1] - 1) // 2
+    offsets = np.arange(-half, half + 1)
+    endpoints = [0, n_samples // 2] if n_samples % 2 == 0 else [0]
+    for j in endpoints:
+        window = own_full[(j + offsets) % n_samples].reshape(len(offsets), -1)
+        diff = pilot_full[j].reshape(1, -1) - weights @ window
+        full_circle += np.sum(diff.real ** 2 + diff.imag ** 2, axis=1)
+    return (np.pi / n_samples) * full_circle / n_channels
+
+
+def per_trial_select_span(pgrams, trial, span_grid):
+    """Test-only reference: the smallest span minimizing :func:`per_trial_span_risks`."""
+    grid = validate_span_grid(span_grid)
+    return int(grid[int(np.argmin(per_trial_span_risks(pgrams, trial, grid)))])
 
 
 def direct_span_risks(pgrams, trial, span_grid):
@@ -145,31 +180,59 @@ def direct_span_risks(pgrams, trial, span_grid):
 
 
 def test_span_risk_matches_direct_computation():
-    # even and odd T, P in {1, 3}, N in {2, 4}; grids with span 1 and the
-    # largest odd span below T
+    # every trial's row against the per-trial FFT oracle and the direct sum:
+    # even and odd T, P in {1, 3}, N in {2, 4}; a one-span grid, grids with
+    # span 1, the default grid and one reaching the largest odd span below T
     for n_samples, n_channels, n_trials in itertools.product((32, 33), (1, 3), (2, 4)):
         rng = np.random.default_rng((5, n_samples, n_channels, n_trials))
         pgrams = compute_periodograms(
             MultiTrialSeries(rng.standard_normal((n_trials, n_channels, n_samples))))
         largest = n_samples - 1 if n_samples % 2 == 0 else n_samples - 2
-        for grid in [(1, 3, 7), (3, 5, 9, 15), tuple(range(1, largest + 1, 2))]:
+        for grid in [(5,), (1, 3, 7), (3, 5, 9, 15), default_span_grid(n_samples),
+                     tuple(range(1, largest + 1, 2))]:
+            risks = span_risks(pgrams, grid)
+            assert risks.shape == (n_trials, len(grid))
             for trial in range(n_trials):
                 case = f"T={n_samples} P={n_channels} N={n_trials} grid={grid} trial={trial}"
-                risks = span_risks(pgrams, trial, grid)
+                oracle = per_trial_span_risks(pgrams, trial, grid)
                 direct = direct_span_risks(pgrams, trial, grid)
-                np.testing.assert_allclose(risks, direct, rtol=1e-12, atol=0, err_msg=case)
-                assert np.argmin(risks) == np.argmin(direct), case
+                np.testing.assert_allclose(risks[trial], oracle, rtol=1e-12, atol=0,
+                                           err_msg=case)
+                np.testing.assert_allclose(risks[trial], direct, rtol=1e-12, atol=0,
+                                           err_msg=case)
+                chosen = grid[int(np.argmin(risks[trial]))]
+                assert chosen == per_trial_select_span(pgrams, trial, grid), case
+                assert chosen == grid[int(np.argmin(direct))], case
+
+
+def test_span_risks_stream_over_trials():
+    # Guards against a rewrite that holds every trial's transform at once:
+    # the peak must not grow with the trial count at fixed T and P.
+    rng = np.random.default_rng(10)
+    values = rng.standard_normal((40, 4, 256))
+    grid = default_span_grid(256)
+    peaks = []
+    for n_trials in (10, 40):
+        pgrams = compute_periodograms(MultiTrialSeries(values[:n_trials]))
+        span_risks(pgrams, grid)
+        tracemalloc.start()
+        try:
+            span_risks(pgrams, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_span_risk_rejects_span_that_fills_the_circle():
     rng = np.random.default_rng(9)
     pgrams = compute_periodograms(MultiTrialSeries(rng.standard_normal((3, 2, 32))))
     with pytest.raises(DomainError):
-        span_risks(pgrams, 0, (3, 33))
+        span_risks(pgrams, (3, 33))
     with pytest.raises(DomainError):
-        span_risks(pgrams, 0, (1, 5, 35))
+        span_risks(pgrams, (1, 5, 35))
     with pytest.raises(DomainError):
-        select_span(pgrams, 1, (33,))
+        smoothed_estimator(MultiTrialSeries(rng.standard_normal((3, 2, 32))), span_grid=(33,))
 
 
 def test_white_noise_selects_wider_spans_than_peaked_ar2():
@@ -184,8 +247,8 @@ def test_white_noise_selects_wider_spans_than_peaked_ar2():
                            for n in range(6)])
         peaked = MultiTrialSeries(trials)
         pg_w, pg_p = compute_periodograms(white), compute_periodograms(peaked)
-        white_spans += [select_span(pg_w, n, grid) for n in range(6)]
-        peaked_spans += [select_span(pg_p, n, grid) for n in range(6)]
+        white_spans += [grid[i] for i in np.argmin(span_risks(pg_w, grid), axis=1)]
+        peaked_spans += [grid[i] for i in np.argmin(span_risks(pg_p, grid), axis=1)]
     assert np.median(white_spans) >= np.median(peaked_spans)
     assert np.mean(white_spans) > np.mean(peaked_spans)
 
@@ -207,7 +270,7 @@ def test_smoothed_estimator_selected_spans_match_select_span():
     grid = (3, 7, 13)
     estimate, config = smoothed_estimator(series, span_grid=grid)
     pgrams = compute_periodograms(series)
-    expected = tuple(select_span(pgrams, n, grid) for n in range(4))
+    expected = tuple(per_trial_select_span(pgrams, n, grid) for n in range(4))
     assert config.selected_spans == expected
     assert estimate.validate().ok
 
