@@ -12,6 +12,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import io as sio
 from .connectivity import (apply_fdr, band_average, band_mask, check_band, check_fdr_level,
                            jackknife_band_stats, pairwise_tests, partial_coherence)
@@ -226,36 +228,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _spectra_rows(estimate, labels):
-    hertz = estimate.grid.hertz
-    for j in range(estimate.grid.n_frequencies):
-        for p, label in enumerate(labels):
-            yield hertz[j], label, estimate.matrices[j, p, p].real
+def _spectra_columns(estimate, labels):
+    """Frequency, channel and auto-spectrum columns, one row per frequency and channel."""
+    n_freq, labels = estimate.grid.n_frequencies, list(labels)
+    return (np.repeat(estimate.grid.hertz, len(labels)), labels * n_freq,
+            np.diagonal(estimate.matrices, axis1=1, axis2=2).real.ravel())
 
 
-def _cross_rows(estimate, labels):
-    hertz = estimate.grid.hertz
-    for j in range(estimate.grid.n_frequencies):
-        for p in range(len(labels)):
-            for q in range(p + 1, len(labels)):
-                cell = estimate.matrices[j, p, q]
-                yield hertz[j], labels[p], labels[q], cell.real, cell.imag
+def _cross_columns(estimate, labels):
+    """Frequency, channel pair and cross-spectrum columns, one row per frequency and pair
+    ``p < q``."""
+    n_freq = estimate.grid.n_frequencies
+    rows, cols = np.triu_indices(len(labels), 1)
+    cells = estimate.matrices[:, rows, cols].ravel()
+    return (np.repeat(estimate.grid.hertz, rows.size), [labels[p] for p in rows] * n_freq,
+            [labels[q] for q in cols] * n_freq, cells.real, cells.imag)
 
 
 def _write_estimate(config: sio.RunConfig, labels, estimate, record):
     """Write an estimate's CSVs, its weight curves if it has them, and its fit report."""
     sio.write_csv(_out_path(config, "spectra.csv"),
-                  ("frequency_hz", "channel", "value"), _spectra_rows(estimate, labels))
+                  ("frequency_hz", "channel", "value"), _spectra_columns(estimate, labels))
     sio.write_csv(_out_path(config, "cross_spectra.csv"),
                   ("frequency_hz", "channel_a", "channel_b", "real", "imag"),
-                  _cross_rows(estimate, labels))
+                  _cross_columns(estimate, labels))
     choices = dict(record)
     diag = choices.pop("weights", None)
     if diag is not None:
-        rows = zip(estimate.grid.hertz, diag.param_risk, diag.nonparam_risk,
-                   diag.separation, diag.weight_raw, diag.weight)
         sio.write_csv(_out_path(config, "weights.csv"),
-                      ("frequency_hz", "alpha2", "beta2", "delta2", "w_raw", "w"), rows)
+                      ("frequency_hz", "alpha2", "beta2", "delta2", "w_raw", "w"),
+                      (estimate.grid.hertz, diag.param_risk, diag.nonparam_risk,
+                       diag.separation, diag.weight_raw, diag.weight))
     if choices:
         lines = [f"{key} = " + (",".join(str(v) for v in value)
                                 if isinstance(value, tuple) else str(value))
@@ -277,10 +280,10 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _matrix_rows(matrix, labels):
-    for a in range(len(labels)):
-        for b in range(len(labels)):
-            yield labels[a], labels[b], matrix[a, b]
+def _matrix_columns(matrix, labels):
+    """Row label, column label and value columns of a square matrix, row by row."""
+    return ([a for a in labels for _ in labels], list(labels) * len(labels),
+            np.asarray(matrix).ravel())
 
 
 def cmd_connectivity(args) -> int:
@@ -312,7 +315,7 @@ def cmd_connectivity(args) -> int:
             stem = f"pcoh_{name}.csv" if len(conditions) == 1 else f"pcoh_{name}_{suffix}.csv"
             sio.write_csv(_out_path(config, stem),
                           ("channel_a", "channel_b", "value"),
-                          _matrix_rows(banded.values, labels))
+                          _matrix_columns(banded.values, labels))
 
     if len(conditions) == 2:
         all_tests = []
@@ -321,13 +324,12 @@ def cmd_connectivity(args) -> int:
                      for series in conditions]
             all_tests.extend((name, test) for test in pairwise_tests(*stats))
         corrected = apply_fdr([test for _, test in all_tests], q=config.fdr_q)
-        rows = [(f"{labels[test.channel_a]}-{labels[test.channel_b]}", band_name,
-                 test.z_left, test.z_right, test.se_left, test.se_right,
-                 test.t, test.p, test.rejected)
-                for (band_name, _), test in zip(all_tests, corrected)]
-        sio.write_csv(_out_path(config, "tests.csv"),
-                      ("pair", "band", "z_left", "z_right", "se_left", "se_right",
-                       "t", "p", "rejected"), rows)
+        fields = ("z_left", "z_right", "se_left", "se_right", "t", "p", "rejected")
+        sio.write_csv(_out_path(config, "tests.csv"), ("pair", "band", *fields),
+                      ([f"{labels[test.channel_a]}-{labels[test.channel_b]}"
+                        for test in corrected],
+                       [band_name for band_name, _ in all_tests],
+                       *([getattr(test, field) for test in corrected] for field in fields)))
         n_rejected = sum(test.rejected for test in corrected)
         print(f"{len(corrected)} tests across {len(config.bands)} bands, "
               f"{n_rejected} rejected at q={config.fdr_q} -> {config.out_dir}")
@@ -356,15 +358,12 @@ def cmd_compare(args) -> int:
     names = result.estimator_names
     for filename, curves in (("mse_spectral.csv", result.spectral_mse),
                              ("mse_pcoh.csv", result.pcoh_mse)):
-        rows = ((hertz[j], *(curves[name][j] for name in names))
-                for j in range(result.grid.n_frequencies))
-        sio.write_csv(_out_path(config, filename), ("frequency_hz", *names), rows)
+        sio.write_csv(_out_path(config, filename), ("frequency_hz", *names),
+                      (hertz, *(curves[name] for name in names)))
     weight_names = tuple(result.mean_weight)
     if weight_names:
-        rows = ((hertz[j], *(result.mean_weight[name][j] for name in weight_names))
-                for j in range(result.grid.n_frequencies))
-        sio.write_csv(_out_path(config, "mean_weight.csv"),
-                      ("frequency_hz", *weight_names), rows)
+        sio.write_csv(_out_path(config, "mean_weight.csv"), ("frequency_hz", *weight_names),
+                      (hertz, *(result.mean_weight[name] for name in weight_names)))
     print(f"{result.n_reps} replicates, estimators: {', '.join(names)} -> {config.out_dir}")
     return 0
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DimensionError, DomainError
 from .shrinkage import DEFAULT_WINDOW, PipelineOptions
 from .smoothing import MIN_AUTO_SPAN
 from .timeseries import MultiTrialSeries
@@ -187,10 +187,29 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """Write a CSV file atomically with the package's fixed formatting."""
+def format_column(values) -> list[str]:
+    """:func:`format_value` of every cell of a column.  A float array is
+    formatted in one pass over its ``tolist()``, by the same rule."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            return [f"{v:.12g}" for v in values.tolist()]
+        values = values.tolist()
+    return [format_value(v) for v in values]
+
+
+def write_csv(path, header, columns):
+    """Write a CSV file atomically with the package's fixed formatting.
+
+    ``columns`` holds one sequence of cells per header field, all of one
+    length; each is formatted by :func:`format_column`.
+    """
+    cells = [format_column(column) for column in columns]
+    if len(cells) != len(header) or len({len(column) for column in cells}) > 1:
+        raise DimensionError(
+            f"{len(header)} header fields need as many columns of one length, got "
+            f"lengths {[len(column) for column in cells]}")
     lines = [",".join(header)]
-    lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
+    lines.extend(map(",".join, zip(*cells)))
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 

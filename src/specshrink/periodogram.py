@@ -1,4 +1,4 @@
-"""Raw and trial-averaged periodogram matrices.
+"""Per-trial DFTs, their periodogram matrices, and the trial-averaged mean.
 
 Conventions
 -----------
@@ -14,6 +14,16 @@ evaluated on the half grid ``omega_j = 2*pi*j/T``, ``j = 0 .. floor(T/2)``.
 With this scaling the periodogram of unit-variance white noise has expected
 level ``1/(2*pi)`` per channel, and summing a channel's periodogram over the
 full circle and multiplying by ``2*pi/T`` recovers its average squared value.
+
+Storage
+-------
+Every periodogram matrix is the rank-one product of a DFT vector, so
+:class:`PeriodogramSet` keeps the ``(N, P, T//2 + 1)`` DFTs, N*P*(T/2+1)
+complex values, instead of the N*(T/2+1)*P**2 values of the matrices, and
+a pass that reads one trial's matrices builds them with
+:meth:`PeriodogramSet.trial`.  Sums over trials, the mean and the
+smoothing's span groups, are one batched product ``D D^* / T`` per
+frequency of the summed trials' DFTs.
 """
 
 from dataclasses import dataclass
@@ -23,6 +33,10 @@ import numpy as np
 from .core import FrequencyGrid, SpectralEstimate
 from .errors import DimensionError
 from .timeseries import MultiTrialSeries
+
+#: DFT values per batched product in :func:`periodogram_sum`: its conjugated
+#: copy of the DFTs is about 128 kB, or one frequency's DFTs if those are more.
+SUM_BLOCK_VALUES = 2 ** 13
 
 
 def trial_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -36,9 +50,21 @@ def trial_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     if values.ndim != 2 or values.shape[1] != grid.n_samples:
         raise DimensionError(
             f"expected (n_channels, {grid.n_samples}) trial block, got {values.shape}")
-    coefs = np.fft.rfft(values, axis=1)
-    phase = np.exp(-1j * grid.omegas)
-    return coefs * phase / np.sqrt(2.0 * np.pi)
+    return _half_grid_dft(values, grid)
+
+
+def _half_grid_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """:func:`trial_dft` along the last axis of ``values``, any leading axes, with no
+    temporary of the result's size; each row is bit-identical to its own transform."""
+    coefs = np.fft.rfft(values, axis=-1)
+    coefs *= np.exp(-1j * grid.omegas)
+    coefs /= np.sqrt(2.0 * np.pi)
+    return coefs
+
+
+def _outer(d: np.ndarray, n_samples: int) -> np.ndarray:
+    """Periodogram matrices ``d d^* / T`` of one trial's DFT ``d``, ``(n_freq, P, P)``."""
+    return np.einsum("pj,qj->jpq", d, np.conj(d)) / n_samples
 
 
 def raw_periodogram(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -47,51 +73,81 @@ def raw_periodogram(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     Each matrix is Hermitian positive semidefinite of rank one by
     construction.
     """
-    d = trial_dft(values, grid)
-    return np.einsum("pj,qj->jpq", d, np.conj(d)) / grid.n_samples
+    return _outer(trial_dft(values, grid), grid.n_samples)
+
+
+def periodogram_sum(dfts: np.ndarray, n_samples: int) -> np.ndarray:
+    """Sum of the periodogram matrices of the ``(n, P, n_freq)`` trial DFTs ``dfts``,
+    shape ``(n_freq, P, P)``.
+
+    At each frequency the sum is one matrix product ``D D^* / T`` of the
+    ``(P, n)`` DFTs, taken over blocks of frequencies that hold about
+    :data:`SUM_BLOCK_VALUES` DFT values.  The result is replaced by its
+    Hermitian part, so it is exactly Hermitian.
+    """
+    n_trials, n_channels, n_freq = dfts.shape
+    total = np.empty((n_freq, n_channels, n_channels), dtype=complex)
+    step = max(SUM_BLOCK_VALUES // (n_trials * n_channels), 1)
+    for start in range(0, n_freq, step):
+        block = dfts[:, :, start:start + step].transpose(2, 1, 0)
+        out = total[start:start + step]
+        np.matmul(block, np.conj(block).transpose(0, 2, 1), out=out)
+        out += np.conj(out.transpose(0, 2, 1))
+    total /= 2.0 * n_samples
+    return total
 
 
 @dataclass(frozen=True)
 class PeriodogramSet:
-    """Per-trial periodogram matrices plus their across-trial mean.
+    """Every trial's half-grid DFT plus the across-trial mean periodogram.
+
+    The matrices of one trial are the rank-one products of its DFT, so they
+    are not stored: :meth:`trial` builds them, and :func:`periodogram_sum`
+    sums any group of trials.  The set holds N*P*(T//2+1) complex values
+    for the DFTs plus (T//2+1)*P**2 for the mean, P times fewer than the
+    N*(T//2+1)*P**2 of every trial's matrices.
 
     Attributes
     ----------
     grid : FrequencyGrid
-    per_trial : ndarray
-        Shape ``(n_trials, n_frequencies, P, P)``.
+    dfts : ndarray
+        Shape ``(n_trials, P, n_frequencies)``, each trial scaled as
+        :func:`trial_dft` scales it.
     mean : SpectralEstimate
-        The entrywise average over trials, tagged ``"raw_mean"``.
+        The average of the trials' periodogram matrices, exactly Hermitian,
+        tagged ``"raw_mean"``.
     """
 
     grid: FrequencyGrid
-    per_trial: np.ndarray
+    dfts: np.ndarray
     mean: SpectralEstimate
 
     @property
     def n_trials(self) -> int:
-        return self.per_trial.shape[0]
+        return self.dfts.shape[0]
+
+    def trial(self, trial: int) -> np.ndarray:
+        """Periodogram matrices of one trial, ``(n_frequencies, P, P)``, equal bit for bit to
+        :func:`raw_periodogram` of that trial's values."""
+        if not 0 <= trial < self.n_trials:
+            raise DimensionError(f"trial index {trial} out of range [0, {self.n_trials})")
+        return _outer(self.dfts[trial], self.grid.n_samples)
 
     def leave_one_out_mean(self, trial: int) -> np.ndarray:
         """Mean periodogram of all trials except ``trial``; needs >= 2 trials."""
         n = self.n_trials
         if n < 2:
             raise DimensionError("leave-one-out mean needs at least two trials")
-        if not 0 <= trial < n:
-            raise DimensionError(f"trial index {trial} out of range [0, {n})")
-        total = self.mean.matrices * n
-        return (total - self.per_trial[trial]) / (n - 1)
+        return (self.mean.matrices * n - self.trial(trial)) / (n - 1)
 
 
 def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:
-    """Periodogram matrices for every trial of ``series``, plus their mean."""
+    """The DFT of every trial of ``series``, plus the mean periodogram."""
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
-    per_trial = np.empty((series.n_trials, grid.n_frequencies, series.n_channels,
-                          series.n_channels), dtype=complex)
-    for n in range(series.n_trials):
-        per_trial[n] = raw_periodogram(series.values[n], grid)
-    mean = SpectralEstimate(grid, per_trial.mean(axis=0), tag="raw_mean")
-    return PeriodogramSet(grid=grid, per_trial=per_trial, mean=mean)
+    dfts = _half_grid_dft(series.values, grid)
+    mean = periodogram_sum(dfts, grid.n_samples)
+    mean /= series.n_trials
+    return PeriodogramSet(grid=grid, dfts=dfts, mean=SpectralEstimate(grid, mean, tag="raw_mean"))
 
 
 def periodograms_for(series: MultiTrialSeries, periodograms: PeriodogramSet | None = None):

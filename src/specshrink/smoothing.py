@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import SpectralEstimate, check_count, check_grid, extend_full_circle, symmetrize
 from .errors import DomainError, InsufficientDataError
-from .periodogram import PeriodogramSet, periodograms_for
+from .periodogram import PeriodogramSet, periodogram_sum, periodograms_for
 from .timeseries import MultiTrialSeries
 
 #: Smallest and largest spans ever chosen automatically.
@@ -174,23 +174,19 @@ def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
             "span selection needs at least two trials for its leave-one-out pilot; "
             "set fixed_span to smooth a single trial")
     n_samples = periodograms.grid.n_samples
-    n_half, n_channels = periodograms.per_trial.shape[1], periodograms.per_trial.shape[-1]
+    n_channels = periodograms.dfts.shape[1]
     transfers, weights = _span_kernels(grid, n_samples)
     transfers_sq = transfers ** 2
 
     # Entry (q, p) of a lagged covariance is entry (p, q) reversed in lag and
     # every transfer is even in lag, so the upper triangle, with off-diagonal
-    # entries scaled by sqrt(2), gives every sum over entries.
+    # entries scaled by sqrt(2), gives every sum over entries.  A trial's
+    # triangle is built straight from its DFT ``d``, one row per entry.
     rows, cols = np.triu_indices(n_channels)
-    upper = rows * n_channels + cols
-    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
-
-    def lagged(matrices):
-        return np.fft.hfft(matrices.reshape(n_half, -1)[:, upper] * scale, n=n_samples, axis=0)
-
-    total = periodograms.mean.matrices * n_trials
-    f_total = lagged(total)
-    total_sq = np.einsum("ke,ke->", f_total, f_total)
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))[:, None]
+    total = (periodograms.mean.matrices * n_trials)[:, rows, cols].T * scale
+    f_total = np.fft.hfft(total, n=n_samples, axis=-1)
+    total_sq = np.einsum("ek,ek->", f_total, f_total)
 
     # The full circle holds every half-grid frequency twice except omega = 0
     # and, for even T, omega = pi; add those once more.  There the pilot and
@@ -202,21 +198,20 @@ def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
     window_rows = np.minimum(circle, n_samples - circle)
 
     risks = np.empty((n_trials, len(grid)))
-    for n in range(n_trials):
-        own = periodograms.per_trial[n]
-        f_own = lagged(own)
-        own_total = np.einsum("ke,ke->k", f_own, f_total)
-        own_sq = np.einsum("ke,ke->k", f_own, f_own)
+    for n, d in enumerate(periodograms.dfts):
+        own = d[rows] * np.conj(d[cols]) / n_samples * scale
+        f_own = np.fft.hfft(own, n=n_samples, axis=-1)
+        own_total = np.einsum("ek,ek->k", f_own, f_total)
+        own_sq = np.einsum("ek,ek->k", f_own, f_own)
         # The pilot's transform is (f_total - f_own) / (N - 1).
         cross = (own_total - own_sq) / (n_trials - 1)
         pilot_sq = (total_sq - 2.0 * own_total.sum() + own_sq.sum()) / (n_trials - 1) ** 2
         # Cancellation can round this sum of squares just below zero.
         risks[n] = np.maximum(
             (pilot_sq - 2.0 * (transfers @ cross) + transfers_sq @ own_sq) / n_samples, 0.0)
-        window = own.real[window_rows].reshape(*window_rows.shape, -1)
-        pilot = (total.real[endpoints] - own.real[endpoints]) / (n_trials - 1)
-        diff = pilot.reshape(len(endpoints), 1, -1) - weights @ window
-        risks[n] += np.einsum("ise,ise->s", diff, diff)
+        pilot = (total.real[:, endpoints] - own.real[:, endpoints]) / (n_trials - 1)
+        diff = pilot[..., None] - own.real[:, window_rows] @ weights.T
+        risks[n] += np.einsum("eis,eis->s", diff, diff)
     return (np.pi / n_samples) * risks / n_channels
 
 
@@ -253,12 +248,10 @@ def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int
         # argmin takes the first minimum, so ties go to the smaller span.
         spans = [grid[i] for i in np.argmin(span_risks(pgrams, grid), axis=1)]
     # Smoothing is linear: smooth each group of trials sharing a span once.
-    total = np.zeros(pgrams.per_trial.shape[1:], dtype=complex)
+    total = np.zeros_like(pgrams.mean.matrices)
     for span in sorted(set(spans)):
-        group = np.zeros_like(total)
-        for n in range(series.n_trials):
-            if spans[n] == span:
-                group += pgrams.per_trial[n]
-        total += smooth_periodogram(group, span, n_samples)
+        members = [n for n, chosen in enumerate(spans) if chosen == span]
+        total += smooth_periodogram(periodogram_sum(pgrams.dfts[members], n_samples),
+                                    span, n_samples)
     estimate = SpectralEstimate(pgrams.grid, total / series.n_trials, tag="smoothed")
     return estimate, SmoothingConfig(span_grid, fixed_span, tuple(spans))

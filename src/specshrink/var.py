@@ -172,23 +172,36 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     eff = n_samples - order
     n_params = n_channels * order
 
-    blocks = [_regression_blocks(series.values[n], order) for n in range(n_trials)]
+    # Trials stream through two passes, so only one trial's regressor block
+    # is alive at a time; the per-trial moments are stacked for exact_sum.
     # ``regs @ regs.T`` is computed as a symmetric rank-k update, so each
     # per-trial Gram is exactly symmetric: sum its upper triangle and mirror.
     upper = np.triu_indices(n_params)
+    grams = np.empty((n_trials, upper[0].size))
+    crosses = np.empty((n_trials, n_channels, n_params))
+    for n, values in enumerate(series.values):
+        resp, regs = _regression_blocks(values, order)
+        grams[n] = (regs @ regs.T)[upper]
+        crosses[n] = resp @ regs.T
     gram = np.empty((n_params, n_params))
-    gram[upper] = exact_sum(np.stack([(regs @ regs.T)[upper] for _, regs in blocks]))
+    gram[upper] = exact_sum(grams)
     gram.T[upper] = gram[upper]
-    cross = exact_sum(np.stack([resp @ regs.T for resp, regs in blocks]))
+    cross = exact_sum(crosses)
+    del grams, crosses
 
     factor, cond = _factor_gram(gram)
     _warn_if_ill_conditioned(cond)
     coef_flat = sla.cho_solve(factor, cross.T).T  # (P, P*order)
 
-    resids = (resp - coef_flat @ regs for resp, regs in blocks)
-    # ``.copy()`` keeps this a general matrix product; ``r @ r.T`` would switch
-    # to a symmetric rank-k update and change the low bits of ``noise_cov``.
-    resid_ssp = exact_sum(np.stack([r @ r.copy().T for r in resids]))
+    resid_ssps = np.empty((n_trials, n_channels, n_channels))
+    for n, values in enumerate(series.values):
+        resp, regs = _regression_blocks(values, order)
+        r = resp - coef_flat @ regs
+        # ``.copy()`` keeps this a general matrix product; ``r @ r.T`` would
+        # switch to a symmetric rank-k update and change the low bits of
+        # ``noise_cov``.
+        resid_ssps[n] = r @ r.copy().T
+    resid_ssp = exact_sum(resid_ssps)
     noise = resid_ssp / (n_trials * eff - n_params)
     coefs = coef_flat.reshape(n_channels, order, n_channels).transpose(1, 0, 2)
     return VarModel(coefs=coefs, noise_cov=0.5 * (noise + noise.T))

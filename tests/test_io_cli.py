@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from specshrink import (
     DataFormatError,
+    DimensionError,
     DomainError,
     MultiTrialSeries,
     PipelineOptions,
@@ -23,7 +24,7 @@ from specshrink import (
     write_trials,
 )
 from specshrink.cli import build_parser, main
-from specshrink.io import RunConfig, format_value, parse_bands, write_csv
+from specshrink.io import RunConfig, format_column, format_value, parse_bands, write_csv
 
 rng = np.random.default_rng(42)
 
@@ -175,8 +176,24 @@ def test_csv_formatting(tmp_path):
     assert format_value(0.5) == "0.5"
     assert format_value(7) == "7"
     path = tmp_path / "out.csv"
-    write_csv(path, ("a", "b"), [(1.0, "x"), (2.5, "y")])
+    write_csv(path, ("a", "b"), [(1.0, 2.5), ("x", "y")])
     assert path.read_text() == "a,b\n1,x\n2.5,y\n"
+    with pytest.raises(DimensionError):
+        write_csv(path, ("a", "b"), [(1.0, 2.5), ("x",)])
+    with pytest.raises(DimensionError):
+        write_csv(path, ("a", "b"), [(1.0, 2.5)])
+
+
+def test_csv_columns_format_as_format_value_does():
+    floats = [1 / 3, 0.5, -0.0, 0.0, np.nan, np.inf, -np.inf, 1e300, -2.5e-310, 123456789012345.0]
+    columns = [np.array(floats), np.array(floats[:7], dtype=np.float32),
+               np.array([True, False]), [True, False, np.True_],
+               np.array([7, -3, 10**15]), [7, 10**15, np.int64(-3)],
+               np.array(["Cz", "O1"]), ["Cz", "O1", "a-b"], floats,
+               np.array(floats).reshape(2, 5)[:, 1], np.array(floats, dtype=complex).real]
+    for column in columns:
+        assert format_column(column) == [format_value(v) for v in column], column
+    assert format_column(np.array([-0.0, np.nan, -np.inf])) == ["-0", "nan", "-inf"]
 
 
 def test_span_grid_from_config_bounds():

@@ -13,7 +13,10 @@ from specshrink import (
     extend_full_circle,
     mean_periodogram,
 )
-from specshrink.periodogram import raw_periodogram, trial_dft
+from specshrink import periodogram
+from specshrink.periodogram import periodogram_sum, raw_periodogram, trial_dft
+
+from conftest import stacked_periodograms
 
 
 def test_dft_convention_matches_direct_sum():
@@ -89,31 +92,59 @@ def test_mean_and_leave_one_out():
     rng = np.random.default_rng(5)
     series = MultiTrialSeries(rng.standard_normal((5, 2, 32)))
     pgrams = compute_periodograms(series)
+    stack = stacked_periodograms(series)
     assert pgrams.mean.tag == "raw_mean"
-    np.testing.assert_allclose(pgrams.mean.matrices, pgrams.per_trial.mean(axis=0), atol=1e-14)
-    loo = pgrams.leave_one_out_mean(2)
-    keep = np.delete(pgrams.per_trial, 2, axis=0)
-    np.testing.assert_allclose(loo, keep.mean(axis=0), atol=1e-12)
+    mean = pgrams.mean.matrices
+    np.testing.assert_allclose(mean, stack.mean(axis=0), rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(mean, np.conj(np.swapaxes(mean, -1, -2)))
+    for n in range(series.n_trials):
+        np.testing.assert_array_equal(pgrams.trial(n), stack[n])
+        loo = pgrams.leave_one_out_mean(n)
+        np.testing.assert_allclose(loo, np.delete(stack, n, axis=0).mean(axis=0),
+                                   rtol=1e-13, atol=1e-15)
     with pytest.raises(DimensionError):
         pgrams.leave_one_out_mean(5)
+    with pytest.raises(DimensionError):
+        pgrams.trial(-1)
     single = compute_periodograms(MultiTrialSeries(series.values[:1]))
     with pytest.raises(DimensionError):
         single.leave_one_out_mean(0)
 
 
-def test_periodograms_fill_one_array_trial_by_trial():
+@pytest.mark.parametrize("block_values", [periodogram.SUM_BLOCK_VALUES, 50])
+def test_periodogram_sums_are_batched_products_of_dfts(monkeypatch, block_values):
+    # odd and even T, one channel and several, one trial and many; with 50
+    # values per block the products run over several blocks, the last one short
+    monkeypatch.setattr(periodogram, "SUM_BLOCK_VALUES", block_values)
+    for n_trials, n_channels, n_samples in [(1, 1, 9), (3, 4, 33), (7, 3, 100)]:
+        rng = np.random.default_rng((11, n_trials, n_channels, n_samples))
+        series = MultiTrialSeries(rng.standard_normal((n_trials, n_channels, n_samples)))
+        pgrams = compute_periodograms(series)
+        stack = stacked_periodograms(series)
+        assert pgrams.dfts.shape == (n_trials, n_channels, n_samples // 2 + 1)
+        for members in ([0], list(range(0, n_trials, 2)), slice(None)):
+            total = periodogram_sum(pgrams.dfts[members], n_samples)
+            np.testing.assert_allclose(total, stack[members].sum(axis=0), rtol=1e-13, atol=1e-15)
+            np.testing.assert_array_equal(total, np.conj(np.swapaxes(total, -1, -2)))
+
+
+def test_periodograms_keep_trial_dfts_not_matrices():
+    # The set holds N*P*(T/2+1) DFT values, not N*(T/2+1)*P**2 matrix entries,
+    # and computing it never holds much more than that.
     rng = np.random.default_rng(6)
-    series = MultiTrialSeries(rng.standard_normal((40, 6, 128)))
+    series = MultiTrialSeries(rng.standard_normal((40, 8, 256)))
     tracemalloc.start()
     try:
         pgrams = compute_periodograms(series)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * pgrams.per_trial.nbytes, (peak, pgrams.per_trial.nbytes)
+    assert not hasattr(pgrams, "per_trial")
+    stored = pgrams.dfts.nbytes + pgrams.mean.matrices.nbytes
+    assert stored == 16 * 129 * (40 * 8 + 8 * 8)
+    assert peak < 1.5 * stored, (peak, stored)
     for n in range(series.n_trials):
-        np.testing.assert_array_equal(pgrams.per_trial[n],
-                                      raw_periodogram(series.values[n], pgrams.grid))
+        np.testing.assert_array_equal(pgrams.dfts[n], trial_dft(series.values[n], pgrams.grid))
 
 
 def test_trial_dft_shape_check():

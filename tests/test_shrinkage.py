@@ -258,6 +258,22 @@ def test_pipeline_on_white_noise():
     assert len(result.smoothing.selected_spans) == 40
 
 
+def test_pipeline_memory_stays_below_the_per_trial_periodograms():
+    # Every trial's periodogram matrices alone would take 40 * 257 * 16**2 * 16 B = 42.1 MB;
+    # the pipeline keeps the trials' DFTs (2.6 MB) and peaks near 16 MB.
+    import tracemalloc
+
+    series = white_series(16, n_trials=40, p=16, n_samples=512)
+    tracemalloc.start()
+    try:
+        result = shrinkage_pipeline(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.estimate.validate().ok
+    assert peak < 42e6 / 2, peak
+
+
 def test_pipeline_scale_equivariance_of_weights():
     series = white_series(9, n_trials=6, n_samples=64)
     base = shrinkage_pipeline(series, PipelineOptions(max_order=2))

@@ -23,6 +23,8 @@ from specshrink import (
 )
 from specshrink.smoothing import _span_kernels, validate_span_grid
 
+from conftest import stacked_periodograms
+
 
 def test_hann_weights_span3():
     np.testing.assert_allclose(hann_weights(3), [0.25, 0.5, 0.25], atol=1e-15)
@@ -95,28 +97,28 @@ def test_smoothing_wraps_around_frequency_zero():
 def test_smoothing_conserves_full_circle_mass():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((1, 2, 64))
-    pgrams = compute_periodograms(MultiTrialSeries(x))
-    raw_full = extend_full_circle(pgrams.per_trial[0], 64)
+    own = stacked_periodograms(MultiTrialSeries(x))[0]
+    raw_full = extend_full_circle(own, 64)
     for span in (3, 7, 21):
-        sm = smooth_periodogram(pgrams.per_trial[0], span, 64)
+        sm = smooth_periodogram(own, span, 64)
         sm_full = extend_full_circle(sm, 64)
         np.testing.assert_allclose(sm_full.sum(axis=0), raw_full.sum(axis=0), atol=1e-10)
 
 
 def test_smoothing_output_is_hermitian():
     rng = np.random.default_rng(2)
-    pgrams = compute_periodograms(MultiTrialSeries(rng.standard_normal((1, 3, 32))))
-    sm = smooth_periodogram(pgrams.per_trial[0], 5, 32)
+    own = stacked_periodograms(MultiTrialSeries(rng.standard_normal((1, 3, 32))))[0]
+    sm = smooth_periodogram(own, 5, 32)
     np.testing.assert_array_equal(sm, np.conj(np.swapaxes(sm, -1, -2)))
 
 
 def test_smoothing_reduces_white_noise_variance_monotonically():
     rng = np.random.default_rng(3)
-    pgrams = compute_periodograms(MultiTrialSeries(rng.standard_normal((1, 1, 256))))
+    own = stacked_periodograms(MultiTrialSeries(rng.standard_normal((1, 1, 256))))[0]
     flat = 1 / (2 * np.pi)
     errors = []
     for span in (1, 5, 25):
-        sm = smooth_periodogram(pgrams.per_trial[0], span, 256)[:, 0, 0].real
+        sm = smooth_periodogram(own, span, 256)[:, 0, 0].real
         errors.append(np.var(sm[1:-1] - flat))
     assert errors[0] > errors[1] > errors[2]
 
@@ -135,13 +137,17 @@ def test_select_span_is_exhaustive_argmin():
         assert np.all(risks >= 0)
 
 
-def per_trial_span_risks(pgrams, trial, span_grid):
-    """Test-only reference: one trial's risks from full-circle FFTs of it and its pilot."""
+def leave_one_out(stack, trial):
+    """The stacked periodograms of ``trial`` and the mean of all the others."""
+    return stack[trial], np.delete(stack, trial, axis=0).mean(axis=0)
+
+
+def per_trial_span_risks(stack, n_samples, trial, span_grid):
+    """Test-only reference: one trial's risks from full-circle FFTs of it and its pilot,
+    read from the stacked per-trial periodograms of a record of ``n_samples``."""
     grid = validate_span_grid(span_grid)
-    n_samples = pgrams.grid.n_samples
     transfers, weights = _span_kernels(grid, n_samples)
-    pilot = pgrams.leave_one_out_mean(trial)
-    own = pgrams.per_trial[trial]
+    own, pilot = leave_one_out(stack, trial)
     n_channels = own.shape[-1]
     own_full = extend_full_circle(own, n_samples)
     pilot_full = extend_full_circle(pilot, n_samples)
@@ -162,17 +168,15 @@ def per_trial_span_risks(pgrams, trial, span_grid):
     return (np.pi / n_samples) * full_circle / n_channels
 
 
-def per_trial_select_span(pgrams, trial, span_grid):
+def per_trial_select_span(stack, n_samples, trial, span_grid):
     """Test-only reference: the smallest span minimizing :func:`per_trial_span_risks`."""
     grid = validate_span_grid(span_grid)
-    return int(grid[int(np.argmin(per_trial_span_risks(pgrams, trial, grid)))])
+    return int(grid[int(np.argmin(per_trial_span_risks(stack, n_samples, trial, grid)))])
 
 
-def direct_span_risks(pgrams, trial, span_grid):
+def direct_span_risks(stack, n_samples, trial, span_grid):
     """Test-only reference: smooth the trial once per span and sum the half grid."""
-    n_samples = pgrams.grid.n_samples
-    pilot = pgrams.leave_one_out_mean(trial)
-    own = pgrams.per_trial[trial]
+    own, pilot = leave_one_out(stack, trial)
     return np.array([
         (2 * np.pi / n_samples)
         * float(np.sum(hs_norm_sq(pilot - smooth_periodogram(own, span, n_samples))))
@@ -185,8 +189,8 @@ def test_span_risk_matches_direct_computation():
     # span 1, the default grid and one reaching the largest odd span below T
     for n_samples, n_channels, n_trials in itertools.product((32, 33), (1, 3), (2, 4)):
         rng = np.random.default_rng((5, n_samples, n_channels, n_trials))
-        pgrams = compute_periodograms(
-            MultiTrialSeries(rng.standard_normal((n_trials, n_channels, n_samples))))
+        series = MultiTrialSeries(rng.standard_normal((n_trials, n_channels, n_samples)))
+        pgrams, stack = compute_periodograms(series), stacked_periodograms(series)
         largest = n_samples - 1 if n_samples % 2 == 0 else n_samples - 2
         for grid in [(5,), (1, 3, 7), (3, 5, 9, 15), default_span_grid(n_samples),
                      tuple(range(1, largest + 1, 2))]:
@@ -194,14 +198,14 @@ def test_span_risk_matches_direct_computation():
             assert risks.shape == (n_trials, len(grid))
             for trial in range(n_trials):
                 case = f"T={n_samples} P={n_channels} N={n_trials} grid={grid} trial={trial}"
-                oracle = per_trial_span_risks(pgrams, trial, grid)
-                direct = direct_span_risks(pgrams, trial, grid)
-                np.testing.assert_allclose(risks[trial], oracle, rtol=1e-12, atol=0,
+                oracle = per_trial_span_risks(stack, n_samples, trial, grid)
+                direct = direct_span_risks(stack, n_samples, trial, grid)
+                np.testing.assert_allclose(risks[trial], oracle, rtol=1e-13, atol=0,
                                            err_msg=case)
-                np.testing.assert_allclose(risks[trial], direct, rtol=1e-12, atol=0,
+                np.testing.assert_allclose(risks[trial], direct, rtol=1e-13, atol=0,
                                            err_msg=case)
                 chosen = grid[int(np.argmin(risks[trial]))]
-                assert chosen == per_trial_select_span(pgrams, trial, grid), case
+                assert chosen == per_trial_select_span(stack, n_samples, trial, grid), case
                 assert chosen == grid[int(np.argmin(direct))], case
 
 
@@ -259,9 +263,9 @@ def test_smoothed_estimator_averages_trials():
     estimate, config = smoothed_estimator(series, fixed_span=5)
     assert estimate.tag == "smoothed"
     assert config.selected_spans == (5, 5, 5)
-    pgrams = compute_periodograms(series)
-    manual = np.mean([smooth_periodogram(pgrams.per_trial[n], 5, 64) for n in range(3)], axis=0)
-    np.testing.assert_allclose(estimate.matrices, manual, atol=1e-14)
+    stack = stacked_periodograms(series)
+    manual = np.mean([smooth_periodogram(stack[n], 5, 64) for n in range(3)], axis=0)
+    np.testing.assert_allclose(estimate.matrices, manual, rtol=1e-13, atol=1e-16)
 
 
 def test_smoothed_estimator_selected_spans_match_select_span():
@@ -269,10 +273,13 @@ def test_smoothed_estimator_selected_spans_match_select_span():
     series = MultiTrialSeries(rng.standard_normal((4, 1, 64)))
     grid = (3, 7, 13)
     estimate, config = smoothed_estimator(series, span_grid=grid)
-    pgrams = compute_periodograms(series)
-    expected = tuple(per_trial_select_span(pgrams, n, grid) for n in range(4))
+    stack = stacked_periodograms(series)
+    expected = tuple(per_trial_select_span(stack, 64, n, grid) for n in range(4))
     assert config.selected_spans == expected
     assert estimate.validate().ok
+    manual = np.mean([smooth_periodogram(stack[n], span, 64)
+                      for n, span in enumerate(config.selected_spans)], axis=0)
+    np.testing.assert_allclose(estimate.matrices, manual, rtol=1e-13, atol=1e-16)
 
 
 def test_smoothed_estimator_single_trial_needs_fixed_span():

@@ -106,7 +106,8 @@ def test_pooled_fit_is_trial_permutation_invariant():
 
 
 def reference_fit_var(series, order):
-    """Test-only reference: the pooled fit with full-matrix exact sums."""
+    """Test-only reference: the pooled fit with full-matrix exact sums, holding every
+    trial's regressor block at once."""
     n_trials, n_channels, n_samples = series.values.shape
     blocks = []
     for x in series.values:
@@ -130,6 +131,24 @@ def test_fit_matches_full_matrix_reference_bit_for_bit():
         ref_coefs, ref_noise = reference_fit_var(series, order)
         np.testing.assert_array_equal(model.coefs, ref_coefs)
         np.testing.assert_array_equal(model.noise_cov, ref_noise)
+
+
+def test_fit_streams_over_trials():
+    # Only one trial's regressor block is alive at a time: holding every
+    # trial's block took fit_var(series, 10) 40.6 MB above its input here.
+    # The model stays bit-identical to the all-blocks reference.
+    series = standardize(detrend(simulate_mixture(SimulationConfig(seed=3)), order=1))
+    fit_var(series, 1)
+    tracemalloc.start()
+    try:
+        model = fit_var(series, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
+    ref_coefs, ref_noise = reference_fit_var(series, 10)
+    np.testing.assert_array_equal(model.coefs, ref_coefs)
+    np.testing.assert_array_equal(model.noise_cov, ref_noise)
 
 
 def test_order_selection_carries_the_chosen_fit():
