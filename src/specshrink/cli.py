@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_analysis_flags(est)
     est.add_argument("input", help="trial-data file (.mts binary or tidy .csv)")
     est.add_argument("--method", choices=tuple(ESTIMATORS), default=None,
-                     help="estimator (default shrinkage)")
+                     help=f"estimator (default {sio.RunConfig.method})")
     est.add_argument("--tapers", type=int, default=None,
                      help="taper count for --method multitaper (default: risk-selected)")
     est.add_argument("--weight", type=float, default=None,
@@ -78,11 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "across all bands and pairs (tests.csv).")
     _common_analysis_flags(conn)
     conn.add_argument("inputs", nargs="+", help="one or two trial-data files")
+    bands = ", ".join(f"{name}:{lo:g}:{hi:g}" for name, lo, hi in sio.RunConfig.bands)
     conn.add_argument("--band", dest="bands", action=_BandsAction, default=None,
                       metavar="NAME:LO:HI",
-                      help="analysis band in Hz, repeatable (default alpha:8:12, beta:18:30)")
+                      help=f"analysis band in Hz, repeatable (default {bands})")
     conn.add_argument("--q", dest="fdr_q", type=float, default=None, metavar="Q",
-                      help="FDR level for tests.csv (default 0.05)")
+                      help="FDR level for tests.csv, two inputs only "
+                           f"(default {sio.RunConfig.fdr_q})")
 
     comp = sub.add_parser(
         "compare", help="Monte Carlo estimator comparison on the benchmark process",
@@ -93,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     harness = inspect.signature(monte_carlo_compare).parameters
     comp.add_argument("--reps", type=int, default=harness["reps"].default,
                       help="Monte Carlo replicates (default %(default)s)")
-    comp.add_argument("--seed", type=int, default=None, help="harness master seed (default 0)")
+    comp.add_argument("--seed", type=int, default=None,
+                      help=f"harness master seed (default {sio.RunConfig.seed})")
     comp.add_argument("--trials", type=int, default=SimulationConfig.n_trials,
                       help="trials per replicate (default %(default)s)")
     comp.add_argument("--samples", type=int, default=SimulationConfig.n_samples,
@@ -140,8 +143,10 @@ def _common_analysis_flags(sub):
                      help="per-trial polynomial detrending (default linear)")
     sub.add_argument("--no-standardize", action="store_true",
                      help="skip per-trial, per-channel standardization")
-    sub.add_argument("--sampling-rate", type=float, default=1.0,
-                     help="sampling rate for CSV inputs, which carry none (default 1)")
+    csv_rate = inspect.signature(sio.read_trials_csv).parameters["sampling_rate"].default
+    sub.add_argument("--sampling-rate", type=float, default=None,
+                     help=f"sampling rate in Hz for CSV inputs, which carry none "
+                          f"(default {csv_rate:g})")
 
 
 #: The config-file keys each analysis command reads; any other key is an error.
@@ -174,9 +179,16 @@ def _load_config(args, defaults: sio.RunConfig) -> sio.RunConfig:
     return replace(defaults, **overrides)
 
 
+def _check_rate_flag(args, paths):
+    """Reject ``--sampling-rate`` unless every input is a CSV file, which carries no rate."""
+    if args.sampling_rate is not None and not all(str(path).endswith(".csv") for path in paths):
+        raise DomainError("--sampling-rate is read only for CSV inputs; other files carry a rate")
+
+
 def _load_series(path, args):
     if str(path).endswith(".csv"):
-        series = sio.read_trials_csv(path, sampling_rate=args.sampling_rate)
+        rate = {} if args.sampling_rate is None else {"sampling_rate": args.sampling_rate}
+        series = sio.read_trials_csv(path, **rate)
     else:
         series = sio.read_trials(path)
     if args.detrend != "none":
@@ -272,6 +284,7 @@ def cmd_estimate(args) -> int:
         raise DomainError(f"unknown method {config.method!r}; expected one of "
                           f"{', '.join(ESTIMATORS)}")
     options = _pipeline_options(config, args, (config.method,))
+    _check_rate_flag(args, (args.input,))
     series = _load_series(args.input, args)
     estimate, record = ESTIMATORS[config.method](series, options)
     _write_estimate(config, series.channel_labels, estimate, record)
@@ -292,10 +305,13 @@ def cmd_connectivity(args) -> int:
         raise DomainError(f"expected one or two input files, got {len(args.inputs)}")
     options = _pipeline_options(config, args, ("shrinkage",))
     check_fdr_level(config.fdr_q)
+    if len(args.inputs) == 1 and args.fdr_q is not None:
+        raise DomainError("--q is not read with one input file")
     for i, (name, lo, hi) in enumerate(config.bands):
         check_band((lo, hi))
         if name in [band[0] for band in config.bands[:i]]:
             raise DomainError(f"repeated band {name!r}; each may appear once")
+    _check_rate_flag(args, args.inputs)
     conditions = [_load_series(path, args) for path in args.inputs]
     labels = conditions[0].channel_labels
     if len(conditions) == 2 and conditions[1].n_channels != conditions[0].n_channels:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stdtr
 
 from .core import FrequencyGrid, SpectralEstimate, exact_sum, hermitian_cond, symmetrize
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
@@ -28,6 +27,9 @@ CONNECTIVITY_KINDS = ("coherence", "partial_coherence")
 
 #: Slack allowed above 1.0 for floating-point overshoot of coherence values.
 UPPER_SLACK = 1e-10
+
+#: The FDR level when none is given.
+DEFAULT_FDR_Q = 0.05
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,7 @@ def welch_t(stats_a, stats_b):
     p-value.  If both SEs are zero the statistic degenerates: equal means
     give ``(0, inf, 1)``; unequal means give ``(+-inf, inf, 0)``.
     """
+    from scipy.special import stdtr  # the package's only scipy use; loaded at first call
     mean_a, se_a, n_a = stats_a
     mean_b, se_b, n_b = stats_b
     for se in (se_a, se_b):
@@ -252,7 +255,7 @@ def check_fdr_level(q: float):
         raise DomainError(f"q must lie in (0, 1), got {q}")
 
 
-def bh_fdr(pvalues, q: float = 0.05) -> np.ndarray:
+def bh_fdr(pvalues, q: float = DEFAULT_FDR_Q) -> np.ndarray:
     """Benjamini-Hochberg step-up rejection flags at FDR level ``q``.
 
     Sorts the p-values, finds the largest rank ``k`` with
@@ -314,7 +317,7 @@ def pairwise_tests(stats_left: BandStats, stats_right: BandStats) -> list[PairTe
     return tests
 
 
-def apply_fdr(tests, q: float = 0.05) -> list[PairTest]:
+def apply_fdr(tests, q: float = DEFAULT_FDR_Q) -> list[PairTest]:
     """Fill the ``rejected`` flags of a batch of tests with a joint BH correction."""
     tests = list(tests)
     flags = bh_fdr([test.p for test in tests], q)

@@ -45,8 +45,8 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.n_samples < 2:
             raise DimensionError(f"need n_samples >= 2, got {self.n_samples}")
-        if self.sampling_rate is not None and not self.sampling_rate > 0:
-            raise DomainError(f"sampling_rate must be positive, got {self.sampling_rate}")
+        if self.sampling_rate is not None:
+            object.__setattr__(self, "sampling_rate", check_rate(self.sampling_rate))
 
     @property
     def n_frequencies(self) -> int:
@@ -90,6 +90,27 @@ def check_grid(values, name: str, *, odd: bool = False) -> tuple[int, ...]:
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError(f"{name} must be nonempty and strictly increasing, got {grid}")
     return grid
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is an ``int``, ``float`` or numpy number, and not a ``bool``."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_rate(value) -> float:
+    """A sampling rate as a ``float`` if it is a real number, finite and above 0.  Else
+    :class:`DomainError`."""
+    if not (_is_real(value) and 0.0 < value < math.inf):
+        raise DomainError(f"sampling_rate must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def check_weight(value, name: str) -> float:
+    """``value`` as a ``float`` if it is a real number in [0, 1].  Else :class:`DomainError`
+    naming ``name``."""
+    if not (_is_real(value) and 0.0 <= value <= 1.0):
+        raise DomainError(f"{name} must be a number in [0, 1], got {value!r}")
+    return float(value)
 
 
 def _square_matrices(matrices, dtype=None) -> np.ndarray:

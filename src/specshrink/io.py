@@ -24,8 +24,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .connectivity import DEFAULT_FDR_Q
+from .core import check_rate
 from .errors import DataFormatError, DimensionError, DomainError
 from .shrinkage import DEFAULT_WINDOW, PipelineOptions
+from .simulation import HARNESS_SEED
 from .smoothing import MIN_AUTO_SPAN
 from .timeseries import MultiTrialSeries
 
@@ -130,6 +133,7 @@ def read_trials_csv(path, sampling_rate: float = 1.0) -> MultiTrialSeries:
     channel, time) cell must appear exactly once; dimensions are inferred
     from the largest indices, and each trial needs at least 2 samples.
     """
+    check_rate(sampling_rate)
     lines = _text_lines(path)
     if not lines or lines[0].strip() != "trial,channel,time,value":
         raise DataFormatError(f"{path}: expected header 'trial,channel,time,value' (line 1)")
@@ -234,8 +238,8 @@ class RunConfig:
     max_order: int = PipelineOptions.max_order
     taper_max: int | None = None
     bands: tuple = DEFAULT_BANDS
-    fdr_q: float = 0.05
-    seed: int = 0
+    fdr_q: float = DEFAULT_FDR_Q
+    seed: int = HARNESS_SEED
     out_dir: str = "."
 
     def span_grid(self) -> tuple[int, ...] | None:

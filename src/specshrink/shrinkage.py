@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FrequencyGrid, SpectralEstimate, check_count, check_grid
+from .core import FrequencyGrid, SpectralEstimate, check_count, check_grid, check_weight
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      SpecshrinkError, PipelineError)
 from .multitaper import multitaper_estimator, select_taper_count
@@ -245,8 +245,8 @@ class PipelineOptions:
                                    ("taper_grid", "taper counts", False)):
             if getattr(self, name) is not None:
                 checked[name] = check_grid(getattr(self, name), entries, odd=odd)
-        if self.fixed_weight is not None and not 0.0 <= self.fixed_weight <= 1.0:
-            raise DomainError(f"fixed_weight must lie in [0, 1], got {self.fixed_weight}")
+        if self.fixed_weight is not None:
+            checked["fixed_weight"] = check_weight(self.fixed_weight, "fixed_weight")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .connectivity import partial_coherence
-from .core import FrequencyGrid, SpectralEstimate, check_count, hs_norm_sq, symmetrize
+from .core import (FrequencyGrid, SpectralEstimate, check_count, check_rate, hs_norm_sq,
+                   symmetrize)
 from .errors import (DimensionError, DomainError, PipelineError, SpecshrinkError,
                      UnstableModelError)
 from .periodogram import compute_periodograms
@@ -76,17 +77,6 @@ def _simulate_var_trials(coefs, noise_cov, n_samples: int, burn_in: int, seeds) 
         for k in range(1, min(order, t) + 1):
             x[t] += x[t - k] @ model.coefs[k - 1].T
     return x[burn_in:].transpose(1, 2, 0).copy()
-
-
-def simulate_var(coefs, noise_cov, n_samples: int, burn_in: int = 500, seed=0) -> np.ndarray:
-    """One realization of a stable VAR, shape ``(P, n_samples)``.
-
-    The recursion starts from a zero state and discards the first
-    ``burn_in`` samples; innovations are Gaussian from a generator seeded
-    with ``seed``.  Raises :class:`UnstableModelError` when the companion
-    spectral radius is >= 1.
-    """
-    return _simulate_var_trials(coefs, noise_cov, n_samples, burn_in, [seed])[0]
 
 
 def simulate_vma(ma_coef, noise_cov, n_samples: int, seed=0) -> np.ndarray:
@@ -165,6 +155,7 @@ class SimulationConfig:
             object.__setattr__(self, name, check_count(getattr(self, name), name, low=low))
         if not (np.isfinite(self.ma_weight) and np.isfinite(self.ar_weight)):
             raise DomainError("mixture weights must be finite")
+        object.__setattr__(self, "sampling_rate", check_rate(self.sampling_rate))
         _entropy(self.seed)
         object.__setattr__(self, "ma_coef", ma)
         object.__setattr__(self, "ar_coefs", ar)
@@ -173,6 +164,18 @@ class SimulationConfig:
     @property
     def n_channels(self) -> int:
         return self.ma_coef.shape[0]
+
+
+def simulate_var(coefs, noise_cov, n_samples: int, burn_in: int = SimulationConfig.burn_in,
+                 seed=0) -> np.ndarray:
+    """One realization of a stable VAR, shape ``(P, n_samples)``.
+
+    The recursion starts from a zero state and discards the first
+    ``burn_in`` samples; innovations are Gaussian from a generator seeded
+    with ``seed``.  Raises :class:`UnstableModelError` when the companion
+    spectral radius is >= 1.
+    """
+    return _simulate_var_trials(coefs, noise_cov, n_samples, burn_in, [seed])[0]
 
 
 def simulate_mixture(config: SimulationConfig | None = None) -> MultiTrialSeries:
@@ -240,6 +243,8 @@ class ComparisonResult:
 
 #: The harness's largest candidate VAR order when no options are given.
 HARNESS_MAX_ORDER = 8
+#: The harness's master seed when none is given.
+HARNESS_SEED = 0
 
 
 def _shrinkage_name(window: int, primary: int) -> str:
@@ -249,7 +254,7 @@ def _shrinkage_name(window: int, primary: int) -> str:
 def monte_carlo_compare(config: SimulationConfig | None = None,
                         estimators=("var", "smoothed", "multitaper", "shrinkage"),
                         reps: int = 20,
-                        seed: int | tuple = 0,
+                        seed: int | tuple = HARNESS_SEED,
                         windows=None,
                         options: PipelineOptions | None = None) -> ComparisonResult:
     """Compare estimators against the exact mixture spectrum over replicates.

@@ -4,6 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import check_rate
 from .errors import DegenerateChannelError, DimensionError, DomainError, InsufficientDataError
 
 
@@ -37,8 +38,7 @@ class MultiTrialSeries:
             raise InsufficientDataError(f"need n_samples >= 2, got {n_samples}")
         if not np.all(np.isfinite(vals)):
             raise DomainError("values contain NaN or infinity")
-        if not self.sampling_rate > 0:
-            raise DomainError(f"sampling_rate must be positive, got {self.sampling_rate}")
+        object.__setattr__(self, "sampling_rate", check_rate(self.sampling_rate))
         labels = tuple(self.channel_labels) or tuple(f"ch{p:02d}" for p in range(n_channels))
         if len(labels) != n_channels:
             raise DimensionError(f"{len(labels)} labels for {n_channels} channels")

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .core import (FrequencyGrid, SpectralEstimate, check_count, exact_sum, hermitian_cond,
                    symmetrize, validate_spectral)
@@ -123,18 +122,15 @@ def _sample_shortfall(shape: tuple[int, int, int], order: int) -> str | None:
     return None
 
 
-def _factor_gram(gram: np.ndarray):
-    """``(cho_factor(gram), cond)`` for a regressor Gram matrix; :class:`RankDeficiencyError`
-    if its condition number exceeds :data:`GRAM_COND_FAIL`."""
+def _gram_cond(gram: np.ndarray) -> float:
+    """The condition number of a regressor Gram matrix; :class:`RankDeficiencyError`
+    if it exceeds :data:`GRAM_COND_FAIL`."""
     cond = hermitian_cond(gram)
     if not np.isfinite(cond) or cond > GRAM_COND_FAIL:
         raise RankDeficiencyError(
             f"regressor Gram matrix condition number {cond:.3g} exceeds {GRAM_COND_FAIL:.0e}; "
             "check for constant or duplicated channels")
-    try:
-        return sla.cho_factor(gram), cond
-    except np.linalg.LinAlgError as err:  # pragma: no cover - guarded by cond check
-        raise RankDeficiencyError(f"regressor Gram matrix is singular: {err}") from err
+    return cond
 
 
 def _warn_if_ill_conditioned(cond: float):
@@ -189,9 +185,8 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     cross = exact_sum(crosses)
     del grams, crosses
 
-    factor, cond = _factor_gram(gram)
-    _warn_if_ill_conditioned(cond)
-    coef_flat = sla.cho_solve(factor, cross.T).T  # (P, P*order)
+    _warn_if_ill_conditioned(_gram_cond(gram))
+    coef_flat = np.linalg.solve(gram, cross.T).T  # (P, P*order)
 
     resid_ssps = np.empty((n_trials, n_channels, n_channels))
     for n, values in enumerate(series.values):
@@ -261,8 +256,8 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     the smaller order, and a covariance whose determinant is not positive
     scores ``inf``.  Every order is scored from one pass over the trials
     (:func:`_lag_moments`): ``noise_cov(k)`` is the Schur complement
-    ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment, taken
-    through a Cholesky factor of the regressor Gram ``G``.  Each order keeps
+    ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment, with
+    ``G**-1 C.T`` solved against the regressor Gram ``G``.  Each order keeps
     :func:`fit_var`'s sample-size and Gram-condition checks, and the moments
     are exact trial sums, so the scan does not depend on trial order.  Only
     the chosen order is then fitted by :func:`fit_var`, and the selection
@@ -279,12 +274,10 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     criterion, conds, order = [], [], None
     try:
         for k, moment in _lag_moments(series.values, top):
-            (factor, lower), cond = _factor_gram(moment[n_channels:, n_channels:])
-            conds.append(cond)
-            whitened = sla.solve_triangular(factor, moment[:n_channels, n_channels:].T,
-                                            trans="T", lower=lower)
-            noise = (moment[:n_channels, :n_channels] - whitened.T @ whitened) / (
-                n_trials * (n_samples - k) - n_channels * k)
+            gram, cross = moment[n_channels:, n_channels:], moment[:n_channels, n_channels:]
+            conds.append(_gram_cond(gram))
+            schur = moment[:n_channels, :n_channels] - cross @ np.linalg.solve(gram, cross.T)
+            noise = schur / (n_trials * (n_samples - k) - n_channels * k)
             sign, logdet = np.linalg.slogdet(0.5 * (noise + noise.T))
             criterion.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
         if top < max_order:

@@ -24,6 +24,7 @@ from specshrink import (
     hs_norm_sq,
     monte_carlo_compare,
     multitaper_estimator,
+    read_trials_csv,
     select_var_order,
     sine_tapers,
     smoothed_estimator,
@@ -397,6 +398,41 @@ def test_every_count_setting_follows_one_rule(entry, value):
 def test_numpy_integer_counts_come_back_as_int(entry):
     kept = COUNT_ENTRY_POINTS[entry][1](np.int64(3))
     assert kept is None or (kept == 3 and type(kept) is int)
+
+
+#: Every place a sampling rate or a shrinkage weight enters, as ``(rule, call)``;
+#: ``call(value)`` returns the value the entry point kept.  ``read_trials_csv`` is
+#: given a missing file, so it keeps nothing and must reject a bad rate before opening it.
+REAL_ENTRY_POINTS = {
+    "FrequencyGrid": ("a finite number > 0", lambda v: FrequencyGrid(8, v).sampling_rate),
+    "MultiTrialSeries": ("a finite number > 0", lambda v: MultiTrialSeries(
+        np.arange(8.0).reshape(1, 2, 4), sampling_rate=v).sampling_rate),
+    "SimulationConfig": ("a finite number > 0", lambda v: SimulationConfig(
+        n_trials=1, n_samples=8, sampling_rate=v).sampling_rate),
+    "read_trials_csv": ("a finite number > 0", lambda v: read_trials_csv("missing.csv", v)),
+    "options.fixed_weight": ("a number in [0, 1]",
+                             lambda v: PipelineOptions(fixed_weight=v).fixed_weight),
+}
+
+NOT_REALS = [True, np.bool_(False), "0.5", math.nan, math.inf, -math.inf, -0.5]
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (rule, _) in REAL_ENTRY_POINTS.items()
+    for value in NOT_REALS + ([1.5] if "[0, 1]" in rule else [0, 0.0])])
+def test_every_rate_and_weight_follows_one_rule(entry, value):
+    rule, call = REAL_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=re.escape(f"must be {rule}, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", [entry for entry in REAL_ENTRY_POINTS
+                                   if entry != "read_trials_csv"])
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5)])
+def test_rates_and_weights_come_back_as_float(entry, value):
+    kept = REAL_ENTRY_POINTS[entry][1](value)
+    assert kept == value and type(kept) is float
 
 
 def test_check_count_and_check_grid():

@@ -16,11 +16,14 @@ from specshrink import (
     MultiTrialSeries,
     PipelineOptions,
     SimulationConfig,
+    apply_fdr,
+    bh_fdr,
     default_span_grid,
     monte_carlo_compare,
     read_config,
     read_trials,
     read_trials_csv,
+    simulate_var,
     write_trials,
 )
 from specshrink.cli import build_parser, main
@@ -278,6 +281,22 @@ def test_parser_defaults_are_the_dataclass_defaults():
     options = PipelineOptions()
     assert (RunConfig().window, RunConfig().max_order) == (options.window, options.max_order)
     assert RunConfig().span_min == default_span_grid(sim.n_samples)[0]
+    assert RunConfig().seed == harness["seed"].default
+    assert inspect.signature(simulate_var).parameters["burn_in"].default == sim.burn_in
+    for fdr in (bh_fdr, apply_fdr):
+        assert inspect.signature(fdr).parameters["q"].default == RunConfig().fdr_q
+    helps = {(command, action.dest): action.help
+             for command, sub in next(action.choices for action in parser._actions
+                                      if action.dest == "command").items()
+             for action in sub._actions}
+    bands = ", ".join(f"{name}:{lo:g}:{hi:g}" for name, lo, hi in RunConfig().bands)
+    csv_rate = inspect.signature(read_trials_csv).parameters["sampling_rate"].default
+    for key, default in ((("connectivity", "fdr_q"), RunConfig().fdr_q),
+                         (("compare", "seed"), RunConfig().seed),
+                         (("connectivity", "bands"), bands),
+                         (("estimate", "method"), RunConfig().method),
+                         (("estimate", "sampling_rate"), f"{csv_rate:g}")):
+        assert helps[key].endswith(f"(default {default})"), key
 
 
 def test_cli_estimate_shrinkage_outputs(tmp_path):
@@ -352,6 +371,22 @@ def test_cli_estimate_from_csv_input(tmp_path):
     assert len(spectra) == 1 + 9 * 2
     # frequency column runs 0..16 Hz for a 32 Hz sampling rate
     assert spectra[-1].split(",")[0] == "16"
+    # without the flag, read_trials_csv's default rate applies
+    assert run_cli("estimate", path, "--method", "raw_mean", "--out-dir", out) == 0
+    rate = inspect.signature(read_trials_csv).parameters["sampling_rate"].default
+    assert (out / "spectra.csv").read_text().splitlines()[-1].split(",")[0] == f"{rate / 2:g}"
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan", "0", "-256"])
+def test_cli_rejects_a_bad_sampling_rate_before_reading_input(tmp_path, capsys, rate):
+    message = f"error: sampling_rate must be a finite number > 0, got {float(rate)!r}\n"
+    mts, missing, out = tmp_path / "x.mts", tmp_path / "missing.csv", tmp_path / "out"
+    for argv in (("simulate", "--trials", "2", "--samples", "16", "--out", mts),
+                 ("estimate", missing, "--out-dir", out),
+                 ("connectivity", missing, missing, "--out-dir", out)):
+        assert run_cli(*argv, "--sampling-rate", rate) == 1
+        assert capsys.readouterr().err == message
+        assert not mts.exists() and not out.exists()
 
 
 def test_cli_error_path_is_clean(tmp_path, capsys):
@@ -485,7 +520,8 @@ def test_importing_the_cli_does_not_load_scipy_stats():
 
     import specshrink
     src = os.path.dirname(os.path.dirname(os.path.abspath(specshrink.__file__)))
-    code = "import sys, specshrink.cli; sys.exit('scipy.stats' in sys.modules)"
+    code = ("import sys, specshrink.cli; "
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -551,6 +587,13 @@ def test_cli_compare_takes_max_order_from_the_harness_then_the_file_then_the_fla
     ("connectivity", ("--band", "a:nan:4"), "", "invalid band [nan, 4.0]"),
     ("connectivity", ("--band", "a:8:12", "--band", "a:20:30"), "",
      "repeated band 'a'; each may appear once"),
+    ("connectivity", ("--q", "0.2"), "", "--q is not read with one input file"),
+    ("estimate", ("--sampling-rate", "500"), "",
+     "--sampling-rate is read only for CSV inputs; other files carry a rate"),
+    ("connectivity", ("--sampling-rate", "500"), "",
+     "--sampling-rate is read only for CSV inputs; other files carry a rate"),
+    ("estimate", ("--weight", "1.5"), "", "fixed_weight must be a number in [0, 1], got 1.5"),
+    ("estimate", ("--weight", "nan"), "", "fixed_weight must be a number in [0, 1], got nan"),
 ])
 def test_cli_rejects_dropped_settings_before_reading_input(tmp_path, capsys, command, flags,
                                                             config, message):

@@ -115,7 +115,7 @@ def reference_fit_var(series, order):
         blocks.append((x[:, order:], regs))
     gram = exact_sum(np.stack([regs @ regs.T for _, regs in blocks]))
     cross = exact_sum(np.stack([resp @ regs.T for resp, regs in blocks]))
-    coef_flat = sla.cho_solve(sla.cho_factor(gram), cross.T).T
+    coef_flat = np.linalg.solve(gram, cross.T).T
     resid_ssp = exact_sum(np.stack([
         (resp - coef_flat @ regs) @ (resp - coef_flat @ regs).T for resp, regs in blocks]))
     noise = resid_ssp / (n_trials * (n_samples - order) - n_channels * order)
