@@ -8,6 +8,8 @@ materialised on demand by :func:`extend_full_circle`.
 """
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,6 +99,14 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def check_real(value, name: str) -> float:
+    """``value`` as a ``float`` if it is a real number and finite.  Else :class:`DomainError`
+    naming ``name``."""
+    if not (_is_real(value) and -math.inf < value < math.inf):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def check_rate(value) -> float:
     """A sampling rate as a ``float`` if it is a real number, finite and above 0.  Else
     :class:`DomainError`."""
@@ -111,6 +121,42 @@ def check_weight(value, name: str) -> float:
     if not (_is_real(value) and 0.0 <= value <= 1.0):
         raise DomainError(f"{name} must be a number in [0, 1], got {value!r}")
     return float(value)
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Threads for ``n_tasks`` independent tasks: the CPUs this process may run on, at most
+    ``n_tasks`` and at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_tasks))
+
+
+def map_trials(func, n_trials: int):
+    """Yield ``func(n)`` for ``n = 0 .. n_trials - 1``, in trial order, computed on a pool
+    of threads, one per available CPU and at most one per trial.
+
+    A trial is submitted only when an earlier result has been taken, so at most
+    one finished result per worker waits and memory stays bounded by the
+    worker count, not the trial count.  Reducing the results in the order
+    they arrive gives the serial loop's bits for any number of workers.
+    ``func`` pays off when it spends its time in numpy calls that release the
+    interpreter lock.  An exception raised by ``func`` reaches the caller
+    unchanged, at the trial that raised it.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: keep it off start-up
+
+    workers = _worker_count(n_trials)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(func, n) for n in range(min(workers, n_trials)))
+        next_trial = len(pending)
+        while pending:
+            result = pending.popleft().result()
+            if next_trial < n_trials:
+                pending.append(pool.submit(func, next_trial))
+                next_trial += 1
+            yield result
 
 
 def _square_matrices(matrices, dtype=None) -> np.ndarray:

@@ -193,11 +193,14 @@ def format_value(value) -> str:
 
 def format_column(values) -> list[str]:
     """:func:`format_value` of every cell of a column.  A float array is
-    formatted in one pass over its ``tolist()``, by the same rule."""
+    formatted in one pass over its ``tolist()``, by the same rule, and a list
+    of ``str`` cells, which that rule leaves as they are, is returned as is."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
             return [f"{v:.12g}" for v in values.tolist()]
         values = values.tolist()
+    if isinstance(values, list) and set(map(type, values)) <= {str}:
+        return values
     return [format_value(v) for v in values]
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .connectivity import partial_coherence
-from .core import (FrequencyGrid, SpectralEstimate, check_count, check_rate, hs_norm_sq,
-                   symmetrize)
+from .core import (FrequencyGrid, SpectralEstimate, check_count, check_rate, check_real,
+                   hs_norm_sq, symmetrize)
 from .errors import (DimensionError, DomainError, PipelineError, SpecshrinkError,
                      UnstableModelError)
 from .periodogram import compute_periodograms
@@ -29,12 +29,14 @@ from .var import VarModel, var_spectrum
 
 
 def _entropy(seed) -> tuple[int, ...]:
-    """Normalize a seed (a non-negative int or a sequence of them) to an entropy tuple."""
+    """Normalize a seed (a non-negative int or a sequence of them, not bools) to an entropy
+    tuple."""
     try:
         entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     except TypeError:
         entropy = (seed,)
-    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in entropy):
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0
+               for s in entropy):
         raise DomainError(
             f"seed must be a non-negative int or a sequence of them, got {seed!r}")
     return tuple(int(s) for s in entropy)
@@ -153,8 +155,8 @@ class SimulationConfig:
             raise DimensionError(f"noise_cov must be ({p}, {p}), got {noise.shape}")
         for name, low in (("n_trials", 1), ("n_samples", 2), ("burn_in", 0)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, low=low))
-        if not (np.isfinite(self.ma_weight) and np.isfinite(self.ar_weight)):
-            raise DomainError("mixture weights must be finite")
+        for name in ("ma_weight", "ar_weight"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         object.__setattr__(self, "sampling_rate", check_rate(self.sampling_rate))
         _entropy(self.seed)
         object.__setattr__(self, "ma_coef", ma)

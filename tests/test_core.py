@@ -1,7 +1,9 @@
-"""Frequency grids, the normalised HS norm, spectral containers, exact sums."""
+"""Frequency grids, the normalised HS norm, spectral containers, exact sums, the trial map."""
 
 import math
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from specshrink import (
     symmetrize,
     validate_spectral,
 )
-from specshrink.core import check_count, check_grid
+import specshrink.core as core
+from specshrink.core import check_count, check_grid, map_trials
 from specshrink.multitaper import validate_taper_grid
 from specshrink.smoothing import validate_span_grid
 
@@ -412,15 +415,23 @@ REAL_ENTRY_POINTS = {
     "read_trials_csv": ("a finite number > 0", lambda v: read_trials_csv("missing.csv", v)),
     "options.fixed_weight": ("a number in [0, 1]",
                              lambda v: PipelineOptions(fixed_weight=v).fixed_weight),
+    "SimulationConfig.ma_weight": ("a finite number", lambda v: SimulationConfig(
+        n_trials=1, n_samples=8, ma_weight=v).ma_weight),
+    "SimulationConfig.ar_weight": ("a finite number", lambda v: SimulationConfig(
+        n_trials=1, n_samples=8, ar_weight=v).ar_weight),
 }
 
-NOT_REALS = [True, np.bool_(False), "0.5", math.nan, math.inf, -math.inf, -0.5]
+NOT_REALS = [True, np.bool_(False), "0.5", math.nan, math.inf, -math.inf]
+
+#: Further values each rule rejects; ``None`` means "no rate" where a rate is optional.
+OUTSIDE_RULE = {"a finite number > 0": [-0.5, 0, 0.0], "a number in [0, 1]": [-0.5, 1.5],
+                "a finite number": [None, "0.3"]}
 
 
 @pytest.mark.parametrize("entry, value", [
     pytest.param(entry, value, id=f"{entry}-{value!r}")
     for entry, (rule, _) in REAL_ENTRY_POINTS.items()
-    for value in NOT_REALS + ([1.5] if "[0, 1]" in rule else [0, 0.0])])
+    for value in NOT_REALS + OUTSIDE_RULE[rule]])
 def test_every_rate_and_weight_follows_one_rule(entry, value):
     rule, call = REAL_ENTRY_POINTS[entry]
     with pytest.raises(DomainError, match=re.escape(f"must be {rule}, got {value!r}")):
@@ -448,3 +459,28 @@ def test_check_count_and_check_grid():
         PipelineOptions(span_grid=[])
     with pytest.raises(DomainError, match="strictly increasing"):
         PipelineOptions(taper_grid=(4, 2))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_trials_yields_in_trial_order_and_runs_at_most_one_trial_ahead_per_worker(
+        monkeypatch, workers):
+    monkeypatch.setattr(core, "_worker_count", lambda n_tasks: workers)
+    started = []
+
+    def square(n):
+        started.append(n)
+        time.sleep(0.002 * (n % 3 == 0))  # trials finish out of order
+        return n * n
+
+    for n, result in enumerate(map_trials(square, 10)):
+        assert result == n * n
+        assert len(started) <= n + 1 + workers
+    assert sorted(started) == list(range(10))
+    assert list(map_trials(square, 0)) == []
+
+
+def test_worker_count_is_the_available_cpus_capped_by_the_tasks():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert core._worker_count(10**6) == cpus
+    assert core._worker_count(1) == 1
+    assert core._worker_count(0) == 1

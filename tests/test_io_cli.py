@@ -496,6 +496,34 @@ def test_cli_compare_writes_mse_tables(tmp_path):
     assert len(weight) == 1 + 33
 
 
+def test_cli_csvs_are_byte_identical_to_per_cell_formatting(tmp_path, monkeypatch):
+    import specshrink.io as sio
+
+    left, right = tmp_path / "l.mts", tmp_path / "r.mts"
+    write_trials(left, make_series(n_trials=6, n_channels=3))
+    write_trials(right, make_series(n_trials=5, n_channels=3))
+    commands = {
+        "estimate": ("estimate", left, "--order", "1", "--window", "5"),
+        "connectivity": ("connectivity", left, right, "--order", "1", "--fixed-span", "7"),
+        "compare": ("compare", "--reps", "1", "--trials", "24", "--samples", "64",
+                    "--estimators", "raw_mean,shrinkage", "--max-order", "1"),
+    }
+
+    def csv_outputs(tag):
+        files = {}
+        for name, argv in commands.items():
+            out = tmp_path / tag / name
+            assert run_cli(*argv, "--out-dir", out) == 0
+            files.update({(name, path.name): path.read_bytes() for path in out.glob("*.csv")})
+        return files
+
+    fast = csv_outputs("fast")
+    monkeypatch.setattr(sio, "format_column", lambda values: [format_value(v) for v in values])
+    assert csv_outputs("per_cell") == fast
+    assert {name for _, name in fast} >= {"spectra.csv", "cross_spectra.csv", "weights.csv",
+                                          "tests.csv", "mse_pcoh.csv", "mean_weight.csv"}
+
+
 def test_cli_compare_uses_the_configured_taper_grid(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("taper_max = 1\n")

@@ -1,8 +1,12 @@
 """Sine-taper estimates and leave-one-out taper-count selection."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import specshrink.core as core
+import specshrink.multitaper as multitaper
 from specshrink import (
     DomainError,
     FrequencyGrid,
@@ -154,6 +158,75 @@ def test_taper_selection_is_exhaustive_argmin():
             brute.append(scale * float(np.sum(hs_norm_sq(pilot - est.matrices))))
         np.testing.assert_allclose(selection.risks[n], brute, rtol=1e-9, atol=1e-12)
         assert selection.per_trial[n] == grid[int(np.argmin(brute))]
+
+
+def _direct_taper_risks(series, taper_grid, pgrams):
+    """The serial per-trial loop over each trial's whole taper Gram, with ``einsum``,
+    kept as the oracle for the risks of :func:`select_taper_count`."""
+    grid = pgrams.grid
+    tapers = sine_tapers(series.n_samples, taper_grid[-1])
+    scale = 2.0 * np.pi / series.n_samples
+    counts = np.asarray(taper_grid)
+    risks = np.empty((series.n_trials, len(taper_grid)))
+    for n in range(series.n_trials):
+        pilot = pgrams.leave_one_out_mean(n)
+        d = np.fft.rfft(tapers[:, None, :] * series.values[n][None, :, :], axis=-1)
+        d = np.ascontiguousarray((d * np.exp(-1j * grid.omegas)).transpose(2, 0, 1))
+        inner = np.conj(d) @ d.transpose(0, 2, 1)  # (n_freq, m, m) taper inner products
+        flat = inner.view(float).reshape(grid.n_frequencies, -1)
+        inner_sq = np.einsum("ji,ji->i", flat, flat).reshape(len(tapers), len(tapers), 2).sum(-1)
+        gram = np.cumsum(np.cumsum(inner_sq, axis=0), axis=1)
+        quad = np.cumsum((np.conj(d) * (d @ pilot.transpose(0, 2, 1))).sum(axis=(0, 2)).real)
+        pilot_sq = float(np.sum(pilot.real**2 + pilot.imag**2))
+        dist = (pilot_sq
+                - quad[counts - 1] / (np.pi * counts)
+                + np.diag(gram)[counts - 1] / (2.0 * np.pi * counts) ** 2)
+        risks[n] = scale * np.maximum(dist, 0.0) / series.n_channels
+    return risks
+
+
+@pytest.mark.parametrize("n_samples", [64, 65])  # 33 frequencies: two full Gram blocks and one
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("taper_grid", [(1, 2, 4, 7, 11), (3, 5, 6, 10, 15)])
+def test_taper_risks_match_the_direct_loop(n_samples, n_channels, taper_grid):
+    rng = np.random.default_rng(n_samples + 10 * n_channels + 100 * taper_grid[0])
+    series = MultiTrialSeries(rng.standard_normal((5, n_channels, n_samples)))
+    pgrams = compute_periodograms(series)
+    selection = select_taper_count(series, taper_grid, periodograms=pgrams)
+    want = _direct_taper_risks(series, taper_grid, pgrams)
+    np.testing.assert_allclose(selection.risks, want, rtol=1e-12, atol=0)
+    assert selection.per_trial == tuple(taper_grid[i] for i in np.argmin(want, axis=1))
+
+
+def test_taper_selection_and_estimate_do_not_depend_on_the_worker_count(monkeypatch):
+    series = MultiTrialSeries(np.random.default_rng(6).standard_normal((7, 3, 64)))
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(core, "_worker_count", lambda n_tasks, w=workers: w)
+        selection = select_taper_count(series, (1, 2, 3, 5, 8, 13))
+        runs.append((selection, multitaper_estimator(series, 5).matrices))
+    (one, one_est), (two, two_est) = runs
+    assert np.array_equal(one.risks, two.risks)
+    assert (one.per_trial, one.median) == (two.per_trial, two.median)
+    assert np.array_equal(one_est, two_est)
+
+
+@pytest.mark.parametrize("run", [lambda s: select_taper_count(s, (1, 2, 3)),
+                                 lambda s: multitaper_estimator(s, 3)])
+def test_an_error_in_a_worker_reaches_the_caller_unchanged(monkeypatch, run):
+    series = MultiTrialSeries(np.random.default_rng(7).standard_normal((6, 2, 32)))
+    calls = itertools.count()
+    tapered_dfts = multitaper._tapered_dfts
+
+    def fail_on_the_third_trial(*args):
+        if next(calls) == 2:
+            raise DomainError("trial went wrong")
+        return tapered_dfts(*args)
+
+    monkeypatch.setattr(multitaper, "_tapered_dfts", fail_on_the_third_trial)
+    with pytest.raises(DomainError) as info:
+        run(series)
+    assert type(info.value) is DomainError and str(info.value) == "trial went wrong"
 
 
 def test_taper_selection_median_is_lower_median():

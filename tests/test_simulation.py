@@ -91,7 +91,7 @@ def test_batched_simulation_matches_the_per_trial_loop():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("seed", [-1, (1, -2), "ab"])
+@pytest.mark.parametrize("seed", [-1, (1, -2), "ab", True, (1, False)])
 def test_seeds_numpy_rejects_are_domain_errors(seed, monkeypatch):
     import specshrink.simulation as simulation
 
