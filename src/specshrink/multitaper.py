@@ -11,6 +11,7 @@ available core (:func:`~specshrink.core.map_trials`) and reduce it in trial
 order, so their results do not depend on the number of cores.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ MAX_AUTO_TAPERS = 63
 #: about 1 MB at ``m = 63``, against 8.2 MB for all 129 frequencies at T = 256.
 GRAM_BLOCK = 16
 
+#: ``numpy.fft.rfft`` writes into a given array from numpy 2.0 on.
+_RFFT_TAKES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
 
 def sine_tapers(n_samples: int, n_tapers: int) -> np.ndarray:
     """The first ``n_tapers`` sine tapers of length ``n_samples``, shape ``(n_tapers, n_samples)``.
@@ -45,21 +49,32 @@ def sine_tapers(n_samples: int, n_tapers: int) -> np.ndarray:
     return np.sqrt(2.0 / (n_samples + 1)) * np.sin(np.pi * np.outer(a, t) / (n_samples + 1))
 
 
-def _tapered_dfts(values: np.ndarray, tapers: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Half-grid DFTs of one trial under every taper, shape ``(n_freq, m, P)``.
+def _view(work: np.ndarray, shape, dtype=float, start: int = 0) -> np.ndarray:
+    """An array of ``shape`` and ``dtype`` over the float buffer ``work``, from its
+    ``start``-th float on."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize // work.itemsize
+    return work[start:start + size].view(dtype).reshape(shape)
+
+
+def _tapered_dfts(values: np.ndarray, tapers: np.ndarray, phase: np.ndarray,
+                  work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Half-grid DFTs of one trial under every taper, written into ``out``, shape
+    ``(n_freq, m, P)``, and returned.
 
     ``phase`` is ``exp(-1j * grid.omegas)[:, None, None]``, which moves
     numpy's t = 0-based transform to the t = 1-based convention.  The
-    tapered series are laid out time first and transformed along that axis,
-    so the result comes out C-contiguous for the per-frequency products
-    without a transposed copy (``ascontiguousarray`` copies only where an
-    older numpy returns a transposed view).
+    tapered series are laid out time first in the float buffer ``work`` and
+    transformed along that axis, so the result comes out C-contiguous for
+    the per-frequency products without a transposed copy.
     """
-    tapered = np.empty((values.shape[1], len(tapers), values.shape[0]))
+    tapered = _view(work, (values.shape[1], len(tapers), values.shape[0]))
     np.multiply(tapers.T[:, :, None], values.T[:, None, :], out=tapered)
-    coefs = np.ascontiguousarray(np.fft.rfft(tapered, axis=0))
-    coefs *= phase
-    return coefs
+    if _RFFT_TAKES_OUT:
+        np.fft.rfft(tapered, axis=0, out=out)
+    else:
+        out[...] = np.fft.rfft(tapered, axis=0)
+    out *= phase
+    return out
 
 
 def multitaper_estimator(series: MultiTrialSeries, n_tapers: int) -> SpectralEstimate:
@@ -73,13 +88,20 @@ def multitaper_estimator(series: MultiTrialSeries, n_tapers: int) -> SpectralEst
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
     tapers = sine_tapers(series.n_samples, n_tapers)
     phase = np.exp(-1j * grid.omegas)[:, None, None]
-
-    def trial_sum(n):
-        d = _tapered_dfts(series.values[n], tapers, phase)
-        return d.transpose(0, 2, 1) @ np.conj(d)  # (n_freq, P, m) @ (n_freq, m, P)
-
     acc = np.zeros((grid.n_frequencies, series.n_channels, series.n_channels), dtype=complex)
-    for part in map_trials(trial_sum, series.n_trials):
+    dft_shape = (grid.n_frequencies, n_tapers, series.n_channels)
+
+    def scratch():  # the tapered series, then the DFTs' conjugates, share ``work``
+        work = np.empty(max(series.n_samples, 2 * grid.n_frequencies) * math.prod(dft_shape[1:]))
+        return work, np.empty(dft_shape, dtype=complex), np.empty_like(acc)
+
+    def trial_sum(n, space):
+        work, d, part = space
+        _tapered_dfts(series.values[n], tapers, phase, work, d)
+        conj = np.conj(d, out=_view(work, dft_shape, complex))
+        return np.matmul(d.transpose(0, 2, 1), conj, out=part)  # (n_freq, P, m) @ (n_freq, m, P)
+
+    for part in map_trials(trial_sum, series.n_trials, scratch):
         acc += part
     acc /= 2.0 * np.pi * n_tapers * series.n_trials
     return SpectralEstimate(grid, acc, tag="multitaper")
@@ -136,29 +158,46 @@ def select_taper_count(series: MultiTrialSeries,
     # grid-summed squared distance to the pilot expands into prefix sums of
     # pairwise taper inner products and pilot quadratic forms; this avoids
     # materialising one (n_freq, P, P) matrix per taper and candidate count.
-    def trial_risks(n):
-        pilot = pgrams.leave_one_out_mean(n)
-        d = _tapered_dfts(series.values[n], tapers, phase)
+    p = series.n_channels
+    pgrams.total  # the cached trial sum is built here, not by the first worker to need it
+
+    def scratch():
+        # One trial's steps use ``work`` in turn: the tapered series, a Gram
+        # block with its conjugate DFTs, the pilot products, the pilot's squares.
+        work = np.empty(max(series.n_samples * m * p, 2 * GRAM_BLOCK * m * (p + m),
+                            2 * n_freq * m * p, 2 * n_freq * p * p))
+        return work, np.empty((n_freq, m, p), dtype=complex), np.empty((n_freq, p, p), dtype=complex)
+
+    def trial_risks(n, space):
+        work, d, pilot = space
+        pgrams.leave_one_out_mean(n, out=pilot)
+        _tapered_dfts(series.values[n], tapers, phase, work, d)
+        conj_block = _view(work, (GRAM_BLOCK, m, p), complex)
+        block = _view(work, (GRAM_BLOCK, m, m), complex, start=2 * conj_block.size)
         inner_sq = np.zeros(2 * m * m)  # sum over frequencies of |<d_a, d_b>|^2, re and im
-        block = np.empty((GRAM_BLOCK, m, m), dtype=complex)
         for start in range(0, n_freq, GRAM_BLOCK):
             part = d[start:start + GRAM_BLOCK]
-            inner = np.matmul(np.conj(part), part.transpose(0, 2, 1), out=block[:len(part)])
+            conj = np.conj(part, out=conj_block[:len(part)])
+            inner = np.matmul(conj, part.transpose(0, 2, 1), out=block[:len(part)])
             flat = inner.view(float).reshape(len(part), -1)
             flat *= flat  # not einsum, which holds the interpreter lock
             inner_sq += flat.sum(axis=0)
         gram = np.cumsum(np.cumsum(inner_sq.reshape(m, m, 2).sum(axis=-1), axis=0), axis=1)
         # Re(conj(d) * q) summed is the float views' product summed, with no conjugate copy.
-        pilot_d = (d @ pilot.transpose(0, 2, 1)).view(float)
+        pilot_d = np.matmul(d, pilot.transpose(0, 2, 1), out=_view(work, d.shape, complex))
+        pilot_d = pilot_d.view(float)
         pilot_d *= d.view(float)
         quad = np.cumsum(pilot_d.sum(axis=(0, 2)))
-        pilot_sq = float(np.sum(pilot.real**2 + pilot.imag**2))
+        squares = _view(work, (2, *pilot.shape))
+        re_sq, im_sq = np.square(pilot.real, out=squares[0]), np.square(pilot.imag, out=squares[1])
+        re_sq += im_sq
+        pilot_sq = float(np.sum(re_sq))
         dist = (pilot_sq
                 - quad[counts - 1] / (np.pi * counts)
                 + np.diag(gram)[counts - 1] / (2.0 * np.pi * counts) ** 2)
         return scale * np.maximum(dist, 0.0) / series.n_channels
 
-    risks = np.stack(list(map_trials(trial_risks, series.n_trials)))
+    risks = np.stack(list(map_trials(trial_risks, series.n_trials, scratch)))
     chosen = [grid_counts[i] for i in np.argmin(risks, axis=1)]
     median = sorted(chosen)[(len(chosen) - 1) // 2]
     return TaperSelection(per_trial=tuple(chosen), median=median, risks=risks)

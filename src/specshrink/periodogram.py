@@ -27,6 +27,7 @@ frequency of the summed trials' DFTs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +63,12 @@ def _half_grid_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return coefs
 
 
-def _outer(d: np.ndarray, n_samples: int) -> np.ndarray:
-    """Periodogram matrices ``d d^* / T`` of one trial's DFT ``d``, ``(n_freq, P, P)``."""
-    return np.einsum("pj,qj->jpq", d, np.conj(d)) / n_samples
+def _outer(d: np.ndarray, n_samples: int, out=None) -> np.ndarray:
+    """Periodogram matrices ``d d^* / T`` of one trial's DFT ``d``, ``(n_freq, P, P)``,
+    written into ``out`` if it is given."""
+    out = np.einsum("pj,qj->jpq", d, np.conj(d), out=out)
+    out /= n_samples
+    return out
 
 
 def raw_periodogram(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -126,19 +130,29 @@ class PeriodogramSet:
     def n_trials(self) -> int:
         return self.dfts.shape[0]
 
-    def trial(self, trial: int) -> np.ndarray:
+    @cached_property
+    def total(self) -> np.ndarray:
+        """The sum of the trials' periodogram matrices, ``n_trials`` times the mean."""
+        return self.mean.matrices * self.n_trials
+
+    def trial(self, trial: int, out=None) -> np.ndarray:
         """Periodogram matrices of one trial, ``(n_frequencies, P, P)``, equal bit for bit to
-        :func:`raw_periodogram` of that trial's values."""
+        :func:`raw_periodogram` of that trial's values; written into ``out`` if it is given."""
         if not 0 <= trial < self.n_trials:
             raise DimensionError(f"trial index {trial} out of range [0, {self.n_trials})")
-        return _outer(self.dfts[trial], self.grid.n_samples)
+        return _outer(self.dfts[trial], self.grid.n_samples, out)
 
-    def leave_one_out_mean(self, trial: int) -> np.ndarray:
-        """Mean periodogram of all trials except ``trial``; needs >= 2 trials."""
+    def leave_one_out_mean(self, trial: int, out=None) -> np.ndarray:
+        """Mean periodogram of all trials except ``trial``; needs >= 2 trials.  Written into
+        ``out`` if it is given, with no other array of its size allocated once
+        :attr:`total` has been read."""
         n = self.n_trials
         if n < 2:
             raise DimensionError("leave-one-out mean needs at least two trials")
-        return (self.mean.matrices * n - self.trial(trial)) / (n - 1)
+        out = self.trial(trial, out)
+        np.subtract(self.total, out, out=out)
+        out /= n - 1
+        return out
 
 
 def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import threading
 import time
 
 import numpy as np
@@ -477,6 +478,26 @@ def test_map_trials_yields_in_trial_order_and_runs_at_most_one_trial_ahead_per_w
         assert len(started) <= n + 1 + workers
     assert sorted(started) == list(range(10))
     assert list(map_trials(square, 0)) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_trials_gives_each_trial_in_flight_its_own_scratch(monkeypatch, workers):
+    monkeypatch.setattr(core, "_worker_count", lambda n_tasks: workers)
+    makers = []
+
+    def scratch():
+        makers.append(threading.get_ident())
+        return np.zeros(1)
+
+    def fill(n, space):
+        time.sleep(0.002 * (n % 3 == 0))  # trials finish out of order
+        space[0] = n
+        return space  # a view of the space, valid until the next result is taken
+
+    for n, result in enumerate(map_trials(fill, 10, scratch)):
+        assert result[0] == n
+    assert makers == [threading.get_ident()] * (workers + 1)
+    assert list(map_trials(fill, 0, scratch)) == []
 
 
 def test_worker_count_is_the_available_cpus_capped_by_the_tasks():

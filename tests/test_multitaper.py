@@ -1,6 +1,7 @@
 """Sine-taper estimates and leave-one-out taper-count selection."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,34 @@ def test_an_error_in_a_worker_reaches_the_caller_unchanged(monkeypatch, run):
     with pytest.raises(DomainError) as info:
         run(series)
     assert type(info.value) is DomainError and str(info.value) == "trial went wrong"
+
+
+def test_the_per_trial_work_allocates_no_large_array(monkeypatch):
+    # A worker thread allocates from a C-allocator arena of its own, which keeps
+    # what is freed, so each trial's large arrays come from the scratch that the
+    # caller makes.  Here the trials run one at a time in this thread, traced.
+    peaks = []
+
+    def traced_map(func, n_trials, scratch):
+        spaces = [scratch(), scratch()]
+        for n in range(n_trials):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = func(n, spaces[n % 2])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            yield result
+
+    monkeypatch.setattr(multitaper, "map_trials", traced_map)
+    series = MultiTrialSeries(np.random.default_rng(9).standard_normal((4, 6, 256)))
+    dft_bytes = 16 * 129 * 63 * 6  # one trial's DFTs under 63 tapers
+    tracemalloc.start()
+    try:
+        selection = select_taper_count(series)
+        multitaper_estimator(series, 63)
+    finally:
+        tracemalloc.stop()
+    assert len(selection.risks[0]) == 63 and len(peaks) == 8
+    assert max(peaks) < dft_bytes / 3, (peaks, dft_bytes)
 
 
 def test_taper_selection_median_is_lower_median():

@@ -111,6 +111,18 @@ def test_mean_and_leave_one_out():
         single.leave_one_out_mean(0)
 
 
+def test_trial_and_leave_one_out_write_into_a_given_array():
+    series = MultiTrialSeries(np.random.default_rng(8).standard_normal((4, 3, 33)))
+    pgrams = compute_periodograms(series)
+    np.testing.assert_array_equal(pgrams.total, pgrams.mean.matrices * 4)
+    out = np.empty_like(pgrams.mean.matrices)
+    for n in range(series.n_trials):
+        assert pgrams.trial(n, out=out) is out
+        np.testing.assert_array_equal(out, pgrams.trial(n))
+        assert pgrams.leave_one_out_mean(n, out=out) is out
+        np.testing.assert_array_equal(out, (pgrams.mean.matrices * 4 - pgrams.trial(n)) / 3)
+
+
 @pytest.mark.parametrize("block_values", [periodogram.SUM_BLOCK_VALUES, 50])
 def test_periodogram_sums_are_batched_products_of_dfts(monkeypatch, block_values):
     # odd and even T, one channel and several, one trial and many; with 50
