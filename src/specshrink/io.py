@@ -41,11 +41,16 @@ DEFAULT_BANDS = (("alpha", 8.0, 12.0), ("beta", 18.0, 30.0))
 
 
 def _atomic_write(path, data: bytes):
+    """Write ``data`` to ``path`` through a temporary file in its directory, with the
+    mode ``open()`` would give a new file (``mkstemp`` makes it 0600)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -149,28 +149,34 @@ def select_taper_count(series: MultiTrialSeries,
     pgrams = periodograms_for(series, periodograms)
     n_freq = pgrams.grid.n_frequencies
     phase = np.exp(-1j * pgrams.grid.omegas)[:, None, None]
-    tapers = sine_tapers(series.n_samples, grid_counts[-1])
+    n_trials, p, n_samples = series.values.shape
+    tapers = sine_tapers(n_samples, grid_counts[-1])
     m = len(tapers)
-    scale = 2.0 * np.pi / series.n_samples
     counts = np.asarray(grid_counts)
 
     # The m-taper estimate is a prefix mean of rank-1 terms d_a d_a^*, so the
     # grid-summed squared distance to the pilot expands into prefix sums of
     # pairwise taper inner products and pilot quadratic forms; this avoids
     # materialising one (n_freq, P, P) matrix per taper and candidate count.
-    p = series.n_channels
-    pgrams.total  # the cached trial sum is built here, not by the first worker to need it
+    # The pilot (total - e e^* / T) / (N - 1), with e trial n's periodogram DFT,
+    # is not built either: its quadratic forms are
+    # (d_a^* total d_a - |e^* d_a|^2 / T) / (N - 1), and its squared norm is
+    # (||total||^2 - 2 e^* total e / T + ||e||^4 / T^2) / (N - 1)^2.
+    total = pgrams.total
+    # A BLAS dot of this size wakes OpenBLAS's threads, whose spinning then
+    # slows the workers (by about a third at 40 x 12 x 256); a sum does not.
+    total_sq = float(np.sum(np.square(total.view(float))))
 
     def scratch():
         # One trial's steps use ``work`` in turn: the tapered series, a Gram
-        # block with its conjugate DFTs, the pilot products, the pilot's squares.
-        work = np.empty(max(series.n_samples * m * p, 2 * GRAM_BLOCK * m * (p + m),
-                            2 * n_freq * m * p, 2 * n_freq * p * p))
-        return work, np.empty((n_freq, m, p), dtype=complex), np.empty((n_freq, p, p), dtype=complex)
+        # block with its conjugate DFTs, the products with ``total``.
+        work = np.empty(max(n_samples * m * p, 2 * GRAM_BLOCK * m * (p + m),
+                            2 * n_freq * m * p))
+        return work, np.empty((n_freq, m, p), dtype=complex), np.empty((n_freq, m, 1), dtype=complex)
 
     def trial_risks(n, space):
-        work, d, pilot = space
-        pgrams.leave_one_out_mean(n, out=pilot)
+        work, d, proj = space
+        e = np.ascontiguousarray(pgrams.dfts[n].T)[:, :, None]  # (n_freq, P, 1)
         _tapered_dfts(series.values[n], tapers, phase, work, d)
         conj_block = _view(work, (GRAM_BLOCK, m, p), complex)
         block = _view(work, (GRAM_BLOCK, m, m), complex, start=2 * conj_block.size)
@@ -182,22 +188,26 @@ def select_taper_count(series: MultiTrialSeries,
             flat = inner.view(float).reshape(len(part), -1)
             flat *= flat  # not einsum, which holds the interpreter lock
             inner_sq += flat.sum(axis=0)
+            # conj(e^* d_a), which has the modulus of e^* d_a
+            np.matmul(conj, e[start:start + GRAM_BLOCK], out=proj[start:start + GRAM_BLOCK])
         gram = np.cumsum(np.cumsum(inner_sq.reshape(m, m, 2).sum(axis=-1), axis=0), axis=1)
-        # Re(conj(d) * q) summed is the float views' product summed, with no conjugate copy.
-        pilot_d = np.matmul(d, pilot.transpose(0, 2, 1), out=_view(work, d.shape, complex))
-        pilot_d = pilot_d.view(float)
-        pilot_d *= d.view(float)
-        quad = np.cumsum(pilot_d.sum(axis=(0, 2)))
-        squares = _view(work, (2, *pilot.shape))
-        re_sq, im_sq = np.square(pilot.real, out=squares[0]), np.square(pilot.imag, out=squares[1])
-        re_sq += im_sq
-        pilot_sq = float(np.sum(re_sq))
+        # Re(conj(x) * y) summed is the float views' product summed, with no conjugate copy.
+        total_d = np.matmul(d, total.transpose(0, 2, 1), out=_view(work, d.shape, complex))
+        total_d = total_d.view(float)
+        total_d *= d.view(float)
+        proj_sq = proj.view(float)
+        proj_sq *= proj_sq
+        quad = np.cumsum((total_d.sum(axis=(0, 2)) - proj_sq.sum(axis=(0, 2)) / n_samples)
+                         / (n_trials - 1))
+        e_sq = np.square(e.view(float)).sum(axis=(1, 2))  # ||e||^2 at each frequency
+        pilot_sq = ((total_sq - 2.0 * np.vdot(e, np.matmul(total, e)).real / n_samples
+                     + e_sq @ e_sq / n_samples ** 2) / (n_trials - 1) ** 2)
         dist = (pilot_sq
                 - quad[counts - 1] / (np.pi * counts)
                 + np.diag(gram)[counts - 1] / (2.0 * np.pi * counts) ** 2)
-        return scale * np.maximum(dist, 0.0) / series.n_channels
+        return (2.0 * np.pi / n_samples) * np.maximum(dist, 0.0) / p
 
-    risks = np.stack(list(map_trials(trial_risks, series.n_trials, scratch)))
+    risks = np.stack(list(map_trials(trial_risks, n_trials, scratch)))
     chosen = [grid_counts[i] for i in np.argmin(risks, axis=1)]
     median = sorted(chosen)[(len(chosen) - 1) // 2]
     return TaperSelection(per_trial=tuple(chosen), median=median, risks=risks)

@@ -1,4 +1,4 @@
-"""Per-trial DFTs, their periodogram matrices, and the trial-averaged mean.
+"""Per-trial DFTs, the periodogram matrices they define, and the trial-averaged mean.
 
 Conventions
 -----------
@@ -19,11 +19,12 @@ Storage
 -------
 Every periodogram matrix is the rank-one product of a DFT vector, so
 :class:`PeriodogramSet` keeps the ``(N, P, T//2 + 1)`` DFTs, N*P*(T/2+1)
-complex values, instead of the N*(T/2+1)*P**2 values of the matrices, and
-a pass that reads one trial's matrices builds them with
-:meth:`PeriodogramSet.trial`.  Sums over trials, the mean and the
-smoothing's span groups, are one batched product ``D D^* / T`` per
-frequency of the summed trials' DFTs.
+complex values, instead of the N*(T/2+1)*P**2 values of the matrices.
+Sums over trials, the mean and the smoothing's span groups, are one batched
+product ``D D^* / T`` per frequency of the summed trials' DFTs.  No pass
+builds one trial's matrices: a trial's leave-one-out mean is
+``(total - d d^* / T) / (N - 1)``, and the span and taper risks expand its
+inner products into terms of the trial sum ``total`` and of ``d``.
 """
 
 from dataclasses import dataclass
@@ -63,21 +64,14 @@ def _half_grid_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return coefs
 
 
-def _outer(d: np.ndarray, n_samples: int, out=None) -> np.ndarray:
-    """Periodogram matrices ``d d^* / T`` of one trial's DFT ``d``, ``(n_freq, P, P)``,
-    written into ``out`` if it is given."""
-    out = np.einsum("pj,qj->jpq", d, np.conj(d), out=out)
-    out /= n_samples
-    return out
-
-
 def raw_periodogram(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """Periodogram matrices ``d d^* / T`` of one trial, shape ``(n_freq, P, P)``.
 
     Each matrix is Hermitian positive semidefinite of rank one by
     construction.
     """
-    return _outer(trial_dft(values, grid), grid.n_samples)
+    d = trial_dft(values, grid)
+    return np.einsum("pj,qj->jpq", d, np.conj(d)) / grid.n_samples
 
 
 def periodogram_sum(dfts: np.ndarray, n_samples: int) -> np.ndarray:
@@ -106,10 +100,11 @@ class PeriodogramSet:
     """Every trial's half-grid DFT plus the across-trial mean periodogram.
 
     The matrices of one trial are the rank-one products of its DFT, so they
-    are not stored: :meth:`trial` builds them, and :func:`periodogram_sum`
-    sums any group of trials.  The set holds N*P*(T//2+1) complex values
-    for the DFTs plus (T//2+1)*P**2 for the mean, P times fewer than the
-    N*(T//2+1)*P**2 of every trial's matrices.
+    are not stored: :func:`periodogram_sum` sums any group of trials, and
+    the leave-one-out risks are expanded in :attr:`total` and the DFTs.  The
+    set holds N*P*(T//2+1) complex values for the DFTs plus (T//2+1)*P**2
+    for the mean, P times fewer than the N*(T//2+1)*P**2 of every trial's
+    matrices.
 
     Attributes
     ----------
@@ -134,25 +129,6 @@ class PeriodogramSet:
     def total(self) -> np.ndarray:
         """The sum of the trials' periodogram matrices, ``n_trials`` times the mean."""
         return self.mean.matrices * self.n_trials
-
-    def trial(self, trial: int, out=None) -> np.ndarray:
-        """Periodogram matrices of one trial, ``(n_frequencies, P, P)``, equal bit for bit to
-        :func:`raw_periodogram` of that trial's values; written into ``out`` if it is given."""
-        if not 0 <= trial < self.n_trials:
-            raise DimensionError(f"trial index {trial} out of range [0, {self.n_trials})")
-        return _outer(self.dfts[trial], self.grid.n_samples, out)
-
-    def leave_one_out_mean(self, trial: int, out=None) -> np.ndarray:
-        """Mean periodogram of all trials except ``trial``; needs >= 2 trials.  Written into
-        ``out`` if it is given, with no other array of its size allocated once
-        :attr:`total` has been read."""
-        n = self.n_trials
-        if n < 2:
-            raise DimensionError("leave-one-out mean needs at least two trials")
-        out = self.trial(trial, out)
-        np.subtract(self.total, out, out=out)
-        out /= n - 1
-        return out
 
 
 def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:

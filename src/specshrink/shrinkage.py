@@ -256,18 +256,22 @@ class PipelineResult:
     """Everything the shrinkage pipeline produced, kept for audit.
 
     ``estimate`` is the combined spectral estimate; the parametric and
-    nonparametric inputs, the pilot, the fitted VAR model and order, the
-    smoothing record, and the weight diagnostics are all retained.
+    nonparametric inputs, the pilot, the fitted VAR model, the smoothing
+    record, and the weight diagnostics are all retained.
     """
 
     estimate: SpectralEstimate
     diagnostics: ShrinkageDiagnostics
     model: VarModel
-    order: int
     parametric: SpectralEstimate
     nonparametric: SpectralEstimate
     pilot: SpectralEstimate
     smoothing: SmoothingConfig
+
+    @property
+    def order(self) -> int:
+        """The order of the fitted VAR model."""
+        return self.model.order
 
 
 def _stage(name, func):
@@ -330,7 +334,7 @@ def shrinkage_pipeline(series: MultiTrialSeries,
     estimate, diagnostics = shrink(parametric, nonparametric, pgrams.mean, opts.window,
                                    opts.fixed_weight)
     return PipelineResult(estimate=estimate, diagnostics=diagnostics, model=model,
-                          order=model.order, parametric=parametric, nonparametric=nonparametric,
+                          parametric=parametric, nonparametric=nonparametric,
                           pilot=pgrams.mean, smoothing=smoothing)
 
 

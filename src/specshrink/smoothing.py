@@ -184,7 +184,7 @@ def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
     # triangle is built straight from its DFT ``d``, one row per entry.
     rows, cols = np.triu_indices(n_channels)
     scale = np.where(rows == cols, 1.0, np.sqrt(2.0))[:, None]
-    total = (periodograms.mean.matrices * n_trials)[:, rows, cols].T * scale
+    total = periodograms.total[:, rows, cols].T * scale
     f_total = np.fft.hfft(total, n=n_samples, axis=-1)
     total_sq = np.einsum("ek,ek->", f_total, f_total)
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import check_rate
+from .core import check_count, check_rate
 from .errors import DegenerateChannelError, DimensionError, DomainError, InsufficientDataError
 
 
@@ -75,8 +75,7 @@ def detrend(series: MultiTrialSeries, order: int = 1) -> MultiTrialSeries:
     polynomial basis in time, so polynomial inputs of degree <= ``order``
     come back as (numerical) zero.
     """
-    if order < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {order}")
+    order = check_count(order, "polynomial degree", low=0)
     n_samples = series.n_samples
     if n_samples <= order + 1:
         raise InsufficientDataError(

@@ -207,9 +207,13 @@ class OrderSelection:
     """Chosen VAR order, the information-criterion value per candidate, and
     the model fitted at the chosen order."""
 
-    order: int
     criterion: tuple[float, ...]
     model: VarModel
+
+    @property
+    def order(self) -> int:
+        """The chosen order, that of :attr:`model`."""
+        return self.model.order
 
 
 def _lag_moments(values: np.ndarray, top: int):
@@ -287,7 +291,7 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
         for k, cond in enumerate(conds, 1):
             if k != order:  # fit_var warns for the chosen order
                 _warn_if_ill_conditioned(cond)
-    return OrderSelection(order=order, criterion=tuple(criterion), model=fit_var(series, order))
+    return OrderSelection(criterion=tuple(criterion), model=fit_var(series, order))
 
 
 def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:

@@ -19,6 +19,7 @@ from specshrink import (
     PipelineOptions,
     SimulationConfig,
     SpectralEstimate,
+    detrend,
     exact_sum,
     extend_full_circle,
     fit_var,
@@ -362,6 +363,10 @@ _COUNT_SERIES = MultiTrialSeries(np.random.default_rng(11).standard_normal((4, 2
 def _multitaper_with(n_tapers):
     multitaper_estimator(_COUNT_SERIES, n_tapers)  # the estimate keeps no count to report
 
+
+def _detrend_with(degree):
+    detrend(_COUNT_SERIES, degree)  # nor does the detrended series
+
 #: Every place a count-valued setting enters, as ``(odd, call)``; ``call(value)``
 #: returns the count the entry point kept, or None where it keeps none.
 COUNT_ENTRY_POINTS = {
@@ -382,6 +387,7 @@ COUNT_ENTRY_POINTS = {
     "fit_var": (False, lambda v: fit_var(_COUNT_SERIES, v).order),
     "select_var_order": (False, lambda v: len(select_var_order(_COUNT_SERIES, v).criterion)),
     "sine_tapers": (False, lambda v: len(sine_tapers(32, v))),
+    "detrend": (False, _detrend_with),
     "multitaper_estimator": (False, _multitaper_with),
     "monte_carlo_compare.reps": (False, lambda v: monte_carlo_compare(
         SimulationConfig(n_trials=2, n_samples=32), estimators=("truth",), reps=v).n_reps),
@@ -389,10 +395,14 @@ COUNT_ENTRY_POINTS = {
 
 NOT_COUNTS = [True, np.bool_(True), 2.5, 2.0, "3", 0, -1]
 
+#: Entry points whose count may be 0, such as a polynomial degree.
+COUNTS_FROM_ZERO = {"detrend"}
+
 
 @pytest.mark.parametrize("entry, value", [
     pytest.param(entry, value, id=f"{entry}-{value!r}")
-    for entry, (odd, _) in COUNT_ENTRY_POINTS.items() for value in NOT_COUNTS + [4] * odd])
+    for entry, (odd, _) in COUNT_ENTRY_POINTS.items() for value in NOT_COUNTS + [4] * odd
+    if not (entry in COUNTS_FROM_ZERO and value == 0)])
 def test_every_count_setting_follows_one_rule(entry, value):
     with pytest.raises(DomainError, match=re.escape(f"got {value!r}")):
         COUNT_ENTRY_POINTS[entry][1](value)

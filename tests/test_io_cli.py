@@ -1,6 +1,8 @@
 """Binary/CSV file formats, run configuration, and the command-line interface."""
 
 import inspect
+import os
+import stat
 import struct
 import time
 
@@ -27,7 +29,9 @@ from specshrink import (
     write_trials,
 )
 from specshrink.cli import build_parser, main
-from specshrink.io import RunConfig, format_column, format_value, parse_bands, write_csv
+from specshrink.io import (
+    RunConfig, format_column, format_value, parse_bands, write_csv, write_text,
+)
 
 rng = np.random.default_rng(42)
 
@@ -185,6 +189,24 @@ def test_csv_formatting(tmp_path):
         write_csv(path, ("a", "b"), [(1.0, 2.5), ("x",)])
     with pytest.raises(DimensionError):
         write_csv(path, ("a", "b"), [(1.0, 2.5)])
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_written_files_get_the_mode_open_gives(tmp_path, umask):
+    # The atomic writes go through ``mkstemp``, which makes its files 0600.
+    old = os.umask(umask)
+    try:
+        write_csv(tmp_path / "out.csv", ("a",), [(1.0,)])
+        write_text(tmp_path / "report.txt", "ok\n")
+        write_trials(tmp_path / "t.mts", MultiTrialSeries(np.zeros((1, 1, 4))))
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("out.csv", "report.txt", "t.mts"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want, name
 
 
 def test_csv_columns_format_as_format_value_does():

@@ -22,6 +22,8 @@ from specshrink import (
 )
 from specshrink.multitaper import default_taper_grid, validate_taper_grid
 
+from conftest import stacked_periodograms
+
 
 def test_sine_tapers_closed_form():
     bank = sine_tapers(4, 2)
@@ -151,8 +153,9 @@ def test_taper_selection_is_exhaustive_argmin():
     selection = select_taper_count(series, grid, periodograms=pgrams)
     assert selection.risks.shape == (4, 5)
     scale = 2 * np.pi / 48
+    stack = stacked_periodograms(series)
     for n in range(4):
-        pilot = pgrams.leave_one_out_mean(n)
+        pilot = np.delete(stack, n, axis=0).mean(axis=0)
         brute = []
         for m in grid:
             est = multitaper_estimator(MultiTrialSeries(series.values[n:n + 1]), m)
@@ -161,16 +164,18 @@ def test_taper_selection_is_exhaustive_argmin():
         assert selection.per_trial[n] == grid[int(np.argmin(brute))]
 
 
-def _direct_taper_risks(series, taper_grid, pgrams):
+def _direct_taper_risks(series, taper_grid):
     """The serial per-trial loop over each trial's whole taper Gram, with ``einsum``,
-    kept as the oracle for the risks of :func:`select_taper_count`."""
-    grid = pgrams.grid
+    against the leave-one-out mean of the stacked periodogram matrices; kept as the
+    oracle for the risks of :func:`select_taper_count`."""
+    grid = FrequencyGrid(series.n_samples, series.sampling_rate)
+    stack = stacked_periodograms(series)
     tapers = sine_tapers(series.n_samples, taper_grid[-1])
     scale = 2.0 * np.pi / series.n_samples
     counts = np.asarray(taper_grid)
     risks = np.empty((series.n_trials, len(taper_grid)))
     for n in range(series.n_trials):
-        pilot = pgrams.leave_one_out_mean(n)
+        pilot = np.delete(stack, n, axis=0).mean(axis=0)
         d = np.fft.rfft(tapers[:, None, :] * series.values[n][None, :, :], axis=-1)
         d = np.ascontiguousarray((d * np.exp(-1j * grid.omegas)).transpose(2, 0, 1))
         inner = np.conj(d) @ d.transpose(0, 2, 1)  # (n_freq, m, m) taper inner products
@@ -194,9 +199,31 @@ def test_taper_risks_match_the_direct_loop(n_samples, n_channels, taper_grid):
     series = MultiTrialSeries(rng.standard_normal((5, n_channels, n_samples)))
     pgrams = compute_periodograms(series)
     selection = select_taper_count(series, taper_grid, periodograms=pgrams)
-    want = _direct_taper_risks(series, taper_grid, pgrams)
+    want = _direct_taper_risks(series, taper_grid)
     np.testing.assert_allclose(selection.risks, want, rtol=1e-12, atol=0)
     assert selection.per_trial == tuple(taper_grid[i] for i in np.argmin(want, axis=1))
+
+
+def _tapered_results(series):
+    """One trial's tapered DFTs, the taper risks and a multitaper estimate of ``series``."""
+    grid = FrequencyGrid(series.n_samples, series.sampling_rate)
+    tapers = sine_tapers(series.n_samples, 6)
+    shape = (grid.n_frequencies, 6, series.n_channels)
+    d = multitaper._tapered_dfts(series.values[0], tapers, np.exp(-1j * grid.omegas)[:, None, None],
+                                 np.empty(series.n_samples * 6 * series.n_channels),
+                                 np.empty(shape, dtype=complex))
+    risks = select_taper_count(series, (1, 2, 4, 6)).risks
+    return d, risks, multitaper_estimator(series, 4).matrices
+
+
+@pytest.mark.parametrize("n_samples", [64, 65])
+def test_the_numpy_1_transform_branch_gives_the_same_bits(monkeypatch, n_samples):
+    # numpy < 2 cannot pass ``out`` to ``rfft``; that branch copies the transform in.
+    series = MultiTrialSeries(np.random.default_rng(n_samples).standard_normal((5, 3, n_samples)))
+    default = _tapered_results(series)
+    monkeypatch.setattr(multitaper, "_RFFT_TAKES_OUT", False)
+    for got, want in zip(_tapered_results(series), default):
+        assert np.array_equal(got, want)
 
 
 def test_taper_selection_and_estimate_do_not_depend_on_the_worker_count(monkeypatch):

@@ -89,6 +89,7 @@ def test_negative_frequency_values_are_conjugates():
 
 
 def test_mean_and_leave_one_out():
+    # The risks expand each trial's leave-one-out mean as (total - own) / (N - 1).
     rng = np.random.default_rng(5)
     series = MultiTrialSeries(rng.standard_normal((5, 2, 32)))
     pgrams = compute_periodograms(series)
@@ -97,30 +98,10 @@ def test_mean_and_leave_one_out():
     mean = pgrams.mean.matrices
     np.testing.assert_allclose(mean, stack.mean(axis=0), rtol=1e-13, atol=0)
     np.testing.assert_array_equal(mean, np.conj(np.swapaxes(mean, -1, -2)))
+    np.testing.assert_array_equal(pgrams.total, mean * 5)
     for n in range(series.n_trials):
-        np.testing.assert_array_equal(pgrams.trial(n), stack[n])
-        loo = pgrams.leave_one_out_mean(n)
-        np.testing.assert_allclose(loo, np.delete(stack, n, axis=0).mean(axis=0),
-                                   rtol=1e-13, atol=1e-15)
-    with pytest.raises(DimensionError):
-        pgrams.leave_one_out_mean(5)
-    with pytest.raises(DimensionError):
-        pgrams.trial(-1)
-    single = compute_periodograms(MultiTrialSeries(series.values[:1]))
-    with pytest.raises(DimensionError):
-        single.leave_one_out_mean(0)
-
-
-def test_trial_and_leave_one_out_write_into_a_given_array():
-    series = MultiTrialSeries(np.random.default_rng(8).standard_normal((4, 3, 33)))
-    pgrams = compute_periodograms(series)
-    np.testing.assert_array_equal(pgrams.total, pgrams.mean.matrices * 4)
-    out = np.empty_like(pgrams.mean.matrices)
-    for n in range(series.n_trials):
-        assert pgrams.trial(n, out=out) is out
-        np.testing.assert_array_equal(out, pgrams.trial(n))
-        assert pgrams.leave_one_out_mean(n, out=out) is out
-        np.testing.assert_array_equal(out, (pgrams.mean.matrices * 4 - pgrams.trial(n)) / 3)
+        np.testing.assert_allclose((pgrams.total - stack[n]) / 4,
+                                   np.delete(stack, n, axis=0).mean(axis=0), rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("block_values", [periodogram.SUM_BLOCK_VALUES, 50])

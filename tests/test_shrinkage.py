@@ -253,7 +253,6 @@ def test_pipeline_on_white_noise():
     diags = np.diagonal(result.estimate.matrices[3:-3], axis1=1, axis2=2).real
     np.testing.assert_allclose(diags, 1 / (2 * np.pi), rtol=0.25)
     assert abs(diags.mean() - 1 / (2 * np.pi)) < 0.1 / (2 * np.pi)
-    assert result.order == len(result.model.coefs)
     assert result.parametric.tag == "var" and result.nonparametric.tag == "smoothed"
     assert len(result.smoothing.selected_spans) == 40
 
