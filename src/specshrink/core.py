@@ -7,6 +7,7 @@ follow from conjugate symmetry, ``f(-omega) = conj(f(omega))``, and are
 materialised on demand by :func:`extend_full_circle`.
 """
 
+import hashlib
 import math
 import os
 from collections import deque
@@ -423,6 +424,22 @@ def _exact_column_sums(block: np.ndarray) -> np.ndarray:
         deep = levels[2][0]
         out[deep] = [math.fsum(col) for col in partials[:, deep].T.tolist()]
     return out
+
+
+def canonical_trial_order(values: np.ndarray) -> np.ndarray:
+    """Trial indices of ``values`` (trials on the first axis) sorted by a 16-byte
+    BLAKE2b digest of each trial's bytes in C order.
+
+    The sequence of trial contents this order gives does not depend on the
+    order the trials come in, so a reduction that visits the trials in it,
+    in any fixed arithmetic, gives the same bits for every permutation of
+    the trials.  Byte-identical trials tie; the sort is stable, and which of
+    them comes first cannot change the contents visited.
+    """
+    arr = np.asarray(values)
+    digests = [hashlib.blake2b(np.ascontiguousarray(trial), digest_size=16).digest()
+               for trial in arr]
+    return np.array(sorted(range(len(digests)), key=digests.__getitem__), dtype=np.intp)
 
 
 def extend_full_circle(matrices: np.ndarray, n_samples: int) -> np.ndarray:

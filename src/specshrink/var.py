@@ -13,6 +13,12 @@ candidate from one pass over the trials: each order's normal equations are
 a leading block of the moments of the stacked lags, and the criterion needs
 only the log-determinant of the residual covariance, a Schur complement of
 that block.  Only the chosen order is then fitted by :func:`fit_var`.
+
+Both reductions over trials are free of the trial order.  :func:`fit_var`
+sums the per-trial moments with :func:`~specshrink.core.exact_sum`, which is
+correctly rounded.  The order scan, whose moments only rank the orders, sums
+them with BLAS products in :func:`~specshrink.core.canonical_trial_order`,
+which visits the same sequence of trials for any input order.
 """
 
 import warnings
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FrequencyGrid, SpectralEstimate, check_count, exact_sum, hermitian_cond,
-                   symmetrize, validate_spectral)
+from .core import (FrequencyGrid, SpectralEstimate, canonical_trial_order, check_count,
+                   exact_sum, hermitian_cond, symmetrize, validate_spectral)
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      NearSingularError, RankDeficiencyError)
 from .timeseries import MultiTrialSeries
@@ -220,35 +226,33 @@ def _lag_moments(values: np.ndarray, top: int):
     """Yield ``(k, moment)`` for ``k = 1..top``: the trial sum of the moments of the stacked
     lags ``z_k(t) = (X(t), X(t-1), ..., X(t-k))`` over ``t = k..T-1``, ``(P*(k+1), P*(k+1))``.
 
-    One pass over the trials forms the products of ``z_top(t)`` for ``t >= top``.  Their
-    upper triangle is kept in column-major order, so order ``k``'s leading block is a prefix
-    of it; order ``k`` then adds its ``top - k`` head samples ``t = k..top-1``.  Each order is
-    reduced over trials with :func:`exact_sum`, so no moment depends on the trial order.
+    The trials are summed in :func:`~specshrink.core.canonical_trial_order`.  One pass adds
+    each trial's products of ``z_top(t)`` for ``t >= top`` into one buffer, whose leading
+    block is order ``k``'s sum over those samples; order ``k`` then adds the products of its
+    ``top - k`` head samples ``t = k..top-1``, stacked over the trials in the same order.
+    Every sum visits the same sequence of trials whatever order they come in, so no moment
+    depends on the trial order.  Each product is a symmetric rank-k update, so every moment
+    is exactly symmetric.
     """
     n_trials, n_channels, n_samples = values.shape
     dim = n_channels * (top + 1)
-    cols = np.repeat(np.arange(dim), np.arange(1, dim + 1))
-    rows = np.arange(cols.size) - cols * (cols + 1) // 2
-    main, triangle = np.empty((n_trials, cols.size)), rows * dim + cols
-    for n, x in enumerate(values):
+    trials = canonical_trial_order(values)
+    tail = np.zeros((dim, dim))
+    for n in trials:
+        x = values[n]
         lagged = np.concatenate([x[:, top - j:n_samples - j] for j in range(top + 1)])
-        main[n] = (lagged @ lagged.T).ravel()[triangle]
+        tail += lagged @ lagged.T
     # row t of a trial's head is z_top(t) for t < top, zero before the trial starts
+    lead = values[trials, :, :top]
     heads = np.zeros((n_trials, top, dim))
     for j in range(top):
-        heads[:, j:, j * n_channels:(j + 1) * n_channels] = values[:, :, :top - j].swapaxes(1, 2)
+        heads[:, j:, j * n_channels:(j + 1) * n_channels] = lead[:, :, :top - j].swapaxes(1, 2)
     for k in range(1, top + 1):
         size = n_channels * (k + 1)
-        count = size * (size + 1) // 2
-        upper = rows[:count], cols[:count]
-        per_trial = main[:, :count]
+        moment = tail[:size, :size].copy()
         if k < top:
-            per_trial = per_trial.copy()
-            flat = upper[0] * size + upper[1]
-            for n, head in enumerate(heads[:, k:, :size]):
-                per_trial[n] += (head.T @ head).ravel()[flat]
-        moment = np.empty((size, size))
-        moment[upper] = moment.T[upper] = exact_sum(per_trial)
+            head = heads[:, k:, :size].reshape(-1, size)
+            moment += head.T @ head
         yield k, moment
 
 
@@ -263,10 +267,11 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment, with
     ``G**-1 C.T`` solved against the regressor Gram ``G``.  Each order keeps
     :func:`fit_var`'s sample-size and Gram-condition checks, and the moments
-    are exact trial sums, so the scan does not depend on trial order.  Only
-    the chosen order is then fitted by :func:`fit_var`, and the selection
-    carries that model, so callers need not refit it.  The criterion values
-    agree with scoring each :func:`fit_var` model to within rounding.
+    are trial sums in canonical trial order, so the scan is bit-identical
+    under any permutation of the trials.  Only the chosen order is then
+    fitted by :func:`fit_var`, and the selection carries that model, so
+    callers need not refit it.  The criterion values agree with scoring each
+    :func:`fit_var` model to within rounding.
     """
     max_order = check_count(max_order, "max_order")
     n_trials, n_channels, n_samples = series.values.shape

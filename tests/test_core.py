@@ -357,6 +357,43 @@ def test_exact_sum_matches_fsum_with_infinities_and_nans(data, rows, cols):
     assert_matches_fsum(filled(data, rows, cols, pool))
 
 
+def _trials_with_duplicates():
+    values = np.random.default_rng(19).standard_normal((7, 3, 16))
+    values[[4, 6]] = values[1]
+    return values
+
+
+def test_canonical_trial_order_visits_the_same_contents_for_any_permutation():
+    values = _trials_with_duplicates()
+    order = core.canonical_trial_order(values)
+    assert order.dtype == np.intp and sorted(order) == list(range(7))
+    contents = values[order]
+    for seed in range(5):
+        shuffled = values[np.random.default_rng(seed).permutation(7)]
+        np.testing.assert_array_equal(shuffled[core.canonical_trial_order(shuffled)], contents)
+
+
+def test_canonical_trial_order_keeps_byte_identical_trials_in_input_order():
+    order = list(core.canonical_trial_order(_trials_with_duplicates()))
+    first = order.index(1)
+    assert order[first:first + 3] == [1, 4, 6]
+
+
+def test_canonical_trial_order_of_a_single_trial():
+    np.testing.assert_array_equal(core.canonical_trial_order(np.ones((1, 2, 8))), [0])
+
+
+def test_canonical_trial_order_reads_each_trial_in_c_order():
+    values = _trials_with_duplicates()
+    expected = core.canonical_trial_order(values)
+    for layout in (np.asfortranarray(values), np.concatenate([values, values], axis=2)[..., :16]):
+        assert not layout.flags.c_contiguous
+        np.testing.assert_array_equal(core.canonical_trial_order(layout), expected)
+    strided = values[:, :, ::2]
+    np.testing.assert_array_equal(core.canonical_trial_order(strided),
+                                  core.canonical_trial_order(strided.copy()))
+
+
 _COUNT_SERIES = MultiTrialSeries(np.random.default_rng(11).standard_normal((4, 2, 32)))
 
 

@@ -140,6 +140,34 @@ def test_periodograms_keep_trial_dfts_not_matrices():
         np.testing.assert_array_equal(pgrams.dfts[n], trial_dft(series.values[n], pgrams.grid))
 
 
+def _held_arrays(obj, seen=None):
+    """Every array reachable from ``obj`` through instance attributes (cached values
+    included), skipping the frequency grid, whose axes every estimate on it shares."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, FrequencyGrid):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _held_arrays(item, seen)]
+    return [a for value in getattr(obj, "__dict__", {}).values() for a in _held_arrays(value, seen)]
+
+
+@pytest.mark.parametrize("shape", [(40, 8, 256), (3, 5, 33), (1, 1, 9)])
+def test_periodogram_set_holds_the_dfts_and_one_set_of_matrices(shape):
+    # As returned, the set holds N*P*(T/2+1) DFT values and the (T/2+1)*P**2 entries
+    # of the mean, and no other array: per-trial matrices would be N*(T/2+1)*P**2.
+    n_trials, n_channels, n_samples = shape
+    series = MultiTrialSeries(np.random.default_rng(7).standard_normal(shape))
+    pgrams = compute_periodograms(series)
+    n_freq = n_samples // 2 + 1
+    dft_bytes = n_trials * n_channels * n_freq * 16
+    matrix_bytes = n_freq * n_channels ** 2 * 16
+    held = _held_arrays(pgrams)
+    assert sorted(a.nbytes for a in held) == sorted([dft_bytes, matrix_bytes])
+
+
 def test_trial_dft_shape_check():
     with pytest.raises(DimensionError):
         trial_dft(np.zeros((2, 10)), FrequencyGrid(12))

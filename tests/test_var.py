@@ -210,6 +210,46 @@ def test_order_scan_is_bit_identical_under_a_trial_permutation():
         np.testing.assert_array_equal(other.model.noise_cov, selection.model.noise_cov)
 
 
+def reference_lag_moments(values, top):
+    """Test-only reference: every order's lag moments as exactly rounded trial sums of the
+    per-trial moments, each trial's formed from its full regression rows."""
+    n_trials, n_channels, n_samples = values.shape
+    for k in range(1, top + 1):
+        per_trial = np.empty((n_trials, n_channels * (k + 1), n_channels * (k + 1)))
+        for n, x in enumerate(values):
+            lagged = np.concatenate([x[:, k - j:n_samples - j] for j in range(k + 1)])
+            per_trial[n] = lagged @ lagged.T
+        yield k, exact_sum(per_trial)
+
+
+@pytest.mark.parametrize("case", list(_scan_cases()))
+def test_lag_moments_match_exact_trial_sums(case):
+    # The scan sums trials in canonical order; that moves each moment from the exact
+    # sum by rounding only, and every moment stays exactly symmetric.
+    series, max_order = _scan_cases()[case]
+    scanned = list(var._lag_moments(series.values, max_order))
+    reference = list(reference_lag_moments(series.values, max_order))
+    assert [k for k, _ in scanned] == [k for k, _ in reference] == list(range(1, max_order + 1))
+    for (k, moment), (_, exact) in zip(scanned, reference):
+        assert moment.shape == exact.shape
+        np.testing.assert_array_equal(moment, moment.T)
+        np.testing.assert_allclose(moment, exact, rtol=0, atol=1e-13 * np.abs(exact).max())
+
+
+def test_order_scan_is_bit_identical_with_duplicate_trials_in_any_order():
+    # Byte-identical trials tie in the canonical order; any order of the ties gives
+    # the same sequence of trial contents, so the same bits.
+    base = make_var_trials(np.stack([0.5 * np.eye(3), -0.4 * np.eye(3)]), 6, 80, seed=18)
+    values = np.concatenate([base.values, base.values[[2, 4]]])
+    selection = select_var_order(MultiTrialSeries(values), 4)
+    for seed in range(4):
+        perm = np.random.default_rng(seed).permutation(len(values))
+        other = select_var_order(MultiTrialSeries(values[perm]), 4)
+        assert other.criterion == selection.criterion
+        np.testing.assert_array_equal(other.model.coefs, selection.model.coefs)
+        np.testing.assert_array_equal(other.model.noise_cov, selection.model.noise_cov)
+
+
 def test_order_scan_raises_what_fitting_every_order_raises():
     series = make_var_trials(np.array([[[0.5]]]), 2, 32, seed=7)
     dup = MultiTrialSeries(np.repeat(series.values[:, :1], 2, axis=1))
@@ -251,7 +291,7 @@ def test_order_selection_fits_only_the_chosen_order(monkeypatch):
 
 def test_order_selection_memory_stays_below_the_per_order_fits():
     # fitting orders 1..10 one by one peaked at 42.6 MB on this input; the one-pass scan
-    # and the fit of the chosen order peak near 18 MB
+    # and the fit of the chosen order peak at 3.4 MB
     series = standardize(detrend(simulate_mixture(SimulationConfig(seed=3)), order=1))
     select_var_order(series, 2)
     tracemalloc.start()
@@ -260,7 +300,7 @@ def test_order_selection_memory_stays_below_the_per_order_fits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30e6
+    assert peak < 8e6, peak
 
 
 def test_residuals_orthogonal_to_regressors():
