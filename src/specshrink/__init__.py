@@ -16,7 +16,7 @@ from .errors import (DataFormatError, DegenerateChannelError, DimensionError,
                      NearSingularError, PipelineError, RankDeficiencyError,
                      SpecshrinkError, UnstableModelError)
 from .timeseries import MultiTrialSeries, detrend, standardize
-from .periodogram import PeriodogramSet, compute_periodograms, mean_periodogram, raw_periodogram
+from .periodogram import PeriodogramSet, compute_periodograms, raw_periodogram
 from .smoothing import (SmoothingConfig, default_span_grid, hann_weights, smooth_periodogram,
                         smoothed_estimator, span_risks)
 from .var import OrderSelection, VarModel, fit_var, select_var_order, var_spectrum

@@ -339,91 +339,20 @@ class SpectralEstimate:
         return extend_full_circle(self.matrices, self.grid.n_samples)
 
 
-#: Elements per column block in :func:`exact_sum`: a block's three working
-#: arrays take 768 KiB together, small enough to stay in cache.
-_EXACT_SUM_BLOCK = 1 << 15
-
-
 def exact_sum(stack: np.ndarray) -> np.ndarray:
     """Sum an array over its first axis with exactly rounded accumulation.
 
     Every element of the result is bit-identical to ``math.fsum`` over the
-    corresponding column, so it is independent of the order of the
-    summands.  This is what makes trial-order permutation invariance
-    bit-exact in the estimators that advertise it.  An empty first axis
-    sums to zeros.
-
-    Columns are processed in blocks of about 2**15 elements by error-free
-    extraction (Rump, Ogita & Oishi, "Accurate floating-point summation
-    part I", 2008).  With ``N`` summands, ``M = ceil(log2(N + 2))`` and
-    ``mu`` the column's largest magnitude, ``sigma = 2**(M + e)`` with
-    ``mu <= 2**e`` splits each summand into ``high = (sigma + x) - sigma``
-    and the remainder ``x - high``, both exact; the highs are multiples of
-    ``2**(e + M - 53)`` below ``sigma`` in magnitude, so their column sum is
-    exact in any order.  Extraction repeats on the remainders, dropping
-    columns that became zero, and leaves each column's exact sum in a few
-    partials: one is already the result, two are rounded by one IEEE
-    addition, more go to ``math.fsum``.  A block holding a non-finite value
-    or a magnitude of ``2**(1020 - M)`` or more, where ``sigma`` could
-    overflow, falls back to ``math.fsum`` per column; so do all-zero
-    columns, whose signed zero is ``math.fsum``'s to choose.  The fallback
-    keeps fsum's ``inf`` and ``nan`` results and its ``ValueError`` and
-    ``OverflowError`` exactly.
+    corresponding column, so it does not depend on the order of the
+    summands; fsum's ``inf`` and ``nan`` results and its ``ValueError`` and
+    ``OverflowError`` are kept.  An empty first axis sums to zeros; a scalar
+    raises :class:`DimensionError`.
     """
     arr = np.asarray(stack, dtype=float)
     if arr.ndim < 1:
         raise DimensionError("exact_sum needs at least one axis to reduce over")
-    n_rows = arr.shape[0]
-    flat = arr.reshape(n_rows, math.prod(arr.shape[1:]))
-    if n_rows == 0:
-        return np.zeros(arr.shape[1:])
-    out = np.empty(flat.shape[1])
-    width = max(1, _EXACT_SUM_BLOCK // n_rows)
-    for start in range(0, flat.shape[1], width):
-        out[start:start + width] = _exact_column_sums(flat[:, start:start + width])
-    return out.reshape(arr.shape[1:])
-
-
-def _exact_column_sums(block: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every column of a 2-D float block, by extraction."""
-    m_bits = (block.shape[0] + 1).bit_length()  # 2**m_bits >= N + 2
-    mu = np.maximum(block.max(axis=0), -block.min(axis=0))
-    if not np.all(mu < math.ldexp(1.0, 1020 - m_bits)):  # also catches inf and nan
-        return np.array([math.fsum(col) for col in block.T.tolist()])
-    out = np.empty(block.shape[1])
-    cols = np.flatnonzero(mu)
-    if cols.size < mu.size:
-        zero = np.flatnonzero(mu == 0.0)
-        out[zero] = [math.fsum(col) for col in block[:, zero].T.tolist()]
-        rest, mu = block[:, cols], mu[cols]
-    else:
-        rest = block.copy()
-    high = np.empty_like(rest)
-    levels = []
-    while cols.size:
-        sigma = np.ldexp(1.0, np.frexp(mu)[1] + m_bits)
-        np.add(sigma, rest, out=high)
-        high -= sigma
-        rest -= high
-        levels.append((cols, high.sum(axis=0)))
-        mu = np.maximum(rest.max(axis=0), -rest.min(axis=0))
-        live = mu > 0.0
-        if not live.all():
-            cols, rest, mu = cols[live], rest[:, live], mu[live]
-            high = high[:, :cols.size]
-    if levels:
-        cols, total = levels[0]
-        out[cols] = total
-    if len(levels) > 1:
-        cols, total = levels[1]
-        out[cols] += total  # one correctly rounded addition of two partials
-    if len(levels) > 2:
-        partials = np.zeros((len(levels), block.shape[1]))
-        for row, (cols, total) in zip(partials, levels):
-            row[cols] = total
-        deep = levels[2][0]
-        out[deep] = [math.fsum(col) for col in partials[:, deep].T.tolist()]
-    return out
+    columns = arr.reshape(arr.shape[0], math.prod(arr.shape[1:])).T.tolist()
+    return np.array([math.fsum(col) for col in columns]).reshape(arr.shape[1:])
 
 
 def canonical_trial_order(values: np.ndarray) -> np.ndarray:

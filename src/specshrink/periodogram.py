@@ -146,8 +146,3 @@ def periodograms_for(series: MultiTrialSeries, periodograms: PeriodogramSet | No
     if pgrams.n_trials != series.n_trials or pgrams.grid.n_samples != series.n_samples:
         raise DimensionError("periodograms do not match the series dimensions")
     return pgrams
-
-
-def mean_periodogram(series: MultiTrialSeries) -> SpectralEstimate:
-    """Across-trial mean periodogram of ``series``."""
-    return compute_periodograms(series).mean

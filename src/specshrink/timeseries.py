@@ -59,7 +59,8 @@ class MultiTrialSeries:
 
     def drop_trial(self, index: int) -> "MultiTrialSeries":
         """A copy with one trial removed (for leave-one-out resampling)."""
-        if not 0 <= index < self.n_trials:
+        index = check_count(index, "trial index", low=0)
+        if index >= self.n_trials:
             raise DimensionError(f"trial index {index} out of range [0, {self.n_trials})")
         if self.n_trials < 2:
             raise InsufficientDataError("cannot drop the only trial")

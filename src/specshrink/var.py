@@ -8,17 +8,18 @@ Fitting conditions on the first K observations of each trial (the
 regression runs over t = K+1..T, effective length T' = T-K) and pools the
 normal equations across trials.  The innovation covariance uses the
 degrees-of-freedom divisor ``N*T' - P*K``.  Order selection minimizes a
-Bayesian information criterion over candidate orders.  It scores every
-candidate from one pass over the trials: each order's normal equations are
-a leading block of the moments of the stacked lags, and the criterion needs
-only the log-determinant of the residual covariance, a Schur complement of
-that block.  Only the chosen order is then fitted by :func:`fit_var`.
+Bayesian information criterion over candidate orders.
 
-Both reductions over trials are free of the trial order.  :func:`fit_var`
-sums the per-trial moments with :func:`~specshrink.core.exact_sum`, which is
-correctly rounded.  The order scan, whose moments only rank the orders, sums
-them with BLAS products in :func:`~specshrink.core.canonical_trial_order`,
-which visits the same sequence of trials for any input order.
+Both steps work from one quantity, the trial sum of the moments of the
+stacked lags ``(X(t), X(t-1), ..., X(t-K))``: its lower-right block is the
+regressor Gram matrix, its first block row the cross moments, and the
+residual covariance is a Schur complement of the Gram block
+(:func:`_regression`).  The sum visits the trials in
+:func:`~specshrink.core.canonical_trial_order`, which gives the same
+sequence of trials for any input order, so fits and criterion values are
+bit-identical under any permutation of the trials.  The order scan forms
+every candidate's moment in one pass over the trials; only the chosen
+order is then fitted by :func:`fit_var`.
 """
 
 import warnings
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FrequencyGrid, SpectralEstimate, canonical_trial_order, check_count,
-                   exact_sum, hermitian_cond, symmetrize, validate_spectral)
+                   hermitian_cond, symmetrize, validate_spectral)
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      NearSingularError, RankDeficiencyError)
 from .timeseries import MultiTrialSeries
@@ -102,19 +103,6 @@ class VarModel:
         return self.spectral_radius() < 1.0
 
 
-def _regression_blocks(values: np.ndarray, order: int):
-    """Response ``X(t)`` and stacked lagged regressors for one trial.
-
-    Returns ``(response, regressors)`` with shapes ``(P, T')`` and
-    ``(P*order, T')``; regressor rows are blocked by lag, X(t-1) first.
-    """
-    n_samples = values.shape[1]
-    response = values[:, order:]
-    regressors = np.concatenate(
-        [values[:, order - k:n_samples - k] for k in range(1, order + 1)], axis=0)
-    return response, regressors
-
-
 def _sample_shortfall(shape: tuple[int, int, int], order: int) -> str | None:
     """Why a VAR of ``order`` has too few regression samples for data of
     ``shape`` ``(N, P, T)``, or None if it has enough."""
@@ -146,6 +134,24 @@ def _warn_if_ill_conditioned(cond: float):
                       RuntimeWarning, stacklevel=3)
 
 
+def _regression(moment: np.ndarray, n_channels: int, dof: int):
+    """``(cond, coef_flat, noise)`` of the regression in a lag moment ``(P*(k+1), P*(k+1))``:
+    the condition of the regressor Gram ``G`` (:func:`_gram_cond`), the ``(P, P*k)`` coefficients
+    ``(G**-1 C.T).T`` with ``C`` the cross moments, blocked by lag, X(t-1) first, and the
+    symmetrized Schur complement ``(S_yy - C G**-1 C.T) / dof``.  An exactly fitted channel
+    leaves only rounding error there, so negative eigenvalues are set to zero."""
+    gram, cross = moment[n_channels:, n_channels:], moment[:n_channels, n_channels:]
+    cond = _gram_cond(gram)
+    solved = np.linalg.solve(gram, cross.T)
+    noise = (moment[:n_channels, :n_channels] - cross @ solved) / dof
+    noise = 0.5 * (noise + noise.T)
+    eigs, vecs = np.linalg.eigh(noise)
+    if eigs[0] < 0.0:
+        noise = (vecs * np.maximum(eigs, 0.0)) @ vecs.T
+        noise = 0.5 * (noise + noise.T)
+    return cond, solved.T, noise
+
+
 def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     """Pooled least-squares VAR fit across all trials.
 
@@ -164,48 +170,23 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
 
     Notes
     -----
-    Per-trial moment matrices are reduced with exactly rounded summation,
-    so permuting trial order leaves the fit bit-identical.
+    The normal equations and the residual covariance come from one lag
+    moment, summed over the trials in
+    :func:`~specshrink.core.canonical_trial_order`, by the order scan's
+    formula (:func:`_regression`).  So permuting the trials leaves the fit
+    bit-identical, and the scan's criterion at its top order is this model's.
     """
     order = check_count(order, "VAR order")
     if (shortfall := _sample_shortfall(series.values.shape, order)) is not None:
         raise InsufficientDataError(shortfall)
-    n_trials, n_channels, n_samples = series.values.shape
-    eff = n_samples - order
-    n_params = n_channels * order
-
-    # Trials stream through two passes, so only one trial's regressor block
-    # is alive at a time; the per-trial moments are stacked for exact_sum.
-    # ``regs @ regs.T`` is computed as a symmetric rank-k update, so each
-    # per-trial Gram is exactly symmetric: sum its upper triangle and mirror.
-    upper = np.triu_indices(n_params)
-    grams = np.empty((n_trials, upper[0].size))
-    crosses = np.empty((n_trials, n_channels, n_params))
-    for n, values in enumerate(series.values):
-        resp, regs = _regression_blocks(values, order)
-        grams[n] = (regs @ regs.T)[upper]
-        crosses[n] = resp @ regs.T
-    gram = np.empty((n_params, n_params))
-    gram[upper] = exact_sum(grams)
-    gram.T[upper] = gram[upper]
-    cross = exact_sum(crosses)
-    del grams, crosses
-
-    _warn_if_ill_conditioned(_gram_cond(gram))
-    coef_flat = np.linalg.solve(gram, cross.T).T  # (P, P*order)
-
-    resid_ssps = np.empty((n_trials, n_channels, n_channels))
-    for n, values in enumerate(series.values):
-        resp, regs = _regression_blocks(values, order)
-        r = resp - coef_flat @ regs
-        # ``.copy()`` keeps this a general matrix product; ``r @ r.T`` would
-        # switch to a symmetric rank-k update and change the low bits of
-        # ``noise_cov``.
-        resid_ssps[n] = r @ r.copy().T
-    resid_ssp = exact_sum(resid_ssps)
-    noise = resid_ssp / (n_trials * eff - n_params)
+    values = series.values
+    n_trials, n_channels, n_samples = values.shape
+    moment = _tail_moment(values, canonical_trial_order(values), order)
+    dof = n_trials * (n_samples - order) - n_channels * order
+    cond, coef_flat, noise = _regression(moment, n_channels, dof)
+    _warn_if_ill_conditioned(cond)
     coefs = coef_flat.reshape(n_channels, order, n_channels).transpose(1, 0, 2)
-    return VarModel(coefs=coefs, noise_cov=0.5 * (noise + noise.T))
+    return VarModel(coefs=coefs, noise_cov=noise)
 
 
 @dataclass(frozen=True)
@@ -222,26 +203,36 @@ class OrderSelection:
         return self.model.order
 
 
-def _lag_moments(values: np.ndarray, top: int):
-    """Yield ``(k, moment)`` for ``k = 1..top``: the trial sum of the moments of the stacked
-    lags ``z_k(t) = (X(t), X(t-1), ..., X(t-k))`` over ``t = k..T-1``, ``(P*(k+1), P*(k+1))``.
-
-    The trials are summed in :func:`~specshrink.core.canonical_trial_order`.  One pass adds
-    each trial's products of ``z_top(t)`` for ``t >= top`` into one buffer, whose leading
-    block is order ``k``'s sum over those samples; order ``k`` then adds the products of its
-    ``top - k`` head samples ``t = k..top-1``, stacked over the trials in the same order.
-    Every sum visits the same sequence of trials whatever order they come in, so no moment
-    depends on the trial order.  Each product is a symmetric rank-k update, so every moment
-    is exactly symmetric.
-    """
-    n_trials, n_channels, n_samples = values.shape
-    dim = n_channels * (top + 1)
-    trials = canonical_trial_order(values)
+def _tail_moment(values: np.ndarray, trials: np.ndarray, top: int) -> np.ndarray:
+    """The sum over ``trials``, in that order, of the moments of the stacked lags
+    ``z_top(t) = (X(t), X(t-1), ..., X(t-top))`` over ``t = top..T-1``,
+    ``(P*(top+1), P*(top+1))``: order ``top``'s lag moment.  Each trial's product is a
+    symmetric rank-k update, so the sum is exactly symmetric."""
+    n_samples = values.shape[2]
+    dim = values.shape[1] * (top + 1)
     tail = np.zeros((dim, dim))
     for n in trials:
         x = values[n]
         lagged = np.concatenate([x[:, top - j:n_samples - j] for j in range(top + 1)])
         tail += lagged @ lagged.T
+    return tail
+
+
+def _lag_moments(values: np.ndarray, top: int):
+    """Yield ``(k, moment)`` for ``k = 1..top``: the trial sum of the moments of the stacked
+    lags ``z_k(t) = (X(t), X(t-1), ..., X(t-k))`` over ``t = k..T-1``, ``(P*(k+1), P*(k+1))``.
+
+    The trials are summed in :func:`~specshrink.core.canonical_trial_order`.  One pass
+    (:func:`_tail_moment`) forms order ``top``'s moment, whose leading block is order ``k``'s
+    sum over the samples ``t >= top``; order ``k`` then adds the products of its ``top - k``
+    head samples ``t = k..top-1``, stacked over the trials in the same order.  Every sum
+    visits the same sequence of trials whatever order they come in, so no moment depends on
+    the trial order, and every moment is exactly symmetric.
+    """
+    n_trials, n_channels, _ = values.shape
+    dim = n_channels * (top + 1)
+    trials = canonical_trial_order(values)
+    tail = _tail_moment(values, trials, top)
     # row t of a trial's head is z_top(t) for t < top, zero before the trial starts
     lead = values[trials, :, :top]
     heads = np.zeros((n_trials, top, dim))
@@ -264,14 +255,15 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     the smaller order, and a covariance whose determinant is not positive
     scores ``inf``.  Every order is scored from one pass over the trials
     (:func:`_lag_moments`): ``noise_cov(k)`` is the Schur complement
-    ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment, with
-    ``G**-1 C.T`` solved against the regressor Gram ``G``.  Each order keeps
-    :func:`fit_var`'s sample-size and Gram-condition checks, and the moments
-    are trial sums in canonical trial order, so the scan is bit-identical
-    under any permutation of the trials.  Only the chosen order is then
-    fitted by :func:`fit_var`, and the selection carries that model, so
-    callers need not refit it.  The criterion values agree with scoring each
-    :func:`fit_var` model to within rounding.
+    ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment, taken by
+    :func:`_regression` as in :func:`fit_var`, whose sample-size and
+    Gram-condition checks each order keeps.  The moments are trial sums in
+    canonical trial order, so the scan is bit-identical under any permutation
+    of the trials.  Only the chosen order is then fitted by :func:`fit_var`,
+    and the selection carries that model, so callers need not refit it.  At
+    ``max_order`` the criterion is exactly that of the :func:`fit_var` model;
+    below it the scan adds the head samples apart, so the values agree with
+    scoring each :func:`fit_var` model to within rounding.
     """
     max_order = check_count(max_order, "max_order")
     n_trials, n_channels, n_samples = series.values.shape
@@ -283,11 +275,10 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     criterion, conds, order = [], [], None
     try:
         for k, moment in _lag_moments(series.values, top):
-            gram, cross = moment[n_channels:, n_channels:], moment[:n_channels, n_channels:]
-            conds.append(_gram_cond(gram))
-            schur = moment[:n_channels, :n_channels] - cross @ np.linalg.solve(gram, cross.T)
-            noise = schur / (n_trials * (n_samples - k) - n_channels * k)
-            sign, logdet = np.linalg.slogdet(0.5 * (noise + noise.T))
+            dof = n_trials * (n_samples - k) - n_channels * k
+            cond, _, noise = _regression(moment, n_channels, dof)
+            conds.append(cond)
+            sign, logdet = np.linalg.slogdet(noise)
             criterion.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
         if top < max_order:
             raise InsufficientDataError(_sample_shortfall(series.values.shape, top + 1))

@@ -11,7 +11,6 @@ from specshrink import (
     MultiTrialSeries,
     compute_periodograms,
     extend_full_circle,
-    mean_periodogram,
 )
 from specshrink import periodogram
 from specshrink.periodogram import periodogram_sum, raw_periodogram, trial_dft
@@ -50,7 +49,7 @@ def test_zero_trial_gives_zero_periodogram():
 def test_white_noise_level():
     rng = np.random.default_rng(1)
     series = MultiTrialSeries(rng.standard_normal((200, 1, 128)))
-    mean = mean_periodogram(series).matrices[:, 0, 0].real
+    mean = compute_periodograms(series).mean.matrices[:, 0, 0].real
     interior = mean[1:-1]
     assert interior.mean() == pytest.approx(1 / (2 * np.pi), rel=0.03)
 

@@ -14,8 +14,8 @@ from specshrink import (
     VarModel,
     benchmark_ar_coefs,
     benchmark_ma_coef,
+    compute_periodograms,
     hs_norm_sq,
-    mean_periodogram,
     monte_carlo_compare,
     simulate_mixture,
     simulate_var,
@@ -221,7 +221,7 @@ def test_mean_periodogram_approaches_the_exact_spectrum():
     def relative_error(n_trials):
         cfg = SimulationConfig(n_trials=n_trials, seed=6)
         truth = true_mixture_spectrum(cfg, grid)
-        mean = mean_periodogram(simulate_mixture(cfg))
+        mean = compute_periodograms(simulate_mixture(cfg)).mean
         err = float(np.sum(hs_norm_sq(mean.matrices - truth.matrices)))
         return err / float(np.sum(hs_norm_sq(truth.matrices)))
 

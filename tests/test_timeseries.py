@@ -48,6 +48,10 @@ def test_drop_trial():
     np.testing.assert_array_equal(reduced.values[1], series.values[2])
     with pytest.raises(DimensionError):
         series.drop_trial(4)
+    for bad in (True, 1.0, -1, "1"):
+        with pytest.raises(DomainError, match="trial index"):
+            series.drop_trial(bad)
+    np.testing.assert_array_equal(series.drop_trial(np.int64(1)).values, reduced.values)
     single = MultiTrialSeries(series.values[:1])
     with pytest.raises(InsufficientDataError):
         single.drop_trial(0)

@@ -123,20 +123,28 @@ def reference_fit_var(series, order):
     return coefs, 0.5 * (noise + noise.T)
 
 
-def test_fit_matches_full_matrix_reference_bit_for_bit():
+def assert_matches_reference(model, series, order):
+    # fit_var sums trials in canonical order, the reference with exact sums: they
+    # differ by rounding only
+    ref_coefs, ref_noise = reference_fit_var(series, order)
+    for got, ref in ((model.coefs, ref_coefs), (model.noise_cov, ref_noise)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_fit_matches_the_exact_sum_reference():
     coefs = np.stack([0.5 * np.eye(3), -0.4 * np.eye(3)])
     for n_trials, n_samples, order in ((6, 128, 1), (6, 128, 3), (2, 33, 4)):
         series = make_var_trials(coefs, n_trials, n_samples, seed=(11, n_samples, order))
-        model = fit_var(series, order)
-        ref_coefs, ref_noise = reference_fit_var(series, order)
-        np.testing.assert_array_equal(model.coefs, ref_coefs)
-        np.testing.assert_array_equal(model.noise_cov, ref_noise)
+        assert_matches_reference(fit_var(series, order), series, order)
+    series, _ = _scan_cases()["standardized mixture"]
+    for order in (1, 5, 10):
+        assert_matches_reference(fit_var(series, order), series, order)
 
 
 def test_fit_streams_over_trials():
-    # Only one trial's regressor block is alive at a time: holding every
-    # trial's block took fit_var(series, 10) 40.6 MB above its input here.
-    # The model stays bit-identical to the all-blocks reference.
+    # Only one trial's stacked lags are alive at a time: holding every trial's
+    # regressor block took fit_var(series, 10) 40.6 MB above its input here,
+    # and stacking per-trial moments for exact sums 9.5 MB.
     series = standardize(detrend(simulate_mixture(SimulationConfig(seed=3)), order=1))
     fit_var(series, 1)
     tracemalloc.start()
@@ -145,10 +153,8 @@ def test_fit_streams_over_trials():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6, peak
-    ref_coefs, ref_noise = reference_fit_var(series, 10)
-    np.testing.assert_array_equal(model.coefs, ref_coefs)
-    np.testing.assert_array_equal(model.noise_cov, ref_noise)
+    assert peak < 2e6, peak
+    assert_matches_reference(model, series, 10)
 
 
 def test_order_selection_carries_the_chosen_fit():
@@ -197,6 +203,19 @@ def test_order_scan_matches_fitting_every_order(case):
     np.testing.assert_allclose(selection.criterion, criterion, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(selection.model.coefs, model.coefs)
     np.testing.assert_array_equal(selection.model.noise_cov, model.noise_cov)
+
+
+@pytest.mark.parametrize("case", list(_scan_cases()))
+def test_order_scan_scores_its_top_order_from_the_fitted_model(case):
+    # The scan and fit_var take the top order's covariance from the same moment by
+    # the same formula, so its criterion is the fitted model's to the bit.
+    series, top = _scan_cases()[case]
+    n_trials, n_channels, n_samples = series.values.shape
+    total = n_trials * n_samples
+    penalty_unit = np.log(total) / total * n_channels ** 2
+    sign, logdet = np.linalg.slogdet(fit_var(series, top).noise_cov)
+    assert sign > 0
+    assert select_var_order(series, top).criterion[top - 1] == logdet + penalty_unit * top
 
 
 def test_order_scan_is_bit_identical_under_a_trial_permutation():
@@ -320,6 +339,16 @@ def test_noise_cov_is_symmetric_psd():
     model = fit_var(series, 2)
     np.testing.assert_array_equal(model.noise_cov, model.noise_cov.T)
     assert np.min(np.linalg.eigvalsh(model.noise_cov)) > 0
+
+
+def test_an_exactly_autoregressive_series_fits_with_psd_noise():
+    # A sinusoid obeys x(t) = 2 cos(w) x(t-1) - x(t-2), so the order-2 residual
+    # covariance is zero up to rounding, where the Schur complement can turn negative.
+    t = np.arange(256)
+    for phase in np.random.default_rng(0).uniform(0, 2 * np.pi, (20, 4, 1, 1)):
+        model = fit_var(MultiTrialSeries(np.sin(0.3 * t + phase)), 2)
+        assert 0.0 <= model.noise_cov[0, 0] < 1e-14
+        np.testing.assert_allclose(model.coefs[:, 0, 0], [2 * np.cos(0.3), -1.0], atol=1e-9)
 
 
 def test_fit_rejects_bad_input():
