@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FrequencyGrid, SpectralEstimate, exact_sum, hermitian_cond, symmetrize
+from .core import (FrequencyGrid, SpectralEstimate, certified_inverse, exact_sum, hermitian_cond,
+                   symmetrize)
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
                      EmptyBandError, InsufficientDataError, NearSingularError,
                      PipelineError, SpecshrinkError)
@@ -100,6 +101,9 @@ def partial_coherence(estimate: SpectralEstimate) -> ConnectivityResult:
     and q is ``|g_pq|**2 / (g_pp * g_qq)`` -- the squared modulus of the
     normalized negative inverse, measuring direct linear association after
     removing the other channels.  The diagonal is set to 1 by convention.
+    The inversion guard is certified from the inverses themselves
+    (:func:`~specshrink.core.certified_inverse`); the exact condition
+    numbers are computed only when that bound does not certify.
 
     Raises
     ------
@@ -109,14 +113,17 @@ def partial_coherence(estimate: SpectralEstimate) -> ConnectivityResult:
         a failure here should be addressed by a better-conditioned estimator.
     """
     mats = symmetrize(estimate.matrices)
-    conds = hermitian_cond(mats)
-    worst = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
-    if not np.all(np.isfinite(conds)) or conds[worst] > INVERSION_COND_LIMIT:
-        raise NearSingularError(
-            f"spectral matrix at frequency index {worst} "
-            f"(omega = {estimate.grid.omegas[worst]:.6g} rad/sample) has condition number "
-            f"{conds[worst]:.3g}, above the inversion guard {INVERSION_COND_LIMIT:.0e}")
-    inv = symmetrize(np.linalg.inv(mats))
+    inverse = certified_inverse(mats, INVERSION_COND_LIMIT)
+    if inverse is None:  # the bound did not certify: compute the exact condition numbers
+        conds = hermitian_cond(mats)
+        worst = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
+        if not np.all(np.isfinite(conds)) or conds[worst] > INVERSION_COND_LIMIT:
+            raise NearSingularError(
+                f"spectral matrix at frequency index {worst} "
+                f"(omega = {estimate.grid.omegas[worst]:.6g} rad/sample) has condition number "
+                f"{conds[worst]:.3g}, above the inversion guard {INVERSION_COND_LIMIT:.0e}")
+        inverse = np.linalg.inv(mats)
+    inv = symmetrize(inverse)
     diag = _real_diagonal(inv)
     if np.any(diag <= 0.0):
         j = int(np.argwhere(diag <= 0.0)[0][0])

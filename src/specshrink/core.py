@@ -242,6 +242,37 @@ def hermitian_cond(matrices: np.ndarray) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def certified_inverse(matrices: np.ndarray, limit: float) -> np.ndarray | None:
+    """``np.linalg.inv(matrices)`` if the inverse certifies that every matrix has a 2-norm
+    condition number at most ``limit``; else None.
+
+    The certificate is ``||A||_F * ||A**-1||_F <= limit / 2`` for every matrix, with
+    the computed inverse.  The product bounds ``cond_2(A)`` from above, and the
+    factor 2 absorbs the inverse's own rounding, a relative error of order
+    ``P * eps * cond_2(A)``, for any ``limit`` far below ``1 / eps``.  None also
+    when the inversion raises :class:`numpy.linalg.LinAlgError` (an exactly
+    singular matrix) or a bound is not finite; no floating-point warning
+    escapes.  None says only that the bound could not certify: a caller that
+    must know whether the limit holds then computes the exact condition numbers.
+
+    Parameters
+    ----------
+    matrices : array_like
+        One square matrix ``(P, P)`` or a batch ``(..., P, P)``.
+    limit : float
+        The condition number each matrix must be certified to stay below.
+    """
+    matrices = _square_matrices(matrices)
+    try:
+        inverse = np.linalg.inv(matrices)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        bound = (np.linalg.norm(matrices, axis=(-2, -1))
+                 * np.linalg.norm(inverse, axis=(-2, -1)))
+    return inverse if np.all(bound <= 0.5 * limit) else None
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Numerical health of one or more spectral matrices.

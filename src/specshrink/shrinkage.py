@@ -184,8 +184,13 @@ def shrinkage_diagnostics(parametric: SpectralEstimate, nonparametric: SpectralE
                           pilot: SpectralEstimate, window: int = DEFAULT_WINDOW,
                           ) -> ShrinkageDiagnostics:
     """Compute all risk curves and weights for a pair of estimators."""
-    param_risk = risk_vs_pilot(parametric, pilot, window)
-    nonparam_risk = risk_vs_pilot(nonparametric, pilot, window)
+    _same_grid(parametric, pilot)
+    _validate_window(window, pilot.grid.n_samples)
+    _same_grid(nonparametric, pilot)
+    idx = _window_indices(window, pilot.grid)
+    pilot_full = pilot.full_circle()  # risk_vs_pilot of both estimators, extending the pilot once
+    param_risk = _windowed_distance(parametric.matrices, pilot_full, idx)
+    nonparam_risk = _windowed_distance(nonparametric.matrices, pilot_full, idx)
     separation = estimator_separation(parametric, nonparametric, window)
     raw, _ = shrinkage_weight(param_risk, nonparam_risk, separation)
     return ShrinkageDiagnostics(grid=parametric.grid, window=window,

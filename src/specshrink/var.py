@@ -20,15 +20,28 @@ sequence of trials for any input order, so fits and criterion values are
 bit-identical under any permutation of the trials.  The order scan forms
 every candidate's moment in one pass over the trials; only the chosen
 order is then fitted by :func:`fit_var`.
+
+Two condition-number guards protect the linear algebra: each candidate's
+regressor Gram matrix (warn above :data:`GRAM_COND_WARN`, fail above
+:data:`GRAM_COND_FAIL`) and the transfer matrix at every frequency (fail
+above :data:`TRANSFER_COND_LIMIT`).  Both are first certified by a bound:
+one eigendecomposition of the top order's Gram bounds every order's
+condition (:func:`_grams_certified`), and the inverse the spectrum needs
+anyway bounds each transfer matrix's
+(:func:`~specshrink.core.certified_inverse`).  Exact condition numbers are
+computed only where the bound does not certify, so every warning and error
+is the one the exact guard gives.  :func:`fit_var` checks its own Gram
+exactly.
 """
 
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FrequencyGrid, SpectralEstimate, canonical_trial_order, check_count,
-                   hermitian_cond, symmetrize, validate_spectral)
+from .core import (FrequencyGrid, SpectralEstimate, canonical_trial_order, certified_inverse,
+                   check_count, hermitian_cond, symmetrize, validate_spectral)
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      NearSingularError, RankDeficiencyError)
 from .timeseries import MultiTrialSeries
@@ -135,13 +148,13 @@ def _warn_if_ill_conditioned(cond: float):
 
 
 def _regression(moment: np.ndarray, n_channels: int, dof: int):
-    """``(cond, coef_flat, noise)`` of the regression in a lag moment ``(P*(k+1), P*(k+1))``:
-    the condition of the regressor Gram ``G`` (:func:`_gram_cond`), the ``(P, P*k)`` coefficients
-    ``(G**-1 C.T).T`` with ``C`` the cross moments, blocked by lag, X(t-1) first, and the
-    symmetrized Schur complement ``(S_yy - C G**-1 C.T) / dof``.  An exactly fitted channel
-    leaves only rounding error there, so negative eigenvalues are set to zero."""
+    """``(coef_flat, noise)`` of the regression in a lag moment ``(P*(k+1), P*(k+1))``: the
+    ``(P, P*k)`` coefficients ``(G**-1 C.T).T``, with ``G`` the regressor Gram (the lower-right
+    block) and ``C`` the cross moments, blocked by lag, X(t-1) first, and the symmetrized Schur
+    complement ``(S_yy - C G**-1 C.T) / dof``.  An exactly fitted channel leaves only rounding
+    error there, so negative eigenvalues are set to zero.  Callers check ``G``'s condition
+    first (:func:`_gram_cond`)."""
     gram, cross = moment[n_channels:, n_channels:], moment[:n_channels, n_channels:]
-    cond = _gram_cond(gram)
     solved = np.linalg.solve(gram, cross.T)
     noise = (moment[:n_channels, :n_channels] - cross @ solved) / dof
     noise = 0.5 * (noise + noise.T)
@@ -149,7 +162,21 @@ def _regression(moment: np.ndarray, n_channels: int, dof: int):
     if eigs[0] < 0.0:
         noise = (vecs * np.maximum(eigs, 0.0)) @ vecs.T
         noise = 0.5 * (noise + noise.T)
-    return cond, solved.T, noise
+    return solved.T, noise
+
+
+#: ``(values, canonical_trial_order(values))`` while :func:`select_var_order` fits its chosen
+#: order, so that :func:`fit_var` does not hash the same trials a second time.
+_SCAN_TRIALS = ContextVar("_SCAN_TRIALS", default=None)
+
+
+def _trial_order(values: np.ndarray) -> np.ndarray:
+    """:func:`~specshrink.core.canonical_trial_order` of ``values``, taken from the enclosing
+    order scan when it is fitting this very array."""
+    scanned = _SCAN_TRIALS.get()
+    if scanned is not None and scanned[0] is values:
+        return scanned[1]
+    return canonical_trial_order(values)
 
 
 def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
@@ -181,9 +208,10 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
         raise InsufficientDataError(shortfall)
     values = series.values
     n_trials, n_channels, n_samples = values.shape
-    moment = _tail_moment(values, canonical_trial_order(values), order)
+    moment = _tail_moment(values, _trial_order(values), order)
     dof = n_trials * (n_samples - order) - n_channels * order
-    cond, coef_flat, noise = _regression(moment, n_channels, dof)
+    cond = _gram_cond(moment[n_channels:, n_channels:])
+    coef_flat, noise = _regression(moment, n_channels, dof)
     _warn_if_ill_conditioned(cond)
     coefs = coef_flat.reshape(n_channels, order, n_channels).transpose(1, 0, 2)
     return VarModel(coefs=coefs, noise_cov=noise)
@@ -218,11 +246,12 @@ def _tail_moment(values: np.ndarray, trials: np.ndarray, top: int) -> np.ndarray
     return tail
 
 
-def _lag_moments(values: np.ndarray, top: int):
+def _lag_moments(values: np.ndarray, top: int, trials: np.ndarray | None = None):
     """Yield ``(k, moment)`` for ``k = 1..top``: the trial sum of the moments of the stacked
     lags ``z_k(t) = (X(t), X(t-1), ..., X(t-k))`` over ``t = k..T-1``, ``(P*(k+1), P*(k+1))``.
 
-    The trials are summed in :func:`~specshrink.core.canonical_trial_order`.  One pass
+    The trials are summed in :func:`~specshrink.core.canonical_trial_order`, which a caller
+    that has taken it passes as ``trials``.  One pass
     (:func:`_tail_moment`) forms order ``top``'s moment, whose leading block is order ``k``'s
     sum over the samples ``t >= top``; order ``k`` then adds the products of its ``top - k``
     head samples ``t = k..top-1``, stacked over the trials in the same order.  Every sum
@@ -231,7 +260,8 @@ def _lag_moments(values: np.ndarray, top: int):
     """
     n_trials, n_channels, _ = values.shape
     dim = n_channels * (top + 1)
-    trials = canonical_trial_order(values)
+    if trials is None:
+        trials = canonical_trial_order(values)
     tail = _tail_moment(values, trials, top)
     # row t of a trial's head is z_top(t) for t < top, zero before the trial starts
     lead = values[trials, :, :top]
@@ -247,6 +277,30 @@ def _lag_moments(values: np.ndarray, top: int):
         yield k, moment
 
 
+def _grams_certified(values: np.ndarray, top_moment: np.ndarray, top: int) -> bool:
+    """Whether a bound puts every candidate order's Gram condition 16 times below
+    :data:`GRAM_COND_WARN`, from the top order's moment alone.
+
+    Order ``k``'s Gram is a leading block of the top order's Gram ``G`` plus the
+    Gram part of its head term (:func:`_lag_moments`), which is PSD with a 2-norm
+    of at most the squared Frobenius norm of all the head rows.  By interlacing,
+    its smallest eigenvalue is at least ``G``'s, and by Weyl its largest is at most
+    ``G``'s plus that norm, so ``cond_k <= (lmax(G) + ||heads||_F**2) / lmin(G)``.
+    The margin of 16 absorbs the rounding of the sums and of the eigenvalues, so
+    where the bound holds no order's :func:`_gram_cond` would warn or raise.
+    """
+    n_channels = values.shape[1]
+    lead = values[:, :, :top]
+    try:
+        with np.errstate(all="ignore"):
+            # sample t < top of a trial sits in the head rows of top - t lags
+            head_mass = np.einsum("nct,nct,t->", lead, lead, np.arange(top, 0, -1.0))
+            low, high = np.linalg.eigvalsh(top_moment[n_channels:, n_channels:])[[0, -1]]
+            return bool(low > 0.0 and high + head_mass <= GRAM_COND_WARN / 16 * low)
+    except np.linalg.LinAlgError:
+        return False
+
+
 def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection:
     """Pick the VAR order in ``1..max_order`` minimizing the BIC.
 
@@ -257,37 +311,52 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     (:func:`_lag_moments`): ``noise_cov(k)`` is the Schur complement
     ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment, taken by
     :func:`_regression` as in :func:`fit_var`, whose sample-size and
-    Gram-condition checks each order keeps.  The moments are trial sums in
+    Gram-condition checks each order keeps.  The Gram conditions are first
+    certified together by a bound from the top order's Gram
+    (:func:`_grams_certified`); only when the bound does not clear the warning
+    level is each order's exact condition number computed, so the warnings and
+    errors are those of fitting every order.  The moments are trial sums in
     canonical trial order, so the scan is bit-identical under any permutation
     of the trials.  Only the chosen order is then fitted by :func:`fit_var`,
-    and the selection carries that model, so callers need not refit it.  At
-    ``max_order`` the criterion is exactly that of the :func:`fit_var` model;
-    below it the scan adds the head samples apart, so the values agree with
-    scoring each :func:`fit_var` model to within rounding.
+    with the trial order the scan took, and the selection carries that model,
+    so callers need not refit it.  At ``max_order`` the criterion is exactly
+    that of the :func:`fit_var` model; below it the scan adds the head samples
+    apart, so the values agree with scoring each :func:`fit_var` model to
+    within rounding.
     """
     max_order = check_count(max_order, "max_order")
-    n_trials, n_channels, n_samples = series.values.shape
+    values = series.values
+    n_trials, n_channels, n_samples = values.shape
     total = n_trials * n_samples
     penalty_unit = np.log(total) / total * n_channels ** 2
     top = 0
-    while top < max_order and _sample_shortfall(series.values.shape, top + 1) is None:
+    while top < max_order and _sample_shortfall(values.shape, top + 1) is None:
         top += 1
+    trials = canonical_trial_order(values)
+    moments = list(_lag_moments(values, top, trials))
+    certified = bool(moments) and _grams_certified(values, moments[-1][1], top)
     criterion, conds, order = [], [], None
     try:
-        for k, moment in _lag_moments(series.values, top):
+        for k, moment in moments:
+            if not certified:
+                conds.append(_gram_cond(moment[n_channels:, n_channels:]))
             dof = n_trials * (n_samples - k) - n_channels * k
-            cond, _, noise = _regression(moment, n_channels, dof)
-            conds.append(cond)
+            _, noise = _regression(moment, n_channels, dof)
             sign, logdet = np.linalg.slogdet(noise)
             criterion.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
         if top < max_order:
-            raise InsufficientDataError(_sample_shortfall(series.values.shape, top + 1))
+            raise InsufficientDataError(_sample_shortfall(values.shape, top + 1))
         order = 1 + int(np.argmin(criterion))
     finally:  # warn as fitting every order would, also when the scan raises
         for k, cond in enumerate(conds, 1):
             if k != order:  # fit_var warns for the chosen order
                 _warn_if_ill_conditioned(cond)
-    return OrderSelection(criterion=tuple(criterion), model=fit_var(series, order))
+    token = _SCAN_TRIALS.set((values, trials))
+    try:
+        model = fit_var(series, order)
+    finally:
+        _SCAN_TRIALS.reset(token)
+    return OrderSelection(criterion=tuple(criterion), model=model)
 
 
 def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:
@@ -295,7 +364,10 @@ def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:
 
     Evaluates ``(2*pi)**-1 * A(w)**-1 noise_cov A(w)**-H`` with the transfer
     matrix ``A(w) = I - sum_k coefs[k] exp(-1j*w*k)`` at every grid
-    frequency.
+    frequency.  The condition guard is certified from the inverses
+    themselves (:func:`~specshrink.core.certified_inverse`); the exact
+    condition numbers, one SVD per frequency, are computed only when that
+    bound does not certify.
 
     Raises
     ------
@@ -307,14 +379,16 @@ def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:
     lags = np.arange(1, order + 1)
     phase = np.exp(-1j * np.outer(grid.omegas, lags))  # (n_freq, order)
     transfer = np.eye(p) - np.einsum("jk,kpq->jpq", phase, model.coefs.astype(complex))
-    conds = np.linalg.cond(transfer)
-    worst = int(np.argmax(conds))
-    if not np.all(np.isfinite(conds)) or conds[worst] > TRANSFER_COND_LIMIT:
-        raise NearSingularError(
-            f"VAR transfer matrix is near singular at frequency index {worst} "
-            f"(omega = {grid.omegas[worst]:.6g} rad/sample, condition {conds[worst]:.3g}); "
-            "the model has a root at or near the unit circle")
-    inv = np.linalg.inv(transfer)
-    spec = np.einsum("jpq,qr,jsr->jps", inv, model.noise_cov.astype(complex),
-                     np.conj(inv), optimize=True) / (2.0 * np.pi)
+    inv = certified_inverse(transfer, TRANSFER_COND_LIMIT)
+    if inv is None:  # the bound did not certify: compute the exact condition numbers
+        conds = np.linalg.cond(transfer)
+        worst = int(np.argmax(conds))
+        if not np.all(np.isfinite(conds)) or conds[worst] > TRANSFER_COND_LIMIT:
+            raise NearSingularError(
+                f"VAR transfer matrix is near singular at frequency index {worst} "
+                f"(omega = {grid.omegas[worst]:.6g} rad/sample, condition {conds[worst]:.3g}); "
+                "the model has a root at or near the unit circle")
+        inv = np.linalg.inv(transfer)
+    spec = (inv @ model.noise_cov.astype(complex)) @ np.conj(inv).transpose(0, 2, 1)
+    spec /= 2.0 * np.pi
     return SpectralEstimate(grid, symmetrize(spec), tag="var")

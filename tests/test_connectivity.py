@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specshrink import connectivity
+from specshrink import connectivity, var
 from specshrink import (
     BandStats,
     ConnectivityResult,
@@ -16,20 +16,27 @@ from specshrink import (
     NearSingularError,
     PipelineError,
     PipelineOptions,
+    SimulationConfig,
     SpectralEstimate,
     apply_fdr,
     band_average,
     bh_fdr,
     coherence,
+    detrend,
     exact_sum,
     fisher_z,
     fit_var,
+    hermitian_cond,
     jackknife_band_stats,
     pairwise_tests,
     partial_coherence,
     shrinkage_pipeline,
+    simulate_mixture,
+    standardize,
+    symmetrize,
     welch_t,
 )
+from conftest import guard_outcome
 
 
 def estimate_from(matrices, n_samples=None, fs=None, tag="shrinkage"):
@@ -127,6 +134,78 @@ def test_partial_coherence_rejects_singular_matrix():
     mats = d[:, :, None] * np.conj(d[:, None, :])  # rank one
     with pytest.raises(NearSingularError):
         partial_coherence(estimate_from(mats))
+
+
+def exact_partial_coherence(estimate):
+    """Test-only oracle: partial coherence behind the exact inversion guard (an
+    eigendecomposition per frequency), as before the guard was certified."""
+    mats = symmetrize(estimate.matrices)
+    conds = hermitian_cond(mats)
+    worst = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
+    if not np.all(np.isfinite(conds)) or conds[worst] > connectivity.INVERSION_COND_LIMIT:
+        raise NearSingularError(
+            f"spectral matrix at frequency index {worst} "
+            f"(omega = {estimate.grid.omegas[worst]:.6g} rad/sample) has condition number "
+            f"{conds[worst]:.3g}, above the inversion guard "
+            f"{connectivity.INVERSION_COND_LIMIT:.0e}")
+    inv = symmetrize(np.linalg.inv(mats))
+    diag = np.real(np.diagonal(inv, axis1=-2, axis2=-1))
+    vals = np.abs(inv) ** 2 / (diag[:, :, None] * diag[:, None, :])
+    di = np.arange(estimate.n_channels)
+    vals[:, di, di] = 1.0
+    return vals
+
+
+def _inversion_cases():
+    rng = np.random.default_rng(23)
+    d = np.ones((5, 2), dtype=complex)
+
+    def diagonal(second):
+        return np.tile(np.diag([1.0, second]), (5, 1, 1))
+
+    return {
+        "spd, 2 channels": random_spd_spectrum(rng, 5, 2),
+        "spd, 5 channels": random_spd_spectrum(rng, 9, 5),
+        # condition 7e11: under the limit 1e12, over the bound's 5e11
+        "uncertified, under the limit": diagonal(1.0 / 7e11),
+        "over the limit": diagonal(1e-13),
+        "exactly singular": d[:, :, None] * np.conj(d[:, None, :]),
+        "1e-200 pivot": diagonal(1e-200),
+    }
+
+
+@pytest.mark.parametrize("case", list(_inversion_cases()))
+def test_certified_partial_coherence_matches_the_exact_guard(monkeypatch, case):
+    estimate = estimate_from(_inversion_cases()[case])
+    (oracle, oracle_warned) = guard_outcome(exact_partial_coherence, estimate)
+    exact = []
+    monkeypatch.setattr(connectivity, "hermitian_cond",
+                        lambda mats: exact.append(1) or hermitian_cond(mats))
+    result, warned = guard_outcome(partial_coherence, estimate)
+    assert warned == oracle_warned == []
+    if isinstance(oracle, tuple):
+        assert result == oracle and oracle[0] is NearSingularError
+    else:
+        np.testing.assert_array_equal(result.values, oracle)
+    assert exact == ([] if case.startswith("spd") else [1])
+
+
+@pytest.mark.parametrize("n_trials, weights", [(3, (0.65, 0.35)), (3, (0.35, 0.65)),
+                                               (120, (0.65, 0.35))])
+def test_the_benchmark_mixture_needs_no_exact_condition_number(monkeypatch, n_trials, weights):
+    # The certificates are the speed-up: without them every replicate pays an exact
+    # condition number per VAR order, per transfer matrix and per spectral matrix.
+    exact = []
+    gram_cond, cond = var._gram_cond, np.linalg.cond
+    monkeypatch.setattr(var, "_gram_cond", lambda gram: exact.append("gram") or gram_cond(gram))
+    monkeypatch.setattr(np.linalg, "cond", lambda x: exact.append("transfer") or cond(x))
+    monkeypatch.setattr(connectivity, "hermitian_cond",
+                        lambda mats: exact.append("inversion") or hermitian_cond(mats))
+    config = SimulationConfig(n_trials=n_trials, ma_weight=weights[0], ar_weight=weights[1],
+                              seed=1)
+    series = standardize(detrend(simulate_mixture(config), order=1))
+    partial_coherence(shrinkage_pipeline(series).estimate)
+    assert exact == ["gram"]  # fit_var checks the chosen order's Gram exactly
 
 
 def test_connectivity_result_validation():

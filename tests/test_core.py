@@ -36,7 +36,7 @@ from specshrink import (
     validate_spectral,
 )
 import specshrink.core as core
-from specshrink.core import check_count, check_grid, map_trials
+from specshrink.core import certified_inverse, check_count, check_grid, map_trials
 from specshrink.multitaper import validate_taper_grid
 from specshrink.smoothing import validate_span_grid
 
@@ -143,6 +143,39 @@ def test_hermitian_cond_of_a_singular_matrix_is_inf_without_a_warning():
         conds = hermitian_cond(singular)
         assert hermitian_cond(np.zeros((2, 2))) == np.inf
     np.testing.assert_array_equal(conds, [np.inf, np.inf, 1.0])
+
+
+def test_certified_inverse_is_numpys_inverse_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for p in (1, 2, 12):
+        batch = rng.standard_normal((9, p, p)) + 1j * rng.standard_normal((9, p, p))
+        for mats in (batch, batch.real, batch[0]):
+            np.testing.assert_array_equal(certified_inverse(mats, 1e12), np.linalg.inv(mats))
+
+
+def test_certified_inverse_declines_what_its_bound_cannot_certify():
+    # cond(I_4) = 1, but ||I||_F ||I**-1||_F = 4 is above 7 / 2
+    assert certified_inverse(np.eye(4), 7.0) is None
+    assert certified_inverse(np.eye(4), 8.0) is not None
+    # cond 7e11 is under the limit 1e12, but above the bound's limit / 2
+    assert certified_inverse(np.diag([1.0, 1 / 7e11]), 1e12) is None
+    # one uncertified matrix declines the whole batch
+    assert certified_inverse(np.array([np.eye(2), np.diag([1.0, 1e-13])]), 1e12) is None
+    with pytest.raises(DimensionError):
+        certified_inverse(np.ones((2, 3)), 1e12)
+
+
+@pytest.mark.parametrize("mats", [np.zeros((2, 2)), np.ones((3, 3)), np.diag([1.0, 1e-200]),
+                                  np.diag([1e200, 1e-200]), np.full((2, 2), np.nan),
+                                  np.diag([1.0, np.inf])],
+                         ids=["zero", "rank one", "1e-200 pivot", "1e200 and 1e-200", "nan", "inf"])
+def test_certified_inverse_declines_singular_and_extreme_matrices_without_a_warning(mats):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certified_inverse(mats, 1e12) is None
+        assert certified_inverse(mats.astype(complex), 1e12) is None
 
 
 def test_validate_spectral_reports():

@@ -14,8 +14,10 @@ from specshrink import (
     InsufficientDataError,
     MultiTrialSeries,
     NearSingularError,
+    OrderSelection,
     RankDeficiencyError,
     SimulationConfig,
+    SpectralEstimate,
     VarModel,
     detrend,
     exact_sum,
@@ -24,9 +26,11 @@ from specshrink import (
     simulate_mixture,
     simulate_var,
     standardize,
+    symmetrize,
     var_spectrum,
 )
 from specshrink import var
+from conftest import guard_outcome
 
 
 def make_var_trials(coefs, n_trials, n_samples, seed=0, noise=None):
@@ -308,6 +312,22 @@ def test_order_selection_fits_only_the_chosen_order(monkeypatch):
     assert orders == [selection.order]
 
 
+def test_order_selection_hashes_the_trials_once(monkeypatch):
+    # the chosen order's fit takes the trial order the scan took; a fit alone takes its own
+    hashed = []
+    order = var.canonical_trial_order
+    monkeypatch.setattr(var, "canonical_trial_order",
+                        lambda values: hashed.append(len(values)) or order(values))
+    series = make_var_trials(np.stack([0.5 * np.eye(2), -0.4 * np.eye(2)]), 8, 128, seed=12)
+    selection = select_var_order(series, 6)
+    assert hashed == [8]
+    refit = fit_var(series, selection.order)
+    assert hashed == [8, 8]
+    np.testing.assert_array_equal(selection.model.coefs, refit.coefs)
+    np.testing.assert_array_equal(selection.model.noise_cov, refit.noise_cov)
+    assert var._SCAN_TRIALS.get() is None
+
+
 def test_order_selection_memory_stays_below_the_per_order_fits():
     # fitting orders 1..10 one by one peaked at 42.6 MB on this input; the one-pass scan
     # and the fit of the chosen order peak at 3.4 MB
@@ -447,3 +467,149 @@ def test_nearly_collinear_channels_warn_that_the_gram_is_ill_conditioned():
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
         model = fit_var(MultiTrialSeries(near), 1)
     assert model.order == 1
+
+
+def exact_select_var_order(series, max_order):
+    """Test-only oracle: the order scan that computes every order's exact Gram condition,
+    as before the conditions were certified from the top order's Gram."""
+    values = series.values
+    n_trials, n_channels, n_samples = values.shape
+    total = n_trials * n_samples
+    penalty_unit = np.log(total) / total * n_channels ** 2
+    top = 0
+    while top < max_order and var._sample_shortfall(values.shape, top + 1) is None:
+        top += 1
+    criterion, conds, order = [], [], None
+    try:
+        for k, moment in var._lag_moments(values, top):
+            conds.append(var._gram_cond(moment[n_channels:, n_channels:]))
+            dof = n_trials * (n_samples - k) - n_channels * k
+            _, noise = var._regression(moment, n_channels, dof)
+            sign, logdet = np.linalg.slogdet(noise)
+            criterion.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
+        if top < max_order:
+            raise InsufficientDataError(var._sample_shortfall(values.shape, top + 1))
+        order = 1 + int(np.argmin(criterion))
+    finally:
+        for k, cond in enumerate(conds, 1):
+            if k != order:
+                var._warn_if_ill_conditioned(cond)
+    return OrderSelection(criterion=tuple(criterion), model=fit_var(series, order))
+
+
+def exact_var_spectrum(model, grid):
+    """Test-only oracle: the VAR spectrum behind the exact transfer-condition guard
+    (an SVD per frequency), contracted by ``einsum``, as before the guard was certified."""
+    order, p = model.order, model.n_channels
+    phase = np.exp(-1j * np.outer(grid.omegas, np.arange(1, order + 1)))
+    transfer = np.eye(p) - np.einsum("jk,kpq->jpq", phase, model.coefs.astype(complex))
+    conds = np.linalg.cond(transfer)
+    worst = int(np.argmax(conds))
+    if not np.all(np.isfinite(conds)) or conds[worst] > var.TRANSFER_COND_LIMIT:
+        raise NearSingularError(
+            f"VAR transfer matrix is near singular at frequency index {worst} "
+            f"(omega = {grid.omegas[worst]:.6g} rad/sample, condition {conds[worst]:.3g}); "
+            "the model has a root at or near the unit circle")
+    inv = np.linalg.inv(transfer)
+    spec = np.einsum("jpq,qr,jsr->jps", inv, model.noise_cov.astype(complex),
+                     np.conj(inv), optimize=True) / (2.0 * np.pi)
+    return SpectralEstimate(grid, symmetrize(spec), tag="var")
+
+
+def assert_same_outcome(got, expected):
+    """Two :func:`guard_outcome` records: equal errors and warnings, results bit-equal."""
+    (result, warned), (oracle, oracle_warned) = got, expected
+    assert warned == oracle_warned
+    if isinstance(oracle, tuple):
+        assert result == oracle
+    elif isinstance(oracle, OrderSelection):
+        assert result.criterion == oracle.criterion
+        np.testing.assert_array_equal(result.model.coefs, oracle.model.coefs)
+        np.testing.assert_array_equal(result.model.noise_cov, oracle.model.noise_cov)
+    else:
+        np.testing.assert_array_equal(result.matrices, oracle.matrices)
+
+
+def _collinear(scale, seed=0):
+    """Two channels, the second the first plus ``scale`` times independent noise."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, 1, 64))
+    return MultiTrialSeries(np.concatenate([x, x + scale * rng.standard_normal((4, 1, 64))],
+                                           axis=1))
+
+
+def _gram_cases():
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((4, 1, 64))
+    mixture, _ = _scan_cases()["standardized mixture"]
+    return {
+        # certified: the bound clears GRAM_COND_WARN / 16
+        "standardized mixture": (mixture, 10, True),
+        "var2": (make_var_trials(np.stack([0.5 * np.eye(3), -0.4 * np.eye(3)]), 8, 128,
+                                 seed=14), 6, True),
+        # exact conditions of about 4e9: under the warning level, over the bound's
+        "uncertified, under the limit": (_collinear(3e-5), 3, False),
+        # ill-conditioned: every order warns
+        "over the warning level": (_collinear(1e-6), 3, False),
+        "exactly singular": (MultiTrialSeries(np.repeat(x, 2, axis=1)), 3, False),
+        "1e-200 pivot": (MultiTrialSeries(np.concatenate([x, 1e-100 * x[:, :, ::-1]], axis=1)),
+                         3, False),
+    }
+
+
+@pytest.mark.parametrize("case", list(_gram_cases()))
+def test_certified_order_scan_matches_the_exact_guard(case):
+    series, max_order, certified = _gram_cases()[case]
+    *_, (top, top_moment) = var._lag_moments(series.values, max_order)
+    assert var._grams_certified(series.values, top_moment, top) == certified
+    expected = guard_outcome(exact_select_var_order, series, max_order)
+    assert_same_outcome(guard_outcome(select_var_order, series, max_order), expected)
+    if case in ("exactly singular", "1e-200 pivot"):
+        assert expected == ((RankDeficiencyError, expected[0][1]), [])
+    if case == "uncertified, under the limit":
+        assert expected[1] == []
+
+
+def test_the_gram_bound_holds_for_every_order():
+    # cond_k <= (lmax + ||heads||_F**2) / lmin of the top Gram, by interlacing and Weyl
+    for series, max_order in (_scan_cases()["standardized mixture"], (_collinear(1e-3), 6)):
+        values, p = series.values, series.n_channels
+        moments = list(var._lag_moments(values, max_order))
+        eigs = np.linalg.eigvalsh(moments[-1][1][p:, p:])
+        lead = values[:, :, :max_order]
+        heads = sum((max_order - t) * np.sum(lead[:, :, t] ** 2) for t in range(max_order))
+        bound = (eigs[-1] + heads) / eigs[0]
+        for _, moment in moments:
+            assert var._gram_cond(moment[p:, p:]) <= bound
+
+
+def _transfer_cases():
+    def diag(first):
+        return VarModel(np.array([[[first, 0.0], [0.0, 0.0]]]), np.eye(2))
+
+    mixture, _ = _scan_cases()["standardized mixture"]
+    return {
+        "var2": VarModel(np.stack([0.5 * np.eye(3), -0.4 * np.eye(3)]), np.eye(3)),
+        "fitted mixture, order 1": fit_var(mixture, 1),
+        "fitted mixture, order 5": fit_var(mixture, 5),
+        # transfer condition 7e11 at omega = 0: under the limit 1e12, over the bound's 5e11
+        "uncertified, under the limit": diag(1.0 - 1.0 / 7e11),
+        "over the limit": diag(1.0 - 1.0 / 2e12),
+        "exactly singular": diag(1.0),
+        # A(0) = [[0, 1e-200], [1, 0]]
+        "1e-200 pivot": VarModel(np.array([[[1.0, -1e-200], [-1.0, 1.0]]]), np.eye(2)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_transfer_cases()))
+def test_certified_var_spectrum_matches_the_exact_guard(monkeypatch, case):
+    model = _transfer_cases()[case]
+    grid = FrequencyGrid(64)
+    expected = guard_outcome(exact_var_spectrum, model, grid)
+    exact = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda x: exact.append(1) or cond(x))
+    assert_same_outcome(guard_outcome(var_spectrum, model, grid), expected)
+    assert exact == ([] if case.startswith(("var2", "fitted")) else [1])
+    if case in ("over the limit", "exactly singular", "1e-200 pivot"):
+        assert expected[0][0] is NearSingularError and expected[1] == []
