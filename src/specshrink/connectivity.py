@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (FrequencyGrid, SpectralEstimate, certified_inverse, exact_sum, hermitian_cond,
-                   symmetrize)
+from .core import (FrequencyGrid, SpectralEstimate, _is_real, certified_inverse, check_real,
+                   exact_sum, hermitian_cond, symmetrize)
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
                      EmptyBandError, InsufficientDataError, NearSingularError,
                      PipelineError, SpecshrinkError)
@@ -137,8 +137,12 @@ def partial_coherence(estimate: SpectralEstimate) -> ConnectivityResult:
 
 
 def check_band(band) -> tuple[float, float]:
-    """A band's ``(lo, hi)`` edges in Hz as floats; they must be finite with ``lo <= hi``."""
-    lo, hi = float(band[0]), float(band[1])
+    """A band's ``(lo, hi)`` edges in Hz as floats: two real numbers (``int``, ``float`` or
+    numpy numbers, not ``bool``), finite, with ``lo <= hi``.  Else :class:`DomainError`."""
+    edges = tuple(band) if np.iterable(band) else ()
+    if len(edges) != 2 or not all(_is_real(edge) for edge in edges):
+        raise DomainError(f"a band is two numbers (lo, hi) in Hz, got {band!r}")
+    lo, hi = float(edges[0]), float(edges[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"invalid band [{lo}, {hi}]")
     return lo, hi
@@ -211,6 +215,7 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
     n = series.n_trials
     if n < 2:
         raise InsufficientDataError("jackknife needs at least two trials")
+    band = check_band(band)
     band_mask(FrequencyGrid(series.n_samples, series.sampling_rate), band)
     replicates = []
     for leave_out in range(n):
@@ -225,7 +230,7 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
     stack = np.stack(replicates)
     mean_z = exact_sum(stack) / n
     se = np.sqrt((n - 1) / n * exact_sum((stack - mean_z) ** 2))
-    return BandStats(mean_z=mean_z, se=se, n_trials=n, band=(float(band[0]), float(band[1])))
+    return BandStats(mean_z=mean_z, se=se, n_trials=n, band=band)
 
 
 def welch_t(stats_a, stats_b):
@@ -257,8 +262,9 @@ def welch_t(stats_a, stats_b):
 
 
 def check_fdr_level(q: float):
-    """Raise :class:`DomainError` unless the FDR level ``q`` lies in (0, 1)."""
-    if not 0.0 < q < 1.0:
+    """Raise :class:`DomainError` unless the FDR level ``q`` is a real number
+    (:func:`~specshrink.core.check_real`) in (0, 1)."""
+    if not 0.0 < check_real(q, "q") < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
 
 

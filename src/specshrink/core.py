@@ -37,7 +37,8 @@ class FrequencyGrid:
     Parameters
     ----------
     n_samples : int
-        Record length ``T``; must be at least 2.
+        Record length ``T``, a count (:func:`check_count`) of at least 2; an
+        integer below 2 raises :class:`DimensionError`.
     sampling_rate : float, optional
         Samples per second.  Only needed to express frequencies in hertz.
     """
@@ -46,8 +47,11 @@ class FrequencyGrid:
     sampling_rate: float | None = None
 
     def __post_init__(self):
-        if self.n_samples < 2:
-            raise DimensionError(f"need n_samples >= 2, got {self.n_samples}")
+        n_samples = self.n_samples
+        if isinstance(n_samples, (int, np.integer)) and not isinstance(n_samples, bool) \
+                and n_samples < 2:
+            raise DimensionError(f"need n_samples >= 2, got {n_samples}")
+        object.__setattr__(self, "n_samples", check_count(n_samples, "n_samples", low=2))
         if self.sampling_rate is not None:
             object.__setattr__(self, "sampling_rate", check_rate(self.sampling_rate))
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import FrequencyGrid, SpectralEstimate, check_count, check_grid, map_trials
 from .errors import DomainError, InsufficientDataError
-from .periodogram import PeriodogramSet, periodograms_for
 from .timeseries import MultiTrialSeries
 
 #: Largest taper count tried by the default selection grid.  Mirrors the
@@ -31,9 +30,6 @@ MAX_AUTO_TAPERS = 63
 #: :func:`select_taper_count`: a block of ``(m, m)`` complex matrices takes
 #: about 1 MB at ``m = 63``, against 8.2 MB for all 129 frequencies at T = 256.
 GRAM_BLOCK = 16
-
-#: ``numpy.fft.rfft`` writes into a given array from numpy 2.0 on.
-_RFFT_TAKES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
 def sine_tapers(n_samples: int, n_tapers: int) -> np.ndarray:
@@ -69,10 +65,7 @@ def _tapered_dfts(values: np.ndarray, tapers: np.ndarray, phase: np.ndarray,
     """
     tapered = _view(work, (values.shape[1], len(tapers), values.shape[0]))
     np.multiply(tapers.T[:, :, None], values.T[:, None, :], out=tapered)
-    if _RFFT_TAKES_OUT:
-        np.fft.rfft(tapered, axis=0, out=out)
-    else:
-        out[...] = np.fft.rfft(tapered, axis=0)
+    np.fft.rfft(tapered, axis=0, out=out)
     out *= phase
     return out
 
@@ -130,23 +123,22 @@ class TaperSelection:
     risks: np.ndarray  # (n_trials, len(grid))
 
 
-def select_taper_count(series: MultiTrialSeries,
-                       taper_grid=None,
-                       periodograms: PeriodogramSet | None = None) -> TaperSelection:
+def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelection:
     """Unbiased-risk taper-count selection, per trial.
 
     For each trial, picks the count in ``taper_grid`` minimizing the
     grid-summed squared Hilbert-Schmidt distance between the leave-one-out
     mean periodogram (pilot) and that trial's multitaper estimate; ties go
     to the smaller count.  ``median`` is the lower median of the per-trial
-    selections and is what the comparison harness uses.
+    selections and is what the comparison harness uses.  The pilot comes from the
+    series' own periodograms (:attr:`MultiTrialSeries.periodograms`).
     """
     if series.n_trials < 2:
         raise InsufficientDataError("taper-count selection needs at least two trials")
     grid_counts = validate_taper_grid(
         taper_grid if taper_grid is not None else default_taper_grid(series.n_samples),
         series.n_samples)
-    pgrams = periodograms_for(series, periodograms)
+    pgrams = series.periodograms
     n_freq = pgrams.grid.n_frequencies
     phase = np.exp(-1j * pgrams.grid.omegas)[:, None, None]
     n_trials, p, n_samples = series.values.shape

@@ -25,10 +25,11 @@ product ``D D^* / T`` per frequency of the summed trials' DFTs.  No pass
 builds one trial's matrices: a trial's leave-one-out mean is
 ``(total - d d^* / T) / (N - 1)``, and the span and taper risks expand its
 inner products into terms of the trial sum ``total`` and of ``d``.
+A series computes its set once, at first use of ``MultiTrialSeries.periodograms``,
+and every estimator run on the series reads it from there.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -125,9 +126,10 @@ class PeriodogramSet:
     def n_trials(self) -> int:
         return self.dfts.shape[0]
 
-    @cached_property
+    @property
     def total(self) -> np.ndarray:
-        """The sum of the trials' periodogram matrices, ``n_trials`` times the mean."""
+        """The sum of the trials' periodogram matrices, ``n_trials`` times the mean, formed
+        at each use so that a kept set holds only the DFTs and the mean."""
         return self.mean.matrices * self.n_trials
 
 
@@ -138,11 +140,3 @@ def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:
     mean = periodogram_sum(dfts, grid.n_samples)
     mean /= series.n_trials
     return PeriodogramSet(grid=grid, dfts=dfts, mean=SpectralEstimate(grid, mean, tag="raw_mean"))
-
-
-def periodograms_for(series: MultiTrialSeries, periodograms: PeriodogramSet | None = None):
-    """The periodograms of ``series``: ``periodograms`` if given and matching, else computed."""
-    pgrams = periodograms if periodograms is not None else compute_periodograms(series)
-    if pgrams.n_trials != series.n_trials or pgrams.grid.n_samples != series.n_samples:
-        raise DimensionError("periodograms do not match the series dimensions")
-    return pgrams

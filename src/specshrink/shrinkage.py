@@ -28,7 +28,6 @@ from .core import FrequencyGrid, SpectralEstimate, check_count, check_grid, chec
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      SpecshrinkError, PipelineError)
 from .multitaper import multitaper_estimator, select_taper_count
-from .periodogram import compute_periodograms, periodograms_for
 from .smoothing import SmoothingConfig, smoothed_estimator
 from .timeseries import MultiTrialSeries
 from .var import VarModel, fit_var, select_var_order, var_spectrum
@@ -298,10 +297,10 @@ def _var_step(series: MultiTrialSeries, options: PipelineOptions):
     return model, _stage("var_spectrum", lambda: var_spectrum(model, grid))
 
 
-def _smoothing_step(series: MultiTrialSeries, options: PipelineOptions, periodograms):
+def _smoothing_step(series: MultiTrialSeries, options: PipelineOptions):
     """The smoothed periodogram and its smoothing record (per-trial spans)."""
     return _stage("smoothing", lambda: smoothed_estimator(
-        series, options.span_grid, options.fixed_span, periodograms=periodograms))
+        series, options.span_grid, options.fixed_span))
 
 
 def shrink(parametric: SpectralEstimate, nonparametric: SpectralEstimate,
@@ -326,16 +325,17 @@ def shrinkage_pipeline(series: MultiTrialSeries,
 
     Stages: periodograms -> VAR order selection and fit -> VAR spectrum;
     per-trial span selection -> smoothed periodogram; windowed risk curves
-    -> weights -> combined estimate.  Domain errors raised inside a stage
-    are re-raised as :class:`PipelineError` naming that stage.
+    -> weights -> combined estimate, all from the series' own periodograms.
+    Domain errors raised inside a stage are re-raised as
+    :class:`PipelineError` naming that stage.
     """
     opts = options if options is not None else PipelineOptions()
     if series.n_trials < 2:
         raise InsufficientDataError(
             f"the shrinkage pipeline needs at least two trials, got {series.n_trials}")
-    pgrams = _stage("periodogram", lambda: compute_periodograms(series))
+    pgrams = _stage("periodogram", lambda: series.periodograms)
     model, parametric = _var_step(series, opts)
-    nonparametric, smoothing = _smoothing_step(series, opts, pgrams)
+    nonparametric, smoothing = _smoothing_step(series, opts)
     estimate, diagnostics = shrink(parametric, nonparametric, pgrams.mean, opts.window,
                                    opts.fixed_weight)
     return PipelineResult(estimate=estimate, diagnostics=diagnostics, model=model,
@@ -343,30 +343,30 @@ def shrinkage_pipeline(series: MultiTrialSeries,
                           pilot=pgrams.mean, smoothing=smoothing)
 
 
-def _raw_mean(series, options, periodograms=None):
-    return periodograms_for(series, periodograms).mean, {}
+def _raw_mean(series, options):
+    return series.periodograms.mean, {}
 
 
-def _smoothed(series, options, periodograms=None):
-    estimate, smoothing = _smoothing_step(series, options, periodograms)
+def _smoothed(series, options):
+    estimate, smoothing = _smoothing_step(series, options)
     return estimate, {"selected_spans": smoothing.selected_spans}
 
 
-def _var(series, options, periodograms=None):
+def _var(series, options):
     model, estimate = _var_step(series, options)
     return estimate, {"var_order": model.order}
 
 
-def _multitaper(series, options, periodograms=None):
+def _multitaper(series, options):
     n_tapers = options.n_tapers
     if n_tapers is None:
         n_tapers = _stage("taper_selection", lambda: select_taper_count(
-            series, options.taper_grid, periodograms=periodograms)).median
+            series, options.taper_grid)).median
     return (_stage("multitaper", lambda: multitaper_estimator(series, n_tapers)),
             {"tapers": n_tapers})
 
 
-def _shrinkage(series, options, periodograms=None):
+def _shrinkage(series, options):
     result = shrinkage_pipeline(series, options)
     return result.estimate, {"var_order": result.order,
                              "selected_spans": result.smoothing.selected_spans,
@@ -374,9 +374,10 @@ def _shrinkage(series, options, periodograms=None):
                              "weights": result.diagnostics}
 
 
-#: Every estimator by its tag: ``ESTIMATORS[name](series, options, periodograms=None)``
-#: returns ``(estimate, record)``, ``record`` being the choices made (``var_order``,
+#: Every estimator by its tag: ``ESTIMATORS[name](series, options)`` returns
+#: ``(estimate, record)``, ``record`` being the choices made (``var_order``,
 #: ``selected_spans``, ``window``, ``tapers``) in report order, plus the shrinkage
-#: :class:`ShrinkageDiagnostics` under ``weights``.
+#: :class:`ShrinkageDiagnostics` under ``weights``.  Entries run on one series share its
+#: periodograms and trial order, which the series keeps.
 ESTIMATORS = {"raw_mean": _raw_mean, "smoothed": _smoothed, "var": _var,
               "multitaper": _multitaper, "shrinkage": _shrinkage}

@@ -22,7 +22,6 @@ from .core import (FrequencyGrid, SpectralEstimate, check_count, check_rate, che
                    hs_norm_sq, symmetrize)
 from .errors import (DimensionError, DomainError, PipelineError, SpecshrinkError,
                      UnstableModelError)
-from .periodogram import compute_periodograms
 from .shrinkage import ESTIMATORS, PipelineOptions, _validate_window, shrink
 from .timeseries import MultiTrialSeries
 from .var import VarModel, var_spectrum
@@ -324,15 +323,14 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
     for rep in range(reps):
         try:
             sim = simulate_mixture(replace(cfg, seed=base + (rep,)))
-            pgrams = compute_periodograms(sim)
-            produced = {name: run(sim, options, pgrams)[0] for name, run in ESTIMATORS.items()
+            produced = {name: run(sim, options)[0] for name, run in ESTIMATORS.items()
                         if name in components and name != "shrinkage"}
             produced["truth"] = truth
             if "shrinkage" in names:
                 for w in windows:
                     key = _shrinkage_name(w, windows[0])
                     produced[key], diag = shrink(produced["var"], produced["smoothed"],
-                                                 pgrams.mean, w, options.fixed_weight)
+                                                 sim.periodograms.mean, w, options.fixed_weight)
                     weight_acc[key] += diag.weight
             for key in spec_acc:
                 spec_acc[key] += hs_norm_sq(produced[key].matrices - truth.matrices)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import SpectralEstimate, check_count, check_grid, extend_full_circle, symmetrize
 from .errors import DomainError, InsufficientDataError
-from .periodogram import PeriodogramSet, periodogram_sum, periodograms_for
+from .periodogram import PeriodogramSet, periodogram_sum
 from .timeseries import MultiTrialSeries
 
 #: Smallest and largest spans ever chosen automatically.
@@ -216,7 +216,6 @@ def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
 
 
 def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int | None = None,
-                       periodograms: PeriodogramSet | None = None,
                        ) -> tuple[SpectralEstimate, SmoothingConfig]:
     """Trial-averaged smoothed periodogram with per-trial span selection.
 
@@ -227,19 +226,17 @@ def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int
     span_grid, fixed_span : optional
         Candidate spans to select from per trial (:func:`default_span_grid`
         when omitted), or one odd span for every trial, bypassing selection.
-    periodograms : PeriodogramSet, optional
-        Precomputed periodograms of ``series`` (to share work with other
-        estimators); computed on the fly when omitted.
 
     Returns
     -------
     (SpectralEstimate, SmoothingConfig)
         The estimate (tag ``"smoothed"``) and the record of the checked
-        settings with ``selected_spans``, the span used for each trial.
+        settings with ``selected_spans``, the span used for each trial.  The
+        periodograms are the series' own (:attr:`MultiTrialSeries.periodograms`).
     """
     span_grid = None if span_grid is None else validate_span_grid(span_grid)
     fixed_span = None if fixed_span is None else check_count(fixed_span, "fixed_span", odd=True)
-    pgrams = periodograms_for(series, periodograms)
+    pgrams = series.periodograms
     n_samples = pgrams.grid.n_samples
     if fixed_span is not None:
         spans = [fixed_span] * series.n_trials

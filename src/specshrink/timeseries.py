@@ -1,10 +1,11 @@
 """Multi-trial time series container and per-trial preprocessing."""
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .core import check_count, check_rate
+from .core import canonical_trial_order, check_count, check_rate
 from .errors import DegenerateChannelError, DimensionError, DomainError, InsufficientDataError
 
 
@@ -21,6 +22,9 @@ class MultiTrialSeries:
         Samples per second.
     channel_labels : tuple of str
         One label per channel; defaults to ``ch00, ch01, ...``.
+
+    :attr:`periodograms` and :attr:`trial_order` are computed at first use and kept, so
+    every stage run on the series shares them; a series made from it computes its own.
     """
 
     values: np.ndarray
@@ -56,6 +60,18 @@ class MultiTrialSeries:
     @property
     def n_samples(self) -> int:
         return self.values.shape[2]
+
+    @cached_property
+    def periodograms(self):
+        """The :class:`~specshrink.periodogram.PeriodogramSet` of the trials."""
+        from .periodogram import compute_periodograms  # periodogram.py imports this module
+        return compute_periodograms(self)
+
+    @cached_property
+    def trial_order(self) -> np.ndarray:
+        """:func:`~specshrink.core.canonical_trial_order` of the trials: the order in which
+        the VAR lag moments sum them."""
+        return canonical_trial_order(self.values)
 
     def drop_trial(self, index: int) -> "MultiTrialSeries":
         """A copy with one trial removed (for leave-one-out resampling)."""

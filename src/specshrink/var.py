@@ -14,12 +14,13 @@ Both steps work from one quantity, the trial sum of the moments of the
 stacked lags ``(X(t), X(t-1), ..., X(t-K))``: its lower-right block is the
 regressor Gram matrix, its first block row the cross moments, and the
 residual covariance is a Schur complement of the Gram block
-(:func:`_regression`).  The sum visits the trials in
-:func:`~specshrink.core.canonical_trial_order`, which gives the same
-sequence of trials for any input order, so fits and criterion values are
-bit-identical under any permutation of the trials.  The order scan forms
-every candidate's moment in one pass over the trials; only the chosen
-order is then fitted by :func:`fit_var`.
+(:func:`_regression`).  The sum visits the trials in the series'
+:attr:`~specshrink.timeseries.MultiTrialSeries.trial_order`, which the
+series hashes once and keeps, and which is the same sequence of trials for
+any input order, so fits and criterion values are bit-identical under any
+permutation of the trials.  The order scan forms every candidate's moment
+in one pass over the trials; only the chosen order is then fitted by
+:func:`fit_var`.
 
 Two condition-number guards protect the linear algebra: each candidate's
 regressor Gram matrix (warn above :data:`GRAM_COND_WARN`, fail above
@@ -35,13 +36,12 @@ exactly.
 """
 
 import warnings
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FrequencyGrid, SpectralEstimate, canonical_trial_order, certified_inverse,
-                   check_count, hermitian_cond, symmetrize, validate_spectral)
+from .core import (FrequencyGrid, SpectralEstimate, certified_inverse, check_count,
+                   hermitian_cond, symmetrize, validate_spectral)
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      NearSingularError, RankDeficiencyError)
 from .timeseries import MultiTrialSeries
@@ -165,20 +165,6 @@ def _regression(moment: np.ndarray, n_channels: int, dof: int):
     return solved.T, noise
 
 
-#: ``(values, canonical_trial_order(values))`` while :func:`select_var_order` fits its chosen
-#: order, so that :func:`fit_var` does not hash the same trials a second time.
-_SCAN_TRIALS = ContextVar("_SCAN_TRIALS", default=None)
-
-
-def _trial_order(values: np.ndarray) -> np.ndarray:
-    """:func:`~specshrink.core.canonical_trial_order` of ``values``, taken from the enclosing
-    order scan when it is fitting this very array."""
-    scanned = _SCAN_TRIALS.get()
-    if scanned is not None and scanned[0] is values:
-        return scanned[1]
-    return canonical_trial_order(values)
-
-
 def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     """Pooled least-squares VAR fit across all trials.
 
@@ -198,17 +184,17 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     Notes
     -----
     The normal equations and the residual covariance come from one lag
-    moment, summed over the trials in
-    :func:`~specshrink.core.canonical_trial_order`, by the order scan's
-    formula (:func:`_regression`).  So permuting the trials leaves the fit
-    bit-identical, and the scan's criterion at its top order is this model's.
+    moment, summed over the trials in the order the series keeps
+    (:attr:`~specshrink.timeseries.MultiTrialSeries.trial_order`), by the order
+    scan's formula (:func:`_regression`).  So permuting the trials leaves the
+    fit bit-identical, and the scan's criterion at its top order is this model's.
     """
     order = check_count(order, "VAR order")
     if (shortfall := _sample_shortfall(series.values.shape, order)) is not None:
         raise InsufficientDataError(shortfall)
     values = series.values
     n_trials, n_channels, n_samples = values.shape
-    moment = _tail_moment(values, _trial_order(values), order)
+    moment = _tail_moment(values, series.trial_order, order)
     dof = n_trials * (n_samples - order) - n_channels * order
     cond = _gram_cond(moment[n_channels:, n_channels:])
     coef_flat, noise = _regression(moment, n_channels, dof)
@@ -246,22 +232,20 @@ def _tail_moment(values: np.ndarray, trials: np.ndarray, top: int) -> np.ndarray
     return tail
 
 
-def _lag_moments(values: np.ndarray, top: int, trials: np.ndarray | None = None):
+def _lag_moments(series: MultiTrialSeries, top: int):
     """Yield ``(k, moment)`` for ``k = 1..top``: the trial sum of the moments of the stacked
     lags ``z_k(t) = (X(t), X(t-1), ..., X(t-k))`` over ``t = k..T-1``, ``(P*(k+1), P*(k+1))``.
 
-    The trials are summed in :func:`~specshrink.core.canonical_trial_order`, which a caller
-    that has taken it passes as ``trials``.  One pass
+    The trials are summed in the series' :attr:`~.MultiTrialSeries.trial_order`.  One pass
     (:func:`_tail_moment`) forms order ``top``'s moment, whose leading block is order ``k``'s
     sum over the samples ``t >= top``; order ``k`` then adds the products of its ``top - k``
     head samples ``t = k..top-1``, stacked over the trials in the same order.  Every sum
     visits the same sequence of trials whatever order they come in, so no moment depends on
     the trial order, and every moment is exactly symmetric.
     """
+    values, trials = series.values, series.trial_order
     n_trials, n_channels, _ = values.shape
     dim = n_channels * (top + 1)
-    if trials is None:
-        trials = canonical_trial_order(values)
     tail = _tail_moment(values, trials, top)
     # row t of a trial's head is z_top(t) for t < top, zero before the trial starts
     lead = values[trials, :, :top]
@@ -318,7 +302,7 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     errors are those of fitting every order.  The moments are trial sums in
     canonical trial order, so the scan is bit-identical under any permutation
     of the trials.  Only the chosen order is then fitted by :func:`fit_var`,
-    with the trial order the scan took, and the selection carries that model,
+    in the trial order the series keeps, and the selection carries that model,
     so callers need not refit it.  At ``max_order`` the criterion is exactly
     that of the :func:`fit_var` model; below it the scan adds the head samples
     apart, so the values agree with scoring each :func:`fit_var` model to
@@ -332,8 +316,7 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     top = 0
     while top < max_order and _sample_shortfall(values.shape, top + 1) is None:
         top += 1
-    trials = canonical_trial_order(values)
-    moments = list(_lag_moments(values, top, trials))
+    moments = list(_lag_moments(series, top))
     certified = bool(moments) and _grams_certified(values, moments[-1][1], top)
     criterion, conds, order = [], [], None
     try:
@@ -351,12 +334,7 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
         for k, cond in enumerate(conds, 1):
             if k != order:  # fit_var warns for the chosen order
                 _warn_if_ill_conditioned(cond)
-    token = _SCAN_TRIALS.set((values, trials))
-    try:
-        model = fit_var(series, order)
-    finally:
-        _SCAN_TRIALS.reset(token)
-    return OrderSelection(criterion=tuple(criterion), model=model)
+    return OrderSelection(criterion=tuple(criterion), model=fit_var(series, order))
 
 
 def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:

@@ -255,7 +255,7 @@ def test_criterion_6_risk_selection_behavior(acceptance_log):
                                   sampling_rate=1.0)
         pgrams = compute_periodograms(series)
         grid = (3, 5, 7, 9, 11, 13, 15)
-        _, smoothing = smoothed_estimator(series, span_grid=grid, periodograms=pgrams)
+        _, smoothing = smoothed_estimator(series, span_grid=grid)
         for trial in range(series.n_trials):
             risks = span_risks(pgrams, grid)[trial]
             argmin_ok &= smoothing.selected_spans[trial] == grid[int(np.argmin(risks))]

@@ -432,3 +432,34 @@ def test_pairwise_tests_and_joint_fdr():
         pairwise_tests(left, make_band_stats(z_right, se, 10, band=(18.0, 30.0)))
     with pytest.raises(DimensionError):
         pairwise_tests(left, make_band_stats(np.zeros((2, 2)), se[:2, :2], 10))
+
+
+@pytest.mark.parametrize("band, message", [
+    (("a", 3), "a band is two numbers"), ((8,), "a band is two numbers"),
+    ((8, 12, 16), "a band is two numbers"), (8, "a band is two numbers"),
+    (None, "a band is two numbers"), ((8, None), "a band is two numbers"),
+    (("8", "12"), "a band is two numbers"), ((True, 3), "a band is two numbers"),
+    ((12.0, 8.0), "invalid band"), ((0.0, float("inf")), "invalid band")])
+def test_bands_that_are_not_two_ordered_finite_numbers_raise_a_domain_error(band, message):
+    with pytest.raises(DomainError, match=message):
+        connectivity.check_band(band)
+
+
+def test_band_edges_come_back_as_floats():
+    lo, hi = connectivity.check_band((np.int64(8), np.float32(12.5)))
+    assert (type(lo), type(hi)) == (float, float) and (lo, hi) == (8.0, 12.5)
+
+
+def test_jackknife_rejects_a_bad_band_before_any_replicate():
+    series = MultiTrialSeries(np.random.default_rng(3).standard_normal((3, 2, 32)),
+                              sampling_rate=32.0)
+    with pytest.raises(DomainError):
+        jackknife_band_stats(series, (8, None))
+
+
+@pytest.mark.parametrize("q", ["0.1", None, True, float("nan"), 0.0, 1.0])
+def test_fdr_levels_that_are_not_numbers_in_the_open_unit_interval_raise_a_domain_error(q):
+    with pytest.raises(DomainError):
+        connectivity.check_fdr_level(q)
+    with pytest.raises(DomainError):
+        bh_fdr([0.01, 0.2], q)

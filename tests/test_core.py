@@ -66,6 +66,24 @@ def test_grid_rejects_bad_arguments():
         FrequencyGrid(8, sampling_rate=0.0)
 
 
+@pytest.mark.parametrize("n_samples", [64.0, "64", True, None, 2.5])
+def test_grid_sample_count_follows_the_count_rule(n_samples):
+    with pytest.raises(DomainError, match="n_samples must be"):
+        FrequencyGrid(n_samples)
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -3, np.int64(1)])
+def test_grid_rejects_sample_counts_below_two_as_a_dimension_error(n_samples):
+    with pytest.raises(DimensionError):
+        FrequencyGrid(n_samples)
+
+
+def test_grid_keeps_a_numpy_sample_count_as_an_int():
+    grid = FrequencyGrid(np.int32(64))
+    assert type(grid.n_samples) is int and type(grid.n_frequencies) is int
+    assert extend_full_circle(np.ones((33, 1, 1)), grid.n_samples).shape == (64, 1, 1)
+
+
 def test_grid_omegas_read_only():
     grid = FrequencyGrid(16)
     with pytest.raises(ValueError):

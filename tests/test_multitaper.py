@@ -13,7 +13,6 @@ from specshrink import (
     FrequencyGrid,
     InsufficientDataError,
     MultiTrialSeries,
-    compute_periodograms,
     hs_norm_sq,
     multitaper_estimator,
     select_taper_count,
@@ -148,9 +147,8 @@ def test_taper_selection_rejects_a_fractional_count():
 def test_taper_selection_is_exhaustive_argmin():
     rng = np.random.default_rng(3)
     series = MultiTrialSeries(rng.standard_normal((4, 2, 48)))
-    pgrams = compute_periodograms(series)
     grid = (1, 2, 4, 7, 11)
-    selection = select_taper_count(series, grid, periodograms=pgrams)
+    selection = select_taper_count(series, grid)
     assert selection.risks.shape == (4, 5)
     scale = 2 * np.pi / 48
     stack = stacked_periodograms(series)
@@ -197,33 +195,10 @@ def _direct_taper_risks(series, taper_grid):
 def test_taper_risks_match_the_direct_loop(n_samples, n_channels, taper_grid):
     rng = np.random.default_rng(n_samples + 10 * n_channels + 100 * taper_grid[0])
     series = MultiTrialSeries(rng.standard_normal((5, n_channels, n_samples)))
-    pgrams = compute_periodograms(series)
-    selection = select_taper_count(series, taper_grid, periodograms=pgrams)
+    selection = select_taper_count(series, taper_grid)
     want = _direct_taper_risks(series, taper_grid)
     np.testing.assert_allclose(selection.risks, want, rtol=1e-12, atol=0)
     assert selection.per_trial == tuple(taper_grid[i] for i in np.argmin(want, axis=1))
-
-
-def _tapered_results(series):
-    """One trial's tapered DFTs, the taper risks and a multitaper estimate of ``series``."""
-    grid = FrequencyGrid(series.n_samples, series.sampling_rate)
-    tapers = sine_tapers(series.n_samples, 6)
-    shape = (grid.n_frequencies, 6, series.n_channels)
-    d = multitaper._tapered_dfts(series.values[0], tapers, np.exp(-1j * grid.omegas)[:, None, None],
-                                 np.empty(series.n_samples * 6 * series.n_channels),
-                                 np.empty(shape, dtype=complex))
-    risks = select_taper_count(series, (1, 2, 4, 6)).risks
-    return d, risks, multitaper_estimator(series, 4).matrices
-
-
-@pytest.mark.parametrize("n_samples", [64, 65])
-def test_the_numpy_1_transform_branch_gives_the_same_bits(monkeypatch, n_samples):
-    # numpy < 2 cannot pass ``out`` to ``rfft``; that branch copies the transform in.
-    series = MultiTrialSeries(np.random.default_rng(n_samples).standard_normal((5, 3, n_samples)))
-    default = _tapered_results(series)
-    monkeypatch.setattr(multitaper, "_RFFT_TAKES_OUT", False)
-    for got, want in zip(_tapered_results(series), default):
-        assert np.array_equal(got, want)
 
 
 def test_taper_selection_and_estimate_do_not_depend_on_the_worker_count(monkeypatch):

@@ -9,8 +9,10 @@ from specshrink import (
     DimensionError,
     FrequencyGrid,
     MultiTrialSeries,
+    PipelineOptions,
     compute_periodograms,
     extend_full_circle,
+    shrinkage_pipeline,
 )
 from specshrink import periodogram
 from specshrink.periodogram import periodogram_sum, raw_periodogram, trial_dft
@@ -165,6 +167,16 @@ def test_periodogram_set_holds_the_dfts_and_one_set_of_matrices(shape):
     matrix_bytes = n_freq * n_channels ** 2 * 16
     held = _held_arrays(pgrams)
     assert sorted(a.nbytes for a in held) == sorted([dft_bytes, matrix_bytes])
+
+
+def test_a_pipeline_leaves_the_series_periodograms_holding_the_dfts_and_the_mean():
+    # the series keeps its periodogram set; the trial sum ``total`` is formed at each use
+    series = MultiTrialSeries(np.random.default_rng(8).standard_normal((6, 3, 64)))
+    shrinkage_pipeline(series, PipelineOptions(max_order=2, window=5))
+    pgrams = series.periodograms
+    assert sorted(a.nbytes for a in _held_arrays(pgrams)) == sorted(
+        [pgrams.dfts.nbytes, pgrams.mean.matrices.nbytes])
+    np.testing.assert_array_equal(pgrams.total, compute_periodograms(series).total)
 
 
 def test_trial_dft_shape_check():

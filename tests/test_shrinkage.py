@@ -24,6 +24,7 @@ from specshrink import (
     shrinkage_pipeline,
     shrinkage_weight,
 )
+from specshrink import periodogram, timeseries
 from specshrink.shrinkage import _window_indices, _windowed_distance
 
 
@@ -351,3 +352,22 @@ def test_every_estimator_returns_a_valid_estimate_with_its_tag(name, n_samples, 
     assert estimate.matrices.shape == (n_samples // 2 + 1, n_channels, n_channels)
     assert estimate.validate().ok
     assert set(record) <= {"var_order", "selected_spans", "window", "tapers", "weights"}
+
+
+def test_estimators_on_one_series_compute_its_periodograms_and_trial_order_once(monkeypatch):
+    calls = []
+    compute, order = periodogram.compute_periodograms, timeseries.canonical_trial_order
+    monkeypatch.setattr(periodogram, "compute_periodograms",
+                        lambda series: calls.append("periodograms") or compute(series))
+    monkeypatch.setattr(timeseries, "canonical_trial_order",
+                        lambda values: calls.append("trial order") or order(values))
+    series = MultiTrialSeries(np.random.default_rng(21).standard_normal((6, 3, 64)))
+    options = PipelineOptions(max_order=3, window=5)
+    for name in ("smoothed", "multitaper", "shrinkage"):
+        ESTIMATORS[name](series, options)
+    assert sorted(calls) == ["periodograms", "trial order"]
+    # the estimates are those of a series that computes everything afresh
+    for name in ("smoothed", "multitaper", "shrinkage"):
+        fresh = MultiTrialSeries(series.values.copy())
+        assert np.array_equal(ESTIMATORS[name](series, options)[0].matrices,
+                              ESTIMATORS[name](fresh, options)[0].matrices)

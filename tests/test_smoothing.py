@@ -128,7 +128,7 @@ def test_select_span_is_exhaustive_argmin():
     series = MultiTrialSeries(rng.standard_normal((4, 2, 64)))
     pgrams = compute_periodograms(series)
     grid = (3, 5, 9, 15)
-    _, config = smoothed_estimator(series, span_grid=grid, periodograms=pgrams)
+    _, config = smoothed_estimator(series, span_grid=grid)
     every = span_risks(pgrams, grid)
     for trial in range(4):
         risks = every[trial]

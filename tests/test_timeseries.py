@@ -1,5 +1,7 @@
 """Trial container invariants and per-trial preprocessing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,14 @@ def test_standardize_rejects_constant_channel():
     vals[1, 0] = 7.0
     with pytest.raises(DegenerateChannelError, match="ch00.*trial 1"):
         standardize(MultiTrialSeries(vals))
+
+
+def test_derived_values_are_kept_on_the_series_and_not_on_series_made_from_it():
+    series = make_series()
+    pgrams, order = series.periodograms, series.trial_order
+    assert series.periodograms is pgrams and series.trial_order is order
+    derived = {"drop_trial": series.drop_trial(1), "detrend": detrend(series),
+               "standardize": standardize(series), "replace": replace(series)}
+    for name, other in derived.items():
+        assert "periodograms" not in vars(other) and "trial_order" not in vars(other), name
+        assert other.periodograms is not pgrams and other.trial_order is not order, name

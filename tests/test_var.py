@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from specshrink import (
     symmetrize,
     var_spectrum,
 )
-from specshrink import var
+from specshrink import timeseries, var
 from conftest import guard_outcome
 
 
@@ -250,7 +251,7 @@ def test_lag_moments_match_exact_trial_sums(case):
     # The scan sums trials in canonical order; that moves each moment from the exact
     # sum by rounding only, and every moment stays exactly symmetric.
     series, max_order = _scan_cases()[case]
-    scanned = list(var._lag_moments(series.values, max_order))
+    scanned = list(var._lag_moments(series, max_order))
     reference = list(reference_lag_moments(series.values, max_order))
     assert [k for k, _ in scanned] == [k for k, _ in reference] == list(range(1, max_order + 1))
     for (k, moment), (_, exact) in zip(scanned, reference):
@@ -313,19 +314,21 @@ def test_order_selection_fits_only_the_chosen_order(monkeypatch):
 
 
 def test_order_selection_hashes_the_trials_once(monkeypatch):
-    # the chosen order's fit takes the trial order the scan took; a fit alone takes its own
+    # the chosen order's fit reads the trial order the scan took from the series; a fit of
+    # a new series takes its own
     hashed = []
-    order = var.canonical_trial_order
-    monkeypatch.setattr(var, "canonical_trial_order",
+    order = timeseries.canonical_trial_order
+    monkeypatch.setattr(timeseries, "canonical_trial_order",
                         lambda values: hashed.append(len(values)) or order(values))
     series = make_var_trials(np.stack([0.5 * np.eye(2), -0.4 * np.eye(2)]), 8, 128, seed=12)
     selection = select_var_order(series, 6)
     assert hashed == [8]
-    refit = fit_var(series, selection.order)
+    assert fit_var(series, selection.order).order == selection.order
+    assert hashed == [8]
+    refit = fit_var(replace(series), selection.order)
     assert hashed == [8, 8]
     np.testing.assert_array_equal(selection.model.coefs, refit.coefs)
     np.testing.assert_array_equal(selection.model.noise_cov, refit.noise_cov)
-    assert var._SCAN_TRIALS.get() is None
 
 
 def test_order_selection_memory_stays_below_the_per_order_fits():
@@ -481,7 +484,7 @@ def exact_select_var_order(series, max_order):
         top += 1
     criterion, conds, order = [], [], None
     try:
-        for k, moment in var._lag_moments(values, top):
+        for k, moment in var._lag_moments(series, top):
             conds.append(var._gram_cond(moment[n_channels:, n_channels:]))
             dof = n_trials * (n_samples - k) - n_channels * k
             _, noise = var._regression(moment, n_channels, dof)
@@ -560,7 +563,7 @@ def _gram_cases():
 @pytest.mark.parametrize("case", list(_gram_cases()))
 def test_certified_order_scan_matches_the_exact_guard(case):
     series, max_order, certified = _gram_cases()[case]
-    *_, (top, top_moment) = var._lag_moments(series.values, max_order)
+    *_, (top, top_moment) = var._lag_moments(series, max_order)
     assert var._grams_certified(series.values, top_moment, top) == certified
     expected = guard_outcome(exact_select_var_order, series, max_order)
     assert_same_outcome(guard_outcome(select_var_order, series, max_order), expected)
@@ -574,7 +577,7 @@ def test_the_gram_bound_holds_for_every_order():
     # cond_k <= (lmax + ||heads||_F**2) / lmin of the top Gram, by interlacing and Weyl
     for series, max_order in (_scan_cases()["standardized mixture"], (_collinear(1e-3), 6)):
         values, p = series.values, series.n_channels
-        moments = list(var._lag_moments(values, max_order))
+        moments = list(var._lag_moments(series, max_order))
         eigs = np.linalg.eigvalsh(moments[-1][1][p:, p:])
         lead = values[:, :, :max_order]
         heads = sum((max_order - t) * np.sum(lead[:, :, t] ** 2) for t in range(max_order))
