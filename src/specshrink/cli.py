@@ -323,7 +323,9 @@ def cmd_connectivity(args) -> int:
             band_mask(FrequencyGrid(series.n_samples, series.sampling_rate), (lo, hi))
     suffixes = ("left", "right")
 
-    per_condition = [partial_coherence(shrinkage_pipeline(series, options).estimate)
+    # on a copy, so that the series the jackknife reads does not keep the full-series
+    # periodograms alive, which no replicate reads
+    per_condition = [partial_coherence(shrinkage_pipeline(replace(series), options).estimate)
                      for series in conditions]
     for name, lo, hi in config.bands:
         for pcoh, suffix in zip(per_condition, suffixes):

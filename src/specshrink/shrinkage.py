@@ -58,18 +58,17 @@ def _window_indices(window: int, grid: FrequencyGrid) -> np.ndarray:
     return (np.arange(grid.n_frequencies)[:, None] + offsets[None, :]) % grid.n_samples
 
 
-def _windowed_distance(point: np.ndarray, other_full: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Mean over the window of ``||point(w) - other(w + w_k)||^2`` per frequency.
+def _distance_table(point: np.ndarray, other_full: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``||point(r) - other(w_rk)||^2`` for each row ``r`` and window column ``k``, with
+    ``w_rk = idx[r, k]``: a ``(rows, window)`` array.
 
-    One window offset at a time, into ``(n_freq, P, P)`` buffers, so memory
-    does not grow with the window.  The squared norms fill an
-    ``(n_freq, window)`` array whose row means are bit-identical to
-    ``hs_norm_sq(point[:, None] - other_full[idx]).mean(axis=1)``.
+    One window offset at a time, into ``(rows, P, P)`` buffers, so memory
+    does not grow with the window.
     """
-    n_freq, window = idx.shape
+    n_rows, window = idx.shape
     diff = np.empty_like(point)
     mag = np.empty(point.shape)
-    dist = np.empty((n_freq, window))
+    dist = np.empty((n_rows, window))
     for k in range(window):
         np.take(other_full, idx[:, k], axis=0, out=diff, mode="wrap")
         np.subtract(point, diff, out=diff)
@@ -77,7 +76,16 @@ def _windowed_distance(point: np.ndarray, other_full: np.ndarray, idx: np.ndarra
         np.square(mag, out=mag)
         dist[:, k] = mag.sum(axis=(1, 2))
     dist /= point.shape[-1]
-    return dist.mean(axis=1)
+    return dist
+
+
+def _windowed_distance(point: np.ndarray, other_full: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Mean over the window of ``||point(w) - other(w + w_k)||^2`` per frequency.
+
+    The row means of :func:`_distance_table` are bit-identical to
+    ``hs_norm_sq(point[:, None] - other_full[idx]).mean(axis=1)``.
+    """
+    return _distance_table(point, other_full, idx).mean(axis=1)
 
 
 def risk_vs_pilot(estimate: SpectralEstimate, pilot: SpectralEstimate, window: int) -> np.ndarray:
@@ -108,9 +116,18 @@ def estimator_separation(first: SpectralEstimate, second: SpectralEstimate,
     """
     _same_grid(first, second)
     _validate_window(window, first.grid.n_samples)
-    idx = _window_indices(window, first.grid)
-    one = _windowed_distance(first.matrices, second.full_circle(), idx)
-    other = _windowed_distance(second.matrices, first.full_circle(), idx)
+    # ||second(w) - first(w + o)||^2 is ||first(w + o) - second((w + o) - o)||^2 to the bit,
+    # also where w + o is a conjugate reflection, so one table of first's distances over
+    # the rows w + o = -half .. n_freq - 1 + half holds both directions.
+    n_freq, n_samples = first.grid.n_frequencies, first.grid.n_samples
+    half = (window - 1) // 2
+    rows = np.arange(-half, n_freq + half)
+    table = _distance_table(first.full_circle()[rows % n_samples], second.full_circle(),
+                            (rows[:, None] + np.arange(-half, half + 1)) % n_samples)
+    one = table[half:half + n_freq].mean(axis=1)
+    # second(w) against first(w + o_k) is table row w + k (that is, w + o_k), column -o_k
+    cols = np.arange(window)
+    other = table[np.arange(n_freq)[:, None] + cols, cols[::-1]].mean(axis=1)
     return 0.5 * (one + other)
 
 

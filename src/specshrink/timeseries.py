@@ -16,8 +16,11 @@ class MultiTrialSeries:
     Attributes
     ----------
     values : ndarray
-        Real data, shape ``(n_trials, n_channels, n_samples)``; coerced to
-        float64 and treated as immutable.
+        Real data, shape ``(n_trials, n_channels, n_samples)``, coerced to
+        float64 and kept as a read-only view, so ``series.values[...] = v``
+        raises ``ValueError``.  An array that is already float64 and
+        C-contiguous is not copied: the caller must not change it afterwards,
+        or the cached :attr:`periodograms` and :attr:`trial_order` go stale.
     sampling_rate : float
         Samples per second.
     channel_labels : tuple of str
@@ -46,6 +49,8 @@ class MultiTrialSeries:
         labels = tuple(self.channel_labels) or tuple(f"ch{p:02d}" for p in range(n_channels))
         if len(labels) != n_channels:
             raise DimensionError(f"{len(labels)} labels for {n_channels} channels")
+        vals = vals.view()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "channel_labels", labels)
 

@@ -14,13 +14,20 @@ Both steps work from one quantity, the trial sum of the moments of the
 stacked lags ``(X(t), X(t-1), ..., X(t-K))``: its lower-right block is the
 regressor Gram matrix, its first block row the cross moments, and the
 residual covariance is a Schur complement of the Gram block
-(:func:`_regression`).  The sum visits the trials in the series'
+(:func:`_regression`).  That moment is block-Toeplitz up to edge terms, so
+it is assembled (:func:`_order_moment`) from one ``P x P`` sum per lag,
+``C(d) = sum_n sum_t x_n(t) x_n(t-d).T``, less the products of the first
+and the last ``K`` samples that order ``K``'s regression leaves out
+(:func:`_lag_sums`); no stacked-lag product is formed.  The sums visit the
+trials in the series'
 :attr:`~specshrink.timeseries.MultiTrialSeries.trial_order`, which the
 series hashes once and keeps, and which is the same sequence of trials for
 any input order, so fits and criterion values are bit-identical under any
-permutation of the trials.  The order scan forms every candidate's moment
-in one pass over the trials; only the chosen order is then fitted by
-:func:`fit_var`.
+permutation of the trials.  No sum depends on the highest order formed, so
+the order scan, which assembles every candidate from one set of sums,
+scores each order from the moment :func:`fit_var` forms for it, bit for
+bit, and hands :func:`fit_var` the chosen order's moment, so the fit reads
+no trial again.
 
 Two condition-number guards protect the linear algebra: each candidate's
 regressor Gram matrix (warn above :data:`GRAM_COND_WARN`, fail above
@@ -37,6 +44,7 @@ exactly.
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,7 +173,8 @@ def _regression(moment: np.ndarray, n_channels: int, dof: int):
     return solved.T, noise
 
 
-def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
+def fit_var(series: MultiTrialSeries, order: int, *, moment: np.ndarray | None = None
+            ) -> VarModel:
     """Pooled least-squares VAR fit across all trials.
 
     Parameters
@@ -174,6 +183,10 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
         Data with ``N*(T-order) > P*order`` effective observations.
     order : int
         Number of lags, at least 1.
+    moment : ndarray, optional
+        The series' lag moment for ``order``, ``(P*(order+1), P*(order+1))``,
+        as :func:`select_var_order` has formed it; the fit then reads no trial.
+        Formed here when omitted, bit for bit the same.
 
     Returns
     -------
@@ -184,17 +197,22 @@ def fit_var(series: MultiTrialSeries, order: int) -> VarModel:
     Notes
     -----
     The normal equations and the residual covariance come from one lag
-    moment, summed over the trials in the order the series keeps
+    moment (:func:`_order_moment`), assembled from per-lag and edge sums over
+    the trials in the order the series keeps
     (:attr:`~specshrink.timeseries.MultiTrialSeries.trial_order`), by the order
     scan's formula (:func:`_regression`).  So permuting the trials leaves the
-    fit bit-identical, and the scan's criterion at its top order is this model's.
+    fit bit-identical, and it is bit for bit the model the order scan scores
+    for ``order``.
     """
     order = check_count(order, "VAR order")
     if (shortfall := _sample_shortfall(series.values.shape, order)) is not None:
         raise InsufficientDataError(shortfall)
-    values = series.values
-    n_trials, n_channels, n_samples = values.shape
-    moment = _tail_moment(values, series.trial_order, order)
+    n_trials, n_channels, n_samples = series.values.shape
+    if moment is None:
+        moment = _order_moment(_lag_sums(series.values, series.trial_order, order), order)
+    elif moment.shape != (n_channels * (order + 1),) * 2:
+        raise DimensionError(f"an order-{order} lag moment of {n_channels} channels must be "
+                             f"{(n_channels * (order + 1),) * 2}, got {moment.shape}")
     dof = n_trials * (n_samples - order) - n_channels * order
     cond = _gram_cond(moment[n_channels:, n_channels:])
     coef_flat, noise = _regression(moment, n_channels, dof)
@@ -217,48 +235,113 @@ class OrderSelection:
         return self.model.order
 
 
-def _tail_moment(values: np.ndarray, trials: np.ndarray, top: int) -> np.ndarray:
-    """The sum over ``trials``, in that order, of the moments of the stacked lags
-    ``z_top(t) = (X(t), X(t-1), ..., X(t-top))`` over ``t = top..T-1``,
-    ``(P*(top+1), P*(top+1))``: order ``top``'s lag moment.  Each trial's product is a
-    symmetric rank-k update, so the sum is exactly symmetric."""
-    n_samples = values.shape[2]
-    dim = values.shape[1] * (top + 1)
-    tail = np.zeros((dim, dim))
-    for n in trials:
-        x = values[n]
-        lagged = np.concatenate([x[:, top - j:n_samples - j] for j in range(top + 1)])
-        tail += lagged @ lagged.T
-    return tail
+#: Bytes of trial data and lag products that each block of :func:`_lag_sums` holds at once.
+_BLOCK_BYTES = 1 << 19
+
+
+@lru_cache(maxsize=None)
+def _edge_index(top: int):
+    """``(head, tail)``, each ``(top, top+1)``: entry ``[a, d]`` is where :func:`_lag_sums` finds
+    the pair of edge samples ``(a, a - d)`` (head) or ``(a, a + d)`` (tail) among the ``top**2``
+    pairs flattened, or ``top**2``, the zero block, where there is no such pair."""
+    later, lag = np.arange(top)[:, None], np.arange(top + 1)
+    index = tuple(np.where((other >= 0) & (other < top), later * top + other, top * top)
+                  for other in (later - lag, later + lag))
+    for array in index:  # shared by every call
+        array.flags.writeable = False
+    return index
+
+
+def _lag_sums(values: np.ndarray, trials: np.ndarray, top: int):
+    """The sums over ``trials`` that every lag moment up to order ``top`` is assembled from
+    (:func:`_order_moment`): ``(lags, heads, tails)``.
+
+    ``lags[d]`` is ``C(d) = sum_n sum_{s=d..T-1} x_n(s) x_n(s-d).T``, one ``P x P`` product per
+    trial and lag, added in the order of ``trials``, one trial after another; the trials are
+    read in blocks of about :data:`_BLOCK_BYTES`.  ``heads[m, d]`` is
+    ``sum_{s=d..m-1} sum_n x_n(s) x_n(s-d).T`` and ``tails[i, d]`` is
+    ``sum_{s=T-i..T-1} sum_n x_n(s) x_n(s-d).T``, both ``(top+1, top+1, P, P)``: prefix and
+    suffix sums along the block diagonals of the trial-summed products of the first and of
+    the last ``top`` samples, each one ``P x N`` by ``N x P`` product over ``trials`` in order.
+    No entry depends on ``top``: each is the same sum of the same products for any ``top``
+    that has it.
+    """
+    n_trials, n_channels, n_samples = values.shape
+    lags = np.zeros((top + 1, n_channels, n_channels))
+    block = max(1, _BLOCK_BYTES // (8 * n_channels * (n_samples + (top + 1) * n_channels)))
+    for lo in range(0, n_trials, block):
+        chunk = values[trials[lo:lo + block]]
+        prods = np.empty((len(chunk), top + 1, n_channels, n_channels))
+        for lag in range(top + 1):
+            np.matmul(chunk[:, :, lag:], chunk[:, :, :n_samples - lag].swapaxes(1, 2),
+                      out=prods[:, lag])
+        for prod in prods:
+            lags += prod
+    sums = []
+    # the first samples forward and the last samples backward from T-1, so that in both the
+    # pair (a, b) is sum_n e_n(a) e_n(b).T, and lag d takes the pairs whose first sample is
+    # d steps after the second
+    edges = (values[trials, :, :top], np.flip(values[trials, :, n_samples - top:], axis=2))
+    for edge, index in zip(edges, _edge_index(top)):
+        rows = np.ascontiguousarray(edge.transpose(2, 1, 0))  # (top, P, N)
+        pairs = np.empty((top * top + 1, n_channels, n_channels))
+        np.matmul(rows[:, None], rows.swapaxes(1, 2)[None, :],
+                  out=pairs[:-1].reshape(top, top, n_channels, n_channels))
+        pairs[-1] = 0.0
+        steps = pairs[index]
+        total = np.empty((top + 1, top + 1, n_channels, n_channels))
+        total[0] = 0.0
+        for m in range(top):  # faster than np.cumsum along this axis, and as sequential
+            np.add(total[m], steps[m], out=total[m + 1])
+        sums.append(total)
+    return lags, *sums
+
+
+@lru_cache(maxsize=None)
+def _block_index(order: int):
+    """``(rows, cols, lags, heads)`` of the upper blocks ``(i, j)``, ``i <= j``, of an
+    order's lag moment: ``lags = j - i`` and ``heads = order - i``."""
+    rows, cols = np.triu_indices(order + 1)
+    index = rows, cols, cols - rows, order - rows
+    for array in index:  # shared by every call
+        array.flags.writeable = False
+    return index
+
+
+def _order_moment(sums, order: int) -> np.ndarray:
+    """Order ``order``'s lag moment ``(P*(order+1), P*(order+1))`` from :func:`_lag_sums` of a
+    ``top >= order``: the trial sum of the moments of the stacked lags
+    ``z(t) = (X(t), X(t-1), ..., X(t-order))`` over ``t = order..T-1``.
+
+    Block ``(i, j)``, ``i <= j``, ``d = j - i``, is
+    ``C(d) - sum_{s=d..order-1-i} x(s) x(s-d).T - sum_{s=T-i..T-1} x(s) x(s-d).T``, the
+    products that ``t = order..T-1`` leaves out of ``C(d)`` at the head and at the tail; block
+    ``(j, i)`` is its transpose, so the moment is exactly symmetric.  The result depends only
+    on the sums' entries up to ``order``, so it is the same for every ``top``.
+    """
+    lags, heads, tails = sums
+    n_channels = lags.shape[1]
+    rows, cols, lag, head = _block_index(order)
+    upper = lags[lag] - heads[head, lag] - tails[rows, lag]
+    moment = np.empty((order + 1, n_channels, order + 1, n_channels))
+    moment[cols, :, rows] = upper.swapaxes(1, 2)
+    moment[rows, :, cols] = upper
+    return moment.reshape(n_channels * (order + 1), n_channels * (order + 1))
 
 
 def _lag_moments(series: MultiTrialSeries, top: int):
     """Yield ``(k, moment)`` for ``k = 1..top``: the trial sum of the moments of the stacked
     lags ``z_k(t) = (X(t), X(t-1), ..., X(t-k))`` over ``t = k..T-1``, ``(P*(k+1), P*(k+1))``.
 
-    The trials are summed in the series' :attr:`~.MultiTrialSeries.trial_order`.  One pass
-    (:func:`_tail_moment`) forms order ``top``'s moment, whose leading block is order ``k``'s
-    sum over the samples ``t >= top``; order ``k`` then adds the products of its ``top - k``
-    head samples ``t = k..top-1``, stacked over the trials in the same order.  Every sum
-    visits the same sequence of trials whatever order they come in, so no moment depends on
-    the trial order, and every moment is exactly symmetric.
+    Every order is assembled (:func:`_order_moment`) from one set of per-lag and edge sums
+    (:func:`_lag_sums`) over the series' :attr:`~.MultiTrialSeries.trial_order`, so no
+    stacked-lag product is formed.  The trials are summed in the same sequence whatever order
+    they come in, so no moment depends on the trial order, every moment is exactly symmetric,
+    and order ``k``'s moment is bit for bit the one :func:`fit_var` forms for order ``k``.
     """
-    values, trials = series.values, series.trial_order
-    n_trials, n_channels, _ = values.shape
-    dim = n_channels * (top + 1)
-    tail = _tail_moment(values, trials, top)
-    # row t of a trial's head is z_top(t) for t < top, zero before the trial starts
-    lead = values[trials, :, :top]
-    heads = np.zeros((n_trials, top, dim))
-    for j in range(top):
-        heads[:, j:, j * n_channels:(j + 1) * n_channels] = lead[:, :, :top - j].swapaxes(1, 2)
+    sums = _lag_sums(series.values, series.trial_order, top)
     for k in range(1, top + 1):
-        size = n_channels * (k + 1)
-        moment = tail[:size, :size].copy()
-        if k < top:
-            head = heads[:, k:, :size].reshape(-1, size)
-            moment += head.T @ head
-        yield k, moment
+        yield k, _order_moment(sums, k)
 
 
 def _grams_certified(values: np.ndarray, top_moment: np.ndarray, top: int) -> bool:
@@ -266,10 +349,12 @@ def _grams_certified(values: np.ndarray, top_moment: np.ndarray, top: int) -> bo
     :data:`GRAM_COND_WARN`, from the top order's moment alone.
 
     Order ``k``'s Gram is a leading block of the top order's Gram ``G`` plus the
-    Gram part of its head term (:func:`_lag_moments`), which is PSD with a 2-norm
-    of at most the squared Frobenius norm of all the head rows.  By interlacing,
-    its smallest eigenvalue is at least ``G``'s, and by Weyl its largest is at most
-    ``G``'s plus that norm, so ``cond_k <= (lmax(G) + ||heads||_F**2) / lmin(G)``.
+    Gram part of the moments of its stacked lags ``z_k(t)`` at ``t = k..top-1``,
+    which is PSD with a 2-norm of at most ``||heads||_F**2``, the sum of
+    ``||z_top(t)||**2`` over ``t < top`` with samples before a trial's start taken
+    as zero.  By interlacing, its smallest eigenvalue is at least ``G``'s, and by
+    Weyl its largest is at most ``G``'s plus that norm, so
+    ``cond_k <= (lmax(G) + ||heads||_F**2) / lmin(G)``.
     The margin of 16 absorbs the rounding of the sums and of the eigenvalues, so
     where the bound holds no order's :func:`_gram_cond` would warn or raise.
     """
@@ -291,22 +376,22 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     The criterion for order ``k`` is
     ``log det(noise_cov(k)) + log(N*T)/(N*T) * k * P**2``; ties break toward
     the smaller order, and a covariance whose determinant is not positive
-    scores ``inf``.  Every order is scored from one pass over the trials
-    (:func:`_lag_moments`): ``noise_cov(k)`` is the Schur complement
-    ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment, taken by
-    :func:`_regression` as in :func:`fit_var`, whose sample-size and
+    scores ``inf``.  Every order is scored from one set of per-lag and edge
+    sums over the trials (:func:`_lag_moments`): ``noise_cov(k)`` is the Schur
+    complement ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment,
+    taken by :func:`_regression` as in :func:`fit_var`, whose sample-size and
     Gram-condition checks each order keeps.  The Gram conditions are first
     certified together by a bound from the top order's Gram
     (:func:`_grams_certified`); only when the bound does not clear the warning
     level is each order's exact condition number computed, so the warnings and
     errors are those of fitting every order.  The moments are trial sums in
     canonical trial order, so the scan is bit-identical under any permutation
-    of the trials.  Only the chosen order is then fitted by :func:`fit_var`,
-    in the trial order the series keeps, and the selection carries that model,
-    so callers need not refit it.  At ``max_order`` the criterion is exactly
-    that of the :func:`fit_var` model; below it the scan adds the head samples
-    apart, so the values agree with scoring each :func:`fit_var` model to
-    within rounding.
+    of the trials.  Each order's moment is bit for bit the one :func:`fit_var`
+    forms for it, so the criterion values are those of scoring each
+    :func:`fit_var` model.  The chosen order is fitted by :func:`fit_var` from
+    the scan's own moment, which reads no trial again and checks that order's
+    Gram exactly, and the selection carries that model, so callers need not
+    refit it.
     """
     max_order = check_count(max_order, "max_order")
     values = series.values
@@ -334,7 +419,8 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
         for k, cond in enumerate(conds, 1):
             if k != order:  # fit_var warns for the chosen order
                 _warn_if_ill_conditioned(cond)
-    return OrderSelection(criterion=tuple(criterion), model=fit_var(series, order))
+    model = fit_var(series, order, moment=moments[order - 1][1])
+    return OrderSelection(criterion=tuple(criterion), model=model)
 
 
 def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:

@@ -501,6 +501,27 @@ def test_cli_connectivity_two_conditions(tmp_path, capsys):
     assert "different channel counts" in capsys.readouterr().err
 
 
+def test_cli_connectivity_replicates_hold_no_full_series_periodograms(tmp_path, monkeypatch):
+    # The full-series pipeline runs on a copy of each condition, so the series the
+    # jackknife reads has cached no periodograms that no replicate reads.
+    import specshrink.cli as cli
+
+    cached = []
+    jackknife = cli.jackknife_band_stats
+
+    def recording_jackknife(series, band, options):
+        cached.append("periodograms" in vars(series))
+        return jackknife(series, band, options)
+
+    monkeypatch.setattr(cli, "jackknife_band_stats", recording_jackknife)
+    left, right = tmp_path / "l.mts", tmp_path / "r.mts"
+    write_trials(left, make_series(n_trials=4))
+    write_trials(right, make_series(n_trials=4))
+    assert run_cli("connectivity", left, right, "--out-dir", tmp_path / "out", "--order", "1",
+                   "--fixed-span", "7") == 0
+    assert cached == [False] * 4  # two bands, two conditions
+
+
 def test_cli_compare_writes_mse_tables(tmp_path):
     out = tmp_path / "out"
     # 24 trials: the raw periodogram mean must outrank the 12 channels or its

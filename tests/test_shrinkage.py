@@ -93,6 +93,21 @@ def test_windowed_distance_matches_the_four_d_oracle_bit_for_bit(n_samples, p):
             _four_d_windowed_distance(point.matrices, full, idx))
 
 
+@pytest.mark.parametrize("n_samples", [7, 64, 65, 256])
+@pytest.mark.parametrize("p", [1, 3])
+def test_separation_from_one_table_matches_the_two_table_formula_bit_for_bit(n_samples, p):
+    rng = np.random.default_rng([n_samples, p, 1])
+    a = random_estimate(rng, n_samples, p)
+    b = random_estimate(rng, n_samples, p, tag="smoothed")
+    for window in range(1, min(32, n_samples), 2):
+        idx = _window_indices(window, a.grid)
+        two_tables = 0.5 * (_windowed_distance(a.matrices, b.full_circle(), idx)
+                            + _windowed_distance(b.matrices, a.full_circle(), idx))
+        ab = estimator_separation(a, b, window)
+        np.testing.assert_array_equal(ab, two_tables)
+        np.testing.assert_array_equal(ab, estimator_separation(b, a, window))
+
+
 def test_risk_curve_memory_does_not_grow_with_the_window():
     import tracemalloc
 

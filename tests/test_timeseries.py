@@ -42,6 +42,20 @@ def test_container_rejects_bad_input():
         MultiTrialSeries(np.zeros((1, 2, 4)), channel_labels=("only",))
 
 
+def test_values_are_a_read_only_view_of_the_callers_array():
+    # The cached periodograms and trial order would go stale if the values changed,
+    # so the series cannot change them; the caller's own array is not copied.
+    x = np.random.default_rng(5).standard_normal((4, 2, 32))
+    series = MultiTrialSeries(x)
+    assert np.shares_memory(series.values, x) and x.flags.writeable
+    for derived in (series, replace(series), series.drop_trial(1),
+                    MultiTrialSeries(x.astype(np.float32))):
+        with pytest.raises(ValueError):
+            derived.values[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            derived.values *= 2.0
+
+
 def test_drop_trial():
     series = make_series()
     reduced = series.drop_trial(1)

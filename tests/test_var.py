@@ -304,13 +304,42 @@ def test_order_scan_warns_once_per_ill_conditioned_order():
 
 
 def test_order_selection_fits_only_the_chosen_order(monkeypatch):
-    orders = []
-    fit = var.fit_var
-    monkeypatch.setattr(var, "fit_var", lambda series, order: orders.append(order) or fit(
-        series, order))
+    orders, passes = [], []
+    fit, lag_sums = var.fit_var, var._lag_sums
+    monkeypatch.setattr(var, "fit_var", lambda series, order, **kwargs: orders.append(order)
+                        or fit(series, order, **kwargs))
+    monkeypatch.setattr(var, "_lag_sums", lambda *args: passes.append(args[2])
+                        or lag_sums(*args))
     series = make_var_trials(np.stack([0.5 * np.eye(2), -0.4 * np.eye(2)]), 8, 128, seed=12)
     selection = select_var_order(series, 6)
     assert orders == [selection.order]
+    assert passes == [6]  # the fit takes the scan's moment and reads no trial again
+
+
+@pytest.mark.parametrize("case", list(_scan_cases()) + ["fewer samples than twice the top"])
+def test_every_fit_is_the_scans_regression_of_its_order(case):
+    # No lag sum depends on the scan's top order, so fit_var(series, k) forms the moment
+    # the scan scored for order k, bit for bit, also where the first and the last top
+    # samples overlap (T < 2 * top).
+    if case == "fewer samples than twice the top":
+        series = MultiTrialSeries(np.random.default_rng(19).standard_normal((40, 2, 8)))
+        top = 7
+        assert series.n_samples < 2 * top
+    else:
+        series, top = _scan_cases()[case]
+    n_trials, n_channels, n_samples = series.values.shape
+    for k, moment in var._lag_moments(series, top):
+        dof = n_trials * (n_samples - k) - n_channels * k
+        coef_flat, noise = var._regression(moment, n_channels, dof)
+        model = fit_var(series, k)
+        np.testing.assert_array_equal(
+            model.coefs, coef_flat.reshape(n_channels, k, n_channels).transpose(1, 0, 2))
+        np.testing.assert_array_equal(model.noise_cov, noise)
+        given = fit_var(series, k, moment=moment)
+        np.testing.assert_array_equal(given.coefs, model.coefs)
+        np.testing.assert_array_equal(given.noise_cov, model.noise_cov)
+    with pytest.raises(DimensionError):
+        fit_var(series, 1, moment=moment)
 
 
 def test_order_selection_hashes_the_trials_once(monkeypatch):
