@@ -16,14 +16,14 @@ from .errors import (DataFormatError, DegenerateChannelError, DimensionError,
                      NearSingularError, PipelineError, RankDeficiencyError,
                      SpecshrinkError, UnstableModelError)
 from .timeseries import MultiTrialSeries, detrend, standardize
-from .periodogram import PeriodogramSet, compute_periodograms, raw_periodogram
+from .periodogram import PeriodogramSet, compute_periodograms
 from .smoothing import (SmoothingConfig, default_span_grid, hann_weights, smooth_periodogram,
                         smoothed_estimator, span_risks)
 from .var import OrderSelection, VarModel, fit_var, select_var_order, var_spectrum
 from .multitaper import TaperSelection, multitaper_estimator, select_taper_count, sine_tapers
 from .shrinkage import (ESTIMATORS, PipelineOptions, PipelineResult, ShrinkageDiagnostics,
-                        combine_estimates, estimator_separation, risk_vs_pilot,
-                        shrinkage_diagnostics, shrinkage_pipeline, shrinkage_weight)
+                        combine_estimates, estimator_separation, shrinkage_diagnostics,
+                        shrinkage_pipeline, shrinkage_weight)
 from .connectivity import (BandStats, ConnectivityResult, PairTest, apply_fdr,
                            band_average, bh_fdr, coherence, fisher_z,
                            jackknife_band_stats, pairwise_tests, partial_coherence,

@@ -170,7 +170,7 @@ _OVERRIDDEN_BY = {"--max-order": "--order", "--span-min": "--fixed-span",
 
 def _load_config(args, defaults: sio.RunConfig) -> sio.RunConfig:
     """The command's ``defaults``, then the ``--config`` file's entries, then explicit flags."""
-    overrides = sio._config_entries(args.config) if args.config else {}
+    overrides = sio.read_config(args.config) if args.config else {}
     unused = next((key for key in overrides if key not in _CONFIG_KEYS[args.command]), None)
     if unused is not None:
         raise DomainError(f"{args.command} does not use config key {unused!r}")
@@ -240,10 +240,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _frequency_cells(grid, times):
+    """The grid's frequencies in Hz as CSV cells, each formatted once and repeated ``times``
+    times in a row."""
+    return [cell for cell in sio.format_column(grid.hertz) for _ in range(times)]
+
+
 def _spectra_columns(estimate, labels):
     """Frequency, channel and auto-spectrum columns, one row per frequency and channel."""
     n_freq, labels = estimate.grid.n_frequencies, list(labels)
-    return (np.repeat(estimate.grid.hertz, len(labels)), labels * n_freq,
+    return (_frequency_cells(estimate.grid, len(labels)), labels * n_freq,
             np.diagonal(estimate.matrices, axis1=1, axis2=2).real.ravel())
 
 
@@ -253,7 +259,7 @@ def _cross_columns(estimate, labels):
     n_freq = estimate.grid.n_frequencies
     rows, cols = np.triu_indices(len(labels), 1)
     cells = estimate.matrices[:, rows, cols].ravel()
-    return (np.repeat(estimate.grid.hertz, rows.size), [labels[p] for p in rows] * n_freq,
+    return (_frequency_cells(estimate.grid, rows.size), [labels[p] for p in rows] * n_freq,
             [labels[q] for q in cols] * n_freq, cells.real, cells.imag)
 
 
@@ -287,8 +293,11 @@ def cmd_estimate(args) -> int:
     _check_rate_flag(args, (args.input,))
     series = _load_series(args.input, args)
     estimate, record = ESTIMATORS[config.method](series, options)
-    _write_estimate(config, series.channel_labels, estimate, record)
-    print(f"estimated {config.method} spectra for {series.n_channels} channels "
+    # the values and cached DFTs need not stay alive while the CSVs are formatted
+    labels = series.channel_labels
+    del series
+    _write_estimate(config, labels, estimate, record)
+    print(f"estimated {config.method} spectra for {estimate.n_channels} channels "
           f"at {estimate.grid.n_frequencies} frequencies -> {config.out_dir}")
     return 0
 

@@ -7,7 +7,6 @@ follow from conjugate symmetry, ``f(-omega) = conj(f(omega))``, and are
 materialised on demand by :func:`extend_full_circle`.
 """
 
-import hashlib
 import math
 import os
 from collections import deque
@@ -391,19 +390,21 @@ def exact_sum(stack: np.ndarray) -> np.ndarray:
 
 
 def canonical_trial_order(values: np.ndarray) -> np.ndarray:
-    """Trial indices of ``values`` (trials on the first axis) sorted by a 16-byte
-    BLAKE2b digest of each trial's bytes in C order.
+    """Trial indices of ``values`` (trials on the first axis) sorted by each trial's
+    bytes in C order, compared as unsigned bytes, first byte first.
 
     The sequence of trial contents this order gives does not depend on the
     order the trials come in, so a reduction that visits the trials in it,
     in any fixed arithmetic, gives the same bits for every permutation of
-    the trials.  Byte-identical trials tie; the sort is stable, and which of
-    them comes first cannot change the contents visited.
+    the trials.  Byte-identical trials tie; the sort is stable, so they keep
+    their input order, and which of them comes first cannot change the
+    contents visited.
     """
-    arr = np.asarray(values)
-    digests = [hashlib.blake2b(np.ascontiguousarray(trial), digest_size=16).digest()
-               for trial in arr]
-    return np.array(sorted(range(len(digests)), key=digests.__getitem__), dtype=np.intp)
+    arr = np.ascontiguousarray(values)
+    row_bytes = arr.itemsize * math.prod(arr.shape[1:])
+    # One opaque item per trial; its size is given, since reshape(0, -1) cannot infer it.
+    keys = arr.view(np.uint8).reshape(len(arr), row_bytes).view(np.dtype((np.void, row_bytes)))
+    return np.argsort(keys.reshape(len(arr)), kind="stable")
 
 
 def extend_full_circle(matrices: np.ndarray, n_samples: int) -> np.ndarray:

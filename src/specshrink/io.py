@@ -20,7 +20,8 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,11 +138,67 @@ def read_trials_csv(path, sampling_rate: float = 1.0) -> MultiTrialSeries:
     Indices are 0-based integers, values are finite, and every (trial,
     channel, time) cell must appear exactly once; dimensions are inferred
     from the largest indices, and each trial needs at least 2 samples.
+    A file of plain rows is parsed in one vectorized pass; any other file is
+    parsed line by line, which accepts the same files, gives the same
+    values and reports the first bad line.
     """
     check_rate(sampling_rate)
     lines = _text_lines(path)
     if not lines or lines[0].strip() != "trial,channel,time,value":
         raise DataFormatError(f"{path}: expected header 'trial,channel,time,value' (line 1)")
+    grid = _plain_rows_grid(lines[1:])
+    if grid is None:
+        grid = _rows_grid(path, lines)
+    return MultiTrialSeries(values=grid, sampling_rate=sampling_rate)
+
+
+#: The only bytes :func:`_plain_rows_grid` takes in a data row.
+_PLAIN_ROW_BYTES = b"0123456789,.eE+- \t"
+_ROW_DTYPE = np.dtype([("trial", np.int64), ("channel", np.int64), ("time", np.int64),
+                       ("value", np.float64)])
+
+
+def _plain_rows_grid(rows: list[str]) -> np.ndarray | None:
+    """The ``(trials, channels, samples)`` grid of the data ``rows``, parsed in one
+    vectorized pass, or None unless the rows hold every cell exactly once, with integer
+    indices, a finite value and at least 2 samples per trial, and use only the bytes of
+    :data:`_PLAIN_ROW_BYTES`.  Empty rows are skipped.
+
+    On those bytes numpy parses an integer or a float as ``int`` and ``float`` do,
+    or rejects it, so a grid returned here is the grid :func:`_rows_grid` builds.
+    """
+    try:
+        plain = ",".join(rows).encode("ascii").translate(None, _PLAIN_ROW_BYTES) == b""
+    except UnicodeEncodeError:
+        return None
+    if not plain:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns, and older numpy parses "1.0" as an integer with a warning
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    cells = [table[axis] for axis in ("trial", "channel", "time")]
+    if min(axis.min() for axis in cells) < 0 or not np.all(np.isfinite(table["value"])):
+        return None
+    shape = tuple(int(axis.max()) + 1 for axis in cells)
+    if math.prod(shape) != len(table) or shape[2] < 2:
+        return None
+    position = np.ravel_multi_index(cells, shape)
+    seen = np.zeros(len(table), dtype=bool)
+    seen[position] = True
+    if not seen.all():  # as many rows as cells, so a cell left out means another repeated
+        return None
+    grid = np.empty(len(table))
+    grid[position] = table["value"]
+    return grid.reshape(shape)
+
+
+def _rows_grid(path, lines: list[str]) -> np.ndarray:
+    """The grid of a trial CSV's ``lines`` (header first), parsed line by line; the first
+    fault raises :class:`DataFormatError` naming its line or cell."""
     cells, values = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -178,7 +235,7 @@ def read_trials_csv(path, sampling_rate: float = 1.0) -> MultiTrialSeries:
         raise DataFormatError(f"{path}: need at least 2 samples per trial, got {n_samples}")
     grid = np.empty((n_trials, n_channels, n_samples))
     grid[tuple(np.array(cells).T)] = values
-    return MultiTrialSeries(values=grid, sampling_rate=sampling_rate)
+    return grid
 
 
 def _grid_cell(position: int, n_channels: int, n_samples: int) -> tuple[int, int, int]:
@@ -301,8 +358,10 @@ def parse_bands(text: str) -> tuple:
     return tuple(bands)
 
 
-def _config_entries(path) -> dict:
-    """The parsed ``key = value`` entries of a configuration file, by key."""
+def read_config(path) -> dict:
+    """The parsed ``key = value`` entries of a configuration file, by :class:`RunConfig`
+    field: ``dataclasses.replace(RunConfig(), **read_config(path))`` is the file's
+    configuration.  An unknown key or a bad value raises :class:`DataFormatError`."""
     updates = {}
     for lineno, raw in enumerate(_text_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -324,8 +383,3 @@ def _config_entries(path) -> dict:
             raise DataFormatError(f"{path}: bad value for {key!r} (line {lineno}): {err}") \
                 from None
     return updates
-
-
-def read_config(path) -> RunConfig:
-    """Parse a ``key = value`` configuration file into a :class:`RunConfig`."""
-    return replace(RunConfig(), **_config_entries(path))

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrequencyGrid, SpectralEstimate
-from .errors import DimensionError
 from .timeseries import MultiTrialSeries
 
 #: DFT values per batched product in :func:`periodogram_sum`: its conjugated
@@ -42,37 +41,15 @@ from .timeseries import MultiTrialSeries
 SUM_BLOCK_VALUES = 2 ** 13
 
 
-def trial_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """Half-grid DFT of one trial, shape ``(n_channels, n_frequencies)``.
-
-    ``values`` is the ``(n_channels, n_samples)`` block of a single trial.
-    The phase factor ``exp(-1j*omega)`` converts numpy's t = 0-based
-    transform to the t = 1-based convention above.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != grid.n_samples:
-        raise DimensionError(
-            f"expected (n_channels, {grid.n_samples}) trial block, got {values.shape}")
-    return _half_grid_dft(values, grid)
-
-
 def _half_grid_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """:func:`trial_dft` along the last axis of ``values``, any leading axes, with no
-    temporary of the result's size; each row is bit-identical to its own transform."""
+    """Half-grid DFTs, in the convention above, along the last axis of ``values``, any
+    leading axes, with no temporary of the result's size; each row is bit-identical to its
+    own transform.  The phase factor ``exp(-1j*omega)`` converts numpy's t = 0-based
+    transform to the t = 1-based convention."""
     coefs = np.fft.rfft(values, axis=-1)
     coefs *= np.exp(-1j * grid.omegas)
     coefs /= np.sqrt(2.0 * np.pi)
     return coefs
-
-
-def raw_periodogram(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """Periodogram matrices ``d d^* / T`` of one trial, shape ``(n_freq, P, P)``.
-
-    Each matrix is Hermitian positive semidefinite of rank one by
-    construction.
-    """
-    d = trial_dft(values, grid)
-    return np.einsum("pj,qj->jpq", d, np.conj(d)) / grid.n_samples
 
 
 def periodogram_sum(dfts: np.ndarray, n_samples: int) -> np.ndarray:
@@ -111,8 +88,8 @@ class PeriodogramSet:
     ----------
     grid : FrequencyGrid
     dfts : ndarray
-        Shape ``(n_trials, P, n_frequencies)``, each trial scaled as
-        :func:`trial_dft` scales it.
+        Shape ``(n_trials, P, n_frequencies)``, each trial's DFT in the convention
+        of the module docstring.
     mean : SpectralEstimate
         The average of the trials' periodogram matrices, exactly Hermitian,
         tagged ``"raw_mean"``.

@@ -88,23 +88,6 @@ def _windowed_distance(point: np.ndarray, other_full: np.ndarray, idx: np.ndarra
     return _distance_table(point, other_full, idx).mean(axis=1)
 
 
-def risk_vs_pilot(estimate: SpectralEstimate, pilot: SpectralEstimate, window: int) -> np.ndarray:
-    """Windowed mean squared distance from an estimator to the pilot.
-
-    At each frequency ``w`` this is the mean over the window offsets ``w_k``
-    of ``||estimate(w) - pilot(w + w_k)||^2`` (normalized Hilbert-Schmidt),
-    with the pilot extended to the full circle by conjugate symmetry.
-    For the parametric estimator this acts as a plug-in bias-plus-variance
-    proxy; for the nonparametric estimator it is a local sample variance.
-
-    Returns a nonnegative array of length ``n_frequencies``.
-    """
-    _same_grid(estimate, pilot)
-    _validate_window(window, estimate.grid.n_samples)
-    idx = _window_indices(window, estimate.grid)
-    return _windowed_distance(estimate.matrices, pilot.full_circle(), idx)
-
-
 def estimator_separation(first: SpectralEstimate, second: SpectralEstimate,
                          window: int) -> np.ndarray:
     """Symmetrized windowed mean squared distance between two estimators.
@@ -199,12 +182,20 @@ class ShrinkageDiagnostics:
 def shrinkage_diagnostics(parametric: SpectralEstimate, nonparametric: SpectralEstimate,
                           pilot: SpectralEstimate, window: int = DEFAULT_WINDOW,
                           ) -> ShrinkageDiagnostics:
-    """Compute all risk curves and weights for a pair of estimators."""
+    """Compute all risk curves and weights for a pair of estimators.
+
+    Each estimator's risk at a frequency ``w`` is the mean over the window
+    offsets ``w_k`` of ``||estimate(w) - pilot(w + w_k)||^2`` (normalized
+    Hilbert-Schmidt), with the pilot extended to the full circle by conjugate
+    symmetry.  For the parametric estimator this acts as a plug-in
+    bias-plus-variance proxy; for the nonparametric estimator it is a local
+    sample variance.  The separation is :func:`estimator_separation`.
+    """
     _same_grid(parametric, pilot)
     _validate_window(window, pilot.grid.n_samples)
     _same_grid(nonparametric, pilot)
     idx = _window_indices(window, pilot.grid)
-    pilot_full = pilot.full_circle()  # risk_vs_pilot of both estimators, extending the pilot once
+    pilot_full = pilot.full_circle()  # extended once for both risks
     param_risk = _windowed_distance(parametric.matrices, pilot_full, idx)
     nonparam_risk = _windowed_distance(nonparametric.matrices, pilot_full, idx)
     separation = estimator_separation(parametric, nonparametric, window)

@@ -33,11 +33,21 @@ sum give every term from the per-lag products ``<F_total, F own>`` and
 reversed in lag and ``K_s`` is even, so the sums over entries run over the
 upper triangle with off-diagonal entries counted twice.
 
+A trial's transform needs no conjugation or rescaling of its own: entry
+``(p, q)`` of its periodogram is ``d_p conj(d_q) / T``, and
+``hfft(d_p conj(d_q) / T) = irfft(conj(d_p) d_q)`` (``hfft`` conjugates its
+input and ``irfft`` divides by ``T``), so each trial's entries are one
+product of its DFT rows and one ``irfft``.
+
 Both the pilot and the smoothed trial are conjugate symmetric, so the
 full circle counts every half-grid frequency twice except omega = 0 and,
 for even T, omega = pi.  The half-grid risk therefore adds those endpoint
 terms, each a kernel-weighted sum over at most ``span`` neighbours read
 from the half grid by reflection, to the full-circle sum and halves it.
+At an endpoint the offsets ``+o`` and ``-o`` read the same reflected
+value, so each kernel is folded onto offsets ``0 .. half`` (weight ``w_0``,
+then ``2 w_o``), and one matrix product smooths both endpoints of every
+entry for every span.
 """
 
 from dataclasses import dataclass
@@ -181,8 +191,10 @@ def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
     # Entry (q, p) of a lagged covariance is entry (p, q) reversed in lag and
     # every transfer is even in lag, so the upper triangle, with off-diagonal
     # entries scaled by sqrt(2), gives every sum over entries.  A trial's
-    # triangle is built straight from its DFT ``d``, one row per entry.
+    # triangle is built straight from its DFT ``d`` and its sqrt(2)-scaled
+    # copy, one row per entry, so its transform is a plain ``irfft``.
     rows, cols = np.triu_indices(n_channels)
+    scaled_cols = np.where(rows == cols, cols, cols + n_channels)
     scale = np.where(rows == cols, 1.0, np.sqrt(2.0))[:, None]
     total = periodograms.total[:, rows, cols].T * scale
     f_total = np.fft.hfft(total, n=n_samples, axis=-1)
@@ -191,16 +203,22 @@ def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
     # The full circle holds every half-grid frequency twice except omega = 0
     # and, for even T, omega = pi; add those once more.  There the pilot and
     # the smoothed trial are real (the kernel is symmetric and each reflected
-    # entry is a conjugate), so the windows read only the real half grid.
+    # entry is a conjugate), and offsets +o and -o read the same reflected
+    # row, so each kernel folds onto offsets 0 .. half with weights doubled
+    # above 0.
     half = (weights.shape[1] - 1) // 2
+    folded = weights[:, half:] * np.where(np.arange(half + 1) > 0, 2.0, 1.0)
     endpoints = np.array([0, n_samples // 2] if n_samples % 2 == 0 else [0])
-    circle = (endpoints[:, None] + np.arange(-half, half + 1)) % n_samples
+    circle = (endpoints[:, None] + np.arange(half + 1)) % n_samples
     window_rows = np.minimum(circle, n_samples - circle)
+    total_ends = total.real[:, endpoints]
 
     risks = np.empty((n_trials, len(grid)))
     for n, d in enumerate(periodograms.dfts):
-        own = d[rows] * np.conj(d[cols]) / n_samples * scale
-        f_own = np.fft.hfft(own, n=n_samples, axis=-1)
+        own = np.conj(d)[rows]
+        own *= np.concatenate((d, np.sqrt(2.0) * d))[scaled_cols]
+        # irfft(conj(d_p) d_q) is hfft(d_p conj(d_q) / T): the entry's lag transform.
+        f_own = np.fft.irfft(own, n=n_samples, axis=-1)
         own_total = np.einsum("ek,ek->k", f_own, f_total)
         own_sq = np.einsum("ek,ek->k", f_own, f_own)
         # The pilot's transform is (f_total - f_own) / (N - 1).
@@ -209,8 +227,10 @@ def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
         # Cancellation can round this sum of squares just below zero.
         risks[n] = np.maximum(
             (pilot_sq - 2.0 * (transfers @ cross) + transfers_sq @ own_sq) / n_samples, 0.0)
-        pilot = (total.real[:, endpoints] - own.real[:, endpoints]) / (n_trials - 1)
-        diff = pilot[..., None] - own.real[:, window_rows] @ weights.T
+        own_ends = own.real[:, window_rows] / n_samples
+        pilot = (total_ends - own_ends[:, :, 0]) / (n_trials - 1)
+        smoothed = own_ends.reshape(-1, half + 1) @ folded.T
+        diff = pilot[..., None] - smoothed.reshape(pilot.shape + (len(grid),))
         risks[n] += np.einsum("eis,eis->s", diff, diff)
     return (np.pi / n_samples) * risks / n_channels
 
@@ -244,11 +264,13 @@ def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int
         grid = span_grid if span_grid is not None else default_span_grid(n_samples)
         # argmin takes the first minimum, so ties go to the smaller span.
         spans = [grid[i] for i in np.argmin(span_risks(pgrams, grid), axis=1)]
-    # Smoothing is linear: smooth each group of trials sharing a span once.
+    # Smoothing is linear: smooth each group of trials sharing a span once.  A
+    # group of every trial is the set's own trial sum.
     total = np.zeros_like(pgrams.mean.matrices)
     for span in sorted(set(spans)):
         members = [n for n, chosen in enumerate(spans) if chosen == span]
-        total += smooth_periodogram(periodogram_sum(pgrams.dfts[members], n_samples),
-                                    span, n_samples)
+        group = (pgrams.total if len(members) == series.n_trials
+                 else periodogram_sum(pgrams.dfts[members], n_samples))
+        total += smooth_periodogram(group, span, n_samples)
     estimate = SpectralEstimate(pgrams.grid, total / series.n_trials, tag="smoothed")
     return estimate, SmoothingConfig(span_grid, fixed_span, tuple(spans))

@@ -108,8 +108,9 @@ def detrend(series: MultiTrialSeries, order: int = 1) -> MultiTrialSeries:
     basis = np.vander(t, order + 1, increasing=True)
     q, _ = np.linalg.qr(basis)
     coefs = series.values @ q            # (n_trials, n_channels, order + 1)
-    fitted = coefs @ q.T
-    return replace(series, values=series.values - fitted)
+    residual = coefs @ q.T               # the fitted trend, replaced by what it leaves
+    np.subtract(series.values, residual, out=residual)
+    return replace(series, values=residual)
 
 
 def standardize(series: MultiTrialSeries) -> MultiTrialSeries:
@@ -128,5 +129,6 @@ def standardize(series: MultiTrialSeries) -> MultiTrialSeries:
         raise DegenerateChannelError(
             f"channel {series.channel_labels[channel]!r} is constant in trial {trial}; "
             "cannot standardize a zero-variance record")
-    centred = vals - vals.mean(axis=2, keepdims=True)
-    return replace(series, values=centred / sd[:, :, None])
+    scaled = vals - vals.mean(axis=2, keepdims=True)
+    scaled /= sd[:, :, None]
+    return replace(series, values=scaled)

@@ -1,13 +1,15 @@
-"""Shared test fixtures: the acceptance-criteria verdict log, the stacked
-per-trial periodograms that the estimators' trial passes are checked against,
-and the outcome of a guarded call that certified guards are checked against."""
+"""Shared test fixtures: the acceptance-criteria verdict log, one trial's DFT
+and periodogram matrices and the stacked per-trial periodograms that the
+estimators' trial passes are checked against, and the outcome of a guarded
+call that certified guards are checked against."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from specshrink import FrequencyGrid, raw_periodogram
+from specshrink import DimensionError, FrequencyGrid
+from specshrink.periodogram import _half_grid_dft
 
 ACCEPTANCE_LINES = []
 
@@ -16,6 +18,23 @@ ACCEPTANCE_LINES = []
 def acceptance_log():
     """Mutable list of per-criterion verdict lines, printed after the run."""
     return ACCEPTANCE_LINES
+
+
+def trial_dft(values, grid):
+    """Half-grid DFT of one trial, shape ``(n_channels, n_frequencies)``, as the package
+    computes each trial's; ``values`` is the ``(n_channels, n_samples)`` block of one trial."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != grid.n_samples:
+        raise DimensionError(
+            f"expected (n_channels, {grid.n_samples}) trial block, got {values.shape}")
+    return _half_grid_dft(values, grid)
+
+
+def raw_periodogram(values, grid):
+    """Periodogram matrices ``d d^* / T`` of one trial, shape ``(n_freq, P, P)``: Hermitian
+    positive semidefinite of rank one by construction."""
+    d = trial_dft(values, grid)
+    return np.einsum("pj,qj->jpq", d, np.conj(d)) / grid.n_samples
 
 
 def stacked_periodograms(series):

@@ -445,6 +445,27 @@ def test_canonical_trial_order_reads_each_trial_in_c_order():
                                   core.canonical_trial_order(strided.copy()))
 
 
+def _byte_sorted(values):
+    return sorted(range(len(values)), key=lambda i: values[i].tobytes())
+
+
+def test_canonical_trial_order_sorts_the_trials_by_their_bytes():
+    base = np.random.default_rng(23).standard_normal((5, 2, 4))
+    last_byte = np.repeat(base[:1], 5, axis=0)  # trials that differ only in their last byte
+    last_byte.view(np.uint8)[:, -1, -1] = [9, 3, 250, 0, 3]
+    zeros = np.zeros((4, 1, 3))
+    zeros[[0, 2], 0, 1] = -0.0  # -0.0 and 0.0 differ in their sign byte
+    cases = [base, last_byte, zeros, _trials_with_duplicates(), base[:1], base[:0],
+             np.full((3, 2, 2), 1.5)]
+    for values in cases:
+        order = core.canonical_trial_order(values)
+        assert order.dtype == np.intp and order.shape == (len(values),)
+        assert list(order) == _byte_sorted(values)
+    assert list(core.canonical_trial_order(last_byte)) == [3, 1, 4, 0, 2]
+    assert list(core.canonical_trial_order(zeros)) == [1, 3, 0, 2]
+    assert list(core.canonical_trial_order(np.full((3, 2, 2), 1.5))) == [0, 1, 2]
+
+
 _COUNT_SERIES = MultiTrialSeries(np.random.default_rng(11).standard_normal((4, 2, 32)))
 
 

@@ -5,6 +5,7 @@ import os
 import stat
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from specshrink import (
     DataFormatError,
     DimensionError,
     DomainError,
+    FrequencyGrid,
     MultiTrialSeries,
     PipelineOptions,
     SimulationConfig,
+    SpectralEstimate,
     apply_fdr,
     bh_fdr,
     default_span_grid,
@@ -30,7 +33,8 @@ from specshrink import (
 )
 from specshrink.cli import build_parser, main
 from specshrink.io import (
-    RunConfig, format_column, format_value, parse_bands, write_csv, write_text,
+    RunConfig, _plain_rows_grid, _rows_grid, _text_lines, format_column, format_value,
+    parse_bands, write_csv, write_text,
 )
 
 rng = np.random.default_rng(42)
@@ -92,6 +96,59 @@ def test_csv_import(tmp_path):
     series = read_trials_csv(path, sampling_rate=100.0)
     np.testing.assert_array_equal(series.values, values)
     assert series.sampling_rate == 100.0
+
+
+def _vectorized_parse(path):
+    """The vectorized grid of a trial CSV, or None where that parse declines the file."""
+    return _plain_rows_grid(_text_lines(path)[1:])
+
+
+def _both_parses(path):
+    """The vectorized grid of a trial CSV (None where it declines) and the line-by-line one."""
+    return _vectorized_parse(path), _rows_grid(path, _text_lines(path))
+
+
+def test_csv_import_parses_plain_rows_vectorized_as_line_by_line(tmp_path):
+    values = rng.standard_normal((3, 2, 5)) * np.logspace(-300, 300, 30).reshape(3, 2, 5)
+    values[0, 0, :3] = [-0.0, 0.0, 1e-320]
+    cells = [(n, p, t) for n in range(3) for p in range(2) for t in range(5)]
+    styles = [lambda n, p, t, v: f"{n},{p},{t},{v!r}",
+              lambda n, p, t, v: f" {n} ,\t{p}, {t} , {v:.17e} ",
+              lambda n, p, t, v: f"{n:03d},{p},{t},{v:.17E}",
+              lambda n, p, t, v: f"{n},{p},{t},{v:+.20g}"]
+    path = tmp_path / "plain.csv"
+    for k, style in enumerate(styles):
+        order = np.random.default_rng(k).permutation(len(cells))
+        rows = [style(*cells[i], float(values[cells[i]])) for i in order]
+        rows[4:4] = ["", ""]  # empty lines are skipped
+        path.write_text("trial,channel,time,value\n" + "\n".join(rows) + "\n")
+        fast, slow = _both_parses(path)
+        assert fast is not None, k
+        assert fast.tobytes() == slow.tobytes() == values.tobytes(), k
+        assert read_trials_csv(path).values.tobytes() == values.tobytes(), k
+    # rows the vectorized parse does not take go line by line, to the same values
+    for text in ("0,0,0,1.5\n   \n0,0,1,2.5\n", "+0,0,0,1.5\n0,0,1,2.5\n",
+                 "0,0,0,1_5.0\n0,0,1,2.5\n", "0,0,0,\u0661.5\n0,0,1,2.5\n",
+                 "0,0,1,2.5\r\n0,0,0,1.5\r\n"):
+        path.write_bytes(("trial,channel,time,value\n" + text).encode())
+        fast, slow = _both_parses(path)
+        assert fast is None or fast.tobytes() == slow.tobytes(), text
+        assert read_trials_csv(path).values.tobytes() == slow.tobytes(), text
+    # plain rows that do not make a grid are reported as the line-by-line parse reports them
+    for text, fragment in (("0,0,0,1.5\n0,0,1,1e999\n", r"non-finite value \(line 3\)"),
+                           ("0,0,0,1.5\n0,0,0,2.5\n", "duplicate cell trial=0 channel=0 time=0"),
+                           ("0,0,0,1.5\n0,0,0,2.5\n0,0,2,3.5\n",  # as many rows as cells
+                            "duplicate cell trial=0 channel=0 time=0"),
+                           ("0,0,0,1.5\n0,0,2,2.5\n", "missing cell trial=0 channel=0 time=1"),
+                           ("0,0,0,1.5\n0,0,-1,2.5\n", "negative"),
+                           ("0,0,0,1.5\n1,0,0,2.5\n", "at least 2 samples per trial"),
+                           ("0,0,0,1.5\n0,0,1,2.5,0\n", r"expected 4 columns \(line 3\)"),
+                           ("0,0,0,1.5\n0,0,1.0,2.5\n", r"\(line 3\)"),
+                           ("\n\n", "no data rows")):
+        path.write_text("trial,channel,time,value\n" + text)
+        assert _vectorized_parse(path) is None, text
+        with pytest.raises(DataFormatError, match=fragment):
+            read_trials_csv(path)
 
 
 def test_csv_import_rejects_malformed_files(tmp_path):
@@ -248,7 +305,7 @@ def test_read_config(tmp_path):
         "bands = theta:4:8\n"
         "\n"
         "fdr_q = 0.01\n")
-    config = read_config(path)
+    config = replace(RunConfig(), **read_config(path))
     assert config.method == "var"
     assert config.window == 7
     assert config.span_grid() == (3, 5, 7, 9, 11, 13, 15, 17, 19, 21)
@@ -565,6 +622,36 @@ def test_cli_csvs_are_byte_identical_to_per_cell_formatting(tmp_path, monkeypatc
     assert csv_outputs("per_cell") == fast
     assert {name for _, name in fast} >= {"spectra.csv", "cross_spectra.csv", "weights.csv",
                                           "tests.csv", "mse_pcoh.csv", "mean_weight.csv"}
+
+
+def test_cli_frequency_cells_are_each_frequency_formatted():
+    from specshrink import cli
+
+    grid = FrequencyGrid(50, 1000.0 / 3.0)
+    estimate = SpectralEstimate(grid, np.tile(np.eye(4, dtype=complex), (26, 1, 1)))
+    labels = ("Fz", "Cz", "Pz", "Oz")
+    for columns, per_frequency in ((cli._spectra_columns(estimate, labels), 4),
+                                   (cli._cross_columns(estimate, labels), 6)):
+        assert columns[0] == [format_value(f) for f in np.repeat(grid.hertz, per_frequency)]
+
+
+def test_cli_estimate_drops_the_series_before_writing(tmp_path):
+    # At 120 x 12 x 256 the series' values and cached DFTs are about 6 MB; the op's
+    # peak stays below 9.5 MB only if neither they nor a copy of every trial's DFT
+    # (one smoothing group) is alive at its peak.
+    import tracemalloc
+
+    path = tmp_path / "sim.mts"
+    assert run_cli("simulate", "--seed", 1, "--out", path) == 0
+    argv = ("estimate", path, "--out-dir", tmp_path / "out")
+    assert run_cli(*argv) == 0  # imports and caches are not the op's
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5e6, peak
 
 
 def test_cli_compare_uses_the_configured_taper_grid(tmp_path):

@@ -15,9 +15,9 @@ from specshrink import (
     shrinkage_pipeline,
 )
 from specshrink import periodogram
-from specshrink.periodogram import periodogram_sum, raw_periodogram, trial_dft
+from specshrink.periodogram import periodogram_sum
 
-from conftest import stacked_periodograms
+from conftest import raw_periodogram, stacked_periodograms, trial_dft
 
 
 def test_dft_convention_matches_direct_sum():

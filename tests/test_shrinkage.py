@@ -19,13 +19,18 @@ from specshrink import (
     estimator_separation,
     extend_full_circle,
     hs_norm_sq,
-    risk_vs_pilot,
     shrinkage_diagnostics,
     shrinkage_pipeline,
     shrinkage_weight,
 )
 from specshrink import periodogram, timeseries
 from specshrink.shrinkage import _window_indices, _windowed_distance
+
+
+def risk_vs_pilot(estimate, pilot, window):
+    """The windowed risk of ``estimate`` against ``pilot``, as :func:`shrinkage_diagnostics`
+    computes each estimator's risk."""
+    return shrinkage_diagnostics(estimate, estimate, pilot, window).param_risk
 
 
 def scalar_estimate(values, n_samples, tag="var"):

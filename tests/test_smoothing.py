@@ -21,6 +21,8 @@ from specshrink import (
     smoothed_estimator,
     span_risks,
 )
+from specshrink import smoothing
+from specshrink.periodogram import periodogram_sum
 from specshrink.smoothing import _span_kernels, validate_span_grid
 
 from conftest import stacked_periodograms
@@ -280,6 +282,27 @@ def test_smoothed_estimator_selected_spans_match_select_span():
     manual = np.mean([smooth_periodogram(stack[n], span, 64)
                       for n, span in enumerate(config.selected_spans)], axis=0)
     np.testing.assert_allclose(estimate.matrices, manual, rtol=1e-13, atol=1e-16)
+
+
+def test_one_span_group_smooths_the_sets_own_trial_sum(monkeypatch):
+    # When every trial shares a span, the group is the periodogram set's trial sum
+    # ``total``, N times its mean, so the estimate moves from the route through
+    # periodogram_sum by about one rounding of the largest entry.
+    values = np.random.default_rng(12).standard_normal((30, 3, 64))
+
+    def no_sum(*args):
+        raise AssertionError("periodogram_sum was called")
+
+    for settings in ({"span_grid": (3, 9, 15)}, {"fixed_span": 7}):
+        series = MultiTrialSeries(values)
+        pgrams = series.periodograms
+        monkeypatch.setattr(smoothing, "periodogram_sum", no_sum)
+        estimate, config = smoothed_estimator(series, **settings)
+        monkeypatch.undo()
+        (span,) = set(config.selected_spans)  # one group of every trial
+        expected = smooth_periodogram(periodogram_sum(pgrams.dfts, 64), span, 64) / 30
+        error = np.max(np.abs(estimate.matrices - expected))
+        assert error <= 1e-15 * np.max(np.abs(expected)), settings
 
 
 def test_smoothed_estimator_single_trial_needs_fixed_span():
