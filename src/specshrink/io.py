@@ -119,7 +119,7 @@ def read_trials(path) -> MultiTrialSeries:
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values.ravel())))
         fail(offset + 8 * bad, "payload contains a non-finite value")
-    return MultiTrialSeries(values=values.astype(float), sampling_rate=sampling_rate,
+    return MultiTrialSeries(values=values, sampling_rate=sampling_rate,
                             channel_labels=tuple(labels))
 
 

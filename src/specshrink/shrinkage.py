@@ -14,6 +14,13 @@ Hilbert-Schmidt distances over ``window`` consecutive Fourier frequencies
 * the nonparametric estimator's distance to the same pilot,
 * the separation between the two estimators.
 
+Each curve is computed on the half grid as
+``||a(w)||^2 + mean_o ||b(w+o)||^2 - 2 Re <a(w), mean_o b(w+o)>``, from window
+means of ``b`` read from the half grid by reflection (conjugated where
+mirrored).  Its error is at most about ``2 P^2 + window`` roundings of its
+first two terms, and a curve rounded below zero is clamped to 0.  The
+separation averages the two one-sided curves, so it is exactly symmetric.
+
 The raw weight is ``(nonparam_risk - 0.5*(param_risk + nonparam_risk -
 separation)) / separation``, truncated to [0, 1]; a zero separation
 (identical estimators over the window) yields weight 0, favouring the
@@ -51,41 +58,35 @@ def _same_grid(a: SpectralEstimate, b: SpectralEstimate):
             f" vs ({b.grid.n_samples} samples, {b.n_channels} channels)")
 
 
-def _window_indices(window: int, grid: FrequencyGrid) -> np.ndarray:
-    """Full-circle indices of each half-grid frequency's window, shape (n_freq, window)."""
-    half = (window - 1) // 2
-    offsets = np.arange(-half, half + 1)
-    return (np.arange(grid.n_frequencies)[:, None] + offsets[None, :]) % grid.n_samples
+def _re_inner(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``Re tr(A B^*)`` of each pair of matrices along the first axis."""
+    return np.einsum("ij,ij->i", first.reshape(len(first), -1).view(float),
+                     second.reshape(len(second), -1).view(float))
 
 
-def _distance_table(point: np.ndarray, other_full: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``||point(r) - other(w_rk)||^2`` for each row ``r`` and window column ``k``, with
-    ``w_rk = idx[r, k]``: a ``(rows, window)`` array.
-
-    One window offset at a time, into ``(rows, P, P)`` buffers, so memory
-    does not grow with the window.
-    """
-    n_rows, window = idx.shape
-    diff = np.empty_like(point)
-    mag = np.empty(point.shape)
-    dist = np.empty((n_rows, window))
-    for k in range(window):
-        np.take(other_full, idx[:, k], axis=0, out=diff, mode="wrap")
-        np.subtract(point, diff, out=diff)
-        np.abs(diff, out=mag)
-        np.square(mag, out=mag)
-        dist[:, k] = mag.sum(axis=(1, 2))
-    dist /= point.shape[-1]
-    return dist
+def _window_means(estimate: SpectralEstimate, window: int):
+    """Window means of an estimate's matrices and of their ``tr(A A^*)``, ``(n_freq, P, P)``
+    and ``(n_freq,)``, over rows read from the half grid by reflection (module docstring)."""
+    n_samples, n_freq = estimate.grid.n_samples, estimate.grid.n_frequencies
+    rows = np.arange(-(window // 2), n_freq + window // 2) % n_samples
+    mirrored = rows > n_samples // 2
+    source = np.where(mirrored, n_samples - rows, rows)
+    extended = estimate.matrices[source]
+    np.conjugate(extended, out=extended, where=mirrored[:, None, None])
+    sq_norms = _re_inner(estimate.matrices, estimate.matrices)[source]
+    matrix_sum, sq_norm_sum = extended[:n_freq].copy(), sq_norms[:n_freq].copy()
+    for start in range(1, window):
+        matrix_sum += extended[start:start + n_freq]
+        sq_norm_sum += sq_norms[start:start + n_freq]
+    return matrix_sum / window, sq_norm_sum / window
 
 
-def _windowed_distance(point: np.ndarray, other_full: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Mean over the window of ``||point(w) - other(w + w_k)||^2`` per frequency.
-
-    The row means of :func:`_distance_table` are bit-identical to
-    ``hs_norm_sq(point[:, None] - other_full[idx]).mean(axis=1)``.
-    """
-    return _distance_table(point, other_full, idx).mean(axis=1)
+def _risk_curve(point: SpectralEstimate, matrix_mean, sq_norm_mean) -> np.ndarray:
+    """``mean_o ||point(w) - other(w + o)||^2`` (normalized) from ``other``'s
+    :func:`_window_means`, by the expansion of the module docstring, clamped at 0."""
+    expanded = (_re_inner(point.matrices, point.matrices) + sq_norm_mean
+                - 2.0 * _re_inner(point.matrices, matrix_mean))
+    return np.maximum(expanded / point.n_channels, 0.0)
 
 
 def estimator_separation(first: SpectralEstimate, second: SpectralEstimate,
@@ -93,25 +94,14 @@ def estimator_separation(first: SpectralEstimate, second: SpectralEstimate,
     """Symmetrized windowed mean squared distance between two estimators.
 
     Averages the two one-sided windowed distances (each estimator measured
-    against the other's conjugate-extended window), so the result is exactly
-    symmetric in its arguments.  Zero wherever the estimators agree over the
-    whole window.
+    against the other's conjugate-extended window); floating-point addition
+    commutes, so the result is exactly symmetric in its arguments.  Zero,
+    up to rounding, wherever the estimators agree over the whole window.
     """
     _same_grid(first, second)
     _validate_window(window, first.grid.n_samples)
-    # ||second(w) - first(w + o)||^2 is ||first(w + o) - second((w + o) - o)||^2 to the bit,
-    # also where w + o is a conjugate reflection, so one table of first's distances over
-    # the rows w + o = -half .. n_freq - 1 + half holds both directions.
-    n_freq, n_samples = first.grid.n_frequencies, first.grid.n_samples
-    half = (window - 1) // 2
-    rows = np.arange(-half, n_freq + half)
-    table = _distance_table(first.full_circle()[rows % n_samples], second.full_circle(),
-                            (rows[:, None] + np.arange(-half, half + 1)) % n_samples)
-    one = table[half:half + n_freq].mean(axis=1)
-    # second(w) against first(w + o_k) is table row w + k (that is, w + o_k), column -o_k
-    cols = np.arange(window)
-    other = table[np.arange(n_freq)[:, None] + cols, cols[::-1]].mean(axis=1)
-    return 0.5 * (one + other)
+    return 0.5 * (_risk_curve(first, *_window_means(second, window))
+                  + _risk_curve(second, *_window_means(first, window)))
 
 
 def shrinkage_weight(param_risk, nonparam_risk, separation):
@@ -194,10 +184,9 @@ def shrinkage_diagnostics(parametric: SpectralEstimate, nonparametric: SpectralE
     _same_grid(parametric, pilot)
     _validate_window(window, pilot.grid.n_samples)
     _same_grid(nonparametric, pilot)
-    idx = _window_indices(window, pilot.grid)
-    pilot_full = pilot.full_circle()  # extended once for both risks
-    param_risk = _windowed_distance(parametric.matrices, pilot_full, idx)
-    nonparam_risk = _windowed_distance(nonparametric.matrices, pilot_full, idx)
+    pilot_means = _window_means(pilot, window)  # shared by both risks
+    param_risk = _risk_curve(parametric, *pilot_means)
+    nonparam_risk = _risk_curve(nonparametric, *pilot_means)
     separation = estimator_separation(parametric, nonparametric, window)
     raw, _ = shrinkage_weight(param_risk, nonparam_risk, separation)
     return ShrinkageDiagnostics(grid=parametric.grid, window=window,

@@ -33,6 +33,10 @@ sum give every term from the per-lag products ``<F_total, F own>`` and
 reversed in lag and ``K_s`` is even, so the sums over entries run over the
 upper triangle with off-diagonal entries counted twice.
 
+The same duality smooths: an entry's smoothed half grid is ``rfft(K_s irfft(half
+grid))``, that is ``conj(rfft(K_s F)) / T``; the lower triangle is the upper's
+conjugate and the diagonal real, so the result is exactly Hermitian.
+
 A trial's transform needs no conjugation or rescaling of its own: entry
 ``(p, q)`` of its periodogram is ``d_p conj(d_q) / T``, and
 ``hfft(d_p conj(d_q) / T) = irfft(conj(d_p) d_q)`` (``hfft`` conjugates its
@@ -55,8 +59,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import SpectralEstimate, check_count, check_grid, extend_full_circle, symmetrize
-from .errors import DomainError, InsufficientDataError
+from .core import SpectralEstimate, check_count, check_grid
+from .errors import DimensionError, DomainError, InsufficientDataError
 from .periodogram import PeriodogramSet, periodogram_sum
 from .timeseries import MultiTrialSeries
 
@@ -107,7 +111,7 @@ def hann_weights(span: int) -> np.ndarray:
 
 
 def _kernel_transfer(span: int, n_samples: int) -> np.ndarray:
-    """FFT of the Hann kernel placed on the length-``n_samples`` circle."""
+    """Real FFT of the even Hann kernel placed on the length-``n_samples`` circle."""
     if span >= n_samples:
         raise DomainError(
             f"span {span} does not fit a full circle of {n_samples} frequencies")
@@ -115,7 +119,7 @@ def _kernel_transfer(span: int, n_samples: int) -> np.ndarray:
     half = (span - 1) // 2
     kernel = np.zeros(n_samples)
     kernel[np.arange(-half, half + 1) % n_samples] = w
-    return np.fft.fft(kernel)
+    return np.fft.fft(kernel).real
 
 
 def smooth_periodogram(matrices: np.ndarray, span: int, n_samples: int) -> np.ndarray:
@@ -133,16 +137,23 @@ def smooth_periodogram(matrices: np.ndarray, span: int, n_samples: int) -> np.nd
     Returns
     -------
     ndarray
-        Smoothed matrices on the same half grid, Hermitian at every
-        frequency (the result is symmetrized to remove FFT round-off).
+        Smoothed matrices on the same half grid, exactly Hermitian at every
+        frequency (smoothed in the lag domain; see the module docstring).
     """
     check_count(span, "smoothing span", odd=True)
-    full = extend_full_circle(matrices, n_samples)
+    matrices = np.asarray(matrices, dtype=complex)
+    if matrices.ndim != 3 or matrices.shape != (n_samples // 2 + 1,) + matrices.shape[1:2] * 2:
+        raise DimensionError(f"shape {matrices.shape} is not a half grid of {n_samples} samples")
     if span == 1:
-        return np.array(matrices, dtype=complex)
-    transfer = _kernel_transfer(span, n_samples)
-    smoothed = np.fft.ifft(np.fft.fft(full, axis=0) * transfer[:, None, None], axis=0)
-    return symmetrize(smoothed[: n_samples // 2 + 1])
+        return matrices.copy()
+    rows, cols = np.triu_indices(matrices.shape[-1])
+    lagged = np.fft.irfft(matrices[:, rows, cols].T, n=n_samples, axis=-1)
+    upper = np.fft.rfft(lagged * _kernel_transfer(span, n_samples), axis=-1).T
+    upper.imag[:, rows == cols] = 0.0
+    smoothed = np.empty_like(matrices)
+    smoothed[:, cols, rows] = np.conj(upper)
+    smoothed[:, rows, cols] = upper  # last, so the diagonal keeps a +0 imaginary part
+    return smoothed
 
 
 @lru_cache(maxsize=16)
@@ -158,7 +169,7 @@ def _span_kernels(grid: tuple[int, ...], n_samples: int) -> tuple[np.ndarray, np
     weights = np.zeros((len(grid), 2 * half + 1))
     for i, span in enumerate(grid):
         if span > 1:
-            transfers[i] = _kernel_transfer(span, n_samples).real
+            transfers[i] = _kernel_transfer(span, n_samples)
         h = (span - 1) // 2
         weights[i, half - h:half + h + 1] = hann_weights(span)
     transfers.flags.writeable = False

@@ -1,15 +1,17 @@
 """Shared test fixtures: the acceptance-criteria verdict log, one trial's DFT
 and periodogram matrices and the stacked per-trial periodograms that the
-estimators' trial passes are checked against, and the outcome of a guarded
-call that certified guards are checked against."""
+estimators' trial passes are checked against, the outcome of a guarded
+call that certified guards are checked against, and the full-circle
+smoothing that the lag-domain smoothing is checked against."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from specshrink import DimensionError, FrequencyGrid
+from specshrink import DimensionError, FrequencyGrid, extend_full_circle, symmetrize
 from specshrink.periodogram import _half_grid_dft
+from specshrink.smoothing import _kernel_transfer
 
 ACCEPTANCE_LINES = []
 
@@ -42,6 +44,18 @@ def stacked_periodograms(series):
     trial by trial, stacked.  The package keeps only the trials' DFTs."""
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
     return np.stack([raw_periodogram(values, grid) for values in series.values])
+
+
+def full_circle_smooth(matrices, span, n_samples):
+    """Half-grid matrices smoothed with the span's Hann kernel on the full circle: a
+    complex FFT of the conjugate-symmetric extension, the kernel's transfer, the inverse
+    FFT, and the Hermitian part of its half grid."""
+    full = extend_full_circle(matrices, n_samples)
+    if span == 1:
+        return full[: n_samples // 2 + 1]
+    transfer = _kernel_transfer(span, n_samples)
+    smoothed = np.fft.ifft(np.fft.fft(full, axis=0) * transfer[:, None, None], axis=0)
+    return symmetrize(smoothed[: n_samples // 2 + 1])
 
 
 def guard_outcome(func, *args):

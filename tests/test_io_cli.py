@@ -28,6 +28,7 @@ from specshrink import (
     read_config,
     read_trials,
     read_trials_csv,
+    shrinkage_pipeline,
     simulate_var,
     write_trials,
 )
@@ -43,6 +44,25 @@ rng = np.random.default_rng(42)
 def make_series(n_trials=4, n_channels=2, n_samples=64, sampling_rate=64.0):
     values = rng.standard_normal((n_trials, n_channels, n_samples))
     return MultiTrialSeries(values=values, sampling_rate=sampling_rate)
+
+
+def test_binary_read_keeps_a_view_of_the_file_bytes(tmp_path):
+    # The values are a view of the bytes read, not a copy: the read's peak is the file
+    # and a one-byte-per-value finiteness mask, below 1.2 times the file size.
+    import tracemalloc
+
+    series = MultiTrialSeries(values=rng.standard_normal((40, 12, 256)))
+    path = tmp_path / "trials.mts"
+    write_trials(path, series)
+    read_trials(path)  # imports are not the read's
+    tracemalloc.start()
+    try:
+        loaded = read_trials(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.tobytes() == series.values.tobytes()
+    assert peak < 1.2 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_binary_round_trip_is_bit_exact(tmp_path):
@@ -637,8 +657,9 @@ def test_cli_frequency_cells_are_each_frequency_formatted():
 
 def test_cli_estimate_drops_the_series_before_writing(tmp_path):
     # At 120 x 12 x 256 the series' values and cached DFTs are about 6 MB; the op's
-    # peak stays below 9.5 MB only if neither they nor a copy of every trial's DFT
-    # (one smoothing group) is alive at its peak.
+    # peak (7.97 MB) stays below 8.3 MB only if neither they nor a copy of every trial's
+    # DFT (one smoothing group) is alive at its peak, and the risk curves and the
+    # smoothing form no full-circle copies.
     import tracemalloc
 
     path = tmp_path / "sim.mts"
@@ -651,7 +672,32 @@ def test_cli_estimate_drops_the_series_before_writing(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.5e6, peak
+    assert peak < 8.3e6, peak
+
+
+def test_pipeline_and_connectivity_form_no_full_circle(tmp_path, monkeypatch):
+    # The risk curves and the smoothing work on the half grid: with every route to a
+    # full-circle array raising, the pipeline and two-condition connectivity still run.
+    import importlib
+    import pkgutil
+
+    import specshrink
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full-circle array was formed")
+
+    for module in [specshrink] + [importlib.import_module(f"specshrink.{info.name}")
+                                  for info in pkgutil.iter_modules(specshrink.__path__)]:
+        if hasattr(module, "extend_full_circle"):
+            monkeypatch.setattr(module, "extend_full_circle", refuse)
+    monkeypatch.setattr(SpectralEstimate, "full_circle", refuse)
+    assert shrinkage_pipeline(make_series(n_trials=6), PipelineOptions(max_order=2)).estimate
+    left, right = tmp_path / "l.mts", tmp_path / "r.mts"
+    write_trials(left, make_series(n_trials=6))
+    write_trials(right, make_series(n_trials=5))
+    assert run_cli("connectivity", left, right, "--max-order", "2",
+                   "--out-dir", tmp_path / "out") == 0
+    assert (tmp_path / "out" / "tests.csv").exists()
 
 
 def test_cli_compare_uses_the_configured_taper_grid(tmp_path):

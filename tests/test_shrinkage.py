@@ -23,8 +23,7 @@ from specshrink import (
     shrinkage_pipeline,
     shrinkage_weight,
 )
-from specshrink import periodogram, timeseries
-from specshrink.shrinkage import _window_indices, _windowed_distance
+from specshrink import periodogram, simulate_mixture, timeseries
 
 
 def risk_vs_pilot(estimate, pilot, window):
@@ -83,34 +82,74 @@ def _four_d_windowed_distance(point, other_full, idx):
     return hs_norm_sq(point[:, None, :, :] - other_full[idx]).mean(axis=1)
 
 
-@pytest.mark.parametrize("n_samples", [64, 255, 256])
-@pytest.mark.parametrize("p", [1, 3])
-def test_windowed_distance_matches_the_four_d_oracle_bit_for_bit(n_samples, p):
+def brute_force_risk(point, other, window):
+    """``mean_o ||point(w) - other(w + o)||^2`` and the magnitudes that the closed form
+    cancels, ``||point(w)||^2 + mean_o ||other(w + o)||^2`` (both normalized), from
+    :func:`_four_d_windowed_distance` on ``other``'s full circle, a block of rows at a
+    time so memory stays small."""
+    n_samples, n_freq = point.grid.n_samples, point.grid.n_frequencies
+    half = (window - 1) // 2
+    full = extend_full_circle(other.matrices, n_samples)
+    idx = (np.arange(n_freq)[:, None] + np.arange(-half, half + 1)) % n_samples
+    step = max(1, 2 ** 16 // (window * point.n_channels ** 2))
+    blocks = range(0, n_freq, step)
+    risk = np.concatenate([_four_d_windowed_distance(point.matrices[r:r + step], full,
+                                                     idx[r:r + step]) for r in blocks])
+    scale = hs_norm_sq(point.matrices) + hs_norm_sq(full)[idx].mean(axis=1)
+    return risk, scale
+
+
+def assert_risks_match_brute_force(param, nonparam, pilot, window, case):
+    diag = shrinkage_diagnostics(param, nonparam, pilot, window)
+    for got, point in ((diag.param_risk, param), (diag.nonparam_risk, nonparam)):
+        oracle, scale = brute_force_risk(point, pilot, window)
+        assert np.all(np.abs(got - oracle) <= 1e-13 * scale), case
+    one, one_scale = brute_force_risk(param, nonparam, window)
+    other, other_scale = brute_force_risk(nonparam, param, window)
+    oracle = 0.5 * (one + other)
+    assert np.all(np.abs(diag.separation - oracle) <= 0.5e-13 * (one_scale + other_scale)), case
+    np.testing.assert_array_equal(diag.separation,
+                                  estimator_separation(nonparam, param, window), err_msg=case)
+
+
+@pytest.mark.parametrize("n_samples", [7, 64, 65, 255, 256])
+@pytest.mark.parametrize("p", [1, 3, 12])
+def test_risk_curves_match_the_four_d_oracle(n_samples, p):
+    # Every window that fits the circle (every eighth and the largest at 12 channels
+    # and T >= 255, where the oracle alone takes seconds), up to the rounding of the
+    # magnitudes that the closed form cancels; the separation is symmetric bit for bit.
     rng = np.random.default_rng([n_samples, p])
-    point = random_estimate(rng, n_samples, p)
-    other = random_estimate(rng, n_samples, p, tag="raw_mean")
-    full = other.full_circle()
-    largest = n_samples - 1 if n_samples % 2 == 0 else n_samples - 2
-    for window in (1, 7, 15, 31, largest):
-        idx = _window_indices(window, point.grid)
-        np.testing.assert_array_equal(
-            _windowed_distance(point.matrices, full, idx),
-            _four_d_windowed_distance(point.matrices, full, idx))
+    param = random_estimate(rng, n_samples, p)
+    nonparam = random_estimate(rng, n_samples, p, tag="smoothed")
+    pilot = random_estimate(rng, n_samples, p, tag="raw_mean")
+    windows = list(range(1, n_samples, 2))
+    if p == 12 and n_samples >= 255:
+        windows = windows[::8] + windows[-1:]
+    for window in windows:
+        assert_risks_match_brute_force(param, nonparam, pilot, window,
+                                       f"T={n_samples} P={p} window={window}")
 
 
-@pytest.mark.parametrize("n_samples", [7, 64, 65, 256])
-@pytest.mark.parametrize("p", [1, 3])
-def test_separation_from_one_table_matches_the_two_table_formula_bit_for_bit(n_samples, p):
-    rng = np.random.default_rng([n_samples, p, 1])
-    a = random_estimate(rng, n_samples, p)
-    b = random_estimate(rng, n_samples, p, tag="smoothed")
-    for window in range(1, min(32, n_samples), 2):
-        idx = _window_indices(window, a.grid)
-        two_tables = 0.5 * (_windowed_distance(a.matrices, b.full_circle(), idx)
-                            + _windowed_distance(b.matrices, a.full_circle(), idx))
-        ab = estimator_separation(a, b, window)
-        np.testing.assert_array_equal(ab, two_tables)
-        np.testing.assert_array_equal(ab, estimator_separation(b, a, window))
+def test_risk_curves_match_the_four_d_oracle_on_pipeline_estimates():
+    # The VAR, smoothed and pilot estimates of the default 120 x 12 x 256 mixture.
+    result = shrinkage_pipeline(simulate_mixture(), PipelineOptions(max_order=2))
+    for window in (1, 3, 15, 31, 63, 255):
+        assert_risks_match_brute_force(result.parametric, result.nonparametric,
+                                       result.pilot, window, f"window={window}")
+
+
+def test_risk_curves_are_clamped_at_zero():
+    # Equal constant curves are at distance 0; the expansion cancels them to
+    # rounding (below zero for 0.7 and 7.3 at window 5), and the clamp keeps every
+    # curve nonnegative.
+    for value in (0.1, 1 / 3, 0.7, 7.3):
+        const = scalar_estimate(np.full(17, value), 32)
+        same = scalar_estimate(np.full(17, value), 32, tag="smoothed")
+        for window in (3, 5, 15, 31):
+            diag = shrinkage_diagnostics(const, same, const, window)
+            for curve in (diag.param_risk, diag.nonparam_risk, diag.separation):
+                assert np.all(curve >= 0.0)
+                assert np.all(curve <= 1e-14 * value ** 2)
 
 
 def test_risk_curve_memory_does_not_grow_with_the_window():

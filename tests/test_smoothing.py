@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specshrink import (
+    DimensionError,
     DomainError,
     FrequencyGrid,
     InsufficientDataError,
@@ -25,7 +26,7 @@ from specshrink import smoothing
 from specshrink.periodogram import periodogram_sum
 from specshrink.smoothing import _span_kernels, validate_span_grid
 
-from conftest import stacked_periodograms
+from conftest import full_circle_smooth, stacked_periodograms
 
 
 def test_hann_weights_span3():
@@ -112,6 +113,36 @@ def test_smoothing_output_is_hermitian():
     own = stacked_periodograms(MultiTrialSeries(rng.standard_normal((1, 3, 32))))[0]
     sm = smooth_periodogram(own, 5, 32)
     np.testing.assert_array_equal(sm, np.conj(np.swapaxes(sm, -1, -2)))
+
+
+@pytest.mark.parametrize("n_samples", [64, 65, 255, 256])
+def test_smoothing_matches_the_full_circle_oracle(n_samples):
+    # The lag-domain route against the complex FFT of the full circle, for every
+    # default-grid span, on one trial's periodogram and on a trial sum.
+    series = MultiTrialSeries(np.random.default_rng(n_samples).standard_normal((5, 12, n_samples)))
+    pgrams = series.periodograms
+    for matrices in (stacked_periodograms(series)[0], pgrams.total):
+        for span in default_span_grid(n_samples):
+            expected = full_circle_smooth(matrices, span, n_samples)
+            error = np.linalg.norm(smooth_periodogram(matrices, span, n_samples) - expected)
+            assert error <= 1e-15 * np.linalg.norm(expected), (span, error)
+
+
+def test_smoothing_output_is_hermitian_bit_for_bit():
+    own = stacked_periodograms(MultiTrialSeries(np.random.default_rng(11).standard_normal(
+        (1, 4, 65))))[0]
+    rows, cols = np.triu_indices(4, k=1)
+    for span in (3, 9, 31):
+        sm = smooth_periodogram(own, span, 65)
+        assert sm[:, rows, cols].tobytes() == np.conj(sm[:, cols, rows]).tobytes()
+        diagonal = np.diagonal(sm, axis1=1, axis2=2)
+        assert np.all(diagonal.imag == 0.0) and not np.any(np.signbit(diagonal.imag))
+
+
+def test_smoothing_rejects_a_bad_shape():
+    for shape in ((8, 2, 2), (9, 2, 3), (9, 4), (1, 9, 2, 2)):
+        with pytest.raises(DimensionError):
+            smooth_periodogram(np.zeros(shape, dtype=complex), 3, 16)
 
 
 def test_smoothing_reduces_white_noise_variance_monotonically():
