@@ -130,6 +130,22 @@ def test_risk_curves_match_the_four_d_oracle(n_samples, p):
                                        f"T={n_samples} P={p} window={window}")
 
 
+@pytest.mark.parametrize("n_samples", [7, 64, 65, 256])
+@pytest.mark.parametrize("p", [1, 3])
+def test_separation_from_one_table_matches_the_two_table_formula_bit_for_bit(n_samples, p):
+    # The separation is the two-table formula, the mean of the two one-sided windowed
+    # distances (each estimator's risk against the other as pilot), bit for bit, so the
+    # weight's risks and separation share one formula; and it is symmetric.
+    rng = np.random.default_rng([n_samples, p, 1])
+    a = random_estimate(rng, n_samples, p)
+    b = random_estimate(rng, n_samples, p, tag="smoothed")
+    for window in range(1, min(32, n_samples), 2):
+        two_tables = 0.5 * (risk_vs_pilot(a, b, window) + risk_vs_pilot(b, a, window))
+        ab = estimator_separation(a, b, window)
+        np.testing.assert_array_equal(ab, two_tables)
+        np.testing.assert_array_equal(ab, estimator_separation(b, a, window))
+
+
 def test_risk_curves_match_the_four_d_oracle_on_pipeline_estimates():
     # The VAR, smoothed and pilot estimates of the default 120 x 12 x 256 mixture.
     result = shrinkage_pipeline(simulate_mixture(), PipelineOptions(max_order=2))
