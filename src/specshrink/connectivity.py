@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (FrequencyGrid, SpectralEstimate, _is_real, certified_inverse, check_real,
-                   exact_sum, hermitian_cond, symmetrize)
+                   hermitian_cond, symmetrize)
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
                      EmptyBandError, InsufficientDataError, NearSingularError,
                      PipelineError, SpecshrinkError)
@@ -204,13 +204,12 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
     remaining trials, partial coherence is band-averaged and Fisher-z
     transformed; the function returns the replicate mean and the jackknife
     standard error ``sqrt((n-1)/n * sum((z_i - mean)**2))`` per channel
-    pair.  Replicates are reduced with exactly rounded sums, and inside each
-    replicate neither the VAR order selection nor the VAR fit depends on
-    trial order; the periodogram mean and the smoothing still sum trials in
-    order, so permuting the trials can move the result in its last bits.  A
-    band that holds no Fourier frequency raises :class:`EmptyBandError`
-    before any replicate runs; a replicate that fails raises
-    :class:`PipelineError` whose stage names the left-out trial.
+    pair.  Every sum over trials, in each replicate and over the replicates,
+    runs in canonical trial order (:attr:`MultiTrialSeries.trial_order`), so
+    permuting the trials changes no bit of the result.  A band that holds no
+    Fourier frequency raises :class:`EmptyBandError` before any replicate
+    runs; a replicate that fails raises :class:`PipelineError` whose stage
+    names the left-out trial.
     """
     n = series.n_trials
     if n < 2:
@@ -227,9 +226,9 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
             replicates.append(fisher_z(vals))
         except SpecshrinkError as err:
             raise PipelineError(f"jackknife without trial {leave_out}", str(err)) from err
-    stack = np.stack(replicates)
-    mean_z = exact_sum(stack) / n
-    se = np.sqrt((n - 1) / n * exact_sum((stack - mean_z) ** 2))
+    stack = np.stack(replicates)[series.trial_order]
+    mean_z = stack.sum(axis=0) / n
+    se = np.sqrt((n - 1) / n * ((stack - mean_z) ** 2).sum(axis=0))
     return BandStats(mean_z=mean_z, se=se, n_trials=n, band=band)
 
 

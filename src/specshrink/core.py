@@ -214,7 +214,9 @@ def hs_norm_sq(matrices: np.ndarray) -> np.ndarray | float:
     """
     matrices = _square_matrices(matrices)
     p = matrices.shape[-1]
-    out = np.sum(np.abs(matrices) ** 2, axis=(-2, -1)) / p
+    if np.iscomplexobj(matrices):  # the float view holds the real and imaginary parts
+        matrices = np.ascontiguousarray(matrices, dtype=complex).view(float)
+    out = np.sum(np.square(matrices), axis=(-2, -1)) / p
     return float(out) if out.ndim == 0 else out
 
 
@@ -371,22 +373,6 @@ class SpectralEstimate:
     def full_circle(self) -> np.ndarray:
         """Matrices on all ``n_samples`` Fourier frequencies via conjugate symmetry."""
         return extend_full_circle(self.matrices, self.grid.n_samples)
-
-
-def exact_sum(stack: np.ndarray) -> np.ndarray:
-    """Sum an array over its first axis with exactly rounded accumulation.
-
-    Every element of the result is bit-identical to ``math.fsum`` over the
-    corresponding column, so it does not depend on the order of the
-    summands; fsum's ``inf`` and ``nan`` results and its ``ValueError`` and
-    ``OverflowError`` are kept.  An empty first axis sums to zeros; a scalar
-    raises :class:`DimensionError`.
-    """
-    arr = np.asarray(stack, dtype=float)
-    if arr.ndim < 1:
-        raise DimensionError("exact_sum needs at least one axis to reduce over")
-    columns = arr.reshape(arr.shape[0], math.prod(arr.shape[1:])).T.tolist()
-    return np.array([math.fsum(col) for col in columns]).reshape(arr.shape[1:])
 
 
 def canonical_trial_order(values: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ leave-one-out unbiased-risk rule used for smoothing spans; the harness
 uses the lower median of the per-trial selections.
 
 Both the selection and the estimate do their per-trial work on every
-available core (:func:`~specshrink.core.map_trials`) and reduce it in trial
-order, so their results do not depend on the number of cores.
+available core (:func:`~specshrink.core.map_trials`) and reduce it in a
+fixed trial order, canonical for the estimate, so their results do not
+depend on the number of cores.
 """
 
 import math
@@ -76,13 +77,15 @@ def multitaper_estimator(series: MultiTrialSeries, n_tapers: int) -> SpectralEst
     Per trial the estimate averages ``(2*pi)**-1 d_a d_a^*`` over tapers
     ``a = 1..n_tapers`` (unit-norm tapers absorb the usual 1/T); trials are
     then averaged.  Hermitian PSD by construction.  The trials' sums are
-    added in trial order, so the result is the same for any number of cores.
+    added in canonical trial order, so the result is the same for any number
+    of cores and any order of the trials.
     """
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
     tapers = sine_tapers(series.n_samples, n_tapers)
     phase = np.exp(-1j * grid.omegas)[:, None, None]
     acc = np.zeros((grid.n_frequencies, series.n_channels, series.n_channels), dtype=complex)
     dft_shape = (grid.n_frequencies, n_tapers, series.n_channels)
+    order = series.trial_order
 
     def scratch():  # the tapered series, then the DFTs' conjugates, share ``work``
         work = np.empty(max(series.n_samples, 2 * grid.n_frequencies) * math.prod(dft_shape[1:]))
@@ -90,7 +93,7 @@ def multitaper_estimator(series: MultiTrialSeries, n_tapers: int) -> SpectralEst
 
     def trial_sum(n, space):
         work, d, part = space
-        _tapered_dfts(series.values[n], tapers, phase, work, d)
+        _tapered_dfts(series.values[order[n]], tapers, phase, work, d)
         conj = np.conj(d, out=_view(work, dft_shape, complex))
         return np.matmul(d.transpose(0, 2, 1), conj, out=part)  # (n_freq, P, m) @ (n_freq, m, P)
 

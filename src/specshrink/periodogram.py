@@ -21,7 +21,8 @@ Every periodogram matrix is the rank-one product of a DFT vector, so
 :class:`PeriodogramSet` keeps the ``(N, P, T//2 + 1)`` DFTs, N*P*(T/2+1)
 complex values, instead of the N*(T/2+1)*P**2 values of the matrices.
 Sums over trials, the mean and the smoothing's span groups, are one batched
-product ``D D^* / T`` per frequency of the summed trials' DFTs.  No pass
+product ``D D^* / T`` per frequency of the summed trials' DFTs, taken in
+canonical trial order (:attr:`MultiTrialSeries.trial_order`).  No pass
 builds one trial's matrices: a trial's leave-one-out mean is
 ``(total - d d^* / T) / (N - 1)``, and the span and taper risks expand its
 inner products into terms of the trial sum ``total`` and of ``d``.
@@ -52,20 +53,21 @@ def _half_grid_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return coefs
 
 
-def periodogram_sum(dfts: np.ndarray, n_samples: int) -> np.ndarray:
-    """Sum of the periodogram matrices of the ``(n, P, n_freq)`` trial DFTs ``dfts``,
-    shape ``(n_freq, P, P)``.
+def periodogram_sum(dfts: np.ndarray, trials, n_samples: int) -> np.ndarray:
+    """Sum of the periodogram matrices of the trials ``trials`` (indices into the first
+    axis of the ``(N, P, n_freq)`` trial DFTs ``dfts``), shape ``(n_freq, P, P)``.
 
     At each frequency the sum is one matrix product ``D D^* / T`` of the
-    ``(P, n)`` DFTs, taken over blocks of frequencies that hold about
-    :data:`SUM_BLOCK_VALUES` DFT values.  The result is replaced by its
-    Hermitian part, so it is exactly Hermitian.
+    ``(P, n)`` DFTs of the ``n`` trials, in the order ``trials`` lists them,
+    taken over blocks of frequencies that hold about :data:`SUM_BLOCK_VALUES`
+    DFT values.  The result is replaced by its Hermitian part, so it is
+    exactly Hermitian.
     """
-    n_trials, n_channels, n_freq = dfts.shape
+    n_channels, n_freq = dfts.shape[1:]
     total = np.empty((n_freq, n_channels, n_channels), dtype=complex)
-    step = max(SUM_BLOCK_VALUES // (n_trials * n_channels), 1)
+    step = max(SUM_BLOCK_VALUES // (len(trials) * n_channels), 1)
     for start in range(0, n_freq, step):
-        block = dfts[:, :, start:start + step].transpose(2, 1, 0)
+        block = dfts[trials, :, start:start + step].transpose(2, 1, 0)
         out = total[start:start + step]
         np.matmul(block, np.conj(block).transpose(0, 2, 1), out=out)
         out += np.conj(out.transpose(0, 2, 1))
@@ -114,6 +116,6 @@ def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:
     """The DFT of every trial of ``series``, plus the mean periodogram."""
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
     dfts = _half_grid_dft(series.values, grid)
-    mean = periodogram_sum(dfts, grid.n_samples)
+    mean = periodogram_sum(dfts, series.trial_order, grid.n_samples)
     mean /= series.n_trials
     return PeriodogramSet(grid=grid, dfts=dfts, mean=SpectralEstimate(grid, mean, tag="raw_mean"))

@@ -18,8 +18,9 @@ Each curve is computed on the half grid as
 ``||a(w)||^2 + mean_o ||b(w+o)||^2 - 2 Re <a(w), mean_o b(w+o)>``, from window
 means of ``b`` read from the half grid by reflection (conjugated where
 mirrored).  Its error is at most about ``2 P^2 + window`` roundings of its
-first two terms, and a curve rounded below zero is clamped to 0.  The
-separation averages the two one-sided curves, so it is exactly symmetric.
+first two terms, so a curve within 1e-13 of those terms is rounding noise
+and is set to 0.  The separation averages the two one-sided curves, so it
+is exactly symmetric.
 
 The raw weight is ``(nonparam_risk - 0.5*(param_risk + nonparam_risk -
 separation)) / separation``, truncated to [0, 1]; a zero separation
@@ -83,10 +84,12 @@ def _window_means(estimate: SpectralEstimate, window: int):
 
 def _risk_curve(point: SpectralEstimate, matrix_mean, sq_norm_mean) -> np.ndarray:
     """``mean_o ||point(w) - other(w + o)||^2`` (normalized) from ``other``'s
-    :func:`_window_means`, by the expansion of the module docstring, clamped at 0."""
-    expanded = (_re_inner(point.matrices, point.matrices) + sq_norm_mean
-                - 2.0 * _re_inner(point.matrices, matrix_mean))
-    return np.maximum(expanded / point.n_channels, 0.0)
+    :func:`_window_means`, by the expansion of the module docstring, zeroed within its
+    rounding bound."""
+    magnitude = _re_inner(point.matrices, point.matrices) + sq_norm_mean
+    expanded = magnitude - 2.0 * _re_inner(point.matrices, matrix_mean)
+    expanded[expanded <= 1e-13 * magnitude] = 0.0
+    return expanded / point.n_channels
 
 
 def estimator_separation(first: SpectralEstimate, second: SpectralEstimate,
@@ -95,8 +98,8 @@ def estimator_separation(first: SpectralEstimate, second: SpectralEstimate,
 
     Averages the two one-sided windowed distances (each estimator measured
     against the other's conjugate-extended window); floating-point addition
-    commutes, so the result is exactly symmetric in its arguments.  Zero,
-    up to rounding, wherever the estimators agree over the whole window.
+    commutes, so the result is exactly symmetric in its arguments.  Exactly
+    zero wherever the estimators agree over the whole window.
     """
     _same_grid(first, second)
     _validate_window(window, first.grid.n_samples)

@@ -279,9 +279,9 @@ def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int
     # group of every trial is the set's own trial sum.
     total = np.zeros_like(pgrams.mean.matrices)
     for span in sorted(set(spans)):
-        members = [n for n, chosen in enumerate(spans) if chosen == span]
+        members = [n for n in series.trial_order if spans[n] == span]
         group = (pgrams.total if len(members) == series.n_trials
-                 else periodogram_sum(pgrams.dfts[members], n_samples))
+                 else periodogram_sum(pgrams.dfts, members, n_samples))
         total += smooth_periodogram(group, span, n_samples)
     estimate = SpectralEstimate(pgrams.grid, total / series.n_trials, tag="smoothed")
     return estimate, SmoothingConfig(span_grid, fixed_span, tuple(spans))

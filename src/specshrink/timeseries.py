@@ -74,8 +74,8 @@ class MultiTrialSeries:
 
     @cached_property
     def trial_order(self) -> np.ndarray:
-        """:func:`~specshrink.core.canonical_trial_order` of the trials: the order in which
-        the VAR lag moments sum them."""
+        """:func:`~specshrink.core.canonical_trial_order` of the trials: the order every
+        sum over trials uses, so no result depends on the order they are listed in."""
         return canonical_trial_order(self.values)
 
     def drop_trial(self, index: int) -> "MultiTrialSeries":

@@ -1,9 +1,11 @@
 """Shared test fixtures: the acceptance-criteria verdict log, one trial's DFT
 and periodogram matrices and the stacked per-trial periodograms that the
 estimators' trial passes are checked against, the outcome of a guarded
-call that certified guards are checked against, and the full-circle
-smoothing that the lag-domain smoothing is checked against."""
+call that certified guards are checked against, the full-circle
+smoothing that the lag-domain smoothing is checked against, and the exactly
+rounded sums over trials that the package's trial sums are checked against."""
 
+import math
 import warnings
 
 import numpy as np
@@ -56,6 +58,14 @@ def full_circle_smooth(matrices, span, n_samples):
     transfer = _kernel_transfer(span, n_samples)
     smoothed = np.fft.ifft(np.fft.fft(full, axis=0) * transfer[:, None, None], axis=0)
     return symmetrize(smoothed[: n_samples // 2 + 1])
+
+
+def fsum_columns(stack):
+    """``math.fsum`` of every column of ``stack`` over its first axis, the exactly rounded
+    sum, shape ``stack.shape[1:]``: it does not depend on the order of the summands."""
+    stack = np.asarray(stack, dtype=float)
+    columns = stack.reshape(len(stack), -1).T.tolist()
+    return np.array([math.fsum(col) for col in columns]).reshape(stack.shape[1:])
 
 
 def guard_outcome(func, *args):

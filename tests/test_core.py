@@ -1,4 +1,5 @@
-"""Frequency grids, the normalised HS norm, spectral containers, exact sums, the trial map."""
+"""Frequency grids, the normalised HS norm, spectral containers, the canonical trial order, the
+trial map."""
 
 import math
 import os
@@ -8,8 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from specshrink import (
     DimensionError,
@@ -20,7 +19,6 @@ from specshrink import (
     SimulationConfig,
     SpectralEstimate,
     detrend,
-    exact_sum,
     extend_full_circle,
     fit_var,
     hann_weights,
@@ -248,164 +246,6 @@ def test_extend_full_circle_matches_dft_symmetry():
     half = full[: 16 // 2 + 1]
     np.testing.assert_allclose(extend_full_circle(half[:, None, None].astype(complex), 16)[:, 0, 0].real,
                                full, rtol=1e-12)
-
-
-def test_exact_sum_is_permutation_invariant():
-    rng = np.random.default_rng(6)
-    stack = rng.standard_normal((50, 3, 2)) * 10.0 ** rng.integers(-8, 9, size=(50, 3, 2))
-    total = exact_sum(stack)
-    assert total.shape == (3, 2)
-    for seed in range(5):
-        perm = np.random.default_rng(seed).permutation(50)
-        np.testing.assert_array_equal(exact_sum(stack[perm]), total)
-    np.testing.assert_allclose(total, stack.sum(axis=0), rtol=1e-9)
-
-
-def test_exact_sum_rejects_scalars():
-    with pytest.raises(DimensionError):
-        exact_sum(np.float64(3.0))
-
-
-def test_exact_sum_of_an_empty_axis_is_zero():
-    total = exact_sum(np.zeros((0, 3, 2)))
-    assert total.shape == (3, 2)
-    np.testing.assert_array_equal(total.view(np.uint64), np.zeros((3, 2)).view(np.uint64))
-    assert exact_sum(np.zeros(0)).shape == ()
-    assert exact_sum(np.zeros(0)) == math.fsum([])
-
-
-def fsum_columns(arr):
-    """The reference: ``math.fsum`` of every column, or the error it raises."""
-    flat = arr.reshape(arr.shape[0], math.prod(arr.shape[1:]))
-    try:
-        sums = [math.fsum(col) for col in flat.T.tolist()]
-    except (ValueError, OverflowError) as err:
-        return err
-    return np.array(sums, dtype=float).reshape(arr.shape[1:])
-
-
-def assert_matches_fsum(arr):
-    """``exact_sum`` equals ``math.fsum`` bit for bit, signed zeros and errors included."""
-    expected = fsum_columns(arr)
-    if isinstance(expected, Exception):
-        with pytest.raises(type(expected), match=re.escape(str(expected))):
-            exact_sum(arr)
-        return
-    got = exact_sum(arr)
-    assert got.shape == expected.shape
-    np.testing.assert_array_equal(got.reshape(-1).view(np.uint64),
-                                  expected.reshape(-1).view(np.uint64))
-
-
-#: Summand counts: one, a few, and more than 2**7 - 2, which needs a wider guard.
-ROW_COUNTS = st.sampled_from([1, 2, 3, 7, 130])
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-#: Below 2**(1020 - 8), the largest magnitude the extraction takes for 130 summands.
-EXTRACTABLE = st.floats(min_value=-2.0 ** 900, max_value=2.0 ** 900)
-
-
-def filled(data, rows, cols, pool):
-    """A ``(rows, cols)`` array whose entries are drawn from ``pool`` by a seeded generator."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    values = np.array(data.draw(st.lists(pool, min_size=1, max_size=12), label="pool"))
-    return rng.choice(values, size=(rows, cols))
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), rows=ROW_COUNTS, cols=st.integers(1, 6))
-def test_exact_sum_matches_fsum_over_the_full_exponent_range(data, rows, cols):
-    # every entry independent: subnormals up to the largest finite float
-    arr = np.array(data.draw(st.lists(FINITE, min_size=rows * cols, max_size=rows * cols)))
-    assert_matches_fsum(arr.reshape(rows, cols))
-    arr = np.array(data.draw(st.lists(EXTRACTABLE, min_size=rows * cols, max_size=rows * cols)))
-    assert_matches_fsum(arr.reshape(rows, cols))
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), half=st.integers(1, 65), cols=st.integers(1, 4))
-def test_exact_sum_matches_fsum_on_cancellation_pairs(data, half, cols):
-    # x and -x in shuffled rows; an optional small leftover makes a nonzero sum
-    arr = filled(data, half, cols, EXTRACTABLE)
-    leftover = np.full((1, cols), data.draw(EXTRACTABLE, label="leftover") * 2.0 ** -100)
-    stack = np.concatenate([arr, -arr, leftover])
-    order = np.random.default_rng(half).permutation(len(stack))
-    assert_matches_fsum(stack[order])
-    assert_matches_fsum(np.concatenate([arr, -arr])[order[order < 2 * half]])
-
-
-@pytest.mark.parametrize("column", [
-    [2.0 ** 53, 1.0, 2.0 ** -52],         # just above a tie: rounds up
-    [2.0 ** 53, 1.0],                      # a tie: rounds to the even 2**53
-    [2.0 ** 53 + 2.0, 1.0],                # a tie: rounds to the even 2**53 + 4
-    [2.0 ** 53, 1.0, -(2.0 ** -80)],       # just below a tie: rounds down
-    [1.0, 2.0 ** -53, 2.0 ** -106],        # a tie broken by the third level
-    [1.0, 2.0 ** -53, -(2.0 ** -1074)],    # a tie broken by a subnormal
-    [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0, -1.0],
-    [5e-324, -5e-324, 5e-324],
-])
-def test_exact_sum_matches_fsum_on_ties_and_signed_zeros(column):
-    for arr in (np.array(column), np.array(column)[::-1]):
-        assert_matches_fsum(arr)
-        assert_matches_fsum(np.repeat(arr[:, None], 3, axis=1))
-
-
-@pytest.mark.parametrize("rows", [2, 6, 62, 126, 130])
-def test_exact_sum_matches_fsum_when_summands_fill_the_guard_bits(rows):
-    # rows - 1 summands just below 1 and one tiny negative one: the high parts
-    # sum to a tie near rows - 1 that only the remainder breaks, so a guard
-    # of fewer than ceil(log2(rows + 2)) bits rounds the first partial wrongly
-    column = np.full(rows, 1.0 - 2.0 ** -45)
-    column[0] = -(2.0 ** -46) + 2.0 ** -60
-    assert_matches_fsum(column)
-    assert_matches_fsum(column[::-1])
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), mantissa=st.integers(2 ** 52, 2 ** 53 - 1),
-       scale=st.integers(-900, 900), rows=ROW_COUNTS)
-def test_exact_sum_matches_fsum_on_rounding_ties(data, mantissa, scale, rows):
-    # a large odd or even float, half its last place and a nudge either way
-    big = math.ldexp(float(mantissa), scale)
-    half_ulp = math.ulp(big) / 2
-    nudge = data.draw(st.sampled_from([0.0, half_ulp * 2.0 ** -60, -half_ulp * 2.0 ** -60]))
-    column = np.zeros(rows + 3)
-    column[:3] = [big, half_ulp, nudge]
-    column[3:] = data.draw(st.sampled_from([0.0, half_ulp * 2.0 ** -70]))
-    assert_matches_fsum(column[np.random.default_rng(rows).permutation(rows + 3)])
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data(), rows=st.sampled_from([1, 2, 130]),
-       cols=st.sampled_from([1, 251, 252, 253, 505]))
-def test_exact_sum_matches_fsum_across_column_blocks(data, rows, cols):
-    # 130 summands split the columns into blocks of 252
-    assert_matches_fsum(filled(data, rows, cols, EXTRACTABLE))
-    arr = filled(data, rows, cols, FINITE)
-    assert_matches_fsum(arr)
-    arr[-1, -1] = np.inf  # only the last block takes the per-column fallback
-    assert_matches_fsum(arr)
-
-
-@pytest.mark.parametrize("column", [
-    [1.0, np.inf], [np.inf, -1.0, np.inf], [-np.inf, 2.0], [np.nan, 1.0],
-    [np.inf, np.nan], [np.inf, -np.inf],                  # ValueError: -inf + inf
-    [1e308, 1e308, -1e308], [-1e308, -1e308, 1e308],     # OverflowError: intermediate
-    [1e308, -1e308, 1e308],                               # the same values, no overflow
-    [2.0 ** 1019, 2.0 ** 1019], [2.0 ** 1013, 1.0, -(2.0 ** 1013)],
-])
-def test_exact_sum_matches_fsum_on_special_values(column):
-    arr = np.array(column)
-    assert_matches_fsum(arr)
-    wide = np.ones((len(column), 4))
-    wide[:, 2] = arr
-    assert_matches_fsum(wide)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), rows=ROW_COUNTS, cols=st.integers(1, 5))
-def test_exact_sum_matches_fsum_with_infinities_and_nans(data, rows, cols):
-    pool = st.one_of(FINITE, st.sampled_from([np.inf, -np.inf, np.nan]))
-    assert_matches_fsum(filled(data, rows, cols, pool))
 
 
 def _trials_with_duplicates():

@@ -19,6 +19,7 @@ from specshrink import (
     estimator_separation,
     extend_full_circle,
     hs_norm_sq,
+    jackknife_band_stats,
     shrinkage_diagnostics,
     shrinkage_pipeline,
     shrinkage_weight,
@@ -156,16 +157,17 @@ def test_risk_curves_match_the_four_d_oracle_on_pipeline_estimates():
 
 def test_risk_curves_are_clamped_at_zero():
     # Equal constant curves are at distance 0; the expansion cancels them to
-    # rounding (below zero for 0.7 and 7.3 at window 5), and the clamp keeps every
-    # curve nonnegative.
+    # rounding (below zero for 0.7 and 7.3 at window 5, 3.5e-18 for 0.1 at window
+    # 15), which is within the rounding bound of its terms, so every curve is
+    # exactly 0 and so is the raw weight.
     for value in (0.1, 1 / 3, 0.7, 7.3):
         const = scalar_estimate(np.full(17, value), 32)
         same = scalar_estimate(np.full(17, value), 32, tag="smoothed")
         for window in (3, 5, 15, 31):
             diag = shrinkage_diagnostics(const, same, const, window)
-            for curve in (diag.param_risk, diag.nonparam_risk, diag.separation):
-                assert np.all(curve >= 0.0)
-                assert np.all(curve <= 1e-14 * value ** 2)
+            for curve in (diag.param_risk, diag.nonparam_risk, diag.separation,
+                          diag.weight_raw):
+                np.testing.assert_array_equal(curve, 0.0)
 
 
 def test_risk_curve_memory_does_not_grow_with_the_window():
@@ -427,6 +429,45 @@ def test_every_estimator_returns_a_valid_estimate_with_its_tag(name, n_samples, 
     assert estimate.matrices.shape == (n_samples // 2 + 1, n_channels, n_channels)
     assert estimate.validate().ok
     assert set(record) <= {"var_order", "selected_spans", "window", "tapers", "weights"}
+
+
+def assert_same_record(got, expected, perm):
+    """Equal choices, with the per-trial spans of ``got`` those of ``expected``'s trials
+    listed in the order ``perm``."""
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        if key == "selected_spans":
+            assert got[key] == tuple(value[n] for n in perm)
+        elif key == "weights":
+            for name in ("param_risk", "nonparam_risk", "separation", "weight_raw"):
+                np.testing.assert_array_equal(getattr(got[key], name), getattr(value, name))
+        else:
+            assert got[key] == value, key
+
+
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_every_estimator_and_the_jackknife_keep_their_bits_under_trial_permutations(duplicated):
+    # Every sum over trials visits the trials in the series' canonical order, so a
+    # permutation changes no bit of any estimate, weight or jackknife statistic, also
+    # when two trials are byte-identical; per-trial records move with their trials.
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal((6, 3, 64))
+    if duplicated:
+        values = np.concatenate([values, values[2:3]])
+    options = PipelineOptions(max_order=3, window=5)
+    series = MultiTrialSeries(values, sampling_rate=64.0)
+    expected = {name: ESTIMATORS[name](series, options) for name in ESTIMATORS}
+    stats = jackknife_band_stats(series, (8.0, 20.0), options)
+    for _ in range(3):
+        perm = rng.permutation(len(values))
+        permuted = MultiTrialSeries(values[perm], sampling_rate=64.0)
+        for name, (estimate, record) in expected.items():
+            got, got_record = ESTIMATORS[name](permuted, options)
+            np.testing.assert_array_equal(got.matrices, estimate.matrices, err_msg=name)
+            assert_same_record(got_record, record, perm)
+        other = jackknife_band_stats(permuted, (8.0, 20.0), options)
+        np.testing.assert_array_equal(other.mean_z, stats.mean_z)
+        np.testing.assert_array_equal(other.se, stats.se)
 
 
 def test_estimators_on_one_series_compute_its_periodograms_and_trial_order_once(monkeypatch):

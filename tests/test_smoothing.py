@@ -331,9 +331,28 @@ def test_one_span_group_smooths_the_sets_own_trial_sum(monkeypatch):
         estimate, config = smoothed_estimator(series, **settings)
         monkeypatch.undo()
         (span,) = set(config.selected_spans)  # one group of every trial
-        expected = smooth_periodogram(periodogram_sum(pgrams.dfts, 64), span, 64) / 30
+        expected = smooth_periodogram(periodogram_sum(pgrams.dfts, series.trial_order, 64),
+                                      span, 64) / 30
         error = np.max(np.abs(estimate.matrices - expected))
         assert error <= 1e-15 * np.max(np.abs(expected)), settings
+
+
+def test_span_groups_sum_the_sets_own_dfts_without_copying_them(monkeypatch):
+    # Each group hands periodogram_sum the set's DFTs and its members' indices, in
+    # canonical trial order, rather than a copy of its members' DFTs.
+    series = MultiTrialSeries(np.random.default_rng(7).standard_normal((5, 1, 64)))
+    calls = []
+
+    def recording_sum(dfts, trials, n_samples):
+        calls.append((dfts, [int(n) for n in trials]))
+        return periodogram_sum(dfts, trials, n_samples)
+
+    monkeypatch.setattr(smoothing, "periodogram_sum", recording_sum)
+    _, config = smoothed_estimator(series, span_grid=(3, 7, 13))
+    assert config.selected_spans == (13, 7, 7, 13, 13)
+    assert list(series.trial_order) == [4, 0, 1, 3, 2]
+    assert all(dfts is series.periodograms.dfts for dfts, _ in calls)
+    assert [members for _, members in calls] == [[1, 2], [4, 0, 3]]
 
 
 def test_smoothed_estimator_single_trial_needs_fixed_span():

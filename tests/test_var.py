@@ -21,7 +21,6 @@ from specshrink import (
     SpectralEstimate,
     VarModel,
     detrend,
-    exact_sum,
     fit_var,
     select_var_order,
     simulate_mixture,
@@ -31,7 +30,7 @@ from specshrink import (
     var_spectrum,
 )
 from specshrink import timeseries, var
-from conftest import guard_outcome
+from conftest import fsum_columns, guard_outcome
 
 
 def make_var_trials(coefs, n_trials, n_samples, seed=0, noise=None):
@@ -118,10 +117,10 @@ def reference_fit_var(series, order):
     for x in series.values:
         regs = np.concatenate([x[:, order - k:n_samples - k] for k in range(1, order + 1)])
         blocks.append((x[:, order:], regs))
-    gram = exact_sum(np.stack([regs @ regs.T for _, regs in blocks]))
-    cross = exact_sum(np.stack([resp @ regs.T for resp, regs in blocks]))
+    gram = fsum_columns(np.stack([regs @ regs.T for _, regs in blocks]))
+    cross = fsum_columns(np.stack([resp @ regs.T for resp, regs in blocks]))
     coef_flat = np.linalg.solve(gram, cross.T).T
-    resid_ssp = exact_sum(np.stack([
+    resid_ssp = fsum_columns(np.stack([
         (resp - coef_flat @ regs) @ (resp - coef_flat @ regs).T for resp, regs in blocks]))
     noise = resid_ssp / (n_trials * (n_samples - order) - n_channels * order)
     coefs = coef_flat.reshape(n_channels, order, n_channels).transpose(1, 0, 2)
@@ -243,7 +242,7 @@ def reference_lag_moments(values, top):
         for n, x in enumerate(values):
             lagged = np.concatenate([x[:, k - j:n_samples - j] for j in range(k + 1)])
             per_trial[n] = lagged @ lagged.T
-        yield k, exact_sum(per_trial)
+        yield k, fsum_columns(per_trial)
 
 
 @pytest.mark.parametrize("case", list(_scan_cases()))
