@@ -67,6 +67,19 @@ class FrequencyGrid:
         return out
 
     @cached_property
+    def phase(self) -> np.ndarray:
+        """``exp(-1j * omegas)``, shape ``(n_frequencies,)``, exactly ``-1`` at ``omega = pi``.
+
+        The factor moves numpy's t = 0-based transforms to the t = 1-based
+        convention; with an exact ``-1`` the Nyquist DFT of a real series stays real.
+        """
+        out = np.exp(-1j * self.omegas)
+        if self.n_samples % 2 == 0:
+            out[-1] = -1.0
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def hertz(self) -> np.ndarray:
         """Frequencies in Hz; requires ``sampling_rate``."""
         if self.sampling_rate is None:

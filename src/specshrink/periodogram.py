@@ -45,10 +45,11 @@ SUM_BLOCK_VALUES = 2 ** 13
 def _half_grid_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """Half-grid DFTs, in the convention above, along the last axis of ``values``, any
     leading axes, with no temporary of the result's size; each row is bit-identical to its
-    own transform.  The phase factor ``exp(-1j*omega)`` converts numpy's t = 0-based
-    transform to the t = 1-based convention."""
+    own transform.  The phase factor :attr:`FrequencyGrid.phase` converts numpy's
+    t = 0-based transform to the t = 1-based convention; a real series' Nyquist DFT is
+    real."""
     coefs = np.fft.rfft(values, axis=-1)
-    coefs *= np.exp(-1j * grid.omegas)
+    coefs *= grid.phase
     coefs /= np.sqrt(2.0 * np.pi)
     return coefs
 

@@ -35,7 +35,7 @@ import numpy as np
 from .core import FrequencyGrid, SpectralEstimate, check_count, check_grid, check_weight
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      SpecshrinkError, PipelineError)
-from .multitaper import multitaper_estimator, select_taper_count
+from .multitaper import default_taper_grid, multitaper_estimator, select_taper_count
 from .smoothing import SmoothingConfig, smoothed_estimator
 from .timeseries import MultiTrialSeries
 from .var import VarModel, fit_var, select_var_order, var_spectrum
@@ -358,11 +358,15 @@ def _var(series, options):
 
 
 def _multitaper(series, options):
-    n_tapers = options.n_tapers
+    n_tapers, trial_sum = options.n_tapers, None
     if n_tapers is None:
-        n_tapers = _stage("taper_selection", lambda: select_taper_count(
-            series, options.taper_grid)).median
-    return (_stage("multitaper", lambda: multitaper_estimator(series, n_tapers)),
+        selection = _stage("taper_selection", lambda: select_taper_count(
+            series, options.taper_grid))
+        n_tapers = selection.median
+        if n_tapers == (options.taper_grid or default_taper_grid(series.n_samples))[-1]:
+            trial_sum = selection.trial_sum  # the scan's sum is the top count's
+    return (_stage("multitaper", lambda: multitaper_estimator(series, n_tapers,
+                                                              trial_sum=trial_sum)),
             {"tapers": n_tapers})
 
 

@@ -59,7 +59,8 @@ def _simulate_var_trials(coefs, noise_cov, n_samples: int, burn_in: int, seeds) 
     """One realization of a stable VAR per seed, shape ``(len(seeds), P, n_samples)``.
 
     Each trial draws its innovations from its own generator, so a trial
-    does not depend on the others; one recursion then advances every trial.
+    does not depend on the others; one recursion then advances every trial,
+    one stacked product per time step covering every lag.
     """
     model = VarModel(coefs=np.asarray(coefs, dtype=float), noise_cov=noise_cov)
     radius = model.spectral_radius()
@@ -74,9 +75,12 @@ def _simulate_var_trials(coefs, noise_cov, n_samples: int, burn_in: int, seeds) 
     x = np.empty((total, len(seeds), p))
     for n, seed in enumerate(seeds):
         x[:, n] = _generator(_entropy(seed)).standard_normal((total, p)) @ chol.T
-    for t in range(total):
-        for k in range(1, min(order, t) + 1):
-            x[t] += x[t - k] @ model.coefs[k - 1].T
+    lags = model.coefs.transpose(0, 2, 1)
+    for t in range(1, total):
+        k = min(order, t)
+        # Every lag's product in one call, x(t-1) first, added in that order.
+        for product in np.matmul(x[t - 1::-1][:k], lags[:k]):
+            x[t] += product
     return x[burn_in:].transpose(1, 2, 0).copy()
 
 

@@ -441,6 +441,19 @@ def test_cli_estimate_other_methods(tmp_path):
     assert "selected_spans = 7" in (tmp_path / "smoothed" / "fit_report.txt").read_text()
 
 
+def test_cli_raw_mean_cross_spectra_are_real_at_the_nyquist_frequency(tmp_path):
+    # The DFT phase is exactly -1 at omega = pi, so a real series' Nyquist DFT is real
+    # and so is every periodogram matrix there.
+    data = tmp_path / "t.mts"
+    write_trials(data, make_series(n_channels=3))
+    out = tmp_path / "raw_mean"
+    assert run_cli("estimate", data, "--method", "raw_mean", "--out-dir", out) == 0
+    rows = [line.split(",") for line in (out / "cross_spectra.csv").read_text().splitlines()]
+    nyquist = [row for row in rows[1:] if float(row[0]) == 32.0]  # 64 samples at 64 Hz
+    assert len(nyquist) == 3
+    assert all(float(row[3]) != 0.0 and float(row[4]) == 0.0 for row in nyquist)
+
+
 def test_cli_fixed_weight_one_matches_var(tmp_path):
     data = tmp_path / "t.mts"
     write_trials(data, make_series())

@@ -9,10 +9,13 @@ import pytest
 import specshrink.core as core
 import specshrink.multitaper as multitaper
 from specshrink import (
+    ESTIMATORS,
+    DimensionError,
     DomainError,
     FrequencyGrid,
     InsufficientDataError,
     MultiTrialSeries,
+    PipelineOptions,
     hs_norm_sq,
     multitaper_estimator,
     select_taper_count,
@@ -212,6 +215,66 @@ def test_taper_selection_and_estimate_do_not_depend_on_the_worker_count(monkeypa
     assert np.array_equal(one.risks, two.risks)
     assert (one.per_trial, one.median) == (two.per_trial, two.median)
     assert np.array_equal(one_est, two_est)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_handed_over_trial_sum_gives_the_fresh_estimate(monkeypatch, workers):
+    monkeypatch.setattr(core, "_worker_count", lambda n_tasks: workers)
+    values = np.random.default_rng(10).standard_normal((6, 3, 64))
+    duplicated = np.concatenate([values, values[2:3]])
+    shuffle = np.random.default_rng(11).permutation(len(duplicated))
+    grid = (1, 2, 4, 9)
+    runs = []
+    for trials in (values, values[::-1], duplicated, duplicated[shuffle]):
+        series = MultiTrialSeries(trials)
+        selection = select_taper_count(series, grid)
+        handed = multitaper_estimator(series, grid[-1], trial_sum=selection.trial_sum)
+        np.testing.assert_array_equal(handed.matrices,
+                                      multitaper_estimator(series, grid[-1]).matrices)
+        runs.append((selection.risks, handed.matrices))
+    # The risk rows stay at their trials' input indices; the sums do not see the order.
+    (risks, estimate), (reversed_risks, reversed_estimate) = runs[:2]
+    np.testing.assert_array_equal(reversed_risks, risks[::-1])
+    np.testing.assert_array_equal(reversed_estimate, estimate)
+    (risks, estimate), (shuffled_risks, shuffled_estimate) = runs[2:]
+    np.testing.assert_array_equal(shuffled_risks, risks[shuffle])
+    np.testing.assert_array_equal(shuffled_estimate, estimate)
+
+
+def test_a_trial_sum_of_the_wrong_shape_is_refused():
+    series = MultiTrialSeries(np.random.default_rng(12).standard_normal((3, 2, 32)))
+    with pytest.raises(DimensionError, match=r"must be \(17, 2, 2\), got \(17, 3, 3\)"):
+        multitaper_estimator(series, 3, trial_sum=np.zeros((17, 3, 3), dtype=complex))
+
+
+def _peaked_series(n_trials, n_samples):
+    coefs = np.array([[[1.4]], [[-0.9]]])
+    return MultiTrialSeries(np.stack([simulate_var(coefs, np.eye(1), n_samples, seed=(17, 0, n))
+                                      for n in range(n_trials)]))
+
+
+@pytest.mark.parametrize("data, options, tapers, passes", [
+    ("white", PipelineOptions(taper_grid=(1, 2, 15)), 15, 1),  # the scan hands its sum over
+    ("peaked", PipelineOptions(taper_grid=(1, 2, 15)), 2, 2),  # a median below the grid top
+    ("white", PipelineOptions(n_tapers=15), 15, 1),  # a fixed count: no scan
+])
+def test_a_trial_is_transformed_again_only_below_the_grid_top(monkeypatch, data, options,
+                                                              tapers, passes):
+    series = (MultiTrialSeries(np.random.default_rng(0).standard_normal((5, 2, 64)))
+              if data == "white" else _peaked_series(5, 64))
+    calls = itertools.count()
+    tapered_dfts = multitaper._tapered_dfts
+
+    def counted(*args):
+        next(calls)
+        return tapered_dfts(*args)
+
+    monkeypatch.setattr(multitaper, "_tapered_dfts", counted)
+    estimate, record = ESTIMATORS["multitaper"](series, options)
+    assert record == {"tapers": tapers}
+    assert next(calls) == passes * series.n_trials
+    monkeypatch.undo()
+    np.testing.assert_array_equal(estimate.matrices, multitaper_estimator(series, tapers).matrices)
 
 
 @pytest.mark.parametrize("run", [lambda s: select_taper_count(s, (1, 2, 3)),
