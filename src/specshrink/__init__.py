@@ -9,7 +9,7 @@ periodogram), and a seeded Monte Carlo comparison harness.
 """
 
 from .core import (ESTIMATOR_TAGS, FrequencyGrid, SpectralEstimate, ValidationReport,
-                   extend_full_circle, hermitian_cond, hs_norm_sq, symmetrize, validate_spectral)
+                   hermitian_cond, hs_norm_sq, symmetrize, validate_spectral)
 from .errors import (DataFormatError, DegenerateChannelError, DimensionError,
                      DomainError, EmptyBandError, InsufficientDataError,
                      NearSingularError, PipelineError, RankDeficiencyError,

@@ -3,8 +3,7 @@
 All estimators in this package produce a spectral density matrix per Fourier
 frequency.  Only the closed half grid ``omega_j = 2*pi*j/T`` for
 ``j = 0 .. floor(T/2)`` is ever stored; values on the negative half circle
-follow from conjugate symmetry, ``f(-omega) = conj(f(omega))``, and are
-materialised on demand by :func:`extend_full_circle`.
+follow from conjugate symmetry, ``f(-omega) = conj(f(omega))``.
 """
 
 import math
@@ -383,10 +382,6 @@ class SpectralEstimate:
         """Worst-case Hermitian/PSD report over all frequencies."""
         return validate_spectral(self.matrices)
 
-    def full_circle(self) -> np.ndarray:
-        """Matrices on all ``n_samples`` Fourier frequencies via conjugate symmetry."""
-        return extend_full_circle(self.matrices, self.grid.n_samples)
-
 
 def canonical_trial_order(values: np.ndarray) -> np.ndarray:
     """Trial indices of ``values`` (trials on the first axis) sorted by each trial's
@@ -404,34 +399,3 @@ def canonical_trial_order(values: np.ndarray) -> np.ndarray:
     # One opaque item per trial; its size is given, since reshape(0, -1) cannot infer it.
     keys = arr.view(np.uint8).reshape(len(arr), row_bytes).view(np.dtype((np.void, row_bytes)))
     return np.argsort(keys.reshape(len(arr)), kind="stable")
-
-
-def extend_full_circle(matrices: np.ndarray, n_samples: int) -> np.ndarray:
-    """Extend half-grid matrices to the full circle of ``n_samples`` frequencies.
-
-    Index ``j`` of the result holds the value at ``2*pi*j/n_samples`` for
-    ``j = 0 .. n_samples - 1``; entries above the half grid are filled with
-    ``conj(matrices[n_samples - j])``.
-
-    Parameters
-    ----------
-    matrices : ndarray
-        Shape ``(floor(n_samples/2) + 1, P, P)``.
-    n_samples : int
-        Full circle length ``T``.
-
-    Returns
-    -------
-    ndarray
-        Shape ``(n_samples, P, P)``.
-    """
-    matrices = np.asarray(matrices, dtype=complex)
-    n_half = n_samples // 2 + 1
-    if matrices.ndim != 3 or matrices.shape[0] != n_half:
-        raise DimensionError(
-            f"expected {n_half} half-grid matrices for n_samples={n_samples}, "
-            f"got shape {matrices.shape}")
-    out = np.empty((n_samples,) + matrices.shape[1:], dtype=complex)
-    out[:n_half] = matrices
-    out[n_half:] = np.conj(matrices[1:n_samples - n_half + 1][::-1])
-    return out

@@ -41,7 +41,8 @@ def _entropy(seed) -> tuple[int, ...]:
     return tuple(int(s) for s in entropy)
 
 
-def _generator(entropy: tuple[int, ...]) -> np.random.Generator:
+# Quoted: evaluated at import, the annotation would load numpy.random into every CLI call.
+def _generator(entropy: tuple[int, ...]) -> "np.random.Generator":
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -206,8 +207,7 @@ def vma_spectrum(ma_coef, noise_cov, grid: FrequencyGrid) -> SpectralEstimate:
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1] or noise.shape != theta.shape:
         raise DimensionError("ma_coef and noise_cov must be square with equal shapes")
     p = theta.shape[0]
-    phase = np.exp(-1j * grid.omegas)
-    transfer = np.eye(p)[None, :, :] + phase[:, None, None] * theta[None, :, :]
+    transfer = np.eye(p)[None, :, :] + grid.phase[:, None, None] * theta[None, :, :]
     spec = np.einsum("jpq,qr,jsr->jps", transfer, noise.astype(complex),
                      np.conj(transfer), optimize=True) / (2.0 * np.pi)
     return SpectralEstimate(grid, symmetrize(spec), tag="truth")

@@ -440,8 +440,8 @@ def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:
         frequency (a root on or near the unit circle).
     """
     order, p = model.order, model.n_channels
-    lags = np.arange(1, order + 1)
-    phase = np.exp(-1j * np.outer(grid.omegas, lags))  # (n_freq, order)
+    # exp(-1j*w*k) as powers of FrequencyGrid.phase, so the Nyquist transfer is exactly real
+    phase = np.cumprod(np.repeat(grid.phase[:, None], order, axis=1), axis=1)  # (n_freq, order)
     transfer = np.eye(p) - np.einsum("jk,kpq->jpq", phase, model.coefs.astype(complex))
     inv = certified_inverse(transfer, TRANSFER_COND_LIMIT)
     if inv is None:  # the bound did not certify: compute the exact condition numbers

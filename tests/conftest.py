@@ -1,7 +1,8 @@
 """Shared test fixtures: the acceptance-criteria verdict log, one trial's DFT
 and periodogram matrices and the stacked per-trial periodograms that the
 estimators' trial passes are checked against, the outcome of a guarded
-call that certified guards are checked against, the full-circle
+call that certified guards are checked against, the conjugate-symmetric
+extension of half-grid matrices to the full circle and the full-circle
 smoothing that the lag-domain smoothing is checked against, and the exactly
 rounded sums over trials that the package's trial sums are checked against."""
 
@@ -11,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specshrink import DimensionError, FrequencyGrid, extend_full_circle, symmetrize
+from specshrink import DimensionError, FrequencyGrid, symmetrize
 from specshrink.periodogram import _half_grid_dft
 from specshrink.smoothing import _kernel_transfer
 
@@ -46,6 +47,28 @@ def stacked_periodograms(series):
     trial by trial, stacked.  The package keeps only the trials' DFTs."""
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
     return np.stack([raw_periodogram(values, grid) for values in series.values])
+
+
+def extend_full_circle(matrices, n_samples):
+    """Half-grid matrices ``(floor(n_samples/2) + 1, P, P)`` extended to the full circle of
+    ``n_samples`` frequencies: index ``j`` holds the value at ``2*pi*j/n_samples``, and the
+    entries above the half grid are ``conj(matrices[n_samples - j])``."""
+    matrices = np.asarray(matrices, dtype=complex)
+    n_half = n_samples // 2 + 1
+    if matrices.ndim != 3 or matrices.shape[0] != n_half:
+        raise DimensionError(
+            f"expected {n_half} half-grid matrices for n_samples={n_samples}, "
+            f"got shape {matrices.shape}")
+    out = np.empty((n_samples,) + matrices.shape[1:], dtype=complex)
+    out[:n_half] = matrices
+    out[n_half:] = np.conj(matrices[1:n_samples - n_half + 1][::-1])
+    return out
+
+
+def full_circle(estimate):
+    """A :class:`~specshrink.SpectralEstimate`'s matrices on all ``n_samples`` Fourier
+    frequencies, by :func:`extend_full_circle`."""
+    return extend_full_circle(estimate.matrices, estimate.grid.n_samples)
 
 
 def full_circle_smooth(matrices, span, n_samples):

@@ -44,6 +44,7 @@ from specshrink import (
     write_trials,
 )
 from specshrink.cli import main as cli_main
+from conftest import full_circle
 
 
 def report(log, number, title, ok, detail=""):
@@ -108,7 +109,7 @@ def test_criterion_2_var_spectrum_oracle(acceptance_log):
         assert model.is_stable
 
         total = (2 * np.pi / 1024) * \
-            var_spectrum(model, FrequencyGrid(1024)).full_circle().sum(axis=0)
+            full_circle(var_spectrum(model, FrequencyGrid(1024))).sum(axis=0)
         companion = model.companion()
         forcing = np.zeros_like(companion)
         forcing[:n_channels, :n_channels] = model.noise_cov

@@ -1,5 +1,7 @@
 """Coherence, partial coherence, band statistics, and the inference stack."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,8 @@ def test_welch_t_antisymmetry_and_edges():
 
 
 def test_welch_t_p_value_matches_the_student_t_survival_function():
+    # scipy (a test-only oracle) is itself off by up to about 3e-9 relative, at df = 1,
+    # t = 1e-8; on these cases the two agree far inside 1e-11.
     from scipy import stats
     rng = np.random.default_rng(13)
     for _ in range(500):
@@ -361,7 +365,60 @@ def test_welch_t_p_value_matches_the_student_t_survival_function():
         se_a, se_b = rng.uniform(0.01, 2.0, 2)
         n_a, n_b = rng.integers(2, 200, 2)
         t, df, p = welch_t((mean_a, se_a, n_a), (mean_b, se_b, n_b))
-        assert p == 2.0 * float(stats.t.sf(abs(t), df))
+        assert p == pytest.approx(2.0 * float(stats.t.sf(abs(t), df)), rel=1e-11, abs=0.0)
+
+
+def closed_form_t_tail(t, df):
+    """``P(|T| >= |t|)`` for an integer ``df`` from A&S 26.7.3 (odd) and 26.7.4 (even):
+    ``1 - A(t|df)`` with ``theta = atan(|t| / sqrt(df))``."""
+    theta = math.atan(abs(t) / math.sqrt(df))
+    s, c = math.sin(theta), math.cos(theta)
+    if df % 2:
+        term, total = c, 0.0
+        for k in range(1, (df - 1) // 2 + 1):  # cos, (2/3) cos^3, (2 4)/(3 5) cos^5, ...
+            total += term
+            term *= 2 * k / (2 * k + 1) * c * c
+        return 1.0 - 2.0 / math.pi * (theta + s * total)
+    term, total = 1.0, 0.0
+    for k in range(df // 2):  # 1, (1/2) cos^2, (1 3)/(2 4) cos^4, ...
+        total += term
+        term *= (2 * k + 1) / (2 * k + 2) * c * c
+    return 1.0 - s * total
+
+
+def test_student_t_tail_against_closed_forms_and_limits():
+    tail = connectivity._t_two_sided
+    # Where the closed forms keep their digits (p above about 0.01 for 1 - A).
+    for df in range(1, 11):
+        for t in (1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+            expected = closed_form_t_tail(t, df)
+            assert tail(t, df) == pytest.approx(expected, rel=1e-12, abs=0.0), (df, t)
+            assert tail(-t, df) == tail(t, df)
+    # df = 1 and 2 have tails with no cancellation, over the whole range of t.
+    for t in (1e-8, 1e-3, 0.3, 3.0, 40.0, 1e3, 1e6, 1e200):
+        assert tail(t, 1) == pytest.approx(2.0 / math.pi * math.atan2(1.0, t), rel=1e-12)
+        root = math.sqrt(2.0 + t * t)
+        assert tail(t, 2) == pytest.approx(2.0 / (root * (root + t)), rel=1e-12)
+    # Large df, where a log-beta from lgamma(a + 1/2) - lgamma(a), or a continued fraction
+    # formed from 1 - x near x = 1, is off by about 1e-12: 40-digit mpmath values of
+    # betainc(df/2, 1/2, 0, df/(df + t**2), regularized=True).
+    for df, t, expected in ((20, 30.0, 4.1952253239996581622e-18),
+                            (2000, 0.63, 0.5287665509954480338),
+                            (2000, 1.74, 0.08201283793403035369),
+                            (2000, 30.0, 1.3707730191126110873e-163),
+                            (9999.5, 1.74, 0.081889783374537692912),
+                            (9999.5, 3.0, 0.0027064485228383534671),
+                            (1e6, 1.74, 0.081859325596102744689),
+                            (1e6, 30.0, 1.2020094233663437883e-197)):
+        assert tail(t, df) == pytest.approx(expected, rel=1e-13, abs=0.0), (df, t)
+    # The normal limit: exactly erfc at df = inf, and within O(1/df) of it.
+    for t in (0.5, 1.0, 2.0, 4.0):
+        normal = math.erfc(t / math.sqrt(2.0))
+        assert tail(t, math.inf) == normal
+        assert tail(t, 1e8) == pytest.approx(normal, rel=1e-6)
+    for df in (1, 2.5, 30, 1e4, math.inf):
+        assert tail(0.0, df) == 1.0
+        assert tail(math.inf, df) == 0.0 and tail(-math.inf, df) == 0.0
 
 
 def test_bh_fdr_hand_example():

@@ -19,7 +19,6 @@ from specshrink import (
     SimulationConfig,
     SpectralEstimate,
     detrend,
-    extend_full_circle,
     fit_var,
     hann_weights,
     hermitian_cond,
@@ -37,6 +36,7 @@ import specshrink.core as core
 from specshrink.core import certified_inverse, check_count, check_grid, map_trials
 from specshrink.multitaper import validate_taper_grid
 from specshrink.smoothing import validate_span_grid
+from conftest import extend_full_circle
 
 
 def test_grid_shapes_and_values():

@@ -11,13 +11,12 @@ from specshrink import (
     MultiTrialSeries,
     PipelineOptions,
     compute_periodograms,
-    extend_full_circle,
     shrinkage_pipeline,
 )
 from specshrink import periodogram
 from specshrink.periodogram import periodogram_sum
 
-from conftest import raw_periodogram, stacked_periodograms, trial_dft
+from conftest import extend_full_circle, raw_periodogram, stacked_periodograms, trial_dft
 
 
 def test_dft_convention_matches_direct_sum():

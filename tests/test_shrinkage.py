@@ -17,7 +17,6 @@ from specshrink import (
     SpectralEstimate,
     combine_estimates,
     estimator_separation,
-    extend_full_circle,
     hs_norm_sq,
     jackknife_band_stats,
     shrinkage_diagnostics,
@@ -25,6 +24,7 @@ from specshrink import (
     shrinkage_weight,
 )
 from specshrink import periodogram, simulate_mixture, timeseries
+from conftest import extend_full_circle
 
 
 def risk_vs_pilot(estimate, pilot, window):

@@ -24,6 +24,7 @@ from specshrink import (
     var_spectrum,
     vma_spectrum,
 )
+from conftest import full_circle
 
 
 def test_simulate_var_white_noise_covariance():
@@ -196,11 +197,22 @@ def test_vma_spectrum_univariate_closed_form():
     assert spec.matrices[-1, 0, 0].real == pytest.approx(0.25 / (2 * np.pi))
 
 
+def test_exact_spectra_are_real_at_zero_and_nyquist():
+    # The transfer phases are powers of FrequencyGrid.phase, exactly 1 at omega = 0 and
+    # -1 at omega = pi, so the transfer matrices there are real and so are the spectra.
+    grid = FrequencyGrid(256)
+    dense = VarModel(coefs=0.1 * np.random.default_rng(3).standard_normal((5, 12, 12)),
+                     noise_cov=np.eye(12))
+    for spec in (vma_spectrum(benchmark_ma_coef(), np.eye(12), grid), var_spectrum(dense, grid),
+                 true_mixture_spectrum(SimulationConfig(), grid)):
+        assert np.all(spec.matrices[[0, -1]].imag == 0.0)
+
+
 def test_vma_spectrum_integrates_to_lag0_covariance():
     # an order-1 trigonometric polynomial is summed exactly by any grid
     theta = benchmark_ma_coef()
     spec = vma_spectrum(theta, np.eye(12), FrequencyGrid(16))
-    cov = (2 * np.pi / 16) * spec.full_circle().sum(axis=0)
+    cov = (2 * np.pi / 16) * full_circle(spec).sum(axis=0)
     np.testing.assert_allclose(cov.real, np.eye(12) + theta @ theta.T, atol=1e-12)
     np.testing.assert_allclose(cov.imag, 0.0, atol=1e-12)
 

@@ -14,7 +14,6 @@ from specshrink import (
     MultiTrialSeries,
     compute_periodograms,
     default_span_grid,
-    extend_full_circle,
     hann_weights,
     hs_norm_sq,
     simulate_var,
@@ -26,7 +25,7 @@ from specshrink import smoothing
 from specshrink.periodogram import periodogram_sum
 from specshrink.smoothing import _span_kernels, validate_span_grid
 
-from conftest import full_circle_smooth, stacked_periodograms
+from conftest import extend_full_circle, full_circle_smooth, stacked_periodograms
 
 
 def test_hann_weights_span3():

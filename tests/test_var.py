@@ -30,7 +30,7 @@ from specshrink import (
     var_spectrum,
 )
 from specshrink import timeseries, var
-from conftest import fsum_columns, guard_outcome
+from conftest import fsum_columns, full_circle, guard_outcome
 
 
 def make_var_trials(coefs, n_trials, n_samples, seed=0, noise=None):
@@ -467,7 +467,7 @@ def test_spectrum_grid_sum_matches_lyapunov_lag0_covariance():
     model = VarModel(coefs, np.array([[1.0, 0.3], [0.3, 2.0]]))
     assert model.is_stable
     grid = FrequencyGrid(1024)
-    full = var_spectrum(model, grid).full_circle()
+    full = full_circle(var_spectrum(model, grid))
     cov_grid = (2 * np.pi / 1024) * full.sum(axis=0)
 
     comp = model.companion()
@@ -530,9 +530,10 @@ def exact_select_var_order(series, max_order):
 
 def exact_var_spectrum(model, grid):
     """Test-only oracle: the VAR spectrum behind the exact transfer-condition guard
-    (an SVD per frequency), contracted by ``einsum``, as before the guard was certified."""
+    (an SVD per frequency), contracted by ``einsum``, as before the guard was certified.
+    Its phases are the package's, the powers of ``grid.phase``."""
     order, p = model.order, model.n_channels
-    phase = np.exp(-1j * np.outer(grid.omegas, np.arange(1, order + 1)))
+    phase = np.cumprod(np.repeat(grid.phase[:, None], order, axis=1), axis=1)
     transfer = np.eye(p) - np.einsum("jk,kpq->jpq", phase, model.coefs.astype(complex))
     conds = np.linalg.cond(transfer)
     worst = int(np.argmax(conds))
