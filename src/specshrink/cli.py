@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import io as sio
-from .connectivity import (apply_fdr, band_average, band_mask, check_band, check_fdr_level,
+from .connectivity import (apply_fdr, band_mask, check_band, check_fdr_level,
                            jackknife_band_stats, pairwise_tests, partial_coherence)
 from .core import FrequencyGrid
 from .errors import DomainError, SpecshrinkError
@@ -333,12 +333,13 @@ def cmd_connectivity(args) -> int:
     suffixes = ("left", "right")
 
     # on a copy, so that the series the jackknife reads does not keep the full-series
-    # periodograms alive, which no replicate reads
-    per_condition = [partial_coherence(shrinkage_pipeline(replace(series), options).estimate)
-                     for series in conditions]
-    for name, lo, hi in config.bands:
-        for pcoh, suffix in zip(per_condition, suffixes):
-            banded = band_average(pcoh, (lo, hi))
+    # periodograms alive, which no replicate reads; each band's frequencies alone are
+    # inverted, and no estimate outlives its bands
+    estimates = (shrinkage_pipeline(replace(series), options).estimate for series in conditions)
+    per_condition = [[partial_coherence(estimate, band=(lo, hi)) for _, lo, hi in config.bands]
+                     for estimate in estimates]
+    for (name, _, _), per_band in zip(config.bands, zip(*per_condition)):
+        for banded, suffix in zip(per_band, suffixes):
             stem = f"pcoh_{name}.csv" if len(conditions) == 1 else f"pcoh_{name}_{suffix}.csv"
             sio.write_csv(_out_path(config, stem),
                           ("channel_a", "channel_b", "value"),

@@ -18,8 +18,10 @@ from .core import (FrequencyGrid, SpectralEstimate, _is_real, certified_inverse,
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
                      EmptyBandError, InsufficientDataError, NearSingularError,
                      PipelineError, SpecshrinkError)
+from .periodogram import _half_grid_dft, periodogram_set
 from .shrinkage import PipelineOptions, shrinkage_pipeline
 from .timeseries import MultiTrialSeries
+from .var import _lag_products
 
 #: Condition-number guard for inverting spectral matrices.
 INVERSION_COND_LIMIT = 1e12
@@ -31,6 +33,11 @@ UPPER_SLACK = 1e-10
 
 #: The FDR level when none is given.
 DEFAULT_FDR_Q = 0.05
+
+#: Bytes up to which :func:`jackknife_band_stats` keeps every trial's lag-domain span-risk
+#: transform ``f_own`` (``N * P*(P+1)/2 * T`` doubles: 19 MB at 120 x 12 x 256, 173 MB at
+#: 40 x 32 x 1024); above it each replicate transforms its trials again.
+F_OWN_CAP_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -59,15 +66,21 @@ class ConnectivityResult:
         if self.grid is not None and vals.shape[0] != self.grid.n_frequencies:
             raise DimensionError(f"{vals.shape[0]} matrices for {self.grid.n_frequencies} "
                                  "grid frequencies")
-        if not np.array_equal(vals, np.swapaxes(vals, -1, -2)):
-            raise DomainError("connectivity matrices must be exactly symmetric")
-        if np.any(vals < 0.0) or np.any(vals > 1.0 + UPPER_SLACK):
-            raise DomainError("connectivity values must lie in [0, 1] (plus tolerance)")
+        _check_values(vals)
         object.__setattr__(self, "values", vals)
 
     @property
     def n_channels(self) -> int:
         return self.values.shape[-1]
+
+
+def _check_values(vals: np.ndarray):
+    """:class:`DomainError` unless connectivity matrices are exactly symmetric with entries
+    in [0, 1] (plus :data:`UPPER_SLACK`)."""
+    if not np.array_equal(vals, np.swapaxes(vals, -1, -2)):
+        raise DomainError("connectivity matrices must be exactly symmetric")
+    if np.any(vals < 0.0) or np.any(vals > 1.0 + UPPER_SLACK):
+        raise DomainError("connectivity values must lie in [0, 1] (plus tolerance)")
 
 
 def _real_diagonal(matrices: np.ndarray) -> np.ndarray:
@@ -94,8 +107,8 @@ def coherence(estimate: SpectralEstimate) -> ConnectivityResult:
     return ConnectivityResult(kind="coherence", values=vals, grid=estimate.grid)
 
 
-def partial_coherence(estimate: SpectralEstimate) -> ConnectivityResult:
-    """Partial coherence from the inverse spectral matrix, per frequency.
+def partial_coherence(estimate: SpectralEstimate, *, band=None) -> ConnectivityResult:
+    """Partial coherence from the inverse spectral matrix, per frequency or over a band.
 
     With ``g = f**-1`` (symmetrized), the partial coherence of channels p
     and q is ``|g_pq|**2 / (g_pp * g_qq)`` -- the squared modulus of the
@@ -105,35 +118,50 @@ def partial_coherence(estimate: SpectralEstimate) -> ConnectivityResult:
     (:func:`~specshrink.core.certified_inverse`); the exact condition
     numbers are computed only when that bound does not certify.
 
+    With ``band``, a Hz range ``(lo, hi)``, only the grid frequencies of
+    :func:`band_mask` are inverted, guarded and averaged, and the result is their
+    band average, bit for bit ``band_average(partial_coherence(estimate), band)``.
+    A matrix outside the band is not inverted, so it cannot raise.
+
     Raises
     ------
     NearSingularError
-        If some frequency's matrix is singular or has condition number
-        above :data:`INVERSION_COND_LIMIT`.  No regularization is applied;
+        If some frequency's matrix (in the band, when one is given) is singular
+        or has condition number above :data:`INVERSION_COND_LIMIT`; the message
+        names its grid frequency index and omega.  No regularization is applied;
         a failure here should be addressed by a better-conditioned estimator.
     """
-    mats = symmetrize(estimate.matrices)
+    grid = estimate.grid
+    frequencies = np.arange(grid.n_frequencies)
+    if band is not None:
+        band = check_band(band)
+        frequencies = frequencies[band_mask(grid, band)]
+    mats = symmetrize(estimate.matrices if band is None else estimate.matrices[frequencies])
     inverse = certified_inverse(mats, INVERSION_COND_LIMIT)
     if inverse is None:  # the bound did not certify: compute the exact condition numbers
         conds = hermitian_cond(mats)
         worst = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
         if not np.all(np.isfinite(conds)) or conds[worst] > INVERSION_COND_LIMIT:
+            index = int(frequencies[worst])
             raise NearSingularError(
-                f"spectral matrix at frequency index {worst} "
-                f"(omega = {estimate.grid.omegas[worst]:.6g} rad/sample) has condition number "
+                f"spectral matrix at frequency index {index} "
+                f"(omega = {grid.omegas[index]:.6g} rad/sample) has condition number "
                 f"{conds[worst]:.3g}, above the inversion guard {INVERSION_COND_LIMIT:.0e}")
         inverse = np.linalg.inv(mats)
     inv = symmetrize(inverse)
     diag = _real_diagonal(inv)
     if np.any(diag <= 0.0):
-        j = int(np.argwhere(diag <= 0.0)[0][0])
+        index = int(frequencies[np.argwhere(diag <= 0.0)[0][0]])
         raise NearSingularError(
-            f"inverse spectral matrix lost positivity at frequency index {j}; "
+            f"inverse spectral matrix lost positivity at frequency index {index}; "
             "the estimate is too ill-conditioned for partial coherence")
     vals = np.abs(inv) ** 2 / (diag[:, :, None] * diag[:, None, :])
     di = np.arange(estimate.n_channels)
     vals[:, di, di] = 1.0
-    return ConnectivityResult(kind="partial_coherence", values=vals, grid=estimate.grid)
+    if band is None:
+        return ConnectivityResult(kind="partial_coherence", values=vals, grid=grid)
+    _check_values(vals)
+    return ConnectivityResult(kind="partial_coherence", values=vals.mean(axis=0), band=band)
 
 
 def check_band(band) -> tuple[float, float]:
@@ -196,32 +224,121 @@ class BandStats:
     band: tuple[float, float]
 
 
+class _TrialPieces:
+    """Every piece of a leave-one-out replicate of ``series`` that depends on one trial
+    alone, each formed once for all the trials: the trials' DFT rows, their VAR lag products
+    (:func:`~specshrink.var._lag_products`, at the highest order asked so far) and their
+    span-risk terms (:class:`~specshrink.smoothing._TrialTerms`, for the last span grid
+    asked; ``f_own`` only while :data:`F_OWN_CAP_BYTES` holds it).  A replicate reads them
+    through :meth:`drop`, and each of its sums over trials adds its kept trials' pieces in
+    its own canonical order, so it is bit for bit the replicate that computes everything
+    itself."""
+
+    def __init__(self, series: MultiTrialSeries):
+        self.series = series
+        self.grid = FrequencyGrid(series.n_samples, series.sampling_rate)
+        self.dfts = _half_grid_dft(series.values, self.grid)
+        self.lags = None
+        self.span = None  # (terms key, f_own or None, own_sq, own_ends, smoothed)
+
+    def drop(self, index: int) -> MultiTrialSeries:
+        """``series.drop_trial(index)`` with its trial order, periodogram set and
+        :attr:`~specshrink.timeseries.MultiTrialSeries.trial_pieces` taken from these pieces.
+
+        Dropping a trial from a byte-sorted order leaves the kept trials byte-sorted, so the
+        replicate's canonical order is the series' without ``index``."""
+        replicate = self.series.drop_trial(index)
+        kept = np.delete(np.arange(self.series.n_trials), index)
+        order = self.series.trial_order
+        order = order[order != index]
+        order -= order > index
+        for name, value in (("trial_order", order),
+                            ("periodograms", periodogram_set(self.grid, self.dfts[kept], order)),
+                            ("trial_pieces", _KeptPieces(self, kept))):
+            object.__setattr__(replicate, name, value)  # what the replicate would compute
+        return replicate
+
+    def lag_products(self, top: int, kept: np.ndarray) -> np.ndarray:
+        """The kept trials' lag products up to lag ``top``, ``(len(kept), top+1, P, P)``."""
+        if self.lags is None or self.lags.shape[1] <= top:
+            self.lags = np.concatenate(list(_lag_products(
+                self.series.values, np.arange(self.series.n_trials), top)))
+        return self.lags[kept, :top + 1]
+
+    def span_terms(self, terms, kept: np.ndarray):
+        """Yield the kept trials' ``terms`` in order, transforming a trial again only where
+        ``f_own`` is not kept."""
+        if self.span is None or self.span[0] != terms.key:
+            self.span = None  # drop the old grid's terms first
+            n_trials = len(self.dfts)
+            keep = n_trials * len(terms.rows) * terms.n_samples * 8 <= F_OWN_CAP_BYTES
+            f_own = stacks = None
+            for n, (trial_f_own, *rest) in enumerate(map(terms, self.dfts)):
+                if stacks is None:
+                    f_own = np.empty((n_trials,) + trial_f_own.shape) if keep else None
+                    stacks = [np.empty((n_trials,) + term.shape) for term in rest]
+                if keep:
+                    f_own[n] = trial_f_own
+                for stack, term in zip(stacks, rest):
+                    stack[n] = term
+            self.span = (terms.key, f_own, *stacks)
+        _, f_own, own_sq, own_ends, smoothed = self.span
+        for n in kept:
+            yield (terms.transform(self.dfts[n])[1] if f_own is None else f_own[n],
+                   own_sq[n], own_ends[n], smoothed[n])
+
+
+class _KeptPieces:
+    """What one replicate reads of :class:`_TrialPieces`: the pieces of its kept trials,
+    indexed like the replicate's own trials."""
+
+    def __init__(self, pieces: _TrialPieces, kept: np.ndarray):
+        self.pieces, self.kept = pieces, kept
+
+    def lag_products(self, top: int) -> np.ndarray:
+        return self.pieces.lag_products(top, self.kept)
+
+    def span_terms(self, terms):
+        return self.pieces.span_terms(terms, self.kept)
+
+
 def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
                          options: PipelineOptions | None = None) -> BandStats:
     """Leave-one-trial-out jackknife of band-averaged partial coherence.
 
     For each left-out trial the full shrinkage pipeline is rerun on the
-    remaining trials, partial coherence is band-averaged and Fisher-z
+    remaining trials, partial coherence is inverted and averaged over the
+    band's frequencies alone (``partial_coherence(..., band=band)``) and Fisher-z
     transformed; the function returns the replicate mean and the jackknife
     standard error ``sqrt((n-1)/n * sum((z_i - mean)**2))`` per channel
     pair.  Every sum over trials, in each replicate and over the replicates,
     runs in canonical trial order (:attr:`MultiTrialSeries.trial_order`), so
-    permuting the trials changes no bit of the result.  A band that holds no
-    Fourier frequency raises :class:`EmptyBandError` before any replicate
-    runs; a replicate that fails raises :class:`PipelineError` whose stage
-    names the left-out trial.
+    permuting the trials changes no bit of the result.
+
+    Each call first forms, once for all the trials, every piece that depends on
+    one trial alone (:class:`_TrialPieces`): the DFTs, the VAR lag products and
+    the span-risk terms.  Each replicate adds its kept trials' pieces and
+    recomputes everything else, the trial sums and all that follows them, so it
+    is bit for bit ``shrinkage_pipeline(series.drop_trial(i), options)``.  The
+    pieces live for the call only; nothing is kept on ``series``.
+
+    A band that holds no Fourier frequency raises :class:`EmptyBandError` before
+    any replicate runs; a replicate that fails raises :class:`PipelineError`
+    whose stage names the left-out trial.  A replicate's spectral matrix that
+    cannot be inverted outside the band raises nothing.
     """
     n = series.n_trials
     if n < 2:
         raise InsufficientDataError("jackknife needs at least two trials")
     band = check_band(band)
     band_mask(FrequencyGrid(series.n_samples, series.sampling_rate), band)
+    pieces = _TrialPieces(series)
     replicates = []
     for leave_out in range(n):
         try:
-            result = shrinkage_pipeline(series.drop_trial(leave_out), options)
-            banded = band_average(partial_coherence(result.estimate), band)
-            vals = banded.values.copy()
+            # one expression, so that no replicate's pipeline result outlives it
+            vals = partial_coherence(shrinkage_pipeline(pieces.drop(leave_out), options).estimate,
+                                     band=band).values.copy()
             np.fill_diagonal(vals, 0.0)
             replicates.append(fisher_z(vals))
         except SpecshrinkError as err:

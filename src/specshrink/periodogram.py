@@ -113,10 +113,15 @@ class PeriodogramSet:
         return self.mean.matrices * self.n_trials
 
 
+def periodogram_set(grid: FrequencyGrid, dfts: np.ndarray, trials) -> PeriodogramSet:
+    """The set of the trial DFTs ``dfts``, with their mean periodogram summed in the order
+    ``trials`` lists them (:func:`periodogram_sum`)."""
+    mean = periodogram_sum(dfts, trials, grid.n_samples)
+    mean /= len(dfts)
+    return PeriodogramSet(grid=grid, dfts=dfts, mean=SpectralEstimate(grid, mean, tag="raw_mean"))
+
+
 def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:
     """The DFT of every trial of ``series``, plus the mean periodogram."""
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
-    dfts = _half_grid_dft(series.values, grid)
-    mean = periodogram_sum(dfts, series.trial_order, grid.n_samples)
-    mean /= series.n_trials
-    return PeriodogramSet(grid=grid, dfts=dfts, mean=SpectralEstimate(grid, mean, tag="raw_mean"))
+    return periodogram_set(grid, _half_grid_dft(series.values, grid), series.trial_order)

@@ -177,7 +177,56 @@ def _span_kernels(grid: tuple[int, ...], n_samples: int) -> tuple[np.ndarray, np
     return transfers, weights
 
 
-def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
+class _TrialTerms:
+    """The terms of :func:`span_risks` that depend on one trial alone, for a span grid and a
+    data shape: calling it on a trial's DFT ``d`` returns ``(f_own, own_sq, own_ends,
+    smoothed)``.
+
+    Entry ``(q, p)`` of a lagged covariance is entry ``(p, q)`` reversed in lag and every
+    transfer is even in lag, so the upper triangle, with off-diagonal entries scaled by
+    sqrt(2), gives every sum over entries.  A trial's triangle is built straight from ``d``
+    and its sqrt(2)-scaled copy, one row per entry, so its lag transform ``f_own`` is a plain
+    ``irfft``; ``own_sq`` is its squared norm at each lag.  ``own_ends`` is the triangle's
+    real part at the endpoints omega = 0 and, for even T, omega = pi, divided by T, and
+    ``smoothed`` is that at each endpoint smoothed with every span, from the reflected rows
+    of :attr:`window_rows` and the kernels folded onto offsets ``0 .. half`` (module
+    docstring).
+    """
+
+    def __init__(self, grid: tuple[int, ...], n_samples: int, n_channels: int):
+        self.key = (grid, n_samples, n_channels)
+        self.n_samples = n_samples
+        self.transfers, weights = _span_kernels(grid, n_samples)
+        self.rows, self.cols = np.triu_indices(n_channels)
+        diagonal = self.rows == self.cols
+        self.scaled_cols = np.where(diagonal, self.cols, self.cols + n_channels)
+        self.scale = np.where(diagonal, 1.0, np.sqrt(2.0))[:, None]
+        # At the endpoints the pilot and the smoothed trial are real (the kernel is symmetric
+        # and each reflected entry is a conjugate), and offsets +o and -o read the same
+        # reflected row, so each kernel folds onto offsets 0 .. half with weights doubled
+        # above 0.
+        self.half = (weights.shape[1] - 1) // 2
+        self.folded = weights[:, self.half:] * np.where(np.arange(self.half + 1) > 0, 2.0, 1.0)
+        self.endpoints = np.array([0, n_samples // 2] if n_samples % 2 == 0 else [0])
+        circle = (self.endpoints[:, None] + np.arange(self.half + 1)) % n_samples
+        self.window_rows = np.minimum(circle, n_samples - circle)
+
+    def transform(self, d: np.ndarray):
+        """A trial's upper triangle and its lag transform ``f_own``, from its DFT ``d``."""
+        own = np.conj(d)[self.rows]
+        own *= np.concatenate((d, np.sqrt(2.0) * d))[self.scaled_cols]
+        # irfft(conj(d_p) d_q) is hfft(d_p conj(d_q) / T): the entry's lag transform.
+        return own, np.fft.irfft(own, n=self.n_samples, axis=-1)
+
+    def __call__(self, d: np.ndarray):
+        own, f_own = self.transform(d)
+        own_sq = np.einsum("ek,ek->k", f_own, f_own)
+        own_ends = own.real[:, self.window_rows] / self.n_samples
+        smoothed = own_ends.reshape(-1, self.half + 1) @ self.folded.T
+        return f_own, own_sq, own_ends[:, :, 0], smoothed
+
+
+def span_risks(periodograms: PeriodogramSet, span_grid, *, pieces=None) -> np.ndarray:
     """Unbiased-risk curves of every trial over the candidate spans, ``(n_trials, n_spans)``.
 
     The risk of a span for trial ``n`` is
@@ -186,7 +235,11 @@ def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
     the smoothed term is trial ``n``'s periodogram smoothed with that span.
     One lag-domain transform per trial, plus one of the trial sum, scores
     every span of every trial (see the module docstring); trials are
-    streamed one at a time.
+    streamed one at a time.  ``pieces``, the
+    :attr:`~specshrink.timeseries.MultiTrialSeries.trial_pieces` of the series the
+    periodograms belong to, hands over each trial's own terms (:class:`_TrialTerms`) as
+    they were formed once for a larger set, bit for bit the same; only the trial sum's
+    terms are formed here then.
     """
     grid = validate_span_grid(span_grid)
     n_trials = periodograms.n_trials
@@ -195,55 +248,30 @@ def span_risks(periodograms: PeriodogramSet, span_grid) -> np.ndarray:
             "span selection needs at least two trials for its leave-one-out pilot; "
             "set fixed_span to smooth a single trial")
     n_samples = periodograms.grid.n_samples
-    n_channels = periodograms.dfts.shape[1]
-    transfers, weights = _span_kernels(grid, n_samples)
-    transfers_sq = transfers ** 2
-
-    # Entry (q, p) of a lagged covariance is entry (p, q) reversed in lag and
-    # every transfer is even in lag, so the upper triangle, with off-diagonal
-    # entries scaled by sqrt(2), gives every sum over entries.  A trial's
-    # triangle is built straight from its DFT ``d`` and its sqrt(2)-scaled
-    # copy, one row per entry, so its transform is a plain ``irfft``.
-    rows, cols = np.triu_indices(n_channels)
-    scaled_cols = np.where(rows == cols, cols, cols + n_channels)
-    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))[:, None]
-    total = periodograms.total[:, rows, cols].T * scale
+    terms = _TrialTerms(grid, n_samples, periodograms.dfts.shape[1])
+    transfers_sq = terms.transfers ** 2
+    total = periodograms.total[:, terms.rows, terms.cols].T * terms.scale
     f_total = np.fft.hfft(total, n=n_samples, axis=-1)
     total_sq = np.einsum("ek,ek->", f_total, f_total)
-
     # The full circle holds every half-grid frequency twice except omega = 0
-    # and, for even T, omega = pi; add those once more.  There the pilot and
-    # the smoothed trial are real (the kernel is symmetric and each reflected
-    # entry is a conjugate), and offsets +o and -o read the same reflected
-    # row, so each kernel folds onto offsets 0 .. half with weights doubled
-    # above 0.
-    half = (weights.shape[1] - 1) // 2
-    folded = weights[:, half:] * np.where(np.arange(half + 1) > 0, 2.0, 1.0)
-    endpoints = np.array([0, n_samples // 2] if n_samples % 2 == 0 else [0])
-    circle = (endpoints[:, None] + np.arange(half + 1)) % n_samples
-    window_rows = np.minimum(circle, n_samples - circle)
-    total_ends = total.real[:, endpoints]
+    # and, for even T, omega = pi; add those once more.
+    total_ends = total.real[:, terms.endpoints]
 
+    per_trial = map(terms, periodograms.dfts) if pieces is None else pieces.span_terms(terms)
     risks = np.empty((n_trials, len(grid)))
-    for n, d in enumerate(periodograms.dfts):
-        own = np.conj(d)[rows]
-        own *= np.concatenate((d, np.sqrt(2.0) * d))[scaled_cols]
-        # irfft(conj(d_p) d_q) is hfft(d_p conj(d_q) / T): the entry's lag transform.
-        f_own = np.fft.irfft(own, n=n_samples, axis=-1)
+    for n, (f_own, own_sq, own_ends, smoothed) in enumerate(per_trial):
         own_total = np.einsum("ek,ek->k", f_own, f_total)
-        own_sq = np.einsum("ek,ek->k", f_own, f_own)
         # The pilot's transform is (f_total - f_own) / (N - 1).
         cross = (own_total - own_sq) / (n_trials - 1)
         pilot_sq = (total_sq - 2.0 * own_total.sum() + own_sq.sum()) / (n_trials - 1) ** 2
         # Cancellation can round this sum of squares just below zero.
         risks[n] = np.maximum(
-            (pilot_sq - 2.0 * (transfers @ cross) + transfers_sq @ own_sq) / n_samples, 0.0)
-        own_ends = own.real[:, window_rows] / n_samples
-        pilot = (total_ends - own_ends[:, :, 0]) / (n_trials - 1)
-        smoothed = own_ends.reshape(-1, half + 1) @ folded.T
+            (pilot_sq - 2.0 * (terms.transfers @ cross) + transfers_sq @ own_sq) / n_samples,
+            0.0)
+        pilot = (total_ends - own_ends) / (n_trials - 1)
         diff = pilot[..., None] - smoothed.reshape(pilot.shape + (len(grid),))
         risks[n] += np.einsum("eis,eis->s", diff, diff)
-    return (np.pi / n_samples) * risks / n_channels
+    return (np.pi / n_samples) * risks / periodograms.dfts.shape[1]
 
 
 def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int | None = None,
@@ -274,7 +302,8 @@ def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int
     else:
         grid = span_grid if span_grid is not None else default_span_grid(n_samples)
         # argmin takes the first minimum, so ties go to the smaller span.
-        spans = [grid[i] for i in np.argmin(span_risks(pgrams, grid), axis=1)]
+        risks = span_risks(pgrams, grid, pieces=series.trial_pieces)
+        spans = [grid[i] for i in np.argmin(risks, axis=1)]
     # Smoothing is linear: smooth each group of trials sharing a span once.  A
     # group of every trial is the set's own trial sum.
     total = np.zeros_like(pgrams.mean.matrices)

@@ -34,6 +34,12 @@ class MultiTrialSeries:
     sampling_rate: float = 1.0
     channel_labels: tuple[str, ...] = ()
 
+    #: What a leave-one-out replicate reads of the per-trial pieces that the jackknife built
+    #: once for the whole set (:func:`~specshrink.connectivity.jackknife_band_stats`): each
+    #: kept trial's lag products and span-risk terms.  None on every other series; it is not
+    #: a field, so a series made from a replicate has none.
+    trial_pieces = None
+
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=float)
         if vals.ndim != 3:

@@ -209,7 +209,7 @@ def fit_var(series: MultiTrialSeries, order: int, *, moment: np.ndarray | None =
         raise InsufficientDataError(shortfall)
     n_trials, n_channels, n_samples = series.values.shape
     if moment is None:
-        moment = _order_moment(_lag_sums(series.values, series.trial_order, order), order)
+        moment = _order_moment(_series_lag_sums(series, order), order)
     elif moment.shape != (n_channels * (order + 1),) * 2:
         raise DimensionError(f"an order-{order} lag moment of {n_channels} channels must be "
                              f"{(n_channels * (order + 1),) * 2}, got {moment.shape}")
@@ -252,14 +252,31 @@ def _edge_index(top: int):
     return index
 
 
-def _lag_sums(values: np.ndarray, trials: np.ndarray, top: int):
+def _lag_products(values: np.ndarray, trials, top: int):
+    """Yield, block by block in the order of ``trials``, each trial's products
+    ``sum_{s=d..T-1} x_n(s) x_n(s-d).T`` for ``d = 0..top``, shape ``(n, top+1, P, P)``: one
+    ``P x P`` product per trial and lag, over blocks of about :data:`_BLOCK_BYTES` of trials.
+    Each product depends on its trial and lag alone, not on ``top`` or the block."""
+    n_channels, n_samples = values.shape[1:]
+    block = max(1, _BLOCK_BYTES // (8 * n_channels * (n_samples + (top + 1) * n_channels)))
+    for lo in range(0, len(trials), block):
+        chunk = values[trials[lo:lo + block]]
+        prods = np.empty((len(chunk), top + 1, n_channels, n_channels))
+        for lag in range(top + 1):
+            np.matmul(chunk[:, :, lag:], chunk[:, :, :n_samples - lag].swapaxes(1, 2),
+                      out=prods[:, lag])
+        yield prods
+
+
+def _lag_sums(values: np.ndarray, trials: np.ndarray, top: int, products=None):
     """The sums over ``trials`` that every lag moment up to order ``top`` is assembled from
     (:func:`_order_moment`): ``(lags, heads, tails)``.
 
-    ``lags[d]`` is ``C(d) = sum_n sum_{s=d..T-1} x_n(s) x_n(s-d).T``, one ``P x P`` product per
-    trial and lag, added in the order of ``trials``, one trial after another; the trials are
-    read in blocks of about :data:`_BLOCK_BYTES`.  ``heads[m, d]`` is
-    ``sum_{s=d..m-1} sum_n x_n(s) x_n(s-d).T`` and ``tails[i, d]`` is
+    ``lags[d]`` is ``C(d) = sum_n sum_{s=d..T-1} x_n(s) x_n(s-d).T``, the trials'
+    :func:`_lag_products` added in the order of ``trials``, one trial after another.
+    ``products``, when given, holds every trial's products, ``(N, top+1, P, P)`` indexed like
+    ``values``, as :func:`_lag_products` forms them; the sum then forms none.
+    ``heads[m, d]`` is ``sum_{s=d..m-1} sum_n x_n(s) x_n(s-d).T`` and ``tails[i, d]`` is
     ``sum_{s=T-i..T-1} sum_n x_n(s) x_n(s-d).T``, both ``(top+1, top+1, P, P)``: prefix and
     suffix sums along the block diagonals of the trial-summed products of the first and of
     the last ``top`` samples, each one ``P x N`` by ``N x P`` product over ``trials`` in order.
@@ -268,15 +285,12 @@ def _lag_sums(values: np.ndarray, trials: np.ndarray, top: int):
     """
     n_trials, n_channels, n_samples = values.shape
     lags = np.zeros((top + 1, n_channels, n_channels))
-    block = max(1, _BLOCK_BYTES // (8 * n_channels * (n_samples + (top + 1) * n_channels)))
-    for lo in range(0, n_trials, block):
-        chunk = values[trials[lo:lo + block]]
-        prods = np.empty((len(chunk), top + 1, n_channels, n_channels))
-        for lag in range(top + 1):
-            np.matmul(chunk[:, :, lag:], chunk[:, :, :n_samples - lag].swapaxes(1, 2),
-                      out=prods[:, lag])
-        for prod in prods:
-            lags += prod
+    if products is None:
+        per_trial = (prod for block in _lag_products(values, trials, top) for prod in block)
+    else:
+        per_trial = (products[n] for n in trials)
+    for prod in per_trial:
+        lags += prod
     sums = []
     # the first samples forward and the last samples backward from T-1, so that in both the
     # pair (a, b) is sum_n e_n(a) e_n(b).T, and lag d takes the pairs whose first sample is
@@ -295,6 +309,14 @@ def _lag_sums(values: np.ndarray, trials: np.ndarray, top: int):
             np.add(total[m], steps[m], out=total[m + 1])
         sums.append(total)
     return lags, *sums
+
+
+def _series_lag_sums(series: MultiTrialSeries, top: int):
+    """:func:`_lag_sums` over the series' :attr:`~.MultiTrialSeries.trial_order`, from the
+    per-trial products its :attr:`~.MultiTrialSeries.trial_pieces` hold, if it has any."""
+    pieces = series.trial_pieces
+    return _lag_sums(series.values, series.trial_order, top,
+                     None if pieces is None else pieces.lag_products(top))
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +361,7 @@ def _lag_moments(series: MultiTrialSeries, top: int):
     they come in, so no moment depends on the trial order, every moment is exactly symmetric,
     and order ``k``'s moment is bit for bit the one :func:`fit_var` forms for order ``k``.
     """
-    sums = _lag_sums(series.values, series.trial_order, top)
+    sums = _series_lag_sums(series, top)
     for k in range(1, top + 1):
         yield k, _order_moment(sums, k)
 

@@ -247,6 +247,80 @@ def test_band_average_needs_a_sampling_rate():
         band_average(result, (0.0, 1.0))
 
 
+def _pipeline_estimate():
+    # 6 trials of 128 samples at 128 Hz: a 1 Hz grid from 0 Hz to the Nyquist frequency, 64 Hz
+    config = SimulationConfig(n_trials=6, n_samples=128, sampling_rate=128.0, seed=2)
+    series = standardize(detrend(simulate_mixture(config), order=1))
+    return shrinkage_pipeline(series, PipelineOptions(max_order=3)).estimate
+
+
+#: Bands on the 1 Hz grid of :func:`_pipeline_estimate`, by name.
+BANDS = {"alpha": (8.0, 12.0), "beta": (18.0, 30.0), "one-bin": (4.5, 5.5),
+         "at-0-hz": (0.0, 3.0), "at-nyquist": (61.0, 64.0), "whole-grid": (0.0, 64.0)}
+
+
+@pytest.mark.parametrize("band", list(BANDS))
+def test_band_partial_coherence_is_the_band_average_bit_for_bit(band):
+    estimate = _pipeline_estimate()
+    oracle = band_average(partial_coherence(estimate), BANDS[band])
+    banded = partial_coherence(estimate, band=BANDS[band])
+    assert banded.band == oracle.band == BANDS[band] and banded.grid is None
+    np.testing.assert_array_equal(banded.values, oracle.values)
+
+
+def _singular_at(index):
+    """The pipeline estimate with a rank-one matrix at grid frequency ``index``."""
+    estimate = _pipeline_estimate()
+    matrices = estimate.matrices.copy()
+    d = np.ones(estimate.n_channels)
+    matrices[index] = np.outer(d, d)
+    return SpectralEstimate(estimate.grid, matrices, tag="shrinkage")
+
+
+def test_band_partial_coherence_names_the_grid_index_of_an_in_band_singular_matrix():
+    # grid index 10 is the third bin of the alpha band, 8..12 Hz
+    estimate = _singular_at(10)
+    message = (f"spectral matrix at frequency index 10 "
+               f"(omega = {estimate.grid.omegas[10]:.6g} rad/sample)")
+    with pytest.raises(NearSingularError) as banded:
+        partial_coherence(estimate, band=BANDS["alpha"])
+    with pytest.raises(NearSingularError) as whole:
+        partial_coherence(estimate)
+    assert str(banded.value).startswith(message)
+    assert str(banded.value) == str(whole.value)
+
+
+def test_band_partial_coherence_ignores_a_singular_matrix_outside_the_band():
+    # the one behaviour change of band-only inversion: the whole grid still raises
+    estimate = _singular_at(40)
+    with pytest.raises(NearSingularError, match="frequency index 40 "):
+        partial_coherence(estimate)
+    banded = partial_coherence(estimate, band=BANDS["alpha"])
+    clean = band_average(partial_coherence(_pipeline_estimate()), BANDS["alpha"])
+    np.testing.assert_array_equal(banded.values, clean.values)
+
+
+def test_band_partial_coherence_checks_the_band():
+    estimate = _pipeline_estimate()
+    with pytest.raises(EmptyBandError):
+        partial_coherence(estimate, band=(8.2, 8.8))
+    with pytest.raises(DomainError):
+        partial_coherence(estimate, band=(12.0, 8.0))
+    with pytest.raises(DomainError):  # no sampling rate
+        partial_coherence(estimate_from(estimate.matrices), band=(0.0, 0.1))
+
+
+def test_jackknife_inverts_only_the_band_bins(monkeypatch):
+    sizes = []
+    inverse = connectivity.certified_inverse
+    monkeypatch.setattr(connectivity, "certified_inverse",
+                        lambda mats, limit: sizes.append(len(mats)) or inverse(mats, limit))
+    series = MultiTrialSeries(np.random.default_rng(4).standard_normal((5, 3, 64)),
+                              sampling_rate=64.0)
+    jackknife_band_stats(series, (8.0, 12.0), PipelineOptions(var_order=1, fixed_span=7))
+    assert sizes == [5] * 5  # one call per replicate, on the 5 bins of 8..12 Hz
+
+
 def test_fisher_z_values_and_domain():
     assert fisher_z(0.0) == 0.0
     assert fisher_z(0.25) == pytest.approx(0.5493061443340548, abs=1e-15)
@@ -318,6 +392,129 @@ def test_jackknife_rejects_an_empty_band_before_any_replicate(monkeypatch):
     with pytest.raises(EmptyBandError, match=r"no Fourier frequencies inside \[200.0, 300.0\]"):
         jackknife_band_stats(series, (200.0, 300.0), PipelineOptions(var_order=1, fixed_span=7))
     assert calls == []
+
+
+def _assert_same_pipeline(got, expected):
+    np.testing.assert_array_equal(got.model.coefs, expected.model.coefs)
+    np.testing.assert_array_equal(got.model.noise_cov, expected.model.noise_cov)
+    assert got.smoothing == expected.smoothing  # the spans
+    np.testing.assert_array_equal(got.diagnostics.weight_raw, expected.diagnostics.weight_raw)
+    np.testing.assert_array_equal(got.estimate.matrices, expected.estimate.matrices)
+
+
+@pytest.mark.parametrize("duplicated", [False, True])
+@pytest.mark.parametrize("cap", ["default", 0])
+@pytest.mark.parametrize("options", [PipelineOptions(max_order=3, window=5),
+                                     PipelineOptions(var_order=2, fixed_span=5)],
+                         ids=["selected", "fixed"])
+def test_replicates_from_trial_pieces_match_fresh_replicates_bit_for_bit(
+        monkeypatch, options, cap, duplicated):
+    if cap == 0:  # every replicate transforms its trials' span terms again
+        monkeypatch.setattr(connectivity, "F_OWN_CAP_BYTES", 0)
+    from specshrink.smoothing import default_span_grid, span_risks
+
+    # trials of three kinds, so that the spans differ between trials and replicates
+    values = np.random.default_rng(3).standard_normal((6, 3, 64))
+    values[::2, :, 1:] += 0.9 * values[::2, :, :-1]
+    values[1::3] *= 3.0
+    if duplicated:
+        values = np.concatenate([values, values[2:3]])
+    series = MultiTrialSeries(values, sampling_rate=64.0)
+    pieces = connectivity._TrialPieces(series)
+    spans = set()
+    for leave_out in range(series.n_trials):
+        replicate, fresh = pieces.drop(leave_out), series.drop_trial(leave_out)
+        np.testing.assert_array_equal(replicate.values, fresh.values)
+        np.testing.assert_array_equal(replicate.trial_order, fresh.trial_order)
+        result = shrinkage_pipeline(replicate, options)
+        _assert_same_pipeline(result, shrinkage_pipeline(fresh, options))
+        spans.update(result.smoothing.selected_spans)
+        # a fixed span selects nothing, so the pipeline builds no span terms
+        assert (pieces.span is None) == (options.fixed_span is not None and leave_out == 0)
+        np.testing.assert_array_equal(
+            span_risks(replicate.periodograms, default_span_grid(64),
+                       pieces=replicate.trial_pieces),
+            span_risks(fresh.periodograms, default_span_grid(64)))
+    assert len(spans) > 1 or options.fixed_span is not None
+    assert (pieces.span[1] is None) == (cap == 0)
+
+
+@pytest.mark.parametrize("cap", ["default", 0])
+def test_replicates_transform_no_trial_again(monkeypatch, cap):
+    from specshrink import periodogram, smoothing
+
+    if cap == 0:
+        monkeypatch.setattr(connectivity, "F_OWN_CAP_BYTES", 0)
+    calls = []
+    for owner, name in ((periodogram, "compute_periodograms"), (var, "_lag_products"),
+                        (smoothing._TrialTerms, "transform"),
+                        (connectivity, "_half_grid_dft"), (connectivity, "_lag_products")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
+    series = MultiTrialSeries(np.random.default_rng(8).standard_normal((5, 3, 64)),
+                              sampling_rate=64.0)
+    jackknife_band_stats(series, (8.0, 12.0), PipelineOptions(max_order=2, window=5))
+    # the pieces transform each trial once; with f_own not kept, each replicate
+    # transforms its 4 kept trials' span terms again
+    assert sorted(calls) == sorted(["_half_grid_dft", "_lag_products"]
+                                   + ["transform"] * (5 if cap == "default" else 5 + 5 * 4))
+
+
+def test_jackknife_memory_is_its_pieces_plus_a_replicate(monkeypatch):
+    # One jackknife call holds its pieces (DFTs, lag products, span terms with f_own)
+    # plus about one replicate's working set; 40 x 12 x 256 keeps f_own (6.4 MB).
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((40, 12, 256))
+    values[:, :, 1:] += 0.5 * values[:, :, :-1]
+    series = MultiTrialSeries(values, sampling_rate=256.0)
+    band = (8.0, 12.0)
+    jackknife_band_stats(MultiTrialSeries(values[:3], sampling_rate=256.0), band)  # caches
+    fresh = series.drop_trial(0)
+    tracemalloc.start()
+    try:
+        partial_coherence(shrinkage_pipeline(fresh).estimate, band=band)
+        replicate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        jackknife_band_stats(series, band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pieces = connectivity._TrialPieces(series)
+    shrinkage_pipeline(pieces.drop(0))
+    assert pieces.span[1] is not None
+    pieces_bytes = sum(array.nbytes for array in (pieces.dfts, pieces.lags, *pieces.span[1:]))
+    assert peak < pieces_bytes + 3 * replicate_peak, (peak, pieces_bytes, replicate_peak)
+
+    # With the cap lowered, the same call keeps no f_own.
+    monkeypatch.setattr(connectivity, "F_OWN_CAP_BYTES", 40 * 78 * 256 * 8 - 1)
+    pieces = connectivity._TrialPieces(series)
+    shrinkage_pipeline(pieces.drop(0))
+    assert pieces.span[1] is None
+
+
+def test_trial_pieces_keep_no_f_own_where_it_would_not_fit():
+    # At 40 x 32 x 1024, f_own would take 40 * 528 * 1024 * 8 bytes = 173 MB.
+    import tracemalloc
+
+    from specshrink.smoothing import _TrialTerms, default_span_grid
+
+    series = MultiTrialSeries(np.random.default_rng(9).standard_normal((40, 32, 1024)),
+                              sampling_rate=1024.0)
+    f_own_bytes = 40 * 528 * 1024 * 8
+    assert f_own_bytes > connectivity.F_OWN_CAP_BYTES
+    terms = _TrialTerms(default_span_grid(1024), 1024, 32)
+    tracemalloc.start()
+    try:
+        pieces = connectivity._TrialPieces(series)
+        next(pieces.span_terms(terms, np.arange(1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pieces.span[1] is None
+    assert peak < f_own_bytes / 2, peak
 
 
 def test_jackknife_se_hand_example():

@@ -611,6 +611,24 @@ def test_cli_connectivity_replicates_hold_no_full_series_periodograms(tmp_path, 
     assert cached == [False] * 4  # two bands, two conditions
 
 
+def test_cli_connectivity_inverts_only_each_bands_bins(tmp_path, monkeypatch):
+    # The pcoh_<band> CSVs and every jackknife replicate invert the band's grid frequencies
+    # alone: 5 for 8..12 Hz and 13 for 18..30 Hz on the 1 Hz grid, not all 33.
+    import specshrink.connectivity as connectivity
+
+    sizes = []
+    inverse = connectivity.certified_inverse
+    monkeypatch.setattr(connectivity, "certified_inverse",
+                        lambda mats, limit: sizes.append(len(mats)) or inverse(mats, limit))
+    left, right = tmp_path / "l.mts", tmp_path / "r.mts"
+    write_trials(left, make_series(n_trials=4))
+    write_trials(right, make_series(n_trials=5))
+    assert run_cli("connectivity", left, right, "--out-dir", tmp_path / "out", "--order", "1",
+                   "--fixed-span", "7", "--band", "alpha:8:12", "--band", "beta:18:30") == 0
+    # per condition, one call per band on the full series, then one per replicate and band
+    assert sorted(sizes) == sorted([5, 13] * 2 + [5] * 9 + [13] * 9)
+
+
 def test_cli_compare_writes_mse_tables(tmp_path):
     out = tmp_path / "out"
     # 24 trials: the raw periodogram mean must outrank the 12 channels or its
