@@ -25,21 +25,23 @@ series hashes once and keeps, and which is the same sequence of trials for
 any input order, so fits and criterion values are bit-identical under any
 permutation of the trials.  No sum depends on the highest order formed, so
 the order scan, which assembles every candidate from one set of sums,
-scores each order from the moment :func:`fit_var` forms for it, bit for
-bit, and hands :func:`fit_var` the chosen order's moment, so the fit reads
-no trial again.
+scores each order from the moment :func:`fit_var` forms for it and hands
+:func:`fit_var` the chosen order's moment, so the fit reads no trial again.
+The scan takes each order's log determinant from the last ``P`` pivots of
+one Cholesky factor of that moment (:func:`_cholesky_logdet`), which agrees
+with the fitted covariance's to rounding; only the chosen order is solved.
 
 Two condition-number guards protect the linear algebra: each candidate's
 regressor Gram matrix (warn above :data:`GRAM_COND_WARN`, fail above
 :data:`GRAM_COND_FAIL`) and the transfer matrix at every frequency (fail
 above :data:`TRANSFER_COND_LIMIT`).  Both are first certified by a bound:
-one eigendecomposition of the top order's Gram bounds every order's
-condition (:func:`_grams_certified`), and the inverse the spectrum needs
-anyway bounds each transfer matrix's
-(:func:`~specshrink.core.certified_inverse`).  Exact condition numbers are
-computed only where the bound does not certify, so every warning and error
-is the one the exact guard gives.  :func:`fit_var` checks its own Gram
-exactly.
+one Cholesky factor of the top order's Gram, shifted down by twice the
+margin the bound needs, bounds every order's condition
+(:func:`_grams_certified`), and the inverse the spectrum needs anyway bounds
+each transfer matrix's (:func:`~specshrink.core.certified_inverse`).  Exact
+condition numbers are computed only where the bound does not certify, so
+every warning and error is the one the exact guard gives.  :func:`fit_var`
+checks its own Gram exactly.
 """
 
 import warnings
@@ -199,10 +201,9 @@ def fit_var(series: MultiTrialSeries, order: int, *, moment: np.ndarray | None =
     The normal equations and the residual covariance come from one lag
     moment (:func:`_order_moment`), assembled from per-lag and edge sums over
     the trials in the order the series keeps
-    (:attr:`~specshrink.timeseries.MultiTrialSeries.trial_order`), by the order
-    scan's formula (:func:`_regression`).  So permuting the trials leaves the
-    fit bit-identical, and it is bit for bit the model the order scan scores
-    for ``order``.
+    (:attr:`~specshrink.timeseries.MultiTrialSeries.trial_order`), by
+    :func:`_regression`.  So permuting the trials leaves the fit bit-identical,
+    and its moment is bit for bit the one the order scan scores for ``order``.
     """
     order = check_count(order, "VAR order")
     if (shortfall := _sample_shortfall(series.values.shape, order)) is not None:
@@ -372,24 +373,65 @@ def _grams_certified(values: np.ndarray, top_moment: np.ndarray, top: int) -> bo
 
     Order ``k``'s Gram is a leading block of the top order's Gram ``G`` plus the
     Gram part of the moments of its stacked lags ``z_k(t)`` at ``t = k..top-1``,
-    which is PSD with a 2-norm of at most ``||heads||_F**2``, the sum of
-    ``||z_top(t)||**2`` over ``t < top`` with samples before a trial's start taken
-    as zero.  By interlacing, its smallest eigenvalue is at least ``G``'s, and by
-    Weyl its largest is at most ``G``'s plus that norm, so
-    ``cond_k <= (lmax(G) + ||heads||_F**2) / lmin(G)``.
-    The margin of 16 absorbs the rounding of the sums and of the eigenvalues, so
-    where the bound holds no order's :func:`_gram_cond` would warn or raise.
+    which is PSD with a 2-norm of at most ``head_mass = ||heads||_F**2``, the sum
+    of ``||z_top(t)||**2`` over ``t < top`` with samples before a trial's start
+    taken as zero.  By interlacing, its smallest eigenvalue is at least ``G``'s,
+    and by Weyl its largest is at most ``G``'s plus that norm, so
+    ``cond_k <= (||G||_F + head_mass) / lmin(G)``.  That is below
+    ``GRAM_COND_WARN / 16`` once ``lmin(G) > tau = 16 * (||G||_F + head_mass) /
+    GRAM_COND_WARN``, and one Cholesky factor of ``G - 2*tau*I`` proves it: the
+    factor exists only if ``lmin(G) > 2*tau`` less its backward error, about
+    ``n**2 * eps * ||G||``, which is far below ``tau``.  Where the factor fails,
+    the bound does not certify, and each order's exact :func:`_gram_cond` decides,
+    so where it holds no order's :func:`_gram_cond` would warn or raise.
     """
     n_channels = values.shape[1]
     lead = values[:, :, :top]
+    gram = top_moment[n_channels:, n_channels:]
+    with np.errstate(all="ignore"):
+        # sample t < top of a trial sits in the head rows of top - t lags
+        head_mass = np.einsum("nct,nct,t->", lead, lead, np.arange(top, 0, -1.0))
+        tau = 16.0 * (np.linalg.norm(gram) + head_mass) / GRAM_COND_WARN
+    if not np.isfinite(tau):  # numpy's factor does not raise on entries that are not finite
+        return False
     try:
-        with np.errstate(all="ignore"):
-            # sample t < top of a trial sits in the head rows of top - t lags
-            head_mass = np.einsum("nct,nct,t->", lead, lead, np.arange(top, 0, -1.0))
-            low, high = np.linalg.eigvalsh(top_moment[n_channels:, n_channels:])[[0, -1]]
-            return bool(low > 0.0 and high + head_mass <= GRAM_COND_WARN / 16 * low)
+        np.linalg.cholesky(gram - 2.0 * tau * np.eye(len(gram)))
     except np.linalg.LinAlgError:
         return False
+    return True
+
+
+def _pivot_floor(size: int) -> float:
+    """The share of its diagonal entry below which a trailing pivot**2 of a ``size x size``
+    lag moment's Cholesky factor may be rounding alone, where the regressor Gram ``G`` has
+    a condition number of at most ``GRAM_COND_WARN / 16``.
+
+    The factor is exact for the moment plus some ``E`` with
+    ``|E_ij| <= g * sqrt(M_ii * M_jj)``, ``g = (size+1)*eps``.  A response's pivot**2 is its
+    residual sum of squares ``S_jj`` after the regression on ``G``, whose coefficients
+    ``b`` have ``b' G b <= M_jj``, so ``E`` moves ``S_jj`` by at most
+    ``g * M_jj * (1 + sqrt(size * cond(G)))**2``.
+    """
+    eps = np.finfo(float).eps
+    return (size + 1) * eps * (1.0 + np.sqrt(size * GRAM_COND_WARN / 16)) ** 2
+
+
+def _cholesky_logdet(moment: np.ndarray, n_channels: int) -> float | None:
+    """``log det`` of the Schur complement ``S_yy - C G**-1 C.T`` of a lag moment, as twice
+    the sum of the logs of the last ``P`` pivots of one Cholesky factor of the moment
+    with the ``X(t)`` block last, or None where the factor fails or a trailing pivot**2 is
+    within :func:`_pivot_floor` of zero, where the factor cannot tell it from rounding."""
+    reverse = moment[::-1, ::-1]
+    try:
+        factor = np.linalg.cholesky(reverse)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(factor)[-n_channels:]
+    floor = _pivot_floor(len(moment)) * np.diagonal(reverse)[-n_channels:]
+    with np.errstate(all="ignore"):
+        logdet = 2.0 * np.sum(np.log(pivots))
+        scored = np.isfinite(logdet) and np.all(pivots * pivots > floor)
+    return logdet if scored else None
 
 
 def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection:
@@ -400,20 +442,26 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     the smaller order, and a covariance whose determinant is not positive
     scores ``inf``.  Every order is scored from one set of per-lag and edge
     sums over the trials (:func:`_lag_moments`): ``noise_cov(k)`` is the Schur
-    complement ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's moment,
-    taken by :func:`_regression` as in :func:`fit_var`, whose sample-size and
-    Gram-condition checks each order keeps.  The Gram conditions are first
-    certified together by a bound from the top order's Gram
-    (:func:`_grams_certified`); only when the bound does not clear the warning
-    level is each order's exact condition number computed, so the warnings and
-    errors are those of fitting every order.  The moments are trial sums in
-    canonical trial order, so the scan is bit-identical under any permutation
-    of the trials.  Each order's moment is bit for bit the one :func:`fit_var`
-    forms for it, so the criterion values are those of scoring each
-    :func:`fit_var` model.  The chosen order is fitted by :func:`fit_var` from
-    the scan's own moment, which reads no trial again and checks that order's
-    Gram exactly, and the selection carries that model, so callers need not
-    refit it.
+    complement ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's
+    moment, the covariance :func:`fit_var` fits from that moment, whose
+    sample-size and Gram-condition checks each order keeps.  The Gram
+    conditions are first certified together by one shifted Cholesky factor of
+    the top order's Gram (:func:`_grams_certified`); only when that does not
+    clear the warning level is each order's exact condition number computed,
+    so the warnings and errors are those of fitting every order.  Where the
+    certificate holds, each order's ``log det`` is twice the sum of the logs
+    of the last ``P`` pivots of one Cholesky factor of its moment with the
+    ``X(t)`` block last, less ``P * log(N*(T-k) - P*k)``
+    (:func:`_cholesky_logdet`): no solve, eigendecomposition or ``slogdet``,
+    and it agrees with the fitted covariance's ``slogdet`` to rounding.  Where
+    the certificate fails, the factor fails, or a trailing pivot is within a
+    rounding bound of zero (:func:`_pivot_floor`), the order is scored by
+    :func:`_regression` and ``slogdet`` as :func:`fit_var` would fit it.  The
+    moments are trial sums in canonical trial order, so the scan is
+    bit-identical under any permutation of the trials.  The chosen order is
+    fitted by :func:`fit_var` from the scan's own moment, which reads no trial
+    again and checks that order's Gram exactly, and the selection carries that
+    model, so callers need not refit it.
     """
     max_order = check_count(max_order, "max_order")
     values = series.values
@@ -428,9 +476,13 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     criterion, conds, order = [], [], None
     try:
         for k, moment in moments:
+            dof = n_trials * (n_samples - k) - n_channels * k
+            logdet = _cholesky_logdet(moment, n_channels) if certified else None
+            if logdet is not None:
+                criterion.append(logdet - n_channels * np.log(dof) + penalty_unit * k)
+                continue
             if not certified:
                 conds.append(_gram_cond(moment[n_channels:, n_channels:]))
-            dof = n_trials * (n_samples - k) - n_channels * k
             _, noise = _regression(moment, n_channels, dof)
             sign, logdet = np.linalg.slogdet(noise)
             criterion.append(np.inf if sign <= 0 else logdet + penalty_unit * k)

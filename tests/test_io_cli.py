@@ -629,6 +629,32 @@ def test_cli_connectivity_inverts_only_each_bands_bins(tmp_path, monkeypatch):
     assert sorted(sizes) == sorted([5, 13] * 2 + [5] * 9 + [13] * 9)
 
 
+def test_cli_connectivity_writes_the_same_bytes_with_the_exact_order_scan(tmp_path, monkeypatch):
+    # The order scan scores candidate orders from Cholesky factors, which moves only the last
+    # digits of the criterion: every pipeline picks the order the exact scan picks and fits
+    # the same model, so two-condition connectivity at the default --max-order writes the
+    # same bytes.
+    import specshrink.shrinkage as shrinkage
+    from test_var import exact_select_var_order
+
+    left, right = tmp_path / "l.mts", tmp_path / "r.mts"
+    for path, seed in ((left, 3), (right, 4)):
+        assert run_cli("simulate", "--trials", 4, "--samples", 64, "--seed", seed,
+                       "--out", path) == 0
+    orders = []
+    select = shrinkage.select_var_order
+    monkeypatch.setattr(shrinkage, "select_var_order",
+                        lambda series, top: orders.append(top) or select(series, top))
+    assert run_cli("connectivity", left, right, "--out-dir", tmp_path / "scan") == 0
+    assert orders and set(orders) == {RunConfig.max_order}
+    monkeypatch.setattr(shrinkage, "select_var_order", exact_select_var_order)
+    assert run_cli("connectivity", left, right, "--out-dir", tmp_path / "exact") == 0
+    names = sorted(p.name for p in (tmp_path / "scan").glob("*.csv"))
+    assert "tests.csv" in names and sum(name.startswith("pcoh_") for name in names) == 4
+    for name in names:
+        assert (tmp_path / "scan" / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
+
+
 def test_cli_compare_writes_mse_tables(tmp_path):
     out = tmp_path / "out"
     # 24 trials: the raw periodogram mean must outrank the 12 channels or its

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg as sla
 
 from specshrink import (
@@ -198,28 +200,29 @@ def _scan_cases():
     }
 
 
+def assert_criteria_close(got, expected):
+    """Criterion values equal up to the rounding of the scan's Cholesky scores: within
+    ``1e-12 * max(1, |c|)`` each, ``inf`` exactly where the other is."""
+    assert len(got) == len(expected)
+    for value, oracle in zip(got, expected):
+        if np.isinf(oracle):
+            assert value == oracle
+        else:
+            assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle)), (value, oracle)
+
+
 @pytest.mark.parametrize("case", list(_scan_cases()))
 def test_order_scan_matches_fitting_every_order(case):
+    # The scan scores each order from the Cholesky pivots of its moment, the reference
+    # each fitted model's covariance by slogdet: the criteria agree to rounding, and the
+    # chosen order and its model are the same to the bit.
     series, max_order = _scan_cases()[case]
     selection = select_var_order(series, max_order)
     order, criterion, model = reference_select_var_order(series, max_order)
     assert selection.order == order
-    np.testing.assert_allclose(selection.criterion, criterion, rtol=0, atol=1e-12)
+    assert_criteria_close(selection.criterion, criterion)
     np.testing.assert_array_equal(selection.model.coefs, model.coefs)
     np.testing.assert_array_equal(selection.model.noise_cov, model.noise_cov)
-
-
-@pytest.mark.parametrize("case", list(_scan_cases()))
-def test_order_scan_scores_its_top_order_from_the_fitted_model(case):
-    # The scan and fit_var take the top order's covariance from the same moment by
-    # the same formula, so its criterion is the fitted model's to the bit.
-    series, top = _scan_cases()[case]
-    n_trials, n_channels, n_samples = series.values.shape
-    total = n_trials * n_samples
-    penalty_unit = np.log(total) / total * n_channels ** 2
-    sign, logdet = np.linalg.slogdet(fit_var(series, top).noise_cov)
-    assert sign > 0
-    assert select_var_order(series, top).criterion[top - 1] == logdet + penalty_unit * top
 
 
 def test_order_scan_is_bit_identical_under_a_trial_permutation():
@@ -501,8 +504,10 @@ def test_nearly_collinear_channels_warn_that_the_gram_is_ill_conditioned():
 
 
 def exact_select_var_order(series, max_order):
-    """Test-only oracle: the order scan that computes every order's exact Gram condition,
-    as before the conditions were certified from the top order's Gram."""
+    """Test-only oracle: the order scan that computes every order's exact Gram condition
+    and scores every order from its :func:`fit_var` covariance by ``slogdet``, as before the
+    conditions were certified from the top order's Gram and the orders scored from
+    Cholesky factors."""
     values = series.values
     n_trials, n_channels, n_samples = values.shape
     total = n_trials * n_samples
@@ -548,14 +553,18 @@ def exact_var_spectrum(model, grid):
     return SpectralEstimate(grid, symmetrize(spec), tag="var")
 
 
-def assert_same_outcome(got, expected):
-    """Two :func:`guard_outcome` records: equal errors and warnings, results bit-equal."""
+def assert_same_outcome(got, expected, rounding=False):
+    """Two :func:`guard_outcome` records: equal errors and warnings, results bit-equal, but
+    for order-scan criteria within :func:`assert_criteria_close` if ``rounding``."""
     (result, warned), (oracle, oracle_warned) = got, expected
     assert warned == oracle_warned
     if isinstance(oracle, tuple):
         assert result == oracle
     elif isinstance(oracle, OrderSelection):
-        assert result.criterion == oracle.criterion
+        if rounding:
+            assert_criteria_close(result.criterion, oracle.criterion)
+        else:
+            assert result.criterion == oracle.criterion
         np.testing.assert_array_equal(result.model.coefs, oracle.model.coefs)
         np.testing.assert_array_equal(result.model.noise_cov, oracle.model.noise_cov)
     else:
@@ -595,7 +604,9 @@ def test_certified_order_scan_matches_the_exact_guard(case):
     *_, (top, top_moment) = var._lag_moments(series, max_order)
     assert var._grams_certified(series.values, top_moment, top) == certified
     expected = guard_outcome(exact_select_var_order, series, max_order)
-    assert_same_outcome(guard_outcome(select_var_order, series, max_order), expected)
+    # a certified scan scores the orders from Cholesky factors, the others as the oracle does
+    assert_same_outcome(guard_outcome(select_var_order, series, max_order), expected,
+                        rounding=certified)
     if case in ("exactly singular", "1e-200 pivot"):
         assert expected == ((RankDeficiencyError, expected[0][1]), [])
     if case == "uncertified, under the limit":
@@ -613,6 +624,154 @@ def test_the_gram_bound_holds_for_every_order():
         bound = (eigs[-1] + heads) / eigs[0]
         for _, moment in moments:
             assert var._gram_cond(moment[p:, p:]) <= bound
+
+
+def _exact_fit(coef, seed=0):
+    """Two channels, the second ``coef`` times the first one sample earlier: the order-1
+    regression fits it exactly, while its Gram is well conditioned."""
+    x = np.random.default_rng(seed).standard_normal((4, 1, 65))
+    return MultiTrialSeries(np.concatenate([x[:, :, 1:], coef * x[:, :, :-1]], axis=1))
+
+
+def _fallback_cases():
+    gram = _gram_cases()
+    x = np.random.default_rng(22).standard_normal((4, 1, 64))
+    return {
+        "exactly singular": (MultiTrialSeries(np.concatenate([x, 0.0 * x], axis=1)), 3),
+        "1e-200 pivot": gram["1e-200 pivot"][:2],
+        "duplicated channel": gram["exactly singular"][:2],
+        # certified Grams; the residual covariance is singular but for rounding, and the
+        # factor fails in one and leaves a rounding-level pivot in the other
+        "exact-fit channel, the factor fails": (_exact_fit(1.0), 1),
+        "exact-fit channel, a rounding pivot": (_exact_fit(-2.5), 1),
+        # the order-2 Gram has x1(t-2) twice
+        "exact-fit channel up to order 3": (_exact_fit(1.0), 3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_fallback_cases()))
+def test_order_scan_keeps_the_exact_outcome_where_no_factor_scores(case):
+    # Where the certificate fails, the factor fails, or a pivot is rounding alone, the scan
+    # takes the oracle's path: its criterion (inf where that is inf), warnings and errors.
+    series, max_order = _fallback_cases()[case]
+    expected = guard_outcome(exact_select_var_order, series, max_order)
+    got = guard_outcome(select_var_order, series, max_order)
+    assert_same_outcome(got, expected)
+    assert not isinstance(got[0], tuple) or got[0][0] is not np.linalg.LinAlgError
+    if max_order == 1:  # the exact fits at order 1: the pivot guard, not the certificate
+        moment = next(var._lag_moments(series, 1))[1]
+        assert var._grams_certified(series.values, moment, 1)
+        assert var._cholesky_logdet(moment, 2) is None
+        raises = case.endswith("fails")
+        try:
+            np.linalg.cholesky(moment[::-1, ::-1])
+        except np.linalg.LinAlgError:
+            assert raises
+        else:
+            assert not raises
+    else:
+        assert expected[0][0] is RankDeficiencyError
+
+
+def assert_certificate_sound(series, max_order):
+    """Where the certificate holds, every candidate order's exact Gram condition is at most
+    ``GRAM_COND_WARN / 16``; returns whether it held."""
+    p = series.n_channels
+    moments = list(var._lag_moments(series, max_order))
+    certified = var._grams_certified(series.values, moments[-1][1], max_order)
+    if certified:
+        for _, moment in moments:
+            assert var._gram_cond(moment[p:, p:]) <= var.GRAM_COND_WARN / 16
+    return certified
+
+
+def test_the_certificate_is_sound_on_both_sides_of_its_threshold():
+    # the exact conditions grow as scale**-2: about 4e9 at 3e-5 and 1e6 at 1e-3
+    scales = (1e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 1e-2, 1e-1)
+    held = [assert_certificate_sound(_collinear(scale, seed), max_order)
+            for scale in scales for seed in (0, 1) for max_order in (1, 3, 6)]
+    assert any(held) and not all(held)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_trials=st.integers(2, 6), n_channels=st.integers(1, 3), n_samples=st.integers(12, 48),
+       max_order=st.integers(1, 5), exponent=st.floats(-7.0, 0.0), seed=st.integers(0, 2 ** 16))
+def test_the_certificate_is_sound_on_generated_inputs(n_trials, n_channels, n_samples,
+                                                      max_order, exponent, seed):
+    # the last channel is the first plus 10**exponent times independent noise
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_trials, n_channels + 1, n_samples))
+    values[:, -1] = values[:, 0] + 10.0 ** exponent * values[:, -1]
+    series = MultiTrialSeries(values)
+    while var._sample_shortfall(values.shape, max_order) is not None:
+        max_order -= 1
+    if max_order:
+        assert_certificate_sound(series, max_order)
+
+
+@pytest.mark.parametrize("case", ["three trials at the order limit", "standardized mixture"])
+def test_the_certificate_factors_the_top_gram_shifted_by_twice_its_margin(case):
+    # The certificate holds when lmin(G) > 2 * tau, tau = 16 * (||G||_F + head_mass) /
+    # GRAM_COND_WARN, and fails below: shift the top Gram's spectrum to put lmin(G) at
+    # 1.9 and at 2.1 times tau.
+    series, top = _scan_cases()[case]
+    values, p = series.values, series.n_channels
+    *_, (_, moment) = var._lag_moments(series, top)
+    gram = moment[p:, p:]
+    lead = values[:, :, :top]
+    head_mass = sum((top - t) * np.sum(lead[:, :, t] ** 2) for t in range(top))
+    assert head_mass > 0.1 * np.linalg.norm(gram)  # the head mass moves tau
+    lowest = np.linalg.eigvalsh(gram)[0]
+    for ratio in (1.9, 2.1):
+        shift = 0.0
+        for _ in range(3):  # tau moves with the shift by a few parts in 1e10
+            tau = 16 * (np.linalg.norm(gram - shift * np.eye(len(gram))) + head_mass) \
+                / var.GRAM_COND_WARN
+            shift = lowest - ratio * tau
+        shifted = moment.copy()
+        shifted[p:, p:] -= shift * np.eye(len(gram))
+        assert np.linalg.eigvalsh(shifted[p:, p:])[0] == pytest.approx(ratio * tau, rel=1e-3)
+        assert var._grams_certified(values, shifted, top) == (ratio > 2)
+
+
+def test_a_certified_scan_solves_and_decomposes_only_for_the_chosen_fit(monkeypatch):
+    # The certificate is one Cholesky factor and each order's criterion another, so the
+    # scan calls the solvers and eigendecompositions that fitting the chosen order calls.
+    series, top = _scan_cases()["standardized mixture"]
+    calls = []
+    for name in ("eigvalsh", "eigh", "solve", "slogdet"):
+        func = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, _func=func, **kw:
+                            calls.append(_name) or _func(*args, **kw))
+    selection = select_var_order(series, top)
+    scanned = sorted(calls)
+    calls.clear()
+    fit_var(series, selection.order)
+    assert scanned == sorted(calls) and "solve" in calls and "slogdet" not in calls
+
+
+def _decision_input(kind, n_trials, seed):
+    """A small VAR or benchmark-mixture input and its largest candidate order."""
+    if kind == "mixture":
+        config = SimulationConfig(n_trials=n_trials, n_samples=96, burn_in=100, seed=seed)
+        return standardize(detrend(simulate_mixture(config), order=1)), 6
+    rng = np.random.default_rng(seed)
+    coefs = np.stack([0.5 * np.eye(3), -0.4 * np.eye(3)]) + 0.1 * rng.standard_normal((2, 3, 3))
+    return make_var_trials(coefs, n_trials, 64, seed=seed), 5
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["var", "mixture"]), n_trials=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 16))
+def test_the_order_scan_decides_as_the_exact_scan(kind, n_trials, seed):
+    # The Cholesky scores move the criterion in its last digits only: the same order, the
+    # same model bit for bit, the same warnings and errors.
+    series, max_order = _decision_input(kind, n_trials, seed)
+    *_, (top, top_moment) = var._lag_moments(series, max_order)
+    certified = var._grams_certified(series.values, top_moment, top)
+    expected = guard_outcome(exact_select_var_order, series, max_order)
+    assert_same_outcome(guard_outcome(select_var_order, series, max_order), expected,
+                        rounding=certified)
 
 
 def _transfer_cases():
