@@ -18,7 +18,7 @@ from .core import (FrequencyGrid, SpectralEstimate, _is_real, certified_inverse,
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
                      EmptyBandError, InsufficientDataError, NearSingularError,
                      PipelineError, SpecshrinkError)
-from .periodogram import _half_grid_dft, periodogram_set
+from .periodogram import _half_grid_dft
 from .shrinkage import PipelineOptions, shrinkage_pipeline
 from .timeseries import MultiTrialSeries
 from .var import _lag_products
@@ -236,26 +236,17 @@ class _TrialPieces:
 
     def __init__(self, series: MultiTrialSeries):
         self.series = series
-        self.grid = FrequencyGrid(series.n_samples, series.sampling_rate)
-        self.dfts = _half_grid_dft(series.values, self.grid)
+        self.dfts = _half_grid_dft(series.values,
+                                   FrequencyGrid(series.n_samples, series.sampling_rate))
         self.lags = None
         self.span = None  # (terms key, f_own or None, own_sq, own_ends, smoothed)
 
     def drop(self, index: int) -> MultiTrialSeries:
-        """``series.drop_trial(index)`` with its trial order, periodogram set and
-        :attr:`~specshrink.timeseries.MultiTrialSeries.trial_pieces` taken from these pieces.
-
-        Dropping a trial from a byte-sorted order leaves the kept trials byte-sorted, so the
-        replicate's canonical order is the series' without ``index``."""
+        """``series.drop_trial(index)`` holding its kept trials' rows of these pieces as its
+        :attr:`~specshrink.timeseries.MultiTrialSeries.trial_pieces`."""
         replicate = self.series.drop_trial(index)
         kept = np.delete(np.arange(self.series.n_trials), index)
-        order = self.series.trial_order
-        order = order[order != index]
-        order -= order > index
-        for name, value in (("trial_order", order),
-                            ("periodograms", periodogram_set(self.grid, self.dfts[kept], order)),
-                            ("trial_pieces", _KeptPieces(self, kept))):
-            object.__setattr__(replicate, name, value)  # what the replicate would compute
+        object.__setattr__(replicate, "trial_pieces", _KeptPieces(self, kept))
         return replicate
 
     def lag_products(self, top: int, kept: np.ndarray) -> np.ndarray:
@@ -295,6 +286,9 @@ class _KeptPieces:
     def __init__(self, pieces: _TrialPieces, kept: np.ndarray):
         self.pieces, self.kept = pieces, kept
 
+    def dfts(self) -> np.ndarray:
+        return self.pieces.dfts[self.kept]
+
     def lag_products(self, top: int) -> np.ndarray:
         return self.pieces.lag_products(top, self.kept)
 
@@ -317,10 +311,11 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
 
     Each call first forms, once for all the trials, every piece that depends on
     one trial alone (:class:`_TrialPieces`): the DFTs, the VAR lag products and
-    the span-risk terms.  Each replicate adds its kept trials' pieces and
-    recomputes everything else, the trial sums and all that follows them, so it
-    is bit for bit ``shrinkage_pipeline(series.drop_trial(i), options)``.  The
-    pieces live for the call only; nothing is kept on ``series``.
+    the span-risk terms.  Each replicate is ``series.drop_trial(i)`` holding its
+    kept trials' pieces (:attr:`MultiTrialSeries.trial_pieces`) and computes the
+    rest as any series does, its trial order and trial sums and all that follows,
+    so it is bit for bit ``shrinkage_pipeline(series.drop_trial(i), options)``.
+    The pieces live for the call only; nothing is kept on ``series``.
 
     A band that holds no Fourier frequency raises :class:`EmptyBandError` before
     any replicate runs; a replicate that fails raises :class:`PipelineError`

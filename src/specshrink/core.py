@@ -149,9 +149,9 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(cpus, n_tasks))
 
 
-def map_trials(func, n_trials: int, scratch=None):
-    """Yield ``func(n)`` for ``n = 0 .. n_trials - 1``, in trial order, computed on a pool
-    of threads, one per available CPU and at most one per trial.
+def map_trials(func, n_trials: int, scratch):
+    """Yield ``func(n, space)`` for ``n = 0 .. n_trials - 1``, in trial order, computed on a
+    pool of threads, one per available CPU and at most one per trial.
 
     A trial is submitted only when an earlier result has been taken, so at most
     one finished result per worker waits and memory stays bounded by the
@@ -161,25 +161,23 @@ def map_trials(func, n_trials: int, scratch=None):
     interpreter lock.  An exception raised by ``func`` reaches the caller
     unchanged, at the trial that raised it.
 
-    ``scratch``, if given, is called in the calling thread once per worker
-    plus once, and ``func`` is called as ``func(n, space)`` with one of its
-    results that no other trial in flight holds.  ``func`` may return views
-    of its space: a result stays valid until the next one is taken.  Large
-    working arrays belong there.  The C allocator gives each thread an arena
-    of its own and keeps freed blocks in it, so arrays that workers allocate
-    leave a varying amount of memory resident from run to run; buffers made
-    in the calling thread are allocated and freed in the same order every time.
+    ``scratch`` is called in the calling thread once per worker plus once, and
+    ``space`` is one of its results that no other trial in flight holds.
+    ``func`` may return views of its space: a result stays valid until the next
+    one is taken.  Large working arrays belong there.  The C allocator gives
+    each thread an arena of its own and keeps freed blocks in it, so arrays that
+    workers allocate leave a varying amount of memory resident from run to run;
+    buffers made in the calling thread are allocated and freed in the same order
+    every time.
     """
     from concurrent.futures import ThreadPoolExecutor  # imports logging: keep it off start-up
 
     workers = _worker_count(n_trials)
-    task = func
-    if scratch is not None:
-        # Trials n .. n + workers are in flight while trial n's result is used.
-        spaces = [scratch() for _ in range(min(workers, n_trials) + 1)]
+    # Trials n .. n + workers are in flight while trial n's result is used.
+    spaces = [scratch() for _ in range(min(workers, n_trials) + 1)]
 
-        def task(n):
-            return func(n, spaces[n % len(spaces)])
+    def task(n):
+        return func(n, spaces[n % len(spaces)])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(task, n) for n in range(min(workers, n_trials)))

@@ -12,8 +12,8 @@ canonical order (:attr:`MultiTrialSeries.trial_order`), so their results
 depend neither on the number of cores nor on the order of the trials.  The
 estimate's trial sum, one ``(n_freq, P, P)`` array of all-taper products,
 is formed from the same tapered DFTs the selection scores, so the selection
-also sums them at the top of its grid (:attr:`TaperSelection.trial_sum`) and
-hands that sum to the estimate when the selected count is the grid top: each
+also sums them at the top of its grid and, when the selected count is the grid
+top, keeps that sum for the estimate (:attr:`TaperSelection.trial_sum`): each
 trial's tapered DFTs are then computed once.
 """
 
@@ -87,9 +87,9 @@ def multitaper_estimator(series: MultiTrialSeries, n_tapers: int, *,
     of cores and any order of the trials.
 
     ``trial_sum``, if given, is that sum before the averaging, ``sum_n sum_a
-    d_a d_a^*`` of shape ``(n_freq, P, P)``, as :func:`select_taper_count` forms
-    it when ``n_tapers`` is the top of its grid (:attr:`TaperSelection.trial_sum`);
-    the estimate then reads no trial.  Formed here when omitted, bit for bit the same.
+    d_a d_a^*`` of shape ``(n_freq, P, P)``, as :attr:`TaperSelection.trial_sum`
+    holds it; the estimate then reads no trial.  Formed here when None, bit for
+    bit the same.
     """
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
     tapers = sine_tapers(series.n_samples, n_tapers)  # checks n_tapers, sum given or not
@@ -144,16 +144,16 @@ def validate_taper_grid(taper_grid, n_samples: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class TaperSelection:
     """Per-trial selected taper counts, their lower median, the risk curves, and the
-    trials' summed taper products at the top of the grid.
+    trials' summed taper products for the median.
 
-    ``trial_sum`` is what :func:`multitaper_estimator` sums for ``n_tapers =
-    grid[-1]``, bit for bit, and takes as its ``trial_sum``.
+    ``trial_sum`` is what :func:`multitaper_estimator` sums for ``n_tapers = median``, bit
+    for bit, and takes as its ``trial_sum``; None when the median is below the grid top.
     """
 
     per_trial: tuple[int, ...]
     median: int
     risks: np.ndarray  # (n_trials, len(grid))
-    trial_sum: np.ndarray  # (n_freq, P, P)
+    trial_sum: np.ndarray | None  # (n_freq, P, P)
 
 
 def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelection:
@@ -168,7 +168,8 @@ def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelect
 
     The trials are transformed in canonical order, and each one's all-taper
     products ``D^T conj(D)`` at the top count are added into ``trial_sum`` as
-    :func:`multitaper_estimator` adds them; the risk rows stay in input order.
+    :func:`multitaper_estimator` adds them, kept if the median is the top count;
+    the risk rows stay in input order.
     """
     if series.n_trials < 2:
         raise InsufficientDataError("taper-count selection needs at least two trials")
@@ -250,4 +251,4 @@ def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelect
     chosen = [grid_counts[i] for i in np.argmin(risks, axis=1)]
     median = sorted(chosen)[(len(chosen) - 1) // 2]
     return TaperSelection(per_trial=tuple(chosen), median=median, risks=risks,
-                          trial_sum=trial_sum)
+                          trial_sum=trial_sum if median == grid_counts[-1] else None)

@@ -27,7 +27,8 @@ builds one trial's matrices: a trial's leave-one-out mean is
 ``(total - d d^* / T) / (N - 1)``, and the span and taper risks expand its
 inner products into terms of the trial sum ``total`` and of ``d``.
 A series computes its set once, at first use of ``MultiTrialSeries.periodograms``,
-and every estimator run on the series reads it from there.
+and every estimator run on the series reads it from there; a jackknife replicate
+takes its DFT rows from its ``trial_pieces`` instead of transforming its trials.
 """
 
 from dataclasses import dataclass
@@ -113,15 +114,12 @@ class PeriodogramSet:
         return self.mean.matrices * self.n_trials
 
 
-def periodogram_set(grid: FrequencyGrid, dfts: np.ndarray, trials) -> PeriodogramSet:
-    """The set of the trial DFTs ``dfts``, with their mean periodogram summed in the order
-    ``trials`` lists them (:func:`periodogram_sum`)."""
-    mean = periodogram_sum(dfts, trials, grid.n_samples)
+def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:
+    """The DFT of every trial of ``series``, taken from its ``trial_pieces`` if it has any,
+    plus the mean periodogram, summed in its ``trial_order`` (:func:`periodogram_sum`)."""
+    grid = FrequencyGrid(series.n_samples, series.sampling_rate)
+    pieces = series.trial_pieces
+    dfts = _half_grid_dft(series.values, grid) if pieces is None else pieces.dfts()
+    mean = periodogram_sum(dfts, series.trial_order, grid.n_samples)
     mean /= len(dfts)
     return PeriodogramSet(grid=grid, dfts=dfts, mean=SpectralEstimate(grid, mean, tag="raw_mean"))
-
-
-def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:
-    """The DFT of every trial of ``series``, plus the mean periodogram."""
-    grid = FrequencyGrid(series.n_samples, series.sampling_rate)
-    return periodogram_set(grid, _half_grid_dft(series.values, grid), series.trial_order)

@@ -36,8 +36,9 @@ class MultiTrialSeries:
 
     #: What a leave-one-out replicate reads of the per-trial pieces that the jackknife built
     #: once for the whole set (:func:`~specshrink.connectivity.jackknife_band_stats`): each
-    #: kept trial's lag products and span-risk terms.  None on every other series; it is not
-    #: a field, so a series made from a replicate has none.
+    #: kept trial's DFT row, lag products and span-risk terms, the one thing set from outside
+    #: on a replicate.  None on every other series; it is not a field, so a series made from
+    #: a replicate has none.
     trial_pieces = None
 
     def __post_init__(self):

@@ -20,8 +20,8 @@ it is assembled (:func:`_order_moment`) from one ``P x P`` sum per lag,
 and the last ``K`` samples that order ``K``'s regression leaves out
 (:func:`_lag_sums`); no stacked-lag product is formed.  The sums visit the
 trials in the series'
-:attr:`~specshrink.timeseries.MultiTrialSeries.trial_order`, which the
-series hashes once and keeps, and which is the same sequence of trials for
+:attr:`~specshrink.timeseries.MultiTrialSeries.trial_order`, their byte
+order, which the series keeps and which is the same sequence of trials for
 any input order, so fits and criterion values are bit-identical under any
 permutation of the trials.  No sum depends on the highest order formed, so
 the order scan, which assembles every candidate from one set of sums,
@@ -44,6 +44,7 @@ every warning and error is the one the exact guard gives.  :func:`fit_var`
 checks its own Gram exactly.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -151,10 +152,13 @@ def _gram_cond(gram: np.ndarray) -> float:
 
 
 def _warn_if_ill_conditioned(cond: float):
-    """Warn, at the caller of the public function, above :data:`GRAM_COND_WARN`."""
+    """Warn above :data:`GRAM_COND_WARN`, at the first frame outside this module."""
     if cond > GRAM_COND_WARN:
+        level, frame = 2, sys._getframe(1)
+        while frame is not None and frame.f_globals.get("__name__") == __name__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(f"regressor Gram matrix is ill-conditioned (cond {cond:.3g})",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=level)
 
 
 def _regression(moment: np.ndarray, n_channels: int, dof: int):

@@ -446,19 +446,37 @@ def test_replicates_transform_no_trial_again(monkeypatch, cap):
     if cap == 0:
         monkeypatch.setattr(connectivity, "F_OWN_CAP_BYTES", 0)
     calls = []
-    for owner, name in ((periodogram, "compute_periodograms"), (var, "_lag_products"),
-                        (smoothing._TrialTerms, "transform"),
+    for owner, name in ((periodogram, "compute_periodograms"), (periodogram, "_half_grid_dft"),
+                        (var, "_lag_products"), (smoothing._TrialTerms, "transform"),
                         (connectivity, "_half_grid_dft"), (connectivity, "_lag_products")):
         original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, _name=name, _original=original:
-                            calls.append(_name) or _original(*args))
+        label = f"{owner.__name__.rpartition('.')[2]}.{name}"
+        monkeypatch.setattr(owner, name, lambda *args, _label=label, _original=original:
+                            calls.append(_label) or _original(*args))
     series = MultiTrialSeries(np.random.default_rng(8).standard_normal((5, 3, 64)),
                               sampling_rate=64.0)
     jackknife_band_stats(series, (8.0, 12.0), PipelineOptions(max_order=2, window=5))
-    # the pieces transform each trial once; with f_own not kept, each replicate
-    # transforms its 4 kept trials' span terms again
-    assert sorted(calls) == sorted(["_half_grid_dft", "_lag_products"]
-                                   + ["transform"] * (5 if cap == "default" else 5 + 5 * 4))
+    # the pieces transform each trial once; each replicate computes its periodogram set
+    # from their DFT rows, and with f_own not kept, transforms its 4 kept trials' span
+    # terms again
+    assert sorted(calls) == sorted(
+        ["connectivity._half_grid_dft", "connectivity._lag_products"]
+        + ["periodogram.compute_periodograms"] * 5
+        + ["_TrialTerms.transform"] * (5 if cap == "default" else 5 + 5 * 4))
+
+
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_a_replicate_sorts_its_trials_into_the_parents_order_without_the_left_out_one(
+        duplicated):
+    values = np.random.default_rng(4).standard_normal((6, 2, 16))
+    if duplicated:  # byte-identical trials at both ends of the input
+        values = np.concatenate([values[3:4], values, values[3:4]])
+    series = MultiTrialSeries(values)
+    pieces = connectivity._TrialPieces(series)
+    for leave_out in range(series.n_trials):
+        order = series.trial_order[series.trial_order != leave_out]
+        expected = order - (order > leave_out)
+        np.testing.assert_array_equal(pieces.drop(leave_out).trial_order, expected)
 
 
 def test_jackknife_memory_is_its_pieces_plus_a_replicate(monkeypatch):

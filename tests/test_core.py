@@ -427,16 +427,16 @@ def test_map_trials_yields_in_trial_order_and_runs_at_most_one_trial_ahead_per_w
     monkeypatch.setattr(core, "_worker_count", lambda n_tasks: workers)
     started = []
 
-    def square(n):
+    def square(n, _space):
         started.append(n)
         time.sleep(0.002 * (n % 3 == 0))  # trials finish out of order
         return n * n
 
-    for n, result in enumerate(map_trials(square, 10)):
+    for n, result in enumerate(map_trials(square, 10, lambda: None)):
         assert result == n * n
         assert len(started) <= n + 1 + workers
     assert sorted(started) == list(range(10))
-    assert list(map_trials(square, 0)) == []
+    assert list(map_trials(square, 0, lambda: None)) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

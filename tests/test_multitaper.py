@@ -241,6 +241,18 @@ def test_the_handed_over_trial_sum_gives_the_fresh_estimate(monkeypatch, workers
     np.testing.assert_array_equal(shuffled_estimate, estimate)
 
 
+@pytest.mark.parametrize("data, median", [("white", 15), ("peaked", 2)])
+def test_the_selection_keeps_a_trial_sum_only_for_its_median(data, median):
+    series = (MultiTrialSeries(np.random.default_rng(0).standard_normal((5, 2, 64)))
+              if data == "white" else _peaked_series(5, 64))
+    selection = select_taper_count(series, (1, 2, 15))
+    assert selection.median == median
+    assert (selection.trial_sum is None) == (median != 15)
+    handed = multitaper_estimator(series, selection.median, trial_sum=selection.trial_sum)
+    np.testing.assert_array_equal(handed.matrices,
+                                  multitaper_estimator(series, selection.median).matrices)
+
+
 def test_a_trial_sum_of_the_wrong_shape_is_refused():
     series = MultiTrialSeries(np.random.default_rng(12).standard_normal((3, 2, 32)))
     with pytest.raises(DimensionError, match=r"must be \(17, 2, 2\), got \(17, 3, 3\)"):

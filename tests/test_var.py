@@ -305,6 +305,18 @@ def test_order_scan_warns_once_per_ill_conditioned_order():
     assert counts == [3, 3]
 
 
+def test_every_gram_warning_names_the_caller():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 1, 64))
+    near = MultiTrialSeries(
+        np.concatenate([x, x + 1e-6 * rng.standard_normal((4, 1, 64))], axis=1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        select_var_order(near, 3)  # the chosen order warns from fit_var, the others from the scan
+        fit_var(near, 2)
+    assert [w.filename for w in caught] == [__file__] * 4
+
+
 def test_order_selection_fits_only_the_chosen_order(monkeypatch):
     orders, passes = [], []
     fit, lag_sums = var.fit_var, var._lag_sums
