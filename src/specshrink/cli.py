@@ -18,7 +18,7 @@ from . import io as sio
 from .connectivity import (apply_fdr, band_mask, check_band, check_fdr_level,
                            jackknife_band_stats, pairwise_tests, partial_coherence)
 from .core import FrequencyGrid
-from .errors import DomainError, SpecshrinkError
+from .errors import DomainError, InsufficientDataError, SpecshrinkError
 from .shrinkage import ESTIMATORS, PipelineOptions, shrinkage_pipeline
 from .simulation import (HARNESS_MAX_ORDER, SimulationConfig, monte_carlo_compare,
                          simulate_mixture)
@@ -323,10 +323,20 @@ def cmd_connectivity(args) -> int:
     _check_rate_flag(args, args.inputs)
     conditions = [_load_series(path, args) for path in args.inputs]
     labels = conditions[0].channel_labels
-    if len(conditions) == 2 and conditions[1].n_channels != conditions[0].n_channels:
-        raise DomainError(
-            f"conditions have different channel counts: {conditions[0].n_channels} "
-            f"vs {conditions[1].n_channels}")
+    if len(conditions) == 2:
+        if conditions[1].n_channels != conditions[0].n_channels:
+            raise DomainError(
+                f"conditions have different channel counts: {conditions[0].n_channels} "
+                f"vs {conditions[1].n_channels}")
+        for i, (left, right) in enumerate(zip(labels, conditions[1].channel_labels)):
+            if left != right:
+                raise DomainError(f"conditions label channel {i} differently: {left!r} "
+                                  f"vs {right!r}")
+        for path, series in zip(args.inputs, conditions):
+            if series.n_trials < 3:  # each jackknife replicate's pipeline needs two trials
+                raise InsufficientDataError(
+                    f"{path}: the jackknife needs at least three trials per condition, "
+                    f"got {series.n_trials}")
     for series in conditions:  # an empty band fails here, before any pipeline runs
         for _, lo, hi in config.bands:
             band_mask(FrequencyGrid(series.n_samples, series.sampling_rate), (lo, hi))
@@ -378,9 +388,10 @@ def cmd_compare(args) -> int:
     estimators = tuple(s.strip() for s in args.estimators.split(",") if s.strip())
     options = _pipeline_options(config, args, estimators)
     windows = None if args.windows is None else _parse_windows(args.windows)
-    sim_config = SimulationConfig(n_trials=args.trials, n_samples=args.samples)
+    sim_config = SimulationConfig(n_trials=args.trials, n_samples=args.samples,
+                                  seed=config.seed)
     result = monte_carlo_compare(config=sim_config, estimators=estimators, reps=args.reps,
-                                 seed=config.seed, windows=windows, options=options)
+                                 windows=windows, options=options)
 
     hertz = result.grid.hertz
     names = result.estimator_names

@@ -317,14 +317,15 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
     so it is bit for bit ``shrinkage_pipeline(series.drop_trial(i), options)``.
     The pieces live for the call only; nothing is kept on ``series``.
 
-    A band that holds no Fourier frequency raises :class:`EmptyBandError` before
-    any replicate runs; a replicate that fails raises :class:`PipelineError`
+    Fewer than three trials raise :class:`InsufficientDataError` and a band that
+    holds no Fourier frequency raises :class:`EmptyBandError`, both before any
+    replicate runs; a replicate that fails raises :class:`PipelineError`
     whose stage names the left-out trial.  A replicate's spectral matrix that
     cannot be inverted outside the band raises nothing.
     """
     n = series.n_trials
-    if n < 2:
-        raise InsufficientDataError("jackknife needs at least two trials")
+    if n < 3:  # each replicate's pipeline needs two trials
+        raise InsufficientDataError(f"the jackknife needs at least three trials, got {n}")
     band = check_band(band)
     band_mask(FrequencyGrid(series.n_samples, series.sampling_rate), band)
     pieces = _TrialPieces(series)

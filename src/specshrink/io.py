@@ -29,7 +29,7 @@ from .connectivity import DEFAULT_FDR_Q
 from .core import check_rate
 from .errors import DataFormatError, DimensionError, DomainError
 from .shrinkage import DEFAULT_WINDOW, PipelineOptions
-from .simulation import HARNESS_SEED
+from .simulation import SimulationConfig
 from .smoothing import MIN_AUTO_SPAN
 from .timeseries import MultiTrialSeries
 
@@ -304,7 +304,7 @@ class RunConfig:
     taper_max: int | None = None
     bands: tuple = DEFAULT_BANDS
     fdr_q: float = DEFAULT_FDR_Q
-    seed: int = HARNESS_SEED
+    seed: int = SimulationConfig.seed
     out_dir: str = "."
 
     def span_grid(self) -> tuple[int, ...] | None:

@@ -248,8 +248,6 @@ class ComparisonResult:
 
 #: The harness's largest candidate VAR order when no options are given.
 HARNESS_MAX_ORDER = 8
-#: The harness's master seed when none is given.
-HARNESS_SEED = 0
 
 
 def _shrinkage_name(window: int, primary: int) -> str:
@@ -259,7 +257,6 @@ def _shrinkage_name(window: int, primary: int) -> str:
 def monte_carlo_compare(config: SimulationConfig | None = None,
                         estimators=("var", "smoothed", "multitaper", "shrinkage"),
                         reps: int = 20,
-                        seed: int | tuple = HARNESS_SEED,
                         windows=None,
                         options: PipelineOptions | None = None) -> ComparisonResult:
     """Compare estimators against the exact mixture spectrum over replicates.
@@ -268,7 +265,7 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
     ----------
     config : SimulationConfig, optional
         Process to simulate (defaults to the standard benchmark mixture).
-        Its ``seed`` is ignored here: replicate ``r`` uses entropy
+        Its ``seed`` is the master entropy: replicate ``r`` uses entropy
         ``(*seed, r)``.
     estimators : sequence of str
         Subset of ``raw_mean, smoothed, var, multitaper, shrinkage, truth``.
@@ -290,7 +287,7 @@ def monte_carlo_compare(config: SimulationConfig | None = None,
     cfg = config if config is not None else SimulationConfig()
     options = options if options is not None else PipelineOptions(max_order=HARNESS_MAX_ORDER)
     reps = check_count(reps, "reps")
-    base = _entropy(seed)
+    base = _entropy(cfg.seed)
     names = tuple(estimators)
     known = (*ESTIMATORS, "truth")
     for name in names:

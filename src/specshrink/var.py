@@ -30,6 +30,8 @@ scores each order from the moment :func:`fit_var` forms for it and hands
 The scan takes each order's log determinant from the last ``P`` pivots of
 one Cholesky factor of that moment (:func:`_cholesky_logdet`), which agrees
 with the fitted covariance's to rounding; only the chosen order is solved.
+An order that no factor can score is fitted by :func:`fit_var` from its
+moment instead, and scored by the ``slogdet`` of the fitted covariance.
 
 Two condition-number guards protect the linear algebra: each candidate's
 regressor Gram matrix (warn above :data:`GRAM_COND_WARN`, fail above
@@ -39,9 +41,9 @@ one Cholesky factor of the top order's Gram, shifted down by twice the
 margin the bound needs, bounds every order's condition
 (:func:`_grams_certified`), and the inverse the spectrum needs anyway bounds
 each transfer matrix's (:func:`~specshrink.core.certified_inverse`).  Exact
-condition numbers are computed only where the bound does not certify, so
-every warning and error is the one the exact guard gives.  :func:`fit_var`
-checks its own Gram exactly.
+condition numbers are computed only where a bound does not certify (the scan
+then fits every order with :func:`fit_var`, which checks its Gram exactly),
+so every warning and error is the one the exact guard gives.
 """
 
 import sys
@@ -151,23 +153,13 @@ def _gram_cond(gram: np.ndarray) -> float:
     return cond
 
 
-def _warn_if_ill_conditioned(cond: float):
-    """Warn above :data:`GRAM_COND_WARN`, at the first frame outside this module."""
-    if cond > GRAM_COND_WARN:
-        level, frame = 2, sys._getframe(1)
-        while frame is not None and frame.f_globals.get("__name__") == __name__:
-            level, frame = level + 1, frame.f_back
-        warnings.warn(f"regressor Gram matrix is ill-conditioned (cond {cond:.3g})",
-                      RuntimeWarning, stacklevel=level)
-
-
 def _regression(moment: np.ndarray, n_channels: int, dof: int):
     """``(coef_flat, noise)`` of the regression in a lag moment ``(P*(k+1), P*(k+1))``: the
     ``(P, P*k)`` coefficients ``(G**-1 C.T).T``, with ``G`` the regressor Gram (the lower-right
     block) and ``C`` the cross moments, blocked by lag, X(t-1) first, and the symmetrized Schur
     complement ``(S_yy - C G**-1 C.T) / dof``.  An exactly fitted channel leaves only rounding
-    error there, so negative eigenvalues are set to zero.  Callers check ``G``'s condition
-    first (:func:`_gram_cond`)."""
+    error there, so negative eigenvalues are set to zero.  :func:`fit_var` checks ``G``'s
+    condition first (:func:`_gram_cond`)."""
     gram, cross = moment[n_channels:, n_channels:], moment[:n_channels, n_channels:]
     solved = np.linalg.solve(gram, cross.T)
     noise = (moment[:n_channels, :n_channels] - cross @ solved) / dof
@@ -221,7 +213,12 @@ def fit_var(series: MultiTrialSeries, order: int, *, moment: np.ndarray | None =
     dof = n_trials * (n_samples - order) - n_channels * order
     cond = _gram_cond(moment[n_channels:, n_channels:])
     coef_flat, noise = _regression(moment, n_channels, dof)
-    _warn_if_ill_conditioned(cond)
+    if cond > GRAM_COND_WARN:  # warn at the first frame outside this module
+        level, frame = 2, sys._getframe(1)
+        while frame is not None and frame.f_globals.get("__name__") == __name__:
+            level, frame = level + 1, frame.f_back
+        warnings.warn(f"regressor Gram matrix is ill-conditioned (cond {cond:.3g})",
+                      RuntimeWarning, stacklevel=level)
     coefs = coef_flat.reshape(n_channels, order, n_channels).transpose(1, 0, 2)
     return VarModel(coefs=coefs, noise_cov=noise)
 
@@ -386,8 +383,8 @@ def _grams_certified(values: np.ndarray, top_moment: np.ndarray, top: int) -> bo
     GRAM_COND_WARN``, and one Cholesky factor of ``G - 2*tau*I`` proves it: the
     factor exists only if ``lmin(G) > 2*tau`` less its backward error, about
     ``n**2 * eps * ||G||``, which is far below ``tau``.  Where the factor fails,
-    the bound does not certify, and each order's exact :func:`_gram_cond` decides,
-    so where it holds no order's :func:`_gram_cond` would warn or raise.
+    the bound does not certify, and each order's exact :func:`_gram_cond` in its
+    :func:`fit_var` decides, so where it holds no order's fit would warn or raise.
     """
     n_channels = values.shape[1]
     lead = values[:, :, :top]
@@ -447,25 +444,22 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
     scores ``inf``.  Every order is scored from one set of per-lag and edge
     sums over the trials (:func:`_lag_moments`): ``noise_cov(k)`` is the Schur
     complement ``(S_yy - C G**-1 C.T) / (N*(T-k) - P*k)`` of the order's
-    moment, the covariance :func:`fit_var` fits from that moment, whose
-    sample-size and Gram-condition checks each order keeps.  The Gram
-    conditions are first certified together by one shifted Cholesky factor of
-    the top order's Gram (:func:`_grams_certified`); only when that does not
-    clear the warning level is each order's exact condition number computed,
-    so the warnings and errors are those of fitting every order.  Where the
-    certificate holds, each order's ``log det`` is twice the sum of the logs
-    of the last ``P`` pivots of one Cholesky factor of its moment with the
-    ``X(t)`` block last, less ``P * log(N*(T-k) - P*k)``
-    (:func:`_cholesky_logdet`): no solve, eigendecomposition or ``slogdet``,
-    and it agrees with the fitted covariance's ``slogdet`` to rounding.  Where
-    the certificate fails, the factor fails, or a trailing pivot is within a
-    rounding bound of zero (:func:`_pivot_floor`), the order is scored by
-    :func:`_regression` and ``slogdet`` as :func:`fit_var` would fit it.  The
-    moments are trial sums in canonical trial order, so the scan is
-    bit-identical under any permutation of the trials.  The chosen order is
-    fitted by :func:`fit_var` from the scan's own moment, which reads no trial
-    again and checks that order's Gram exactly, and the selection carries that
-    model, so callers need not refit it.
+    moment, the covariance :func:`fit_var` fits from that moment.  Where one
+    shifted Cholesky factor of the top order's Gram certifies every order's
+    Gram condition below the warning level (:func:`_grams_certified`), each
+    order's ``log det`` is twice the sum of the logs of the last ``P`` pivots
+    of one Cholesky factor of its moment with the ``X(t)`` block last, less
+    ``P * log(N*(T-k) - P*k)`` (:func:`_cholesky_logdet`): no solve,
+    eigendecomposition or ``slogdet``, and it agrees with the fitted
+    covariance's ``slogdet`` to rounding.  Every other order (all of them where
+    the certificate fails, and any whose factor fails or has a trailing pivot
+    within a rounding bound of zero, :func:`_pivot_floor`) is fitted by
+    :func:`fit_var` from its moment and scored by the ``slogdet`` of its
+    covariance, so the warnings and errors are those of fitting every order,
+    in ascending order.  The moments are trial sums in canonical trial order,
+    so the scan is bit-identical under any permutation of the trials.  The
+    selection carries the chosen order's model: the scan's fit where it has
+    one, else one :func:`fit_var` of the scan's moment, which reads no trial.
     """
     max_order = check_count(max_order, "max_order")
     values = series.values
@@ -477,28 +471,22 @@ def select_var_order(series: MultiTrialSeries, max_order: int) -> OrderSelection
         top += 1
     moments = list(_lag_moments(series, top))
     certified = bool(moments) and _grams_certified(values, moments[-1][1], top)
-    criterion, conds, order = [], [], None
-    try:
-        for k, moment in moments:
+    criterion, fits = [], {}
+    for k, moment in moments:
+        logdet = _cholesky_logdet(moment, n_channels) if certified else None
+        if logdet is not None:
             dof = n_trials * (n_samples - k) - n_channels * k
-            logdet = _cholesky_logdet(moment, n_channels) if certified else None
-            if logdet is not None:
-                criterion.append(logdet - n_channels * np.log(dof) + penalty_unit * k)
-                continue
-            if not certified:
-                conds.append(_gram_cond(moment[n_channels:, n_channels:]))
-            _, noise = _regression(moment, n_channels, dof)
-            sign, logdet = np.linalg.slogdet(noise)
-            criterion.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
-        if top < max_order:
-            raise InsufficientDataError(_sample_shortfall(values.shape, top + 1))
-        order = 1 + int(np.argmin(criterion))
-    finally:  # warn as fitting every order would, also when the scan raises
-        for k, cond in enumerate(conds, 1):
-            if k != order:  # fit_var warns for the chosen order
-                _warn_if_ill_conditioned(cond)
-    model = fit_var(series, order, moment=moments[order - 1][1])
-    return OrderSelection(criterion=tuple(criterion), model=model)
+            criterion.append(logdet - n_channels * np.log(dof) + penalty_unit * k)
+            continue
+        fits[k] = fit_var(series, k, moment=moment)
+        sign, logdet = np.linalg.slogdet(fits[k].noise_cov)
+        criterion.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
+    if top < max_order:
+        raise InsufficientDataError(_sample_shortfall(values.shape, top + 1))
+    order = 1 + int(np.argmin(criterion))
+    if order not in fits:
+        fits[order] = fit_var(series, order, moment=moments[order - 1][1])
+    return OrderSelection(criterion=tuple(criterion), model=fits[order])
 
 
 def var_spectrum(model: VarModel, grid: FrequencyGrid) -> SpectralEstimate:

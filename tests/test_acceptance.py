@@ -59,8 +59,8 @@ def report(log, number, title, ok, detail=""):
 def benchmark_run():
     start = time.time()
     result = monte_carlo_compare(
-        SimulationConfig(), estimators=("var", "smoothed", "multitaper", "shrinkage"),
-        reps=20, seed=0, windows=(15, 7, 31))
+        SimulationConfig(seed=0), estimators=("var", "smoothed", "multitaper", "shrinkage"),
+        reps=20, windows=(15, 7, 31))
     return result, time.time() - start
 
 

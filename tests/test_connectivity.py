@@ -14,6 +14,7 @@ from specshrink import (
     DomainError,
     EmptyBandError,
     FrequencyGrid,
+    InsufficientDataError,
     MultiTrialSeries,
     NearSingularError,
     PipelineError,
@@ -391,6 +392,19 @@ def test_jackknife_rejects_an_empty_band_before_any_replicate(monkeypatch):
                               sampling_rate=64.0)
     with pytest.raises(EmptyBandError, match=r"no Fourier frequencies inside \[200.0, 300.0\]"):
         jackknife_band_stats(series, (200.0, 300.0), PipelineOptions(var_order=1, fixed_span=7))
+    assert calls == []
+
+
+def test_jackknife_needs_three_trials_before_any_replicate(monkeypatch):
+    # each replicate's pipeline needs two trials
+    calls = []
+    pipeline = connectivity.shrinkage_pipeline
+    monkeypatch.setattr(connectivity, "shrinkage_pipeline",
+                        lambda *args: calls.append(args) or pipeline(*args))
+    series = MultiTrialSeries(np.random.default_rng(6).standard_normal((2, 2, 64)),
+                              sampling_rate=64.0)
+    with pytest.raises(InsufficientDataError, match="at least three trials, got 2"):
+        jackknife_band_stats(series, (8.0, 12.0), PipelineOptions(var_order=1, fixed_span=7))
     assert calls == []
 
 

@@ -379,7 +379,7 @@ def test_parser_defaults_are_the_dataclass_defaults():
     options = PipelineOptions()
     assert (RunConfig().window, RunConfig().max_order) == (options.window, options.max_order)
     assert RunConfig().span_min == default_span_grid(sim.n_samples)[0]
-    assert RunConfig().seed == harness["seed"].default
+    assert RunConfig().seed == sim.seed
     assert inspect.signature(simulate_var).parameters["burn_in"].default == sim.burn_in
     for fdr in (bh_fdr, apply_fdr):
         assert inspect.signature(fdr).parameters["q"].default == RunConfig().fdr_q
@@ -590,6 +590,32 @@ def test_cli_connectivity_two_conditions(tmp_path, capsys):
     assert "different channel counts" in capsys.readouterr().err
 
 
+def test_cli_connectivity_rejects_conditions_whose_channel_labels_differ(tmp_path, capsys):
+    left, right = tmp_path / "l.mts", tmp_path / "r.mts"
+    write_trials(left, make_series(n_trials=5, n_channels=3))
+    write_trials(right, replace(make_series(n_trials=5, n_channels=3),
+                                channel_labels=("ch00", "ch02", "ch01")))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("connectivity", left, right, "--out-dir", out, "--order", "1",
+                   "--fixed-span", "7") == 1
+    assert "conditions label channel 1 differently: 'ch01' vs 'ch02'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_cli_connectivity_rejects_a_condition_too_short_to_jackknife(tmp_path, capsys):
+    left, right = tmp_path / "l.mts", tmp_path / "r.mts"
+    write_trials(left, make_series(n_trials=5))
+    write_trials(right, make_series(n_trials=2))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("connectivity", left, right, "--out-dir", out, "--order", "1",
+                   "--fixed-span", "7") == 1
+    assert (f"{right}: the jackknife needs at least three trials per condition, got 2"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
 def test_cli_connectivity_replicates_hold_no_full_series_periodograms(tmp_path, monkeypatch):
     # The full-series pipeline runs on a copy of each condition, so the series the
     # jackknife reads has cached no periodograms that no replicate reads.
@@ -752,8 +778,8 @@ def test_cli_compare_uses_the_configured_taper_grid(tmp_path):
     out = tmp_path / "out"
     assert run_cli("compare", "--reps", "1", "--trials", "24", "--samples", "64",
                    "--estimators", "multitaper", "--config", cfg, "--out-dir", out) == 0
-    sim = SimulationConfig(n_trials=24, n_samples=64)
-    kwargs = dict(estimators=("multitaper",), reps=1, seed=0)
+    sim = SimulationConfig(n_trials=24, n_samples=64, seed=0)
+    kwargs = dict(estimators=("multitaper",), reps=1)
     one_taper = monte_carlo_compare(sim, options=PipelineOptions(max_order=1, taper_grid=(1,)),
                                     **kwargs)
     default = monte_carlo_compare(sim, options=PipelineOptions(max_order=1), **kwargs)

@@ -312,7 +312,7 @@ def test_every_gram_warning_names_the_caller():
         np.concatenate([x, x + 1e-6 * rng.standard_normal((4, 1, 64))], axis=1))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        select_var_order(near, 3)  # the chosen order warns from fit_var, the others from the scan
+        select_var_order(near, 3)  # the uncertified scan fits every order with fit_var
         fit_var(near, 2)
     assert [w.filename for w in caught] == [__file__] * 4
 
@@ -328,6 +328,34 @@ def test_order_selection_fits_only_the_chosen_order(monkeypatch):
     selection = select_var_order(series, 6)
     assert orders == [selection.order]
     assert passes == [6]  # the fit takes the scan's moment and reads no trial again
+
+
+def _collinear_cores():
+    """12 trials of 12 channels and 64 samples of the mixture, channel 1 replaced by channel 0
+    plus 1e-5 standard-normal noise, detrended and standardized as the CLI does: every
+    order's Gram condition is above the warning level, so the certificate fails."""
+    values = simulate_mixture(SimulationConfig(n_trials=12, n_samples=64, seed=3)).values.copy()
+    values[:, 1] = values[:, 0] + 1e-5 * np.random.default_rng(0).standard_normal((12, 64))
+    return standardize(detrend(MultiTrialSeries(values, sampling_rate=256.0), order=1))
+
+
+@pytest.mark.parametrize("case", ["certified", "collinear"])
+def test_the_scan_fits_each_order_it_cannot_score_once(monkeypatch, case):
+    # A certified scan fits the chosen order alone; an uncertified one fits every order
+    # once, in ascending order, and keeps the chosen order's fit.
+    orders = []
+    fit = var.fit_var
+    monkeypatch.setattr(var, "fit_var", lambda series, order, **kwargs: orders.append(order)
+                        or fit(series, order, **kwargs))
+    certified = case == "certified"
+    series = _scan_cases()["standardized mixture"][0] if certified else _collinear_cores()
+    *_, (_, top_moment) = var._lag_moments(series, 3)
+    assert var._grams_certified(series.values, top_moment, 3) == certified
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        selection = select_var_order(series, 3)
+    assert orders == ([selection.order] if certified else [1, 2, 3])
+    assert len(caught) == (0 if certified else 3)
 
 
 @pytest.mark.parametrize("case", list(_scan_cases()) + ["fewer samples than twice the top"])
@@ -516,33 +544,10 @@ def test_nearly_collinear_channels_warn_that_the_gram_is_ill_conditioned():
 
 
 def exact_select_var_order(series, max_order):
-    """Test-only oracle: the order scan that computes every order's exact Gram condition
-    and scores every order from its :func:`fit_var` covariance by ``slogdet``, as before the
-    conditions were certified from the top order's Gram and the orders scored from
-    Cholesky factors."""
-    values = series.values
-    n_trials, n_channels, n_samples = values.shape
-    total = n_trials * n_samples
-    penalty_unit = np.log(total) / total * n_channels ** 2
-    top = 0
-    while top < max_order and var._sample_shortfall(values.shape, top + 1) is None:
-        top += 1
-    criterion, conds, order = [], [], None
-    try:
-        for k, moment in var._lag_moments(series, top):
-            conds.append(var._gram_cond(moment[n_channels:, n_channels:]))
-            dof = n_trials * (n_samples - k) - n_channels * k
-            _, noise = var._regression(moment, n_channels, dof)
-            sign, logdet = np.linalg.slogdet(noise)
-            criterion.append(np.inf if sign <= 0 else logdet + penalty_unit * k)
-        if top < max_order:
-            raise InsufficientDataError(var._sample_shortfall(values.shape, top + 1))
-        order = 1 + int(np.argmin(criterion))
-    finally:
-        for k, cond in enumerate(conds, 1):
-            if k != order:
-                var._warn_if_ill_conditioned(cond)
-    return OrderSelection(criterion=tuple(criterion), model=fit_var(series, order))
+    """Test-only oracle: :func:`reference_select_var_order`, which fits every order with
+    :func:`fit_var` and scores each by ``slogdet``, as an :class:`OrderSelection`."""
+    _, criterion, model = reference_select_var_order(series, max_order)
+    return OrderSelection(criterion=criterion, model=model)
 
 
 def exact_var_spectrum(model, grid):
@@ -783,6 +788,24 @@ def test_the_order_scan_decides_as_the_exact_scan(kind, n_trials, seed):
     certified = var._grams_certified(series.values, top_moment, top)
     expected = guard_outcome(exact_select_var_order, series, max_order)
     assert_same_outcome(guard_outcome(select_var_order, series, max_order), expected,
+                        rounding=certified)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_trials=st.integers(2, 6), exponent=st.floats(-9.0, -4.0), seed=st.integers(0, 2 ** 16))
+def test_the_uncertified_scan_is_the_oracle(n_trials, exponent, seed):
+    # The last channel is the first plus 10**exponent times independent noise, so the
+    # certificate fails on (nearly) every draw: the scan then fits every order as the oracle
+    # does, the same criteria and model to the bit, the same warnings in the same order.
+    series, max_order = _decision_input("var", n_trials, seed)
+    values = series.values.copy()
+    noise = np.random.default_rng(seed).standard_normal(values[:, 0].shape)
+    values[:, -1] = values[:, 0] + 10.0 ** exponent * noise
+    near = MultiTrialSeries(values)
+    *_, (top, top_moment) = var._lag_moments(near, max_order)
+    certified = var._grams_certified(values, top_moment, top)
+    expected = guard_outcome(exact_select_var_order, near, max_order)
+    assert_same_outcome(guard_outcome(select_var_order, near, max_order), expected,
                         rounding=certified)
 
 
