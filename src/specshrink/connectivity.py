@@ -18,10 +18,8 @@ from .core import (FrequencyGrid, SpectralEstimate, _is_real, certified_inverse,
 from .errors import (DegenerateChannelError, DimensionError, DomainError,
                      EmptyBandError, InsufficientDataError, NearSingularError,
                      PipelineError, SpecshrinkError)
-from .periodogram import _half_grid_dft
 from .shrinkage import PipelineOptions, shrinkage_pipeline
 from .timeseries import MultiTrialSeries
-from .var import _lag_products
 
 #: Condition-number guard for inverting spectral matrices.
 INVERSION_COND_LIMIT = 1e12
@@ -33,11 +31,6 @@ UPPER_SLACK = 1e-10
 
 #: The FDR level when none is given.
 DEFAULT_FDR_Q = 0.05
-
-#: Bytes up to which :func:`jackknife_band_stats` keeps every trial's lag-domain span-risk
-#: transform ``f_own`` (``N * P*(P+1)/2 * T`` doubles: 19 MB at 120 x 12 x 256, 173 MB at
-#: 40 x 32 x 1024); above it each replicate transforms its trials again.
-F_OWN_CAP_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -224,78 +217,6 @@ class BandStats:
     band: tuple[float, float]
 
 
-class _TrialPieces:
-    """Every piece of a leave-one-out replicate of ``series`` that depends on one trial
-    alone, each formed once for all the trials: the trials' DFT rows, their VAR lag products
-    (:func:`~specshrink.var._lag_products`, at the highest order asked so far) and their
-    span-risk terms (:class:`~specshrink.smoothing._TrialTerms`, for the last span grid
-    asked; ``f_own`` only while :data:`F_OWN_CAP_BYTES` holds it).  A replicate reads them
-    through :meth:`drop`, and each of its sums over trials adds its kept trials' pieces in
-    its own canonical order, so it is bit for bit the replicate that computes everything
-    itself."""
-
-    def __init__(self, series: MultiTrialSeries):
-        self.series = series
-        self.dfts = _half_grid_dft(series.values,
-                                   FrequencyGrid(series.n_samples, series.sampling_rate))
-        self.lags = None
-        self.span = None  # (terms key, f_own or None, own_sq, own_ends, smoothed)
-
-    def drop(self, index: int) -> MultiTrialSeries:
-        """``series.drop_trial(index)`` holding its kept trials' rows of these pieces as its
-        :attr:`~specshrink.timeseries.MultiTrialSeries.trial_pieces`."""
-        replicate = self.series.drop_trial(index)
-        kept = np.delete(np.arange(self.series.n_trials), index)
-        object.__setattr__(replicate, "trial_pieces", _KeptPieces(self, kept))
-        return replicate
-
-    def lag_products(self, top: int, kept: np.ndarray) -> np.ndarray:
-        """The kept trials' lag products up to lag ``top``, ``(len(kept), top+1, P, P)``."""
-        if self.lags is None or self.lags.shape[1] <= top:
-            self.lags = np.concatenate(list(_lag_products(
-                self.series.values, np.arange(self.series.n_trials), top)))
-        return self.lags[kept, :top + 1]
-
-    def span_terms(self, terms, kept: np.ndarray):
-        """Yield the kept trials' ``terms`` in order, transforming a trial again only where
-        ``f_own`` is not kept."""
-        if self.span is None or self.span[0] != terms.key:
-            self.span = None  # drop the old grid's terms first
-            n_trials = len(self.dfts)
-            keep = n_trials * len(terms.rows) * terms.n_samples * 8 <= F_OWN_CAP_BYTES
-            f_own = stacks = None
-            for n, (trial_f_own, *rest) in enumerate(map(terms, self.dfts)):
-                if stacks is None:
-                    f_own = np.empty((n_trials,) + trial_f_own.shape) if keep else None
-                    stacks = [np.empty((n_trials,) + term.shape) for term in rest]
-                if keep:
-                    f_own[n] = trial_f_own
-                for stack, term in zip(stacks, rest):
-                    stack[n] = term
-            self.span = (terms.key, f_own, *stacks)
-        _, f_own, own_sq, own_ends, smoothed = self.span
-        for n in kept:
-            yield (terms.transform(self.dfts[n])[1] if f_own is None else f_own[n],
-                   own_sq[n], own_ends[n], smoothed[n])
-
-
-class _KeptPieces:
-    """What one replicate reads of :class:`_TrialPieces`: the pieces of its kept trials,
-    indexed like the replicate's own trials."""
-
-    def __init__(self, pieces: _TrialPieces, kept: np.ndarray):
-        self.pieces, self.kept = pieces, kept
-
-    def dfts(self) -> np.ndarray:
-        return self.pieces.dfts[self.kept]
-
-    def lag_products(self, top: int) -> np.ndarray:
-        return self.pieces.lag_products(top, self.kept)
-
-    def span_terms(self, terms):
-        return self.pieces.span_terms(terms, self.kept)
-
-
 def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
                          options: PipelineOptions | None = None) -> BandStats:
     """Leave-one-trial-out jackknife of band-averaged partial coherence.
@@ -309,13 +230,11 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
     runs in canonical trial order (:attr:`MultiTrialSeries.trial_order`), so
     permuting the trials changes no bit of the result.
 
-    Each call first forms, once for all the trials, every piece that depends on
-    one trial alone (:class:`_TrialPieces`): the DFTs, the VAR lag products and
-    the span-risk terms.  Each replicate is ``series.drop_trial(i)`` holding its
-    kept trials' pieces (:attr:`MultiTrialSeries.trial_pieces`) and computes the
-    rest as any series does, its trial order and trial sums and all that follows,
-    so it is bit for bit ``shrinkage_pipeline(series.drop_trial(i), options)``.
-    The pieces live for the call only; nothing is kept on ``series``.
+    Each replicate is ``shrinkage_pipeline(parent.drop_trial(i), options)``, with
+    ``parent`` a copy of ``series`` made for the call, so the replicates share the
+    DFTs, VAR lag products and span-risk terms formed once for all the trials
+    (:meth:`MultiTrialSeries.shared`), and each is bit for bit
+    ``shrinkage_pipeline(series.drop_trial(i), options)``.  Nothing is kept on ``series``.
 
     Fewer than three trials raise :class:`InsufficientDataError` and a band that
     holds no Fourier frequency raises :class:`EmptyBandError`, both before any
@@ -328,13 +247,14 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
         raise InsufficientDataError(f"the jackknife needs at least three trials, got {n}")
     band = check_band(band)
     band_mask(FrequencyGrid(series.n_samples, series.sampling_rate), band)
-    pieces = _TrialPieces(series)
+    parent = replace(series)  # holds the replicates' shared work for this call only
     replicates = []
     for leave_out in range(n):
         try:
             # one expression, so that no replicate's pipeline result outlives it
-            vals = partial_coherence(shrinkage_pipeline(pieces.drop(leave_out), options).estimate,
-                                     band=band).values.copy()
+            vals = partial_coherence(
+                shrinkage_pipeline(parent.drop_trial(leave_out), options).estimate,
+                band=band).values.copy()
             np.fill_diagonal(vals, 0.0)
             replicates.append(fisher_z(vals))
         except SpecshrinkError as err:

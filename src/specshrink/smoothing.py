@@ -61,12 +61,17 @@ import numpy as np
 
 from .core import SpectralEstimate, check_count, check_grid
 from .errors import DimensionError, DomainError, InsufficientDataError
-from .periodogram import PeriodogramSet, periodogram_sum
+from .periodogram import periodogram_sum, shared_dfts
 from .timeseries import MultiTrialSeries
 
 #: Smallest and largest spans ever chosen automatically.
 MIN_AUTO_SPAN = 3
 MAX_AUTO_SPAN = 63
+
+#: Bytes up to which :func:`_stacked_terms` keeps every trial's lag transform ``f_own``
+#: (``N * P*(P+1)/2 * T`` doubles: 19 MB at 120 x 12 x 256, 173 MB at 40 x 32 x 1024);
+#: above it each replicate transforms its trials again.
+F_OWN_CAP_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -77,11 +82,6 @@ class SmoothingConfig:
     span_grid: tuple[int, ...] | None
     fixed_span: int | None
     selected_spans: tuple[int, ...]
-
-
-def validate_span_grid(span_grid) -> tuple[int, ...]:
-    """Check a candidate span grid: nonempty, odd counts, strictly increasing."""
-    return check_grid(span_grid, "smoothing spans", odd=True)
 
 
 def default_span_grid(n_samples: int) -> tuple[int, ...]:
@@ -226,22 +226,38 @@ class _TrialTerms:
         return f_own, own_sq, own_ends[:, :, 0], smoothed
 
 
-def span_risks(periodograms: PeriodogramSet, span_grid, *, pieces=None) -> np.ndarray:
+def _stacked_terms(terms: _TrialTerms, dfts: np.ndarray):
+    """The ``terms`` of every trial of ``dfts``, each stacked over the trials, with ``f_own``
+    None where it would take more than :data:`F_OWN_CAP_BYTES`."""
+    n_trials = len(dfts)
+    keep = n_trials * len(terms.rows) * terms.n_samples * 8 <= F_OWN_CAP_BYTES
+    f_own = stacks = None
+    for n, (trial_f_own, *rest) in enumerate(map(terms, dfts)):
+        if stacks is None:
+            f_own = np.empty((n_trials,) + trial_f_own.shape) if keep else None
+            stacks = [np.empty((n_trials,) + term.shape) for term in rest]
+        if keep:
+            f_own[n] = trial_f_own
+        for stack, term in zip(stacks, rest):
+            stack[n] = term
+    return f_own, *stacks
+
+
+def span_risks(series: MultiTrialSeries, span_grid) -> np.ndarray:
     """Unbiased-risk curves of every trial over the candidate spans, ``(n_trials, n_spans)``.
 
     The risk of a span for trial ``n`` is
     ``(2*pi/T) * sum_j ||pilot_n(w_j) - smoothed_n(w_j)||^2`` over the half
     grid, where the pilot is the mean periodogram of all other trials and
-    the smoothed term is trial ``n``'s periodogram smoothed with that span.
-    One lag-domain transform per trial, plus one of the trial sum, scores
-    every span of every trial (see the module docstring); trials are
-    streamed one at a time.  ``pieces``, the
-    :attr:`~specshrink.timeseries.MultiTrialSeries.trial_pieces` of the series the
-    periodograms belong to, hands over each trial's own terms (:class:`_TrialTerms`) as
-    they were formed once for a larger set, bit for bit the same; only the trial sum's
-    terms are formed here then.
+    the smoothed term is trial ``n``'s periodogram smoothed with that span, both
+    from the series' ``periodograms``.  One lag-domain transform per trial, plus one
+    of the trial sum, scores every span of every trial (see the module docstring);
+    trials are streamed one at a time.  A series made by ``parent.drop_trial(i)`` reads
+    its trials' own terms (:class:`_TrialTerms`) from those of ``parent``'s trials,
+    formed once for all its replicates (:func:`_stacked_terms`), bit for bit the same.
     """
-    grid = validate_span_grid(span_grid)
+    grid = check_grid(span_grid, "smoothing spans", odd=True)
+    periodograms = series.periodograms
     n_trials = periodograms.n_trials
     if n_trials < 2:
         raise InsufficientDataError(
@@ -257,7 +273,15 @@ def span_risks(periodograms: PeriodogramSet, span_grid, *, pieces=None) -> np.nd
     # and, for even T, omega = pi; add those once more.
     total_ends = total.real[:, terms.endpoints]
 
-    per_trial = map(terms, periodograms.dfts) if pieces is None else pieces.span_terms(terms)
+    per_trial = map(terms, periodograms.dfts)
+    # a replicate reads its trials' rows of the terms formed from its parent's DFTs
+    shared = series.shared("span terms", terms.key,
+                           lambda parent: _stacked_terms(terms, shared_dfts(series)[0]))
+    if shared is not None:
+        (every_f_own, every_sq, every_ends, every_smoothed), kept = shared
+        per_trial = ((terms.transform(d)[1] if every_f_own is None else every_f_own[n],
+                      every_sq[n], every_ends[n], every_smoothed[n])
+                     for d, n in zip(periodograms.dfts, kept))
     risks = np.empty((n_trials, len(grid)))
     for n, (f_own, own_sq, own_ends, smoothed) in enumerate(per_trial):
         own_total = np.einsum("ek,ek->k", f_own, f_total)
@@ -293,7 +317,7 @@ def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int
         settings with ``selected_spans``, the span used for each trial.  The
         periodograms are the series' own (:attr:`MultiTrialSeries.periodograms`).
     """
-    span_grid = None if span_grid is None else validate_span_grid(span_grid)
+    span_grid = None if span_grid is None else check_grid(span_grid, "smoothing spans", odd=True)
     fixed_span = None if fixed_span is None else check_count(fixed_span, "fixed_span", odd=True)
     pgrams = series.periodograms
     n_samples = pgrams.grid.n_samples
@@ -302,7 +326,7 @@ def smoothed_estimator(series: MultiTrialSeries, span_grid=None, fixed_span: int
     else:
         grid = span_grid if span_grid is not None else default_span_grid(n_samples)
         # argmin takes the first minimum, so ties go to the smaller span.
-        risks = span_risks(pgrams, grid, pieces=series.trial_pieces)
+        risks = span_risks(series, grid)
         spans = [grid[i] for i in np.argmin(risks, axis=1)]
     # Smoothing is linear: smooth each group of trials sharing a span once.  A
     # group of every trial is the set's own trial sum.

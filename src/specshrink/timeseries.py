@@ -28,18 +28,17 @@ class MultiTrialSeries:
 
     :attr:`periodograms` and :attr:`trial_order` are computed at first use and kept, so
     every stage run on the series shares them; a series made from it computes its own.
+    The replicates that :meth:`drop_trial` makes of one series also share the work that
+    depends on one trial alone (:meth:`shared`).
     """
 
     values: np.ndarray
     sampling_rate: float = 1.0
     channel_labels: tuple[str, ...] = ()
 
-    #: What a leave-one-out replicate reads of the per-trial pieces that the jackknife built
-    #: once for the whole set (:func:`~specshrink.connectivity.jackknife_band_stats`): each
-    #: kept trial's DFT row, lag products and span-risk terms, the one thing set from outside
-    #: on a replicate.  None on every other series; it is not a field, so a series made from
-    #: a replicate has none.
-    trial_pieces = None
+    #: ``(parent, kept)`` of a series made by ``parent.drop_trial(i)``.  Not a field, so a
+    #: series made from it in any other way (``replace``, :func:`detrend`, ...) has none.
+    _origin = None
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=float)
@@ -86,14 +85,35 @@ class MultiTrialSeries:
         return canonical_trial_order(self.values)
 
     def drop_trial(self, index: int) -> "MultiTrialSeries":
-        """A copy with one trial removed (for leave-one-out resampling)."""
+        """A copy with one trial removed (for leave-one-out resampling), linked to this
+        series so that the copies share what :meth:`shared` forms for all its trials."""
         index = check_count(index, "trial index", low=0)
         if index >= self.n_trials:
             raise DimensionError(f"trial index {index} out of range [0, {self.n_trials})")
         if self.n_trials < 2:
             raise InsufficientDataError("cannot drop the only trial")
-        keep = np.delete(self.values, index, axis=0)
-        return replace(self, values=keep)
+        replicate = replace(self, values=np.delete(self.values, index, axis=0))
+        object.__setattr__(replicate, "_origin",
+                           (self, np.delete(np.arange(self.n_trials), index)))
+        return replicate
+
+    def shared(self, kind: str, key, build):
+        """``(build(parent), kept)`` for a series made by ``parent.drop_trial(i)``, with
+        ``kept`` the indices of its trials among ``parent``'s; None for any other series.
+
+        ``build(parent)`` forms a piece of work for every trial of ``parent`` at once.  It
+        runs once per ``kind`` and ``key``, and its value is kept on ``parent`` for every
+        replicate, for as long as ``parent`` lives; a new ``key`` for a ``kind`` replaces
+        the old value, which is dropped first.
+        """
+        if self._origin is None:
+            return None
+        parent, kept = self._origin
+        store = vars(parent).setdefault("_shared", {})  # kind: (key, value)
+        if kind not in store or store[kind][0] != key:
+            store.pop(kind, None)  # free the old value before the new one is built
+            store[kind] = (key, build(parent))
+        return store[kind][1], kept
 
 
 def detrend(series: MultiTrialSeries, order: int = 1) -> MultiTrialSeries:

@@ -159,10 +159,15 @@ def _regression(moment: np.ndarray, n_channels: int, dof: int):
     block) and ``C`` the cross moments, blocked by lag, X(t-1) first, and the symmetrized Schur
     complement ``(S_yy - C G**-1 C.T) / dof``.  An exactly fitted channel leaves only rounding
     error there, so negative eigenvalues are set to zero.  :func:`fit_var` checks ``G``'s
-    condition first (:func:`_gram_cond`)."""
+    condition first (:func:`_gram_cond`); a subnormal Gram can pass it and solve to values
+    that are not finite, which raise :class:`RankDeficiencyError`."""
     gram, cross = moment[n_channels:, n_channels:], moment[:n_channels, n_channels:]
-    solved = np.linalg.solve(gram, cross.T)
-    noise = (moment[:n_channels, :n_channels] - cross @ solved) / dof
+    with np.errstate(all="ignore"):
+        solved = np.linalg.solve(gram, cross.T)
+        noise = (moment[:n_channels, :n_channels] - cross @ solved) / dof
+    if not (np.all(np.isfinite(solved)) and np.all(np.isfinite(noise))):
+        raise RankDeficiencyError(
+            "the VAR regression gave non-finite values; the input's scale may be the cause")
     noise = 0.5 * (noise + noise.T)
     eigs, vecs = np.linalg.eigh(noise)
     if eigs[0] < 0.0:
@@ -314,11 +319,13 @@ def _lag_sums(values: np.ndarray, trials: np.ndarray, top: int, products=None):
 
 
 def _series_lag_sums(series: MultiTrialSeries, top: int):
-    """:func:`_lag_sums` over the series' :attr:`~.MultiTrialSeries.trial_order`, from the
-    per-trial products its :attr:`~.MultiTrialSeries.trial_pieces` hold, if it has any."""
-    pieces = series.trial_pieces
+    """:func:`_lag_sums` over the series' :attr:`~.MultiTrialSeries.trial_order`; a series made
+    by ``parent.drop_trial(i)`` reads its rows of ``parent``'s :func:`_lag_products` up to
+    ``top``, formed once for all its replicates (:meth:`~.MultiTrialSeries.shared`)."""
+    shared = series.shared("lag products", top, lambda parent: np.concatenate(list(
+        _lag_products(parent.values, np.arange(parent.n_trials), top))))
     return _lag_sums(series.values, series.trial_order, top,
-                     None if pieces is None else pieces.lag_products(top))
+                     None if shared is None else shared[0][shared[1]])
 
 
 @lru_cache(maxsize=None)

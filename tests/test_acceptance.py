@@ -23,7 +23,6 @@ from specshrink import (
     benchmark_ar_coefs,
     coherence,
     band_average,
-    compute_periodograms,
     fisher_z,
     fit_var,
     jackknife_band_stats,
@@ -254,11 +253,10 @@ def test_criterion_6_risk_selection_behavior(acceptance_log):
     for _ in range(5):
         series = MultiTrialSeries(values=rng.standard_normal((4, 2, 64)),
                                   sampling_rate=1.0)
-        pgrams = compute_periodograms(series)
         grid = (3, 5, 7, 9, 11, 13, 15)
         _, smoothing = smoothed_estimator(series, span_grid=grid)
         for trial in range(series.n_trials):
-            risks = span_risks(pgrams, grid)[trial]
+            risks = span_risks(series, grid)[trial]
             argmin_ok &= smoothing.selected_spans[trial] == grid[int(np.argmin(risks))]
         tapers = select_taper_count(series)
         for trial in range(series.n_trials):

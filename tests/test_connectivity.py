@@ -416,6 +416,11 @@ def _assert_same_pipeline(got, expected):
     np.testing.assert_array_equal(got.estimate.matrices, expected.estimate.matrices)
 
 
+def _shared(series, kind):
+    """The value ``series``' replicates share under ``kind``."""
+    return vars(series)["_shared"][kind][1]
+
+
 @pytest.mark.parametrize("duplicated", [False, True])
 @pytest.mark.parametrize("cap", ["default", 0])
 @pytest.mark.parametrize("options", [PipelineOptions(max_order=3, window=5),
@@ -423,10 +428,14 @@ def _assert_same_pipeline(got, expected):
                          ids=["selected", "fixed"])
 def test_replicates_from_trial_pieces_match_fresh_replicates_bit_for_bit(
         monkeypatch, options, cap, duplicated):
-    if cap == 0:  # every replicate transforms its trials' span terms again
-        monkeypatch.setattr(connectivity, "F_OWN_CAP_BYTES", 0)
+    # A replicate of drop_trial reads its trials' rows of the DFTs, lag products and
+    # span-risk terms formed once on its parent; a series built from the kept trials'
+    # values shares nothing and computes everything itself.
+    from specshrink import smoothing
     from specshrink.smoothing import default_span_grid, span_risks
 
+    if cap == 0:  # every replicate transforms its trials' span terms again
+        monkeypatch.setattr(smoothing, "F_OWN_CAP_BYTES", 0)
     # trials of three kinds, so that the spans differ between trials and replicates
     values = np.random.default_rng(3).standard_normal((6, 3, 64))
     values[::2, :, 1:] += 0.9 * values[::2, :, :-1]
@@ -434,23 +443,38 @@ def test_replicates_from_trial_pieces_match_fresh_replicates_bit_for_bit(
     if duplicated:
         values = np.concatenate([values, values[2:3]])
     series = MultiTrialSeries(values, sampling_rate=64.0)
-    pieces = connectivity._TrialPieces(series)
     spans = set()
     for leave_out in range(series.n_trials):
-        replicate, fresh = pieces.drop(leave_out), series.drop_trial(leave_out)
+        replicate = series.drop_trial(leave_out)
+        fresh = MultiTrialSeries(np.delete(values, leave_out, axis=0), sampling_rate=64.0)
         np.testing.assert_array_equal(replicate.values, fresh.values)
         np.testing.assert_array_equal(replicate.trial_order, fresh.trial_order)
         result = shrinkage_pipeline(replicate, options)
         _assert_same_pipeline(result, shrinkage_pipeline(fresh, options))
         spans.update(result.smoothing.selected_spans)
         # a fixed span selects nothing, so the pipeline builds no span terms
-        assert (pieces.span is None) == (options.fixed_span is not None and leave_out == 0)
-        np.testing.assert_array_equal(
-            span_risks(replicate.periodograms, default_span_grid(64),
-                       pieces=replicate.trial_pieces),
-            span_risks(fresh.periodograms, default_span_grid(64)))
+        assert (("span terms" in vars(series)["_shared"])
+                == (options.fixed_span is None or leave_out > 0))
+        np.testing.assert_array_equal(span_risks(replicate, default_span_grid(64)),
+                                      span_risks(fresh, default_span_grid(64)))
     assert len(spans) > 1 or options.fixed_span is not None
-    assert (pieces.span[1] is None) == (cap == 0)
+    assert (_shared(series, "span terms")[0] is None) == (cap == 0)
+
+
+def test_two_drops_in_a_row_match_a_series_that_shares_nothing():
+    values = np.random.default_rng(3).standard_normal((7, 3, 64))
+    values[::2, :, 1:] += 0.9 * values[::2, :, :-1]
+    series = MultiTrialSeries(values, sampling_rate=64.0)
+    options = PipelineOptions(max_order=3, window=5)
+    first = series.drop_trial(2)
+    shrinkage_pipeline(first, options)  # fills the store of series, not of first
+    for leave_out in (0, 3, 5):
+        twice = first.drop_trial(leave_out)
+        fresh = MultiTrialSeries(np.delete(np.delete(values, 2, axis=0), leave_out, axis=0),
+                                 sampling_rate=64.0)
+        _assert_same_pipeline(shrinkage_pipeline(twice, options),
+                              shrinkage_pipeline(fresh, options))
+    assert set(vars(first)["_shared"]) == {"dfts", "lag products", "span terms"}
 
 
 @pytest.mark.parametrize("cap", ["default", 0])
@@ -458,11 +482,10 @@ def test_replicates_transform_no_trial_again(monkeypatch, cap):
     from specshrink import periodogram, smoothing
 
     if cap == 0:
-        monkeypatch.setattr(connectivity, "F_OWN_CAP_BYTES", 0)
+        monkeypatch.setattr(smoothing, "F_OWN_CAP_BYTES", 0)
     calls = []
     for owner, name in ((periodogram, "compute_periodograms"), (periodogram, "_half_grid_dft"),
-                        (var, "_lag_products"), (smoothing._TrialTerms, "transform"),
-                        (connectivity, "_half_grid_dft"), (connectivity, "_lag_products")):
+                        (var, "_lag_products"), (smoothing._TrialTerms, "transform")):
         original = getattr(owner, name)
         label = f"{owner.__name__.rpartition('.')[2]}.{name}"
         monkeypatch.setattr(owner, name, lambda *args, _label=label, _original=original:
@@ -470,13 +493,15 @@ def test_replicates_transform_no_trial_again(monkeypatch, cap):
     series = MultiTrialSeries(np.random.default_rng(8).standard_normal((5, 3, 64)),
                               sampling_rate=64.0)
     jackknife_band_stats(series, (8.0, 12.0), PipelineOptions(max_order=2, window=5))
-    # the pieces transform each trial once; each replicate computes its periodogram set
-    # from their DFT rows, and with f_own not kept, transforms its 4 kept trials' span
-    # terms again
+    # the replicates' parent transforms each trial once; each replicate computes its
+    # periodogram set from its rows of those DFTs, and with f_own not kept, transforms its
+    # 4 kept trials' span terms again
     assert sorted(calls) == sorted(
-        ["connectivity._half_grid_dft", "connectivity._lag_products"]
+        ["periodogram._half_grid_dft", "var._lag_products"]
         + ["periodogram.compute_periodograms"] * 5
         + ["_TrialTerms.transform"] * (5 if cap == "default" else 5 + 5 * 4))
+    # the replicates' parent was made for the call: the caller's series holds nothing
+    assert "_shared" not in vars(series)
 
 
 @pytest.mark.parametrize("duplicated", [False, True])
@@ -486,17 +511,19 @@ def test_a_replicate_sorts_its_trials_into_the_parents_order_without_the_left_ou
     if duplicated:  # byte-identical trials at both ends of the input
         values = np.concatenate([values[3:4], values, values[3:4]])
     series = MultiTrialSeries(values)
-    pieces = connectivity._TrialPieces(series)
     for leave_out in range(series.n_trials):
         order = series.trial_order[series.trial_order != leave_out]
         expected = order - (order > leave_out)
-        np.testing.assert_array_equal(pieces.drop(leave_out).trial_order, expected)
+        np.testing.assert_array_equal(series.drop_trial(leave_out).trial_order, expected)
 
 
 def test_jackknife_memory_is_its_pieces_plus_a_replicate(monkeypatch):
-    # One jackknife call holds its pieces (DFTs, lag products, span terms with f_own)
-    # plus about one replicate's working set; 40 x 12 x 256 keeps f_own (6.4 MB).
+    # One jackknife call holds what its replicates share (DFTs, lag products, span terms
+    # with f_own) plus about one replicate's working set; 40 x 12 x 256 keeps f_own (6.4 MB).
     import tracemalloc
+    from dataclasses import replace
+
+    from specshrink import smoothing
 
     rng = np.random.default_rng(7)
     values = rng.standard_normal((40, 12, 256))
@@ -504,7 +531,7 @@ def test_jackknife_memory_is_its_pieces_plus_a_replicate(monkeypatch):
     series = MultiTrialSeries(values, sampling_rate=256.0)
     band = (8.0, 12.0)
     jackknife_band_stats(MultiTrialSeries(values[:3], sampling_rate=256.0), band)  # caches
-    fresh = series.drop_trial(0)
+    fresh = MultiTrialSeries(values[1:], sampling_rate=256.0)
     tracemalloc.start()
     try:
         partial_coherence(shrinkage_pipeline(fresh).estimate, band=band)
@@ -514,38 +541,40 @@ def test_jackknife_memory_is_its_pieces_plus_a_replicate(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    pieces = connectivity._TrialPieces(series)
-    shrinkage_pipeline(pieces.drop(0))
-    assert pieces.span[1] is not None
-    pieces_bytes = sum(array.nbytes for array in (pieces.dfts, pieces.lags, *pieces.span[1:]))
-    assert peak < pieces_bytes + 3 * replicate_peak, (peak, pieces_bytes, replicate_peak)
+    parent = replace(series)
+    shrinkage_pipeline(parent.drop_trial(0))
+    assert set(vars(parent)["_shared"]) == {"dfts", "lag products", "span terms"}
+    assert _shared(parent, "span terms")[0] is not None
+    shared_bytes = sum(array.nbytes for array in (
+        _shared(parent, "dfts"), _shared(parent, "lag products"),
+        *_shared(parent, "span terms")))
+    assert peak < shared_bytes + 3 * replicate_peak, (peak, shared_bytes, replicate_peak)
 
     # With the cap lowered, the same call keeps no f_own.
-    monkeypatch.setattr(connectivity, "F_OWN_CAP_BYTES", 40 * 78 * 256 * 8 - 1)
-    pieces = connectivity._TrialPieces(series)
-    shrinkage_pipeline(pieces.drop(0))
-    assert pieces.span[1] is None
+    monkeypatch.setattr(smoothing, "F_OWN_CAP_BYTES", 40 * 78 * 256 * 8 - 1)
+    parent = replace(series)
+    shrinkage_pipeline(parent.drop_trial(0))
+    assert _shared(parent, "span terms")[0] is None
 
 
 def test_trial_pieces_keep_no_f_own_where_it_would_not_fit():
     # At 40 x 32 x 1024, f_own would take 40 * 528 * 1024 * 8 bytes = 173 MB.
     import tracemalloc
 
-    from specshrink.smoothing import _TrialTerms, default_span_grid
+    from specshrink import smoothing
+    from specshrink.smoothing import default_span_grid, span_risks
 
     series = MultiTrialSeries(np.random.default_rng(9).standard_normal((40, 32, 1024)),
                               sampling_rate=1024.0)
     f_own_bytes = 40 * 528 * 1024 * 8
-    assert f_own_bytes > connectivity.F_OWN_CAP_BYTES
-    terms = _TrialTerms(default_span_grid(1024), 1024, 32)
+    assert f_own_bytes > smoothing.F_OWN_CAP_BYTES
     tracemalloc.start()
     try:
-        pieces = connectivity._TrialPieces(series)
-        next(pieces.span_terms(terms, np.arange(1)))
+        span_risks(series.drop_trial(0), default_span_grid(1024))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pieces.span[1] is None
+    assert _shared(series, "span terms")[0] is None
     assert peak < f_own_bytes / 2, peak
 
 

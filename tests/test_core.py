@@ -29,13 +29,13 @@ from specshrink import (
     select_var_order,
     sine_tapers,
     smoothed_estimator,
+    span_risks,
     symmetrize,
     validate_spectral,
 )
 import specshrink.core as core
 from specshrink.core import certified_inverse, check_count, check_grid, map_trials
 from specshrink.multitaper import validate_taper_grid
-from specshrink.smoothing import validate_span_grid
 from conftest import extend_full_circle
 
 
@@ -316,6 +316,10 @@ def _multitaper_with(n_tapers):
 def _detrend_with(degree):
     detrend(_COUNT_SERIES, degree)  # nor does the detrended series
 
+
+def _span_risks_with(span):
+    span_risks(_COUNT_SERIES, (span,))  # nor do the risks
+
 #: Every place a count-valued setting enters, as ``(odd, call)``; ``call(value)``
 #: returns the count the entry point kept, or None where it keeps none.
 COUNT_ENTRY_POINTS = {
@@ -330,7 +334,7 @@ COUNT_ENTRY_POINTS = {
         _COUNT_SERIES, fixed_span=v)[1].fixed_span),
     "smoothing.span_grid": (True, lambda v: smoothed_estimator(
         _COUNT_SERIES, span_grid=(v,))[1].span_grid[0]),
-    "validate_span_grid": (True, lambda v: validate_span_grid((v,))[0]),
+    "span_risks": (True, _span_risks_with),
     "hann_weights": (True, lambda v: len(hann_weights(v))),
     "validate_taper_grid": (False, lambda v: validate_taper_grid((v,), 32)[0]),
     "fit_var": (False, lambda v: fit_var(_COUNT_SERIES, v).order),

@@ -517,6 +517,18 @@ def test_cli_error_path_is_clean(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run_cli("estimate", data, "--method", "banana")
 
+    # at this scale the VAR regression gives values that are not finite: a typed error
+    tiny = tmp_path / "tiny.mts"
+    values = np.random.default_rng(0).standard_normal((6, 3, 64)) * 2.0 ** -520
+    write_trials(tiny, MultiTrialSeries(values, sampling_rate=64.0))
+    capsys.readouterr()
+    for command in (["estimate", tiny, "--method", "var"], ["estimate", tiny],
+                    ["connectivity", tiny], ["connectivity", tiny, tiny]):
+        assert run_cli(*command, "--no-standardize", "--out-dir", tmp_path / "tiny") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline stage 'order_selection': ")
+        assert "non-finite" in err and err.strip().count("\n") == 0
+
 
 def test_cli_rejects_an_unknown_method_from_the_config_file(tmp_path, capsys):
     data = tmp_path / "t.mts"

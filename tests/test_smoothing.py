@@ -12,7 +12,6 @@ from specshrink import (
     FrequencyGrid,
     InsufficientDataError,
     MultiTrialSeries,
-    compute_periodograms,
     default_span_grid,
     hann_weights,
     hs_norm_sq,
@@ -23,7 +22,7 @@ from specshrink import (
 )
 from specshrink import smoothing
 from specshrink.periodogram import periodogram_sum
-from specshrink.smoothing import _span_kernels, validate_span_grid
+from specshrink.smoothing import _span_kernels
 
 from conftest import extend_full_circle, full_circle_smooth, stacked_periodograms
 
@@ -55,13 +54,15 @@ def test_default_span_grid():
 
 
 def test_validate_span_grid():
-    assert validate_span_grid([3, 5, 9]) == (3, 5, 9)
-    with pytest.raises(DomainError):
-        validate_span_grid([])
-    with pytest.raises(DomainError):
-        validate_span_grid([3, 4])
-    with pytest.raises(DomainError):
-        validate_span_grid([5, 3])
+    # a span grid is nonempty, odd and strictly increasing, wherever it enters
+    series = MultiTrialSeries(np.random.default_rng(0).standard_normal((3, 2, 32)))
+    assert smoothed_estimator(series, span_grid=[3, 5, 9])[1].span_grid == (3, 5, 9)
+    np.testing.assert_array_equal(span_risks(series, [3, 5, 9]), span_risks(series, (3, 5, 9)))
+    for bad in ([], [3, 4], [5, 3]):
+        with pytest.raises(DomainError):
+            span_risks(series, bad)
+        with pytest.raises(DomainError):
+            smoothed_estimator(series, span_grid=bad)
 
 
 def test_span_one_is_identity():
@@ -158,10 +159,9 @@ def test_smoothing_reduces_white_noise_variance_monotonically():
 def test_select_span_is_exhaustive_argmin():
     rng = np.random.default_rng(4)
     series = MultiTrialSeries(rng.standard_normal((4, 2, 64)))
-    pgrams = compute_periodograms(series)
     grid = (3, 5, 9, 15)
     _, config = smoothed_estimator(series, span_grid=grid)
-    every = span_risks(pgrams, grid)
+    every = span_risks(series, grid)
     for trial in range(4):
         risks = every[trial]
         assert config.selected_spans[trial] == grid[int(np.argmin(risks))]
@@ -177,7 +177,7 @@ def leave_one_out(stack, trial):
 def per_trial_span_risks(stack, n_samples, trial, span_grid):
     """Test-only reference: one trial's risks from full-circle FFTs of it and its pilot,
     read from the stacked per-trial periodograms of a record of ``n_samples``."""
-    grid = validate_span_grid(span_grid)
+    grid = tuple(span_grid)
     transfers, weights = _span_kernels(grid, n_samples)
     own, pilot = leave_one_out(stack, trial)
     n_channels = own.shape[-1]
@@ -202,7 +202,7 @@ def per_trial_span_risks(stack, n_samples, trial, span_grid):
 
 def per_trial_select_span(stack, n_samples, trial, span_grid):
     """Test-only reference: the smallest span minimizing :func:`per_trial_span_risks`."""
-    grid = validate_span_grid(span_grid)
+    grid = tuple(span_grid)
     return int(grid[int(np.argmin(per_trial_span_risks(stack, n_samples, trial, grid)))])
 
 
@@ -222,11 +222,11 @@ def test_span_risk_matches_direct_computation():
     for n_samples, n_channels, n_trials in itertools.product((32, 33), (1, 3), (2, 4)):
         rng = np.random.default_rng((5, n_samples, n_channels, n_trials))
         series = MultiTrialSeries(rng.standard_normal((n_trials, n_channels, n_samples)))
-        pgrams, stack = compute_periodograms(series), stacked_periodograms(series)
+        stack = stacked_periodograms(series)
         largest = n_samples - 1 if n_samples % 2 == 0 else n_samples - 2
         for grid in [(5,), (1, 3, 7), (3, 5, 9, 15), default_span_grid(n_samples),
                      tuple(range(1, largest + 1, 2))]:
-            risks = span_risks(pgrams, grid)
+            risks = span_risks(series, grid)
             assert risks.shape == (n_trials, len(grid))
             for trial in range(n_trials):
                 case = f"T={n_samples} P={n_channels} N={n_trials} grid={grid} trial={trial}"
@@ -249,11 +249,11 @@ def test_span_risks_stream_over_trials():
     grid = default_span_grid(256)
     peaks = []
     for n_trials in (10, 40):
-        pgrams = compute_periodograms(MultiTrialSeries(values[:n_trials]))
-        span_risks(pgrams, grid)
+        series = MultiTrialSeries(values[:n_trials])
+        span_risks(series, grid)  # warm up; the series keeps its periodograms
         tracemalloc.start()
         try:
-            span_risks(pgrams, grid)
+            span_risks(series, grid)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -262,11 +262,11 @@ def test_span_risks_stream_over_trials():
 
 def test_span_risk_rejects_span_that_fills_the_circle():
     rng = np.random.default_rng(9)
-    pgrams = compute_periodograms(MultiTrialSeries(rng.standard_normal((3, 2, 32))))
+    series = MultiTrialSeries(rng.standard_normal((3, 2, 32)))
     with pytest.raises(DomainError):
-        span_risks(pgrams, (3, 33))
+        span_risks(series, (3, 33))
     with pytest.raises(DomainError):
-        span_risks(pgrams, (1, 5, 35))
+        span_risks(series, (1, 5, 35))
     with pytest.raises(DomainError):
         smoothed_estimator(MultiTrialSeries(rng.standard_normal((3, 2, 32))), span_grid=(33,))
 
@@ -282,9 +282,8 @@ def test_white_noise_selects_wider_spans_than_peaked_ar2():
         trials = np.stack([simulate_var(coefs, np.eye(1), 256, seed=(99, seed, n))
                            for n in range(6)])
         peaked = MultiTrialSeries(trials)
-        pg_w, pg_p = compute_periodograms(white), compute_periodograms(peaked)
-        white_spans += [grid[i] for i in np.argmin(span_risks(pg_w, grid), axis=1)]
-        peaked_spans += [grid[i] for i in np.argmin(span_risks(pg_p, grid), axis=1)]
+        white_spans += [grid[i] for i in np.argmin(span_risks(white, grid), axis=1)]
+        peaked_spans += [grid[i] for i in np.argmin(span_risks(peaked, grid), axis=1)]
     assert np.median(white_spans) >= np.median(peaked_spans)
     assert np.mean(white_spans) > np.mean(peaked_spans)
 

@@ -73,6 +73,36 @@ def test_drop_trial():
         single.drop_trial(0)
 
 
+def test_replicates_share_one_value_per_kind_formed_once_on_their_parent():
+    series = make_series()
+    calls = []
+
+    def build(parent):
+        calls.append(parent)
+        return len(calls)
+
+    first, second = series.drop_trial(0), series.drop_trial(2)
+    value, kept = first.shared("kind", 1, build)
+    assert value == 1 and calls == [series]
+    np.testing.assert_array_equal(kept, [1, 2, 3])
+    value, kept = second.shared("kind", 1, build)  # formed once for every sibling
+    assert value == 1
+    np.testing.assert_array_equal(kept, [0, 1, 3])
+    assert second.shared("kind", 2, build)[0] == 2  # a new key replaces the old value
+    assert first.shared("kind", 1, build)[0] == 3
+    assert first.shared("other", 1, build)[0] == 4  # one value per kind
+    assert second.shared("kind", 1, build)[0] == 3
+    assert calls == [series] * 4
+    # the store is the parent's; a series not made by drop_trial shares nothing
+    assert "_shared" in vars(series) and "_shared" not in vars(first)
+    made = {"series": series, "replace": replace(first),
+            "replace with a new rate": replace(first, sampling_rate=2.0),
+            "detrend": detrend(first), "standardize": standardize(first)}
+    for name, other in made.items():
+        assert other.shared("kind", 1, build) is None, name
+    assert len(calls) == 4
+
+
 def test_detrend_removes_polynomials_exactly():
     t = np.linspace(-1.0, 1.0, 50)
     poly = 3.0 - 2.0 * t + 0.5 * t**2

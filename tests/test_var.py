@@ -456,6 +456,17 @@ def test_fit_rejects_bad_input():
         fit_var(dup, 1)
 
 
+def test_fit_rejects_a_subnormal_input_with_a_typed_error():
+    # Its Gram passes the condition check, but the solve gives values that are not
+    # finite; no warning comes first, and no LinAlgError from the eigendecomposition.
+    series = MultiTrialSeries(np.random.default_rng(0).standard_normal((6, 3, 64)) * 2.0 ** -520)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (1, 3):
+            with pytest.raises(RankDeficiencyError, match="non-finite values; the input's scale"):
+                fit_var(series, order)
+
+
 def test_bic_selects_true_order_two():
     coefs = np.stack([0.5 * np.eye(2), -0.4 * np.eye(2)])
     hits = 0
