@@ -230,11 +230,10 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
     runs in canonical trial order (:attr:`MultiTrialSeries.trial_order`), so
     permuting the trials changes no bit of the result.
 
-    Each replicate is ``shrinkage_pipeline(parent.drop_trial(i), options)``, with
-    ``parent`` a copy of ``series`` made for the call, so the replicates share the
-    DFTs, VAR lag products and span-risk terms formed once for all the trials
-    (:meth:`MultiTrialSeries.shared`), and each is bit for bit
-    ``shrinkage_pipeline(series.drop_trial(i), options)``.  Nothing is kept on ``series``.
+    The replicates come from ``series.leave_one_out()``, so they share the DFTs, VAR lag
+    products and span-risk terms formed once for all the trials
+    (:meth:`MultiTrialSeries.shared`) for this call only, and each is bit for bit
+    ``shrinkage_pipeline(series.drop_trial(i), options)``.
 
     Fewer than three trials raise :class:`InsufficientDataError` and a band that
     holds no Fourier frequency raises :class:`EmptyBandError`, both before any
@@ -247,14 +246,13 @@ def jackknife_band_stats(series: MultiTrialSeries, band: tuple[float, float],
         raise InsufficientDataError(f"the jackknife needs at least three trials, got {n}")
     band = check_band(band)
     band_mask(FrequencyGrid(series.n_samples, series.sampling_rate), band)
-    parent = replace(series)  # holds the replicates' shared work for this call only
+    loop = series.leave_one_out()
     replicates = []
     for leave_out in range(n):
         try:
-            # one expression, so that no replicate's pipeline result outlives it
+            # one expression, so that neither a replicate nor its pipeline result outlives it
             vals = partial_coherence(
-                shrinkage_pipeline(parent.drop_trial(leave_out), options).estimate,
-                band=band).values.copy()
+                shrinkage_pipeline(next(loop), options).estimate, band=band).values.copy()
             np.fill_diagonal(vals, 0.0)
             replicates.append(fisher_z(vals))
         except SpecshrinkError as err:

@@ -377,8 +377,6 @@ def read_config(path) -> dict:
                 f"{', '.join(sorted(_CONFIG_PARSERS))}")
         try:
             updates[key] = _CONFIG_PARSERS[key](value)
-        except DataFormatError:
-            raise
         except ValueError as err:
             raise DataFormatError(f"{path}: bad value for {key!r} (line {lineno}): {err}") \
                 from None

@@ -27,9 +27,9 @@ builds one trial's matrices: a trial's leave-one-out mean is
 ``(total - d d^* / T) / (N - 1)``, and the span and taper risks expand its
 inner products into terms of the trial sum ``total`` and of ``d``.
 A series computes its set once, at first use of ``MultiTrialSeries.periodograms``,
-and every estimator run on the series reads it from there.  A series made by
-``parent.drop_trial(i)`` transforms no trial: it reads its rows of ``parent``'s DFTs,
-formed once for all its replicates (:func:`shared_dfts`).
+and every estimator run on the series reads it from there.  A replicate made by
+``parent.leave_one_out()`` transforms no trial: it reads its rows of ``parent``'s DFTs,
+formed once for all the replicates of that loop (:func:`shared_dfts`).
 """
 
 from dataclasses import dataclass
@@ -57,8 +57,8 @@ def _half_grid_dft(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
 
 
 def shared_dfts(series: MultiTrialSeries):
-    """``(dfts, kept)``: the DFTs of every trial of ``parent`` for a series made by
-    ``parent.drop_trial(i)`` (:meth:`~.MultiTrialSeries.shared`), else None."""
+    """``(dfts, kept)``: the DFTs of every trial of ``parent`` for a replicate made by
+    ``parent.leave_one_out()`` (:meth:`~.MultiTrialSeries.shared`), else None."""
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
     return series.shared("dfts", None, lambda parent: _half_grid_dft(parent.values, grid))
 
@@ -123,8 +123,9 @@ class PeriodogramSet:
 
 
 def compute_periodograms(series: MultiTrialSeries) -> PeriodogramSet:
-    """The DFT of every trial of ``series`` (a replicate's rows of :func:`shared_dfts`) plus
-    the mean periodogram, summed in its ``trial_order`` (:func:`periodogram_sum`)."""
+    """The DFT of every trial of ``series`` (a leave-one-out replicate's rows of
+    :func:`shared_dfts`) plus the mean periodogram, summed in its ``trial_order``
+    (:func:`periodogram_sum`)."""
     grid = FrequencyGrid(series.n_samples, series.sampling_rate)
     shared = shared_dfts(series)
     dfts = _half_grid_dft(series.values, grid) if shared is None else shared[0][shared[1]]

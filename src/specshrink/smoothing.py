@@ -252,9 +252,10 @@ def span_risks(series: MultiTrialSeries, span_grid) -> np.ndarray:
     the smoothed term is trial ``n``'s periodogram smoothed with that span, both
     from the series' ``periodograms``.  One lag-domain transform per trial, plus one
     of the trial sum, scores every span of every trial (see the module docstring);
-    trials are streamed one at a time.  A series made by ``parent.drop_trial(i)`` reads
-    its trials' own terms (:class:`_TrialTerms`) from those of ``parent``'s trials,
-    formed once for all its replicates (:func:`_stacked_terms`), bit for bit the same.
+    trials are streamed one at a time.  A replicate made by ``parent.leave_one_out()``
+    reads its trials' own terms (:class:`_TrialTerms`) from those of ``parent``'s trials,
+    formed once for all the replicates of that loop (:func:`_stacked_terms`), bit for bit
+    the same.
     """
     grid = check_grid(span_grid, "smoothing spans", odd=True)
     periodograms = series.periodograms

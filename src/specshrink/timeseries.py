@@ -28,16 +28,18 @@ class MultiTrialSeries:
 
     :attr:`periodograms` and :attr:`trial_order` are computed at first use and kept, so
     every stage run on the series shares them; a series made from it computes its own.
-    The replicates that :meth:`drop_trial` makes of one series also share the work that
-    depends on one trial alone (:meth:`shared`).
+    The replicates that one :meth:`leave_one_out` loop makes also share the work that
+    depends on one trial alone (:meth:`shared`), for as long as that loop or one of its
+    replicates lives.
     """
 
     values: np.ndarray
     sampling_rate: float = 1.0
     channel_labels: tuple[str, ...] = ()
 
-    #: ``(parent, kept)`` of a series made by ``parent.drop_trial(i)``.  Not a field, so a
-    #: series made from it in any other way (``replace``, :func:`detrend`, ...) has none.
+    #: ``(parent, kept, store)`` of a replicate made by ``parent.leave_one_out()``.  Not a
+    #: field, so a series made from it in any other way (``replace``, :func:`detrend`, ...)
+    #: has none.
     _origin = None
 
     def __post_init__(self):
@@ -85,31 +87,42 @@ class MultiTrialSeries:
         return canonical_trial_order(self.values)
 
     def drop_trial(self, index: int) -> "MultiTrialSeries":
-        """A copy with one trial removed (for leave-one-out resampling), linked to this
-        series so that the copies share what :meth:`shared` forms for all its trials."""
+        """A copy with one trial removed, sharing nothing with this series."""
         index = check_count(index, "trial index", low=0)
         if index >= self.n_trials:
             raise DimensionError(f"trial index {index} out of range [0, {self.n_trials})")
         if self.n_trials < 2:
             raise InsufficientDataError("cannot drop the only trial")
-        replicate = replace(self, values=np.delete(self.values, index, axis=0))
-        object.__setattr__(replicate, "_origin",
-                           (self, np.delete(np.arange(self.n_trials), index)))
-        return replicate
+        return replace(self, values=np.delete(self.values, index, axis=0))
+
+    def leave_one_out(self):
+        """Yield ``drop_trial(i)`` for ``i = 0 .. n_trials - 1``, the replicates of a
+        leave-one-out loop, which share what :meth:`shared` forms for all the trials.
+
+        The shared work lives in a store held by this generator and its replicates alone,
+        so nothing is kept on this series and the store dies with the loop.  The generator
+        holds no replicate while it builds the next one.
+        """
+        store = {}  # kind: (key, value)
+        trials = np.arange(self.n_trials)
+        for index in range(self.n_trials):
+            replicate = self.drop_trial(index)
+            object.__setattr__(replicate, "_origin", (self, np.delete(trials, index), store))
+            yield replicate
+            del replicate  # so that this frame does not hold it while the next is built
 
     def shared(self, kind: str, key, build):
-        """``(build(parent), kept)`` for a series made by ``parent.drop_trial(i)``, with
+        """``(build(parent), kept)`` for a replicate made by ``parent.leave_one_out()``, with
         ``kept`` the indices of its trials among ``parent``'s; None for any other series.
 
         ``build(parent)`` forms a piece of work for every trial of ``parent`` at once.  It
-        runs once per ``kind`` and ``key``, and its value is kept on ``parent`` for every
-        replicate, for as long as ``parent`` lives; a new ``key`` for a ``kind`` replaces
-        the old value, which is dropped first.
+        runs once per ``kind`` and ``key`` in one loop, and its value is kept in that loop's
+        store for every replicate; a new ``key`` for a ``kind`` replaces the old value,
+        which is dropped first.
         """
         if self._origin is None:
             return None
-        parent, kept = self._origin
-        store = vars(parent).setdefault("_shared", {})  # kind: (key, value)
+        parent, kept, store = self._origin
         if kind not in store or store[kind][0] != key:
             store.pop(kind, None)  # free the old value before the new one is built
             store[kind] = (key, build(parent))
@@ -143,19 +156,26 @@ def detrend(series: MultiTrialSeries, order: int = 1) -> MultiTrialSeries:
 def standardize(series: MultiTrialSeries) -> MultiTrialSeries:
     """Scale each (trial, channel) record to zero mean and unit sample variance.
 
-    Variance uses the ``n - 1`` divisor.  A constant record has no scale to
-    normalise by and raises :class:`DegenerateChannelError` naming the first
-    offending trial and channel.
+    Variance uses the ``n - 1`` divisor.  Each record is first scaled by the power of two
+    that brings its largest magnitude into ``[1/2, 1)``, which is exact, so the result is
+    the same for the record at any scale at which its values are normal floats, and its
+    variance neither overflows nor underflows to zero.  A constant record has no scale to normalise
+    by and raises :class:`DegenerateChannelError` naming the first offending trial and
+    channel.
     """
     vals = series.values
-    spread = np.ptp(vals, axis=2)
-    sd = np.std(vals, axis=2, ddof=1)
-    bad = (spread == 0.0) | (sd == 0.0)
+    high, low = vals.max(axis=2), vals.min(axis=2)
+    bad = high == low
     if np.any(bad):
         trial, channel = np.argwhere(bad)[0]
         raise DegenerateChannelError(
             f"channel {series.channel_labels[channel]!r} is constant in trial {trial}; "
             "cannot standardize a zero-variance record")
-    scaled = vals - vals.mean(axis=2, keepdims=True)
-    scaled /= sd[:, :, None]
+    _, exponent = np.frexp(np.maximum(high, -low))
+    scaled = np.ldexp(vals, -exponent[:, :, None])
+    for start in range(0, len(scaled), 16):  # blocks of trials keep the temporaries small
+        block = scaled[start:start + 16]
+        sd = np.std(block, axis=2, ddof=1, keepdims=True)
+        block -= block.mean(axis=2, keepdims=True)
+        block /= sd
     return replace(series, values=scaled)

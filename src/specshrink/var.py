@@ -319,9 +319,10 @@ def _lag_sums(values: np.ndarray, trials: np.ndarray, top: int, products=None):
 
 
 def _series_lag_sums(series: MultiTrialSeries, top: int):
-    """:func:`_lag_sums` over the series' :attr:`~.MultiTrialSeries.trial_order`; a series made
-    by ``parent.drop_trial(i)`` reads its rows of ``parent``'s :func:`_lag_products` up to
-    ``top``, formed once for all its replicates (:meth:`~.MultiTrialSeries.shared`)."""
+    """:func:`_lag_sums` over the series' :attr:`~.MultiTrialSeries.trial_order`; a replicate
+    made by ``parent.leave_one_out()`` reads its rows of ``parent``'s :func:`_lag_products` up
+    to ``top``, formed once for all the replicates of that loop
+    (:meth:`~.MultiTrialSeries.shared`)."""
     shared = series.shared("lag products", top, lambda parent: np.concatenate(list(
         _lag_products(parent.values, np.arange(parent.n_trials), top))))
     return _lag_sums(series.values, series.trial_order, top,

@@ -416,9 +416,20 @@ def _assert_same_pipeline(got, expected):
     np.testing.assert_array_equal(got.estimate.matrices, expected.estimate.matrices)
 
 
-def _shared(series, kind):
-    """The value ``series``' replicates share under ``kind``."""
-    return vars(series)["_shared"][kind][1]
+def _store(replicate):
+    """The store that ``replicate``'s leave-one-out loop shares, ``kind: (key, value)``."""
+    return replicate._origin[2]
+
+
+def _shared(replicate, kind):
+    """The value the replicates of ``replicate``'s loop share under ``kind``."""
+    return _store(replicate)[kind][1]
+
+
+def _only_cached_values(series):
+    """Whether ``vars(series)`` holds nothing but its fields and cached values."""
+    return set(vars(series)) <= {"values", "sampling_rate", "channel_labels",
+                                 "periodograms", "trial_order"}
 
 
 @pytest.mark.parametrize("duplicated", [False, True])
@@ -428,8 +439,8 @@ def _shared(series, kind):
                          ids=["selected", "fixed"])
 def test_replicates_from_trial_pieces_match_fresh_replicates_bit_for_bit(
         monkeypatch, options, cap, duplicated):
-    # A replicate of drop_trial reads its trials' rows of the DFTs, lag products and
-    # span-risk terms formed once on its parent; a series built from the kept trials'
+    # A replicate of leave_one_out reads its trials' rows of the DFTs, lag products and
+    # span-risk terms formed once in its loop; a series built from the kept trials'
     # values shares nothing and computes everything itself.
     from specshrink import smoothing
     from specshrink.smoothing import default_span_grid, span_risks
@@ -444,8 +455,7 @@ def test_replicates_from_trial_pieces_match_fresh_replicates_bit_for_bit(
         values = np.concatenate([values, values[2:3]])
     series = MultiTrialSeries(values, sampling_rate=64.0)
     spans = set()
-    for leave_out in range(series.n_trials):
-        replicate = series.drop_trial(leave_out)
+    for leave_out, replicate in enumerate(series.leave_one_out()):
         fresh = MultiTrialSeries(np.delete(values, leave_out, axis=0), sampling_rate=64.0)
         np.testing.assert_array_equal(replicate.values, fresh.values)
         np.testing.assert_array_equal(replicate.trial_order, fresh.trial_order)
@@ -453,12 +463,13 @@ def test_replicates_from_trial_pieces_match_fresh_replicates_bit_for_bit(
         _assert_same_pipeline(result, shrinkage_pipeline(fresh, options))
         spans.update(result.smoothing.selected_spans)
         # a fixed span selects nothing, so the pipeline builds no span terms
-        assert (("span terms" in vars(series)["_shared"])
+        assert (("span terms" in _store(replicate))
                 == (options.fixed_span is None or leave_out > 0))
         np.testing.assert_array_equal(span_risks(replicate, default_span_grid(64)),
                                       span_risks(fresh, default_span_grid(64)))
+    assert leave_out == series.n_trials - 1
     assert len(spans) > 1 or options.fixed_span is not None
-    assert (_shared(series, "span terms")[0] is None) == (cap == 0)
+    assert (_shared(replicate, "span terms")[0] is None) == (cap == 0)
 
 
 def test_two_drops_in_a_row_match_a_series_that_shares_nothing():
@@ -466,15 +477,71 @@ def test_two_drops_in_a_row_match_a_series_that_shares_nothing():
     values[::2, :, 1:] += 0.9 * values[::2, :, :-1]
     series = MultiTrialSeries(values, sampling_rate=64.0)
     options = PipelineOptions(max_order=3, window=5)
-    first = series.drop_trial(2)
-    shrinkage_pipeline(first, options)  # fills the store of series, not of first
-    for leave_out in (0, 3, 5):
-        twice = first.drop_trial(leave_out)
-        fresh = MultiTrialSeries(np.delete(np.delete(values, 2, axis=0), leave_out, axis=0),
-                                 sampling_rate=64.0)
-        _assert_same_pipeline(shrinkage_pipeline(twice, options),
-                              shrinkage_pipeline(fresh, options))
-    assert set(vars(first)["_shared"]) == {"dfts", "lag products", "span terms"}
+    first = list(series.leave_one_out())[2]
+    shrinkage_pipeline(first, options)  # fills the store of the loop over series
+    for leave_out, twice in enumerate(first.leave_one_out()):
+        assert twice._origin[0] is first and _store(twice) is not _store(first)
+        if leave_out in (0, 3, 5):
+            fresh = MultiTrialSeries(np.delete(np.delete(values, 2, axis=0), leave_out, axis=0),
+                                     sampling_rate=64.0)
+            _assert_same_pipeline(shrinkage_pipeline(twice, options),
+                                  shrinkage_pipeline(fresh, options))
+    assert set(_store(twice)) == set(_store(first)) == {"dfts", "lag products", "span terms"}
+    assert _only_cached_values(series)
+
+
+def test_a_copy_made_by_drop_trial_shares_nothing_and_leaves_nothing_on_its_series(
+        monkeypatch):
+    from specshrink import periodogram
+
+    transformed = []
+    for owner, name in ((periodogram, "_half_grid_dft"), (var, "_lag_products")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda values, *args, _original=original:
+                            transformed.append(len(values)) or _original(values, *args))
+    series = MultiTrialSeries(np.random.default_rng(8).standard_normal((5, 3, 64)),
+                              sampling_rate=64.0)
+    copy = series.drop_trial(1)
+    shrinkage_pipeline(copy, PipelineOptions(max_order=2, window=5))
+    assert copy.shared("dfts", None, lambda parent: pytest.fail("built")) is None
+    assert transformed == [4, 4]  # its own trials alone
+    assert _only_cached_values(series) and "periodograms" not in vars(series)
+
+
+def test_the_store_dies_with_its_loop(monkeypatch):
+    import weakref
+
+    refs = []
+    share = MultiTrialSeries.shared
+
+    def shared(self, kind, key, build):
+        value = share(self, kind, key, build)
+        if value is not None:
+            pieces = value[0] if isinstance(value[0], tuple) else (value[0],)
+            refs.extend(weakref.ref(piece) for piece in pieces if piece is not None)
+        return value
+
+    monkeypatch.setattr(MultiTrialSeries, "shared", shared)
+    parents = []
+    pipeline = connectivity.shrinkage_pipeline
+    monkeypatch.setattr(connectivity, "shrinkage_pipeline", lambda replicate, options:
+                        parents.append(replicate._origin[0]) or pipeline(replicate, options))
+    series = MultiTrialSeries(np.random.default_rng(8).standard_normal((5, 3, 64)),
+                              sampling_rate=64.0)
+    jackknife_band_stats(series, (8.0, 12.0), PipelineOptions(max_order=2, window=5))
+    assert refs and all(ref() is None for ref in refs)
+    assert len(parents) == 5 and all(parent is series for parent in parents)  # no copy
+    assert _only_cached_values(series)
+
+    refs.clear()
+    replicates = []
+    for replicate in series.leave_one_out():
+        shrinkage_pipeline(replicate, PipelineOptions(max_order=2, window=5))
+        replicates.append(replicate)
+    assert refs and all(ref() is not None for ref in refs)  # the replicates hold the store
+    del replicates, replicate
+    assert all(ref() is None for ref in refs)
+    assert _only_cached_values(series)
 
 
 @pytest.mark.parametrize("cap", ["default", 0])
@@ -493,15 +560,15 @@ def test_replicates_transform_no_trial_again(monkeypatch, cap):
     series = MultiTrialSeries(np.random.default_rng(8).standard_normal((5, 3, 64)),
                               sampling_rate=64.0)
     jackknife_band_stats(series, (8.0, 12.0), PipelineOptions(max_order=2, window=5))
-    # the replicates' parent transforms each trial once; each replicate computes its
-    # periodogram set from its rows of those DFTs, and with f_own not kept, transforms its
-    # 4 kept trials' span terms again
+    # the loop transforms each trial once; each replicate computes its periodogram set
+    # from its rows of those DFTs, and with f_own not kept, transforms its 4 kept trials'
+    # span terms again
     assert sorted(calls) == sorted(
         ["periodogram._half_grid_dft", "var._lag_products"]
         + ["periodogram.compute_periodograms"] * 5
         + ["_TrialTerms.transform"] * (5 if cap == "default" else 5 + 5 * 4))
-    # the replicates' parent was made for the call: the caller's series holds nothing
-    assert "_shared" not in vars(series)
+    # the loop owns the store: the caller's series holds nothing
+    assert _only_cached_values(series)
 
 
 @pytest.mark.parametrize("duplicated", [False, True])
@@ -521,7 +588,6 @@ def test_jackknife_memory_is_its_pieces_plus_a_replicate(monkeypatch):
     # One jackknife call holds what its replicates share (DFTs, lag products, span terms
     # with f_own) plus about one replicate's working set; 40 x 12 x 256 keeps f_own (6.4 MB).
     import tracemalloc
-    from dataclasses import replace
 
     from specshrink import smoothing
 
@@ -541,20 +607,20 @@ def test_jackknife_memory_is_its_pieces_plus_a_replicate(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    parent = replace(series)
-    shrinkage_pipeline(parent.drop_trial(0))
-    assert set(vars(parent)["_shared"]) == {"dfts", "lag products", "span terms"}
-    assert _shared(parent, "span terms")[0] is not None
+    replicate = next(series.leave_one_out())
+    shrinkage_pipeline(replicate)
+    assert set(_store(replicate)) == {"dfts", "lag products", "span terms"}
+    assert _shared(replicate, "span terms")[0] is not None
     shared_bytes = sum(array.nbytes for array in (
-        _shared(parent, "dfts"), _shared(parent, "lag products"),
-        *_shared(parent, "span terms")))
+        _shared(replicate, "dfts"), _shared(replicate, "lag products"),
+        *_shared(replicate, "span terms")))
     assert peak < shared_bytes + 3 * replicate_peak, (peak, shared_bytes, replicate_peak)
 
     # With the cap lowered, the same call keeps no f_own.
     monkeypatch.setattr(smoothing, "F_OWN_CAP_BYTES", 40 * 78 * 256 * 8 - 1)
-    parent = replace(series)
-    shrinkage_pipeline(parent.drop_trial(0))
-    assert _shared(parent, "span terms")[0] is None
+    replicate = next(series.leave_one_out())
+    shrinkage_pipeline(replicate)
+    assert _shared(replicate, "span terms")[0] is None
 
 
 def test_trial_pieces_keep_no_f_own_where_it_would_not_fit():
@@ -570,11 +636,12 @@ def test_trial_pieces_keep_no_f_own_where_it_would_not_fit():
     assert f_own_bytes > smoothing.F_OWN_CAP_BYTES
     tracemalloc.start()
     try:
-        span_risks(series.drop_trial(0), default_span_grid(1024))
+        replicate = next(series.leave_one_out())
+        span_risks(replicate, default_span_grid(1024))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _shared(series, "span terms")[0] is None
+    assert _shared(replicate, "span terms")[0] is None
     assert peak < f_own_bytes / 2, peak
 
 

@@ -342,6 +342,10 @@ def test_read_config(tmp_path):
     bad.write_text("window = seven\n")
     with pytest.raises(DataFormatError, match=r"bad value for 'window' \(line 1\)"):
         read_config(bad)
+    bad.write_text("# bands\nbands = alpha:8\n")
+    with pytest.raises(DataFormatError, match=r"bad\.cfg: bad value for 'bands' \(line 2\): "
+                                              r"band 'alpha:8' is not name:lo:hi"):
+        read_config(bad)
 
 
 # --- command-line interface ---------------------------------------------
@@ -528,6 +532,24 @@ def test_cli_error_path_is_clean(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: pipeline stage 'order_selection': ")
         assert "non-finite" in err and err.strip().count("\n") == 0
+
+
+@pytest.mark.parametrize("exponent", [520, -900])
+def test_cli_estimate_writes_the_same_bytes_at_any_scale(tmp_path, exponent):
+    # standardize scales each record by a power of two first, so no variance overflows
+    # or underflows to zero and the scaled input gives the same bytes
+    data, scaled = tmp_path / "x.mts", tmp_path / "scaled.mts"
+    assert run_cli("simulate", "--trials", 24, "--samples", 128, "--seed", 3,
+                   "--out", data) == 0
+    series = read_trials(data)
+    write_trials(scaled, replace(series, values=series.values * 2.0 ** exponent))
+    for path in (data, scaled):
+        assert run_cli("estimate", path, "--out-dir", tmp_path / path.stem) == 0
+    names = sorted(path.name for path in (tmp_path / "x").iterdir())
+    assert len(names) == 4  # three CSVs and fit_report.txt
+    for name in names:
+        assert ((tmp_path / "scaled" / name).read_bytes()
+                == (tmp_path / "x" / name).read_bytes()), name
 
 
 def test_cli_rejects_an_unknown_method_from_the_config_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Trial container invariants and per-trial preprocessing."""
 
+import weakref
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -73,7 +75,7 @@ def test_drop_trial():
         single.drop_trial(0)
 
 
-def test_replicates_share_one_value_per_kind_formed_once_on_their_parent():
+def test_replicates_share_one_value_per_kind_formed_once_per_loop():
     series = make_series()
     calls = []
 
@@ -81,7 +83,11 @@ def test_replicates_share_one_value_per_kind_formed_once_on_their_parent():
         calls.append(parent)
         return len(calls)
 
-    first, second = series.drop_trial(0), series.drop_trial(2)
+    replicates = list(series.leave_one_out())
+    assert len(replicates) == series.n_trials
+    for index, replicate in enumerate(replicates):
+        np.testing.assert_array_equal(replicate.values, series.drop_trial(index).values)
+    first, second = replicates[0], replicates[2]
     value, kept = first.shared("kind", 1, build)
     assert value == 1 and calls == [series]
     np.testing.assert_array_equal(kept, [1, 2, 3])
@@ -93,14 +99,33 @@ def test_replicates_share_one_value_per_kind_formed_once_on_their_parent():
     assert first.shared("other", 1, build)[0] == 4  # one value per kind
     assert second.shared("kind", 1, build)[0] == 3
     assert calls == [series] * 4
-    # the store is the parent's; a series not made by drop_trial shares nothing
-    assert "_shared" in vars(series) and "_shared" not in vars(first)
-    made = {"series": series, "replace": replace(first),
+    # another loop over the same series forms its own
+    assert next(series.leave_one_out()).shared("kind", 1, build)[0] == 5
+    assert calls == [series] * 5
+    # the store is the loop's; a series not made by leave_one_out shares nothing
+    fields = {"values", "sampling_rate", "channel_labels"}
+    assert set(vars(series)) == fields and set(vars(first)) == fields | {"_origin"}
+    made = {"series": series, "drop_trial": series.drop_trial(0), "replace": replace(first),
             "replace with a new rate": replace(first, sampling_rate=2.0),
             "detrend": detrend(first), "standardize": standardize(first)}
     for name, other in made.items():
         assert other.shared("kind", 1, build) is None, name
-    assert len(calls) == 4
+    assert len(calls) == 5
+
+
+def test_a_leave_one_out_loop_holds_no_replicate_while_it_builds_the_next(monkeypatch):
+    refs = []
+    drop_trial = MultiTrialSeries.drop_trial
+
+    def spy(self, index):
+        assert all(ref() is None for ref in refs), index
+        replicate = drop_trial(self, index)
+        refs.append(weakref.ref(replicate))
+        return replicate
+
+    monkeypatch.setattr(MultiTrialSeries, "drop_trial", spy)
+    deque(make_series().leave_one_out(), maxlen=0)  # drops each replicate at once
+    assert len(refs) == 4 and refs[-1]() is None
 
 
 def test_detrend_removes_polynomials_exactly():
@@ -146,6 +171,20 @@ def test_standardize_values():
     big = standardize(make_series(seed=3))
     np.testing.assert_allclose(big.values.mean(axis=2), 0.0, atol=1e-12)
     np.testing.assert_allclose(big.values.std(axis=2, ddof=1), 1.0, rtol=1e-12)
+
+
+def test_standardize_is_the_same_at_every_power_of_two_scale():
+    # 2**k x is exact, so the result matches wherever 2**k x is finite and normal
+    series = make_series(seed=3)
+    expected = standardize(series).values
+    tested = 0
+    for k in range(-1000, 1001):
+        values = np.ldexp(series.values, k)
+        if np.all(np.isfinite(values)) and np.abs(values).min() >= np.finfo(float).tiny:
+            np.testing.assert_array_equal(standardize(replace(series, values=values)).values,
+                                          expected, err_msg=f"k = {k}")
+            tested += 1
+    assert tested > 1900
 
 
 def test_standardize_rejects_constant_channel():
