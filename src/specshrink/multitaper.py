@@ -3,7 +3,7 @@
 Used as a competitor estimator in the Monte Carlo comparison harness.
 Sine tapers are exactly orthonormal in closed form, so no eigen-solver is
 needed.  The number of tapers is selected per trial by the same
-leave-one-out unbiased-risk rule used for smoothing spans; the harness
+leave-one-out unbiased-risk rule used for smoothing spans; the estimate
 uses the lower median of the per-trial selections.
 
 Both the selection and the estimate do their per-trial work on every
@@ -12,9 +12,9 @@ canonical order (:attr:`MultiTrialSeries.trial_order`), so their results
 depend neither on the number of cores nor on the order of the trials.  The
 estimate's trial sum, one ``(n_freq, P, P)`` array of all-taper products,
 is formed from the same tapered DFTs the selection scores, so the selection
-also sums them at the top of its grid and, when the selected count is the grid
-top, keeps that sum for the estimate (:attr:`TaperSelection.trial_sum`): each
-trial's tapered DFTs are then computed once.
+also sums them at the top of its grid.  When :func:`multitaper_estimator`
+selects its own count and the median is the grid top, it reads that sum
+from the selection: each trial's tapered DFTs are then computed once.
 """
 
 import math
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrequencyGrid, SpectralEstimate, check_count, check_grid, map_trials
-from .errors import DimensionError, DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError
 from .timeseries import MultiTrialSeries
 
 #: Largest taper count tried by the default selection grid.  Mirrors the
@@ -76,33 +76,6 @@ def _tapered_dfts(values: np.ndarray, tapers: np.ndarray, phase: np.ndarray,
     return out
 
 
-def multitaper_estimator(series: MultiTrialSeries, n_tapers: int, *,
-                         trial_sum: np.ndarray | None = None) -> SpectralEstimate:
-    """Trial-averaged multitaper spectral estimate with ``n_tapers`` sine tapers.
-
-    Per trial the estimate averages ``(2*pi)**-1 d_a d_a^*`` over tapers
-    ``a = 1..n_tapers`` (unit-norm tapers absorb the usual 1/T); trials are
-    then averaged.  Hermitian PSD by construction.  The trials' sums are
-    added in canonical trial order, so the result is the same for any number
-    of cores and any order of the trials.
-
-    ``trial_sum``, if given, is that sum before the averaging, ``sum_n sum_a
-    d_a d_a^*`` of shape ``(n_freq, P, P)``, as :attr:`TaperSelection.trial_sum`
-    holds it; the estimate then reads no trial.  Formed here when None, bit for
-    bit the same.
-    """
-    grid = FrequencyGrid(series.n_samples, series.sampling_rate)
-    tapers = sine_tapers(series.n_samples, n_tapers)  # checks n_tapers, sum given or not
-    sum_shape = (grid.n_frequencies, series.n_channels, series.n_channels)
-    if trial_sum is None:
-        trial_sum = _taper_product_sum(series, tapers, grid.phase[:, None, None])
-    elif trial_sum.shape != sum_shape:
-        raise DimensionError(f"a trial sum of {series.n_channels}-channel taper products "
-                             f"must be {sum_shape}, got {trial_sum.shape}")
-    return SpectralEstimate(grid, trial_sum / (2.0 * np.pi * n_tapers * series.n_trials),
-                            tag="multitaper")
-
-
 def _taper_product_sum(series: MultiTrialSeries, tapers: np.ndarray,
                        phase: np.ndarray) -> np.ndarray:
     """``sum_n D_n^T conj(D_n)``, shape ``(n_freq, P, P)``, over the trials in canonical
@@ -143,17 +116,16 @@ def validate_taper_grid(taper_grid, n_samples: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TaperSelection:
-    """Per-trial selected taper counts, their lower median, the risk curves, and the
-    trials' summed taper products for the median.
-
-    ``trial_sum`` is what :func:`multitaper_estimator` sums for ``n_tapers = median``, bit
-    for bit, and takes as its ``trial_sum``; None when the median is below the grid top.
-    """
+    """Per-trial selected taper counts, their lower median, and the risk curves."""
 
     per_trial: tuple[int, ...]
     median: int
     risks: np.ndarray  # (n_trials, len(grid))
-    trial_sum: np.ndarray | None  # (n_freq, P, P)
+
+    #: The trials' summed all-taper products, ``(n_freq, P, P)``, when ``median`` is the
+    #: grid top, for :func:`multitaper_estimator`.  Not a field, so a selection made in
+    #: any other way (``replace``, ...) has none.
+    _trial_sum = None
 
 
 def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelection:
@@ -163,13 +135,12 @@ def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelect
     grid-summed squared Hilbert-Schmidt distance between the leave-one-out
     mean periodogram (pilot) and that trial's multitaper estimate; ties go
     to the smaller count.  ``median`` is the lower median of the per-trial
-    selections and is what the comparison harness uses.  The pilot comes from the
-    series' own periodograms (:attr:`MultiTrialSeries.periodograms`).
+    selections and is the count :func:`multitaper_estimator` selects.  The pilot
+    comes from the series' own periodograms (:attr:`MultiTrialSeries.periodograms`).
 
-    The trials are transformed in canonical order, and each one's all-taper
-    products ``D^T conj(D)`` at the top count are added into ``trial_sum`` as
-    :func:`multitaper_estimator` adds them, kept if the median is the top count;
-    the risk rows stay in input order.
+    The trials are transformed in canonical order, and their all-taper products
+    ``D^T conj(D)`` at the top count summed as :func:`multitaper_estimator` sums them,
+    for it to read when the median is the top count; the risk rows stay in input order.
     """
     if series.n_trials < 2:
         raise InsufficientDataError("taper-count selection needs at least two trials")
@@ -215,7 +186,8 @@ def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelect
         total_d = np.matmul(d, total.transpose(0, 2, 1), out=_view(work, d.shape, complex))
         total_d = total_d.view(float)
         total_d *= d.view(float)
-        total_quad = total_d.sum(axis=(0, 2))
+        # sum(axis=(0, 2)) as two single-axis sums, which numpy forms several times faster
+        total_quad = total_d.reshape(n_freq, -1).sum(axis=0).reshape(m, -1).sum(axis=1)
         conj_block = _view(work, (GRAM_BLOCK, m, p), complex)
         block = _view(work, (GRAM_BLOCK, m, m), complex, start=2 * conj_block.size)
         products = _view(work, total.shape, complex, start=work.size - 2 * total.size)
@@ -233,8 +205,8 @@ def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelect
         gram = np.cumsum(np.cumsum(inner_sq.reshape(m, m, 2).sum(axis=-1), axis=0), axis=1)
         proj_sq = proj.view(float)
         proj_sq *= proj_sq
-        quad = np.cumsum((total_quad - proj_sq.sum(axis=(0, 2)) / n_samples)
-                         / (n_trials - 1))
+        proj_quad = proj_sq.reshape(n_freq, -1).sum(axis=0).reshape(m, -1).sum(axis=1)
+        quad = np.cumsum((total_quad - proj_quad / n_samples) / (n_trials - 1))
         e_sq = np.square(e.view(float)).sum(axis=(1, 2))  # ||e||^2 at each frequency
         pilot_sq = ((total_sq - 2.0 * np.vdot(e, np.matmul(total, e)).real / n_samples
                      + e_sq @ e_sq / n_samples ** 2) / (n_trials - 1) ** 2)
@@ -250,5 +222,34 @@ def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelect
         trial_sum += products
     chosen = [grid_counts[i] for i in np.argmin(risks, axis=1)]
     median = sorted(chosen)[(len(chosen) - 1) // 2]
-    return TaperSelection(per_trial=tuple(chosen), median=median, risks=risks,
-                          trial_sum=trial_sum if median == grid_counts[-1] else None)
+    selection = TaperSelection(per_trial=tuple(chosen), median=median, risks=risks)
+    if median == grid_counts[-1]:
+        object.__setattr__(selection, "_trial_sum", trial_sum)
+    return selection
+
+
+def multitaper_estimator(series: MultiTrialSeries, n_tapers: int | None = None, *,
+                         taper_grid=None) -> tuple[SpectralEstimate, TaperSelection | None]:
+    """Trial-averaged multitaper spectral estimate, and the taper selection it used.
+
+    Per trial the estimate averages ``(2*pi)**-1 d_a d_a^*`` over sine tapers
+    ``a = 1..n_tapers`` (unit-norm tapers absorb the usual 1/T); trials are
+    then averaged.  Hermitian PSD by construction.  The trials' sums are
+    added in canonical trial order, so the result is the same for any number
+    of cores and any order of the trials.
+
+    Without ``n_tapers`` the count is ``select_taper_count(series, taper_grid).median``,
+    and that selection is returned; with it, ``taper_grid`` is not read and the
+    selection is None.  A selected count gives bit for bit the estimate of that count
+    given; at the grid top the estimate reads the selection's trial sum.
+    """
+    selection, trial_sum = None, None
+    if n_tapers is None:
+        selection = select_taper_count(series, taper_grid)
+        n_tapers, trial_sum = selection.median, selection._trial_sum
+    grid = FrequencyGrid(series.n_samples, series.sampling_rate)
+    if trial_sum is None:
+        trial_sum = _taper_product_sum(series, sine_tapers(series.n_samples, n_tapers),
+                                       grid.phase[:, None, None])
+    return (SpectralEstimate(grid, trial_sum / (2.0 * np.pi * n_tapers * series.n_trials),
+                             tag="multitaper"), selection)

@@ -35,7 +35,7 @@ import numpy as np
 from .core import FrequencyGrid, SpectralEstimate, check_count, check_grid, check_weight
 from .errors import (DimensionError, DomainError, InsufficientDataError,
                      SpecshrinkError, PipelineError)
-from .multitaper import multitaper_estimator, select_taper_count
+from .multitaper import multitaper_estimator
 from .smoothing import SmoothingConfig, smoothed_estimator
 from .timeseries import MultiTrialSeries
 from .var import VarModel, fit_var, select_var_order, var_spectrum
@@ -226,8 +226,8 @@ class PipelineOptions:
     ``var_order=None`` selects the order by BIC up to ``max_order``;
     ``fixed_span`` bypasses per-trial span selection; ``fixed_weight``
     combines with a constant weight in place of the estimated one (the risk
-    curves are still computed and reported); ``n_tapers=None`` selects the
-    multitaper count from ``taper_grid``.
+    curves are still computed and reported); ``n_tapers=None`` has
+    :func:`multitaper_estimator` select its count from ``taper_grid``.
     """
 
     window: int = DEFAULT_WINDOW
@@ -358,14 +358,9 @@ def _var(series, options):
 
 
 def _multitaper(series, options):
-    n_tapers, trial_sum = options.n_tapers, None
-    if n_tapers is None:
-        selection = _stage("taper_selection", lambda: select_taper_count(
-            series, options.taper_grid))
-        n_tapers, trial_sum = selection.median, selection.trial_sum
-    return (_stage("multitaper", lambda: multitaper_estimator(series, n_tapers,
-                                                              trial_sum=trial_sum)),
-            {"tapers": n_tapers})
+    estimate, selection = _stage("multitaper", lambda: multitaper_estimator(
+        series, options.n_tapers, taper_grid=options.taper_grid))
+    return estimate, {"tapers": options.n_tapers if selection is None else selection.median}
 
 
 def _shrinkage(series, options):
@@ -379,7 +374,8 @@ def _shrinkage(series, options):
 #: Every estimator by its tag: ``ESTIMATORS[name](series, options)`` returns
 #: ``(estimate, record)``, ``record`` being the choices made (``var_order``,
 #: ``selected_spans``, ``window``, ``tapers``) in report order, plus the shrinkage
-#: :class:`ShrinkageDiagnostics` under ``weights``.  Entries run on one series share its
-#: periodograms and trial order, which the series keeps.
+#: :class:`ShrinkageDiagnostics` under ``weights``; ``multitaper`` is one stage, its count
+#: selection included.  Entries run on one series share its periodograms and trial order,
+#: which the series keeps.
 ESTIMATORS = {"raw_mean": _raw_mean, "smoothed": _smoothed, "var": _var,
               "multitaper": _multitaper, "shrinkage": _shrinkage}

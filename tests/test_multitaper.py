@@ -10,7 +10,6 @@ import specshrink.core as core
 import specshrink.multitaper as multitaper
 from specshrink import (
     ESTIMATORS,
-    DimensionError,
     DomainError,
     FrequencyGrid,
     InsufficientDataError,
@@ -49,7 +48,7 @@ def test_sine_tapers_bounds():
 
 def test_zero_data_gives_zero_estimate():
     series = MultiTrialSeries(np.zeros((2, 2, 16)))
-    est = multitaper_estimator(series, 3)
+    est, _ = multitaper_estimator(series, 3)
     np.testing.assert_array_equal(est.matrices, 0.0)
     assert est.tag == "multitaper"
 
@@ -58,7 +57,7 @@ def test_single_taper_single_trial_matches_direct_formula():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 32))
     series = MultiTrialSeries(x[None])
-    est = multitaper_estimator(series, 1)
+    est, _ = multitaper_estimator(series, 1)
     taper = sine_tapers(32, 1)[0]
     grid = FrequencyGrid(32)
     t = np.arange(1, 33)
@@ -85,7 +84,7 @@ def _einsum_multitaper(series, n_tapers):
 def test_multitaper_matches_the_einsum_oracle(n_samples, n_channels, n_tapers):
     rng = np.random.default_rng(n_samples + 10 * n_channels + 100 * n_tapers)
     series = MultiTrialSeries(rng.standard_normal((4, n_channels, n_samples)))
-    est = multitaper_estimator(series, n_tapers)
+    est, _ = multitaper_estimator(series, n_tapers)
     want = _einsum_multitaper(series, n_tapers)
     assert np.max(np.abs(est.matrices - want)) <= 1e-13 * np.max(np.abs(want))
     assert est.validate().ok
@@ -94,7 +93,8 @@ def test_multitaper_matches_the_einsum_oracle(n_samples, n_channels, n_tapers):
 def test_white_noise_level_and_psd():
     rng = np.random.default_rng(1)
     series = MultiTrialSeries(rng.standard_normal((30, 2, 128)))
-    est = multitaper_estimator(series, 8)
+    est, selection = multitaper_estimator(series, 8)
+    assert selection is None
     assert est.validate().ok
     interior = est.matrices[3:-3]
     diags = np.diagonal(interior, axis1=1, axis2=2).real
@@ -106,7 +106,7 @@ def test_more_tapers_reduce_white_noise_variance():
     series = MultiTrialSeries(rng.standard_normal((1, 1, 256)))
     variances = []
     for m in (1, 5, 15):
-        est = multitaper_estimator(series, m).matrices[2:-2, 0, 0].real
+        est = multitaper_estimator(series, m)[0].matrices[2:-2, 0, 0].real
         variances.append(np.var(est))
     assert variances[0] > variances[1] > variances[2]
 
@@ -159,7 +159,7 @@ def test_taper_selection_is_exhaustive_argmin():
         pilot = np.delete(stack, n, axis=0).mean(axis=0)
         brute = []
         for m in grid:
-            est = multitaper_estimator(MultiTrialSeries(series.values[n:n + 1]), m)
+            est, _ = multitaper_estimator(MultiTrialSeries(series.values[n:n + 1]), m)
             brute.append(scale * float(np.sum(hs_norm_sq(pilot - est.matrices))))
         np.testing.assert_allclose(selection.risks[n], brute, rtol=1e-9, atol=1e-12)
         assert selection.per_trial[n] == grid[int(np.argmin(brute))]
@@ -210,28 +210,38 @@ def test_taper_selection_and_estimate_do_not_depend_on_the_worker_count(monkeypa
     for workers in (1, 2):
         monkeypatch.setattr(core, "_worker_count", lambda n_tasks, w=workers: w)
         selection = select_taper_count(series, (1, 2, 3, 5, 8, 13))
-        runs.append((selection, multitaper_estimator(series, 5).matrices))
+        runs.append((selection, multitaper_estimator(series, 5)[0].matrices))
     (one, one_est), (two, two_est) = runs
     assert np.array_equal(one.risks, two.risks)
     assert (one.per_trial, one.median) == (two.per_trial, two.median)
     assert np.array_equal(one_est, two_est)
 
 
+def _white_or_peaked(data):
+    """Five 64-sample trials of white noise, or of a sharply peaked AR(2)."""
+    if data == "white":
+        return MultiTrialSeries(np.random.default_rng(0).standard_normal((5, 2, 64)))
+    coefs = np.array([[[1.4]], [[-0.9]]])
+    return MultiTrialSeries(np.stack([simulate_var(coefs, np.eye(1), 64, seed=(17, 0, n))
+                                      for n in range(5)]))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_the_handed_over_trial_sum_gives_the_fresh_estimate(monkeypatch, workers):
+@pytest.mark.parametrize("data, median", [("white", 15), ("peaked", 2)])  # top, below it
+def test_the_selected_estimate_is_the_estimate_at_the_median(monkeypatch, workers, data,
+                                                             median):
     monkeypatch.setattr(core, "_worker_count", lambda n_tasks: workers)
-    values = np.random.default_rng(10).standard_normal((6, 3, 64))
+    values = _white_or_peaked(data).values
     duplicated = np.concatenate([values, values[2:3]])
     shuffle = np.random.default_rng(11).permutation(len(duplicated))
-    grid = (1, 2, 4, 9)
     runs = []
     for trials in (values, values[::-1], duplicated, duplicated[shuffle]):
         series = MultiTrialSeries(trials)
-        selection = select_taper_count(series, grid)
-        handed = multitaper_estimator(series, grid[-1], trial_sum=selection.trial_sum)
-        np.testing.assert_array_equal(handed.matrices,
-                                      multitaper_estimator(series, grid[-1]).matrices)
-        runs.append((selection.risks, handed.matrices))
+        estimate, selection = multitaper_estimator(series, taper_grid=(1, 2, 15))
+        assert selection.median == median
+        np.testing.assert_array_equal(estimate.matrices,
+                                      multitaper_estimator(series, median)[0].matrices)
+        runs.append((selection.risks, estimate.matrices))
     # The risk rows stay at their trials' input indices; the sums do not see the order.
     (risks, estimate), (reversed_risks, reversed_estimate) = runs[:2]
     np.testing.assert_array_equal(reversed_risks, risks[::-1])
@@ -241,39 +251,14 @@ def test_the_handed_over_trial_sum_gives_the_fresh_estimate(monkeypatch, workers
     np.testing.assert_array_equal(shuffled_estimate, estimate)
 
 
-@pytest.mark.parametrize("data, median", [("white", 15), ("peaked", 2)])
-def test_the_selection_keeps_a_trial_sum_only_for_its_median(data, median):
-    series = (MultiTrialSeries(np.random.default_rng(0).standard_normal((5, 2, 64)))
-              if data == "white" else _peaked_series(5, 64))
-    selection = select_taper_count(series, (1, 2, 15))
-    assert selection.median == median
-    assert (selection.trial_sum is None) == (median != 15)
-    handed = multitaper_estimator(series, selection.median, trial_sum=selection.trial_sum)
-    np.testing.assert_array_equal(handed.matrices,
-                                  multitaper_estimator(series, selection.median).matrices)
-
-
-def test_a_trial_sum_of_the_wrong_shape_is_refused():
-    series = MultiTrialSeries(np.random.default_rng(12).standard_normal((3, 2, 32)))
-    with pytest.raises(DimensionError, match=r"must be \(17, 2, 2\), got \(17, 3, 3\)"):
-        multitaper_estimator(series, 3, trial_sum=np.zeros((17, 3, 3), dtype=complex))
-
-
-def _peaked_series(n_trials, n_samples):
-    coefs = np.array([[[1.4]], [[-0.9]]])
-    return MultiTrialSeries(np.stack([simulate_var(coefs, np.eye(1), n_samples, seed=(17, 0, n))
-                                      for n in range(n_trials)]))
-
-
 @pytest.mark.parametrize("data, options, tapers, passes", [
-    ("white", PipelineOptions(taper_grid=(1, 2, 15)), 15, 1),  # the scan hands its sum over
+    ("white", PipelineOptions(taper_grid=(1, 2, 15)), 15, 1),  # the estimate reads the scan's sum
     ("peaked", PipelineOptions(taper_grid=(1, 2, 15)), 2, 2),  # a median below the grid top
     ("white", PipelineOptions(n_tapers=15), 15, 1),  # a fixed count: no scan
 ])
 def test_a_trial_is_transformed_again_only_below_the_grid_top(monkeypatch, data, options,
                                                               tapers, passes):
-    series = (MultiTrialSeries(np.random.default_rng(0).standard_normal((5, 2, 64)))
-              if data == "white" else _peaked_series(5, 64))
+    series = _white_or_peaked(data)
     calls = itertools.count()
     tapered_dfts = multitaper._tapered_dfts
 
@@ -286,7 +271,8 @@ def test_a_trial_is_transformed_again_only_below_the_grid_top(monkeypatch, data,
     assert record == {"tapers": tapers}
     assert next(calls) == passes * series.n_trials
     monkeypatch.undo()
-    np.testing.assert_array_equal(estimate.matrices, multitaper_estimator(series, tapers).matrices)
+    np.testing.assert_array_equal(estimate.matrices,
+                                  multitaper_estimator(series, tapers)[0].matrices)
 
 
 @pytest.mark.parametrize("run", [lambda s: select_taper_count(s, (1, 2, 3)),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshrink import (
     ESTIMATOR_TAGS,
@@ -396,6 +398,9 @@ def test_pipeline_errors_name_their_stage():
     with pytest.raises(PipelineError) as info:
         shrinkage_pipeline(series, PipelineOptions(var_order=1, span_grid=(3, 65)))
     assert info.value.stage == "smoothing"
+    with pytest.raises(PipelineError) as info:  # the taper selection needs two trials
+        ESTIMATORS["multitaper"](MultiTrialSeries(series.values[:1]), PipelineOptions())
+    assert info.value.stage == "multitaper"
     with pytest.raises(DomainError):
         PipelineOptions(fixed_weight=1.2)
     with pytest.raises(DomainError):
@@ -445,26 +450,41 @@ def assert_same_record(got, expected, perm):
             assert got[key] == value, key
 
 
+# Every sum over trials visits the trials in the series' canonical order, so a
+# permutation changes no bit of any estimate, weight or jackknife statistic, also when
+# two trials are byte-identical; per-trial records move with their trials.
+
+@settings(max_examples=10, deadline=None)
+@given(n_trials=st.integers(3, 7), n_channels=st.integers(1, 3), n_samples=st.integers(32, 96),
+       duplicated=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_every_estimator_keeps_its_bits_under_trial_permutations(n_trials, n_channels,
+                                                                 n_samples, duplicated, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_trials, n_channels, n_samples))
+    if duplicated:
+        values = np.concatenate([values, values[rng.integers(n_trials)][None]])
+    options = PipelineOptions(max_order=3, window=5)
+    expected = {name: ESTIMATORS[name](MultiTrialSeries(values), options) for name in ESTIMATORS}
+    for _ in range(2):
+        perm = rng.permutation(len(values))
+        permuted = MultiTrialSeries(values[perm])
+        for name, (estimate, record) in expected.items():
+            got, got_record = ESTIMATORS[name](permuted, options)
+            np.testing.assert_array_equal(got.matrices, estimate.matrices, err_msg=name)
+            assert_same_record(got_record, record, perm)
+
+
 @pytest.mark.parametrize("duplicated", [False, True])
-def test_every_estimator_and_the_jackknife_keep_their_bits_under_trial_permutations(duplicated):
-    # Every sum over trials visits the trials in the series' canonical order, so a
-    # permutation changes no bit of any estimate, weight or jackknife statistic, also
-    # when two trials are byte-identical; per-trial records move with their trials.
+def test_the_jackknife_keeps_its_bits_under_trial_permutations(duplicated):
     rng = np.random.default_rng(24)
     values = rng.standard_normal((6, 3, 64))
     if duplicated:
         values = np.concatenate([values, values[2:3]])
     options = PipelineOptions(max_order=3, window=5)
-    series = MultiTrialSeries(values, sampling_rate=64.0)
-    expected = {name: ESTIMATORS[name](series, options) for name in ESTIMATORS}
-    stats = jackknife_band_stats(series, (8.0, 20.0), options)
+    stats = jackknife_band_stats(MultiTrialSeries(values, sampling_rate=64.0), (8.0, 20.0),
+                                 options)
     for _ in range(3):
-        perm = rng.permutation(len(values))
-        permuted = MultiTrialSeries(values[perm], sampling_rate=64.0)
-        for name, (estimate, record) in expected.items():
-            got, got_record = ESTIMATORS[name](permuted, options)
-            np.testing.assert_array_equal(got.matrices, estimate.matrices, err_msg=name)
-            assert_same_record(got_record, record, perm)
+        permuted = MultiTrialSeries(values[rng.permutation(len(values))], sampling_rate=64.0)
         other = jackknife_band_stats(permuted, (8.0, 20.0), options)
         np.testing.assert_array_equal(other.mean_z, stats.mean_z)
         np.testing.assert_array_equal(other.se, stats.se)
