@@ -153,41 +153,40 @@ def map_trials(func, n_trials: int, scratch):
     """Yield ``func(n, space)`` for ``n = 0 .. n_trials - 1``, in trial order, computed on a
     pool of threads, one per available CPU and at most one per trial.
 
-    A trial is submitted only when an earlier result has been taken, so at most
-    one finished result per worker waits and memory stays bounded by the
-    worker count, not the trial count.  Reducing the results in the order
-    they arrive gives the serial loop's bits for any number of workers.
-    ``func`` pays off when it spends its time in numpy calls that release the
-    interpreter lock.  An exception raised by ``func`` reaches the caller
-    unchanged, at the trial that raised it.
+    ``scratch`` is called in the calling thread once per worker, and not at all
+    for zero trials; trial ``n`` works in space ``n % workers``.  Trial
+    ``n + workers`` reuses trial ``n``'s space, so it is submitted only when the
+    caller asks for the result after trial ``n``'s: ``func`` may return views of
+    its space, and a result stays valid until the next one is asked for.  At
+    most ``n + workers`` trials have started when result ``n`` is yielded, so
+    memory is bounded by the worker count, not the trial count.  Reducing the
+    results in the order they arrive gives the serial loop's bits for any
+    number of workers.  ``func`` pays off when it spends its time in numpy
+    calls that release the interpreter lock.  An exception raised by ``func``
+    reaches the caller unchanged, at the trial that raised it.
 
-    ``scratch`` is called in the calling thread once per worker plus once, and
-    ``space`` is one of its results that no other trial in flight holds.
-    ``func`` may return views of its space: a result stays valid until the next
-    one is taken.  Large working arrays belong there.  The C allocator gives
-    each thread an arena of its own and keeps freed blocks in it, so arrays that
+    Large working arrays belong in the spaces.  The C allocator gives each
+    thread an arena of its own and keeps freed blocks in it, so arrays that
     workers allocate leave a varying amount of memory resident from run to run;
     buffers made in the calling thread are allocated and freed in the same order
     every time.
     """
+    if not n_trials:
+        return
     from concurrent.futures import ThreadPoolExecutor  # imports logging: keep it off start-up
 
     workers = _worker_count(n_trials)
-    # Trials n .. n + workers are in flight while trial n's result is used.
-    spaces = [scratch() for _ in range(min(workers, n_trials) + 1)]
+    spaces = [scratch() for _ in range(workers)]
 
     def task(n):
-        return func(n, spaces[n % len(spaces)])
+        return func(n, spaces[n % workers])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(task, n) for n in range(min(workers, n_trials)))
-        next_trial = len(pending)
-        while pending:
-            result = pending.popleft().result()
-            if next_trial < n_trials:
-                pending.append(pool.submit(task, next_trial))
-                next_trial += 1
-            yield result
+        pending = deque(pool.submit(task, n) for n in range(workers))
+        for n in range(workers, n_trials + workers):
+            yield pending.popleft().result()
+            if n < n_trials:  # trial n - workers is done with the space
+                pending.append(pool.submit(task, n))
 
 
 def _square_matrices(matrices, dtype=None) -> np.ndarray:

@@ -17,7 +17,6 @@ selects its own count and the median is the grid top, it reads that sum
 from the selection: each trial's tapered DFTs are then computed once.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,12 @@ from .timeseries import MultiTrialSeries
 #: same range of effective bandwidths.
 MAX_AUTO_TAPERS = 63
 
-#: Frequencies per block of one trial's taper inner products in
-#: :func:`select_taper_count`: a block of ``(m, m)`` complex matrices takes
-#: about 1 MB at ``m = 63``, against 8.2 MB for all 129 frequencies at T = 256.
+#: Frequencies per block of one trial's per-frequency work in :func:`select_taper_count`
+#: (taper inner products, products with the periodogram total) and of its all-taper
+#: products on both routes.  A block of ``(m, m)`` complex matrices takes about 1 MB at
+#: ``m = 63``, against 8.2 MB for all 129 frequencies at T = 256; its buffer also holds
+#: the tapered series that :func:`_tapered_dfts` transforms, as many tapers at a time as
+#: fit.  Blocks of 8 or 4 frequencies take less memory but slow the scan.
 GRAM_BLOCK = 16
 
 
@@ -51,29 +53,52 @@ def sine_tapers(n_samples: int, n_tapers: int) -> np.ndarray:
     return np.sqrt(2.0 / (n_samples + 1)) * np.sin(np.pi * np.outer(a, t) / (n_samples + 1))
 
 
-def _view(work: np.ndarray, shape, dtype=float, start: int = 0) -> np.ndarray:
-    """An array of ``shape`` and ``dtype`` over the float buffer ``work``, from its
-    ``start``-th float on."""
-    size = math.prod(shape) * np.dtype(dtype).itemsize // work.itemsize
-    return work[start:start + size].view(dtype).reshape(shape)
+def _trial_space(n_freq: int, n_samples: int, n_tapers: int, n_channels: int):
+    """A worker's buffers for one trial's transform and all-taper products: its DFTs
+    ``(n_freq, m, P)``, its products ``(n_freq, P, P)``, a Gram block's buffer of
+    ``GRAM_BLOCK * m * m`` complex numbers, large enough for at least one tapered
+    series (:func:`_tapered_dfts`), and a block of conjugate DFTs ``(GRAM_BLOCK, m, P)``."""
+    taper_shape = (n_tapers, n_channels)
+    return (np.empty((n_freq, *taper_shape), dtype=complex),
+            np.empty((n_freq, n_channels, n_channels), dtype=complex),
+            np.empty(max(GRAM_BLOCK * n_tapers ** 2, -(-n_samples * n_channels // 2)),
+                     dtype=complex),
+            np.empty((GRAM_BLOCK, *taper_shape), dtype=complex))
 
 
 def _tapered_dfts(values: np.ndarray, tapers: np.ndarray, phase: np.ndarray,
-                  work: np.ndarray, out: np.ndarray) -> np.ndarray:
+                  buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Half-grid DFTs of one trial under every taper, written into ``out``, shape
     ``(n_freq, m, P)``, and returned.
 
     ``phase`` is ``grid.phase[:, None, None]`` (:attr:`FrequencyGrid.phase`), which
     moves numpy's t = 0-based transform to the t = 1-based convention.  The
-    tapered series are laid out time first in the float buffer ``work`` and
-    transformed along that axis, so the result comes out C-contiguous for
-    the per-frequency products without a transposed copy.
+    tapered series are formed in the float view of ``buffer``, a Gram block's
+    (:func:`_trial_space`), as many tapers at a time as it holds, laid out time
+    first and transformed along that axis into their tapers' columns of ``out``.
+    So no full-length tapered series is held, and the result comes out
+    C-contiguous for the per-frequency products without a transposed copy.
     """
-    tapered = _view(work, (values.shape[1], len(tapers), values.shape[0]))
-    np.multiply(tapers.T[:, :, None], values.T[:, None, :], out=tapered)
-    np.fft.rfft(tapered, axis=0, out=out)
+    n_channels, n_samples = values.shape
+    floats = buffer.view(float)
+    chunk = floats.size // (n_samples * n_channels)
+    for start in range(0, len(tapers), chunk):
+        part = tapers[start:start + chunk]
+        tapered = floats[:n_samples * len(part) * n_channels].reshape(
+            n_samples, len(part), n_channels)
+        np.multiply(part.T[:, :, None], values.T[:, None, :], out=tapered)
+        np.fft.rfft(tapered, axis=0, out=out[:, start:start + len(part)])
     out *= phase
     return out
+
+
+def _conj_blocks(d: np.ndarray, conj_block: np.ndarray):
+    """``(frequencies, block, conj(block))`` for each ``GRAM_BLOCK`` frequencies of the
+    DFTs ``d``, the conjugates written into ``conj_block``."""
+    for start in range(0, len(d), GRAM_BLOCK):
+        block = d[start:start + GRAM_BLOCK]
+        yield (slice(start, start + len(block)), block,
+               np.conj(block, out=conj_block[:len(block)]))
 
 
 def _taper_product_sum(series: MultiTrialSeries, tapers: np.ndarray,
@@ -81,22 +106,21 @@ def _taper_product_sum(series: MultiTrialSeries, tapers: np.ndarray,
     """``sum_n D_n^T conj(D_n)``, shape ``(n_freq, P, P)``, over the trials in canonical
     order, with ``D_n`` trial ``n``'s ``(n_freq, m, P)`` DFTs under ``tapers``."""
     n_freq = len(phase)
-    acc = np.zeros((n_freq, series.n_channels, series.n_channels), dtype=complex)
-    dft_shape = (n_freq, len(tapers), series.n_channels)
     order = series.trial_order
 
-    def scratch():  # the tapered series, then the DFTs' conjugates, share ``work``
-        work = np.empty(max(series.n_samples, 2 * n_freq) * math.prod(dft_shape[1:]))
-        return work, np.empty(dft_shape, dtype=complex), np.empty_like(acc)
+    def scratch():
+        return _trial_space(n_freq, series.n_samples, len(tapers), series.n_channels)
 
     def trial_sum(k, space):
-        work, d, part = space
-        _tapered_dfts(series.values[order[k]], tapers, phase, work, d)
-        conj = np.conj(d, out=_view(work, dft_shape, complex))
-        return np.matmul(d.transpose(0, 2, 1), conj, out=part)  # (n_freq, P, m) @ (n_freq, m, P)
+        d, products, buffer, conj_block = space
+        _tapered_dfts(series.values[order[k]], tapers, phase, buffer, d)
+        for freqs, block, conj in _conj_blocks(d, conj_block):  # (P, m) @ (m, P)
+            np.matmul(block.transpose(0, 2, 1), conj, out=products[freqs])
+        return products
 
-    for part in map_trials(trial_sum, series.n_trials, scratch):
-        acc += part
+    acc = np.zeros((n_freq, series.n_channels, series.n_channels), dtype=complex)
+    for products in map_trials(trial_sum, series.n_trials, scratch):
+        acc += products
     return acc
 
 
@@ -141,6 +165,10 @@ def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelect
     The trials are transformed in canonical order, and their all-taper products
     ``D^T conj(D)`` at the top count summed as :func:`multitaper_estimator` sums them,
     for it to read when the median is the top count; the risk rows stay in input order.
+    Each worker's space holds one trial's DFTs, its all-taper products and its
+    projections onto its periodogram DFT, ``(n_freq, m, 1)``; everything else a
+    trial's risks need is formed ``GRAM_BLOCK`` frequencies at a time, in buffers of
+    that size.  Sums over frequencies run in frequency order, as over the whole grid.
     """
     if series.n_trials < 2:
         raise InsufficientDataError("taper-count selection needs at least two trials")
@@ -170,38 +198,39 @@ def select_taper_count(series: MultiTrialSeries, taper_grid=None) -> TaperSelect
     total_sq = float(np.sum(np.square(total.view(float))))
 
     def scratch():
-        # One trial's steps use ``work`` in turn: the tapered series, the products
-        # with ``total``, a Gram block with its conjugate DFTs.  The all-taper
-        # products fill the end of ``work``, which the Gram blocks leave alone.
-        work = np.empty(max(n_samples * m * p, 2 * n_freq * m * p,
-                            2 * GRAM_BLOCK * m * (p + m) + 2 * total.size))
-        return work, np.empty((n_freq, m, p), dtype=complex), np.empty((n_freq, m, 1), dtype=complex)
+        # The trial's periodogram DFT conjugated onto its tapers' DFTs, and a block of
+        # products with ``total`` below a row that carries the earlier blocks' sum.
+        return _trial_space(n_freq, n_samples, m, p) + (
+            np.empty((n_freq, m, 1), dtype=complex),
+            np.empty((GRAM_BLOCK + 1, m, p), dtype=complex))
 
     def trial_risks(k, space):
-        work, d, proj = space
+        d, products, buffer, conj_block, proj, total_rows = space
         n = order[k]
         e = np.ascontiguousarray(pgrams.dfts[n].T)[:, :, None]  # (n_freq, P, 1)
-        _tapered_dfts(series.values[n], tapers, phase, work, d)
-        # Re(conj(x) * y) summed is the float views' product summed, with no conjugate copy.
-        total_d = np.matmul(d, total.transpose(0, 2, 1), out=_view(work, d.shape, complex))
-        total_d = total_d.view(float)
-        total_d *= d.view(float)
-        # sum(axis=(0, 2)) as two single-axis sums, which numpy forms several times faster
-        total_quad = total_d.reshape(n_freq, -1).sum(axis=0).reshape(m, -1).sum(axis=1)
-        conj_block = _view(work, (GRAM_BLOCK, m, p), complex)
-        block = _view(work, (GRAM_BLOCK, m, m), complex, start=2 * conj_block.size)
-        products = _view(work, total.shape, complex, start=work.size - 2 * total.size)
+        _tapered_dfts(series.values[n], tapers, phase, buffer, d)
+        gram_block = buffer[:GRAM_BLOCK * m * m].reshape(GRAM_BLOCK, m, m)
+        total_sum = np.empty(2 * m * p)  # sum over frequencies of Re(conj(d) * (d total^T))
         inner_sq = np.zeros(2 * m * m)  # sum over frequencies of |<d_a, d_b>|^2, re and im
-        for start in range(0, n_freq, GRAM_BLOCK):
-            part = d[start:start + GRAM_BLOCK]
-            conj = np.conj(part, out=conj_block[:len(part)])
-            inner = np.matmul(conj, part.transpose(0, 2, 1), out=block[:len(part)])
+        for freqs, part, conj in _conj_blocks(d, conj_block):
+            # Re(conj(x) * y) summed is the float views' product summed, with no conjugate
+            # copy.  The block's rows add to the sum row in frequency order, as one sum
+            # over axis 0 of all frequencies adds them.
+            rows = total_rows[:len(part) + 1]
+            np.matmul(part, total[freqs].transpose(0, 2, 1), out=rows[1:])
+            terms = rows.view(float).reshape(len(rows), -1)
+            terms[1:] *= part.view(float).reshape(len(part), -1)
+            np.sum(terms if freqs.start else terms[1:], axis=0, out=total_sum)
+            terms[0] = total_sum
+            inner = np.matmul(conj, part.transpose(0, 2, 1), out=gram_block[:len(part)])
             flat = inner.view(float).reshape(len(part), -1)
             flat *= flat  # not einsum, which holds the interpreter lock
             inner_sq += flat.sum(axis=0)
-            np.matmul(part.transpose(0, 2, 1), conj, out=products[start:start + GRAM_BLOCK])
+            np.matmul(part.transpose(0, 2, 1), conj, out=products[freqs])
             # conj(e^* d_a), which has the modulus of e^* d_a
-            np.matmul(conj, e[start:start + GRAM_BLOCK], out=proj[start:start + GRAM_BLOCK])
+            np.matmul(conj, e[freqs], out=proj[freqs])
+        # sum(axis=(0, 2)) as two single-axis sums, which numpy forms several times faster
+        total_quad = total_sum.reshape(m, -1).sum(axis=1)
         gram = np.cumsum(np.cumsum(inner_sq.reshape(m, m, 2).sum(axis=-1), axis=0), axis=1)
         proj_sq = proj.view(float)
         proj_sq *= proj_sq

@@ -425,8 +425,8 @@ def test_check_count_and_check_grid():
         PipelineOptions(taper_grid=(4, 2))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_map_trials_yields_in_trial_order_and_runs_at_most_one_trial_ahead_per_worker(
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_trials_yields_in_trial_order_and_starts_at_most_workers_trials_ahead(
         monkeypatch, workers):
     monkeypatch.setattr(core, "_worker_count", lambda n_tasks: workers)
     started = []
@@ -438,13 +438,13 @@ def test_map_trials_yields_in_trial_order_and_runs_at_most_one_trial_ahead_per_w
 
     for n, result in enumerate(map_trials(square, 10, lambda: None)):
         assert result == n * n
-        assert len(started) <= n + 1 + workers
+        assert len(started) <= n + workers
     assert sorted(started) == list(range(10))
-    assert list(map_trials(square, 0, lambda: None)) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_map_trials_gives_each_trial_in_flight_its_own_scratch(monkeypatch, workers):
+def test_map_trials_makes_one_space_per_worker_and_a_view_of_it_outlives_its_yield(
+        monkeypatch, workers):
     monkeypatch.setattr(core, "_worker_count", lambda n_tasks: workers)
     makers = []
 
@@ -455,12 +455,21 @@ def test_map_trials_gives_each_trial_in_flight_its_own_scratch(monkeypatch, work
     def fill(n, space):
         time.sleep(0.002 * (n % 3 == 0))  # trials finish out of order
         space[0] = n
-        return space  # a view of the space, valid until the next result is taken
+        return space  # a view of the space, valid until the next result is asked for
 
     for n, result in enumerate(map_trials(fill, 10, scratch)):
+        time.sleep(0.003)  # room for a trial that reused the space too early to write it
         assert result[0] == n
-    assert makers == [threading.get_ident()] * (workers + 1)
-    assert list(map_trials(fill, 0, scratch)) == []
+    assert makers == [threading.get_ident()] * workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_trials_of_zero_trials_makes_no_scratch_and_runs_nothing(monkeypatch, workers):
+    monkeypatch.setattr(core, "_worker_count", lambda n_tasks: workers)
+    calls = []
+    assert list(map_trials(lambda n, space: calls.append(n), 0,
+                           lambda: calls.append("scratch"))) == []
+    assert calls == []
 
 
 def test_worker_count_is_the_available_cpus_capped_by_the_tasks():

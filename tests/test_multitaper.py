@@ -192,7 +192,9 @@ def _direct_taper_risks(series, taper_grid):
     return risks
 
 
-@pytest.mark.parametrize("n_samples", [64, 65])  # 33 frequencies: two full Gram blocks and one
+# 33 frequencies: two full Gram blocks and one; 151 frequencies: nine and seven, and at
+# 3 channels both grids' tapers are transformed in chunks (4 and 8 tapers a chunk)
+@pytest.mark.parametrize("n_samples", [64, 65, 300])
 @pytest.mark.parametrize("n_channels", [1, 3])
 @pytest.mark.parametrize("taper_grid", [(1, 2, 4, 7, 11), (3, 5, 6, 10, 15)])
 def test_taper_risks_match_the_direct_loop(n_samples, n_channels, taper_grid):
@@ -204,17 +206,21 @@ def test_taper_risks_match_the_direct_loop(n_samples, n_channels, taper_grid):
     assert selection.per_trial == tuple(taper_grid[i] for i in np.argmin(want, axis=1))
 
 
-def test_taper_selection_and_estimate_do_not_depend_on_the_worker_count(monkeypatch):
-    series = MultiTrialSeries(np.random.default_rng(6).standard_normal((7, 3, 64)))
+# The 300-sample record's 151 frequencies end in a partial Gram block, and its tapers are
+# transformed 4 at a time for the selection and one at a time for the fixed count.
+@pytest.mark.parametrize("shape", [(7, 3, 64), (5, 4, 300)])
+def test_taper_selection_and_estimate_do_not_depend_on_the_worker_count(monkeypatch, shape):
+    series = MultiTrialSeries(np.random.default_rng(6).standard_normal(shape))
     runs = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(core, "_worker_count", lambda n_tasks, w=workers: w)
         selection = select_taper_count(series, (1, 2, 3, 5, 8, 13))
         runs.append((selection, multitaper_estimator(series, 5)[0].matrices))
-    (one, one_est), (two, two_est) = runs
-    assert np.array_equal(one.risks, two.risks)
-    assert (one.per_trial, one.median) == (two.per_trial, two.median)
-    assert np.array_equal(one_est, two_est)
+    (one, one_est), *others = runs
+    for other, other_est in others:
+        assert np.array_equal(one.risks, other.risks)
+        assert (one.per_trial, one.median) == (other.per_trial, other.median)
+        assert np.array_equal(one_est, other_est)
 
 
 def _white_or_peaked(data):
@@ -319,6 +325,30 @@ def test_the_per_trial_work_allocates_no_large_array(monkeypatch):
         tracemalloc.stop()
     assert len(selection.risks[0]) == 63 and len(peaks) == 8
     assert max(peaks) < dft_bytes / 3, (peaks, dft_bytes)
+
+
+@pytest.mark.parametrize("n_samples", [256, 1024])
+def test_a_call_holds_one_trials_dfts_and_a_fixed_allowance_per_worker(monkeypatch,
+                                                                       n_samples):
+    # Each worker's space holds one trial's DFTs under 63 tapers and buffers of
+    # GRAM_BLOCK frequencies (1.3 MB here).  The allowance also covers what grows with
+    # the length more slowly than the DFTs: the trial's products and projections, the
+    # tapers and the trials' sum, 2 MB at 1024 samples.
+    workers = 2
+    monkeypatch.setattr(core, "_worker_count", lambda n_tasks: workers)
+    series = MultiTrialSeries(np.random.default_rng(9).standard_normal((4, 8, n_samples)))
+    series.periodograms  # the series' own arrays, not the calls' scratch
+    dft_bytes = 16 * (n_samples // 2 + 1) * 63 * 8
+    peaks = []
+    for run in (select_taper_count, lambda s: multitaper_estimator(s, 63)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(series)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < workers * (dft_bytes + 4_000_000), (peaks, dft_bytes)
 
 
 def test_taper_selection_median_is_lower_median():
